@@ -6,8 +6,8 @@ hypothesis does not hold for the given arguments.  Violation witnesses
 replay: re-running the cited primitive operations on the witness
 reproduces the violation.
 
-Checkers marked ``screen=True`` (fix propagation, faithfulness, the
-infinite-locus screen) test necessary conditions for a model to arise
+The checkers named in :data:`SCREENS` (fix propagation, faithfulness,
+the infinite-locus screen) test necessary conditions for a model to arise
 from a leafwise hyperbolic taut foliation: a Violation there means the
 model is not realizable by such a foliation, not that a theorem failed.
 """
@@ -56,9 +56,10 @@ class CheckReport:
     notes: tuple = ()
 
     @staticmethod
-    def make(name, verdict, witness=None, depth=0, word_bound=None, screen=False, notes=()):
+    def make(name, verdict, witness=None, depth=0, word_bound=None, notes=()):
         items = tuple(sorted((k, str(v)) for k, v in (witness or {}).items()))
-        return CheckReport(name, verdict, items, depth, word_bound, screen, tuple(notes))
+        return CheckReport(name, verdict, items, depth, word_bound, name in SCREENS,
+                           tuple(notes))
 
     def to_dict(self):
         return {
@@ -374,7 +375,6 @@ def stabilizer_ball(spec, locus, radius, depth):
     require_valid(trunc)
     ball = [w for w in reduced_words(spec.generators, radius)
             if act_locus(spec, w, members) == members]
-    ball.sort(key=word_sort_key)
     table = tuple((w, tuple(act_cell(spec, w, m) for m in members)) for w in ball)
     nontrivial = any(images != members for _, images in table)
 
@@ -405,12 +405,11 @@ def check_fix_propagation(spec, locus, radius, depth):
     for word, images in ball.action_table:
         fixed = tuple(m for m, img in zip(ball.locus, images) if m == img)
         if fixed and len(fixed) < len(ball.locus):
-            return CheckReport.make(name, VIOLATION, depth=depth, word_bound=radius,
-                                    screen=True, witness={
-                                        "word": word,
-                                        "fixes": ",".join(f"{f}[{i}]" for f, i in fixed),
-                                        "locus_size": len(ball.locus)})
-    return CheckReport.make(name, PASS, depth=depth, word_bound=radius, screen=True,
+            return CheckReport.make(name, VIOLATION, depth=depth, word_bound=radius, witness={
+                "word": word,
+                "fixes": ",".join(f"{f}[{i}]" for f, i in fixed),
+                "locus_size": len(ball.locus)})
+    return CheckReport.make(name, PASS, depth=depth, word_bound=radius,
                             witness={"ball_size": len(ball.members)})
 
 
@@ -425,8 +424,8 @@ def check_faithfulness(spec, max_word_len, depth):
     for word in reduced_words(spec.generators, max_word_len, include_identity=False):
         if is_identity_action(spec, word):
             return CheckReport.make(name, VIOLATION, depth=depth, word_bound=max_word_len,
-                                    screen=True, witness={"word": word})
-    return CheckReport.make(name, PASS, depth=depth, word_bound=max_word_len, screen=True)
+                                    witness={"word": word})
+    return CheckReport.make(name, PASS, depth=depth, word_bound=max_word_len)
 
 
 def check_intermediate_fixed(spec, word, x_pos, x_neg, depth):
@@ -491,8 +490,7 @@ def screen_infinite_locus(spec, max_word_len, depth):
             if trunc.has_truncation:
                 tainted = True
             else:
-                return CheckReport.make(name, VIOLATION, depth=depth,
-                                        word_bound=max_word_len, screen=True,
+                return CheckReport.make(name, VIOLATION, depth=depth, word_bound=max_word_len,
                                         witness={"word": word,
                                                  "reason": "tangentiable, never transversable"})
         if profile.neither_in_window:
@@ -506,6 +504,43 @@ def screen_infinite_locus(spec, max_word_len, depth):
                         else "candidates not certified; one-sided window"))
     if tainted:
         return CheckReport.make(name, TRUNCATED, depth=depth, word_bound=max_word_len,
-                                screen=True, notes=tuple(notes))
+                                notes=tuple(notes))
     return CheckReport.make(name, PASS, depth=depth, word_bound=max_word_len,
-                            screen=True, notes=tuple(notes))
+                            notes=tuple(notes))
+
+
+# ---------------------------------------------------------------------------
+# registry
+
+
+# Checker name -> {keyword argument: the ``leafspace check`` option that
+# supplies it}, besides ``spec`` and ``depth``; the suite runs them in
+# this order.  ``check_invariant_locus_stem`` resolves its locus first,
+# so a window without loci skips it before its word is read.
+CHECKERS = {
+    "check_lower_bound": {"word": "--word", "lam": "--from", "mu": "--to"},
+    "check_path_in_comparable_set": {"word": "--word", "lam": "--from", "mu": "--to"},
+    "check_connected_open": {"word": "--word"},
+    "check_odd_path": {"word": "--word", "lam": "--point", "k_max": "--k-max"},
+    "check_return": {"word": "--word", "lam": "--point", "k": "--k"},
+    "check_invariant_locus_stem": {"locus": "--locus", "word": "--word"},
+    "check_fix_propagation": {"locus": "--locus", "radius": "--word-len"},
+    "check_faithfulness": {"max_word_len": "--word-len"},
+    "check_intermediate_fixed": {"word": "--word", "x_pos": "--pos", "x_neg": "--neg"},
+    "screen_infinite_locus": {"max_word_len": "--word-len"},
+}
+
+# Realizability screens: their reports carry ``screen`` and the
+# SCREEN_DISCLAIMER applies to them.
+SCREENS = frozenset({"check_fix_propagation", "check_faithfulness", "screen_infinite_locus"})
+
+
+def run_checker(spec, name, depth, **kwargs):
+    """Run the registered checker ``name``; a hypothesis that does not
+    hold comes back as a precondition-failed report.  The function is
+    looked up in this module when called, so a wrapper installed over it
+    sees the call."""
+    try:
+        return globals()[name](spec, depth=depth, **kwargs)
+    except PreconditionFailed as exc:
+        return CheckReport.make(name, "precondition-failed", depth=depth, notes=(str(exc),))

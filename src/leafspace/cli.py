@@ -12,22 +12,31 @@ import argparse
 import json
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from fractions import Fraction
 
 from .core import (
     LeafSpaceError,
     Point,
-    PreconditionFailed,
+    Tri,
     TruncatedError,
+    branch_loci,
     cached_validation,
-    expand,
 )
-from .paths import Comparability, compare, path
-from .action import Word, act, act_locus, branching_type, classify_element, in_comparable_set
+from .paths import COMPARABLE, Comparability, compare, path
+from .action import (
+    Word,
+    act,
+    act_locus,
+    branching_type,
+    canonical_points,
+    classify_element,
+    image_relation,
+    in_comparable_set,
+)
 from . import checkers as ck
-from .checkers import CheckReport, PASS, SCREEN_DISCLAIMER, TRUNCATED, VIOLATION
-from .formats import emit, parse
+from .checkers import PASS, SCREEN_DISCLAIMER, TRUNCATED, VIOLATION
+from .formats import ParseError, SemanticError, emit, parse
 from .gallery import GALLERY_NAMES, gallery
 from .randspec import RandomParams, random_spec
 
@@ -50,8 +59,12 @@ def load_model(args):
     if getattr(args, "gallery", None):
         return gallery(args.gallery).spec, args.gallery
     if getattr(args, "spec", None):
-        with open(args.spec, encoding="utf-8") as fh:
-            return parse(fh.read()), args.spec
+        try:
+            with open(args.spec, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise SystemExit2(str(exc)) from None
+        return parse(text), args.spec
     raise SystemExit2("a model is required: --gallery NAME or --spec FILE")
 
 
@@ -86,7 +99,7 @@ def render_report(out, report):
 
 def cmd_validate(args, out):
     spec, name = load_model(args)
-    trunc = expand(spec, args.depth)
+    trunc = spec.window(args.depth)
     report = cached_validation(trunc)
     out.payload = {"model": name, "depth": args.depth, "valid": report.valid,
                    "violations": [{"code": v.code, "message": v.message}
@@ -103,7 +116,7 @@ def cmd_validate(args, out):
 
 def cmd_expand(args, out):
     spec, name = load_model(args)
-    trunc = expand(spec, args.depth)
+    trunc = spec.window(args.depth)
     out.payload = {
         "model": name, "depth": args.depth,
         "vertex_cells": [f"{f}[{i}]" for f, i in trunc.vertex_cells],
@@ -123,8 +136,7 @@ def cmd_expand(args, out):
 
 def cmd_loci(args, out):
     spec, name = load_model(args)
-    trunc = expand(spec, args.depth)
-    from .core import branch_loci
+    trunc = spec.window(args.depth)
     loci = branch_loci(trunc)
     bt = branching_type(spec, args.depth)
     out.payload = {"model": name, "depth": args.depth, "branching": str(bt),
@@ -141,7 +153,7 @@ def cmd_loci(args, out):
 
 def cmd_compare(args, out):
     spec, name = load_model(args)
-    trunc = expand(spec, args.depth)
+    trunc = spec.window(args.depth)
     x, y = parse_point(args.x), parse_point(args.y)
     rel = compare(trunc, x, y)
     out.payload = {"model": name, "x": str(x), "y": str(y), "relation": rel.value}
@@ -151,7 +163,7 @@ def cmd_compare(args, out):
 
 def cmd_path(args, out):
     spec, name = load_model(args)
-    trunc = expand(spec, args.depth)
+    trunc = spec.window(args.depth)
     x, y = parse_point(args.frm), parse_point(args.to)
     try:
         p = path(trunc, x, y)
@@ -199,7 +211,6 @@ class NoLoci(Exception):
 
 
 def _pick_locus(trunc, index):
-    from .core import branch_loci
     loci = branch_loci(trunc)
     if not loci:
         raise NoLoci
@@ -210,7 +221,7 @@ def _pick_locus(trunc, index):
 
 def cmd_stab(args, out):
     spec, name = load_model(args)
-    trunc = expand(spec, args.depth)
+    trunc = spec.window(args.depth)
     try:
         locus = _pick_locus(trunc, args.locus)
     except NoLoci:
@@ -269,15 +280,10 @@ def _basic_words(spec):
     return words
 
 
-def _canonical(spec, depth):
-    from .action import canonical_points
-    return canonical_points(spec.window(depth))
-
-
 def _find_comparable_pair(spec, word, depth, limit=400):
     """First (lam, mu) with lam < mu and lam < w(mu), both certified."""
     trunc = spec.window(depth)
-    pts = _canonical(spec, depth)
+    pts = canonical_points(trunc)
     tried = 0
     for lam in pts:
         for mu in pts:
@@ -296,42 +302,36 @@ def _find_comparable_pair(spec, word, depth, limit=400):
     return None
 
 
-def _membership_scan(spec, word, depth, want):
-    from .core import Tri
-    for p in _canonical(spec, depth):
-        if in_comparable_set(spec, word, p, depth) is want:
-            yield p
-
-
 def discover_instances(spec, depth, word_len):
-    """Deterministic (checker name, kwargs) instances for the suite."""
-    from .core import Tri, branch_loci
-
-    words = _basic_words(spec)
+    """Deterministic suite instances: checker name -> list of kwargs.
+    Each basic word's image relation is computed once per canonical
+    point, and every pick is the first in canonical order."""
     trunc = spec.window(depth)
+    points = canonical_points(trunc)
     loci = branch_loci(trunc)[:4]
-    instances = {name: [] for name in SUITE_CHECKERS}
+    one_sided_positive = branching_type(spec, depth).value == "one_sided_positive"
+    instances = {name: [] for name in ck.CHECKERS}
 
-    for word in words:
+    for word in _basic_words(spec):
         instances["check_connected_open"].append({"word": word})
 
-        pair = _find_comparable_pair(spec, word, depth)
-        if pair is not None and branching_type(spec, depth).value == "one_sided_positive":
+        pair = _find_comparable_pair(spec, word, depth) if one_sided_positive else None
+        if pair is not None:
             instances["check_lower_bound"].append(
                 {"word": word, "lam": pair[0], "mu": pair[1]})
 
-        yes_points = []
-        for p in _membership_scan(spec, word, depth, Tri.YES):
-            yes_points.append(p)
-            if len(yes_points) == 3:
-                break
-        for i in range(len(yes_points)):
-            for j in range(i + 1, len(yes_points)):
+        rels = [(p, image_relation(spec, trunc, p, act(spec, word, p))) for p in points]
+
+        yes_points = [p for p, rel in rels if rel in COMPARABLE][:3]
+        for i, lam in enumerate(yes_points):
+            for mu in yes_points[i + 1:]:
                 instances["check_path_in_comparable_set"].append(
-                    {"word": word, "lam": yes_points[i], "mu": yes_points[j]})
+                    {"word": word, "lam": lam, "mu": mu})
 
         odd_lam = even_lam = None
-        for p in _membership_scan(spec, word, depth, Tri.NO):
+        for p, rel in rels:
+            if rel is not Comparability.INCOMPARABLE:
+                continue
             try:
                 gamma = path(trunc, p, act(spec, word, p))
             except (TruncatedError, LeafSpaceError):
@@ -352,8 +352,8 @@ def discover_instances(spec, depth, word_len):
                         {"word": word, "lam": even_lam, "k": k})
                     break
 
-        pos = next(iter(_transverse_scan(spec, word, depth, Comparability.LESS)), None)
-        neg = next(iter(_transverse_scan(spec, word, depth, Comparability.GREATER)), None)
+        pos = next((p for p, rel in rels if rel is Comparability.LESS), None)
+        neg = next((p for p, rel in rels if rel is Comparability.GREATER), None)
         if pos is not None and neg is not None:
             instances["check_intermediate_fixed"].append(
                 {"word": word, "x_pos": pos, "x_neg": neg})
@@ -370,55 +370,9 @@ def discover_instances(spec, depth, word_len):
     return instances
 
 
-def _transverse_scan(spec, word, depth, want):
-    from .action import image_relation
-    trunc = spec.window(depth)
-    for p in _canonical(spec, depth):
-        if image_relation(spec, trunc, p, act(spec, word, p)) is want:
-            yield p
-
-
-SUITE_CHECKERS = (
-    "check_lower_bound",
-    "check_path_in_comparable_set",
-    "check_connected_open",
-    "check_odd_path",
-    "check_return",
-    "check_invariant_locus_stem",
-    "check_fix_propagation",
-    "check_faithfulness",
-    "check_intermediate_fixed",
-    "screen_infinite_locus",
-)
-
-CHECKER_FNS = {
-    "check_lower_bound": ck.check_lower_bound,
-    "check_path_in_comparable_set": ck.check_path_in_comparable_set,
-    "check_connected_open": ck.check_connected_open,
-    "check_odd_path": ck.check_odd_path,
-    "check_return": ck.check_return,
-    "check_invariant_locus_stem": ck.check_invariant_locus_stem,
-    "check_fix_propagation": ck.check_fix_propagation,
-    "check_faithfulness": ck.check_faithfulness,
-    "check_intermediate_fixed": ck.check_intermediate_fixed,
-    "screen_infinite_locus": ck.screen_infinite_locus,
-}
-
-SCREENS = {"check_fix_propagation", "check_faithfulness", "screen_infinite_locus"}
-
-
-def _run_instance(spec, depth, name, kwargs):
-    fn = CHECKER_FNS[name]
-    try:
-        return fn(spec, depth=depth, **kwargs)
-    except PreconditionFailed as exc:
-        return CheckReport.make(name, "precondition-failed", depth=depth,
-                                screen=name in SCREENS, notes=(str(exc),))
-
-
 def cmd_suite(args, out):
     spec, name = load_model(args)
-    trunc = expand(spec, args.depth)
+    trunc = spec.window(args.depth)
     report = cached_validation(trunc)
     bt = branching_type(spec, args.depth) if report.valid else None
     out.line(f"leafspace suite: {name}  depth={args.depth} word-len={args.word_len}")
@@ -426,54 +380,34 @@ def cmd_suite(args, out):
         out.line(f"model invalid ({len(report.violations)} violations); suite aborted")
         out.payload = {"model": name, "valid": False}
         return 1
-    from .core import branch_loci
     out.line(f"model valid; loci={len(branch_loci(trunc))} branching={bt}")
     out.line(f"note: {SCREEN_DISCLAIMER}")
     out.line("")
 
     instances = discover_instances(spec, args.depth, args.word_len)
-    jobs = []
-    for checker in SUITE_CHECKERS:
-        for kwargs in instances[checker]:
-            jobs.append((checker, kwargs))
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(_run_instance, spec, args.depth, c, kw)
-                       for c, kw in jobs]
-            results = [f.result() for f in futures]
-    else:
-        results = [_run_instance(spec, args.depth, c, kw) for c, kw in jobs]
-
-    by_checker = {c: [] for c in SUITE_CHECKERS}
-    for (checker, _), rep in zip(jobs, results):
-        by_checker[checker].append(rep)
-
     order = {VIOLATION: 0, TRUNCATED: 1, "precondition-failed": 2, PASS: 3}
     violations = truncations = skips = 0
     payload_reports = []
-    for checker in SUITE_CHECKERS:
-        reps = by_checker[checker]
+    for checker in ck.CHECKERS:
+        reps = [ck.run_checker(spec, checker, args.depth, **kwargs)
+                for kwargs in instances[checker]]
         if not reps:
             out.line(f"SKIP       {checker}  (no applicable instance found)")
             skips += 1
             payload_reports.append({"check": checker, "verdict": "skip"})
             continue
         worst = min(reps, key=lambda r: order[r.verdict])
-        n = len(reps)
-        suffix = f"  instances={n}"
         if worst.verdict == VIOLATION:
             violations += 1
         elif worst.verdict == TRUNCATED:
             truncations += 1
         elif worst.verdict == "precondition-failed":
             skips += 1
-        render_report(out, CheckReport(worst.name, worst.verdict, worst.witness,
-                                       worst.depth, worst.word_bound, worst.screen,
-                                       worst.notes + (suffix.strip(),)))
-        payload_reports.append(dict(worst.to_dict(), instances=n))
+        render_report(out, replace(worst, notes=worst.notes + (f"instances={len(reps)}",)))
+        payload_reports.append(dict(worst.to_dict(), instances=len(reps)))
     out.line("")
-    out.line(f"suite: {len(SUITE_CHECKERS)} checkers, "
-             f"{len(SUITE_CHECKERS) - violations - truncations - skips} pass, "
+    out.line(f"suite: {len(ck.CHECKERS)} checkers, "
+             f"{len(ck.CHECKERS) - violations - truncations - skips} pass, "
              f"{violations} violations, {truncations} truncated, {skips} skipped")
     out.payload = {"model": name, "depth": args.depth, "word_len": args.word_len,
                    "branching": str(bt), "reports": payload_reports,
@@ -481,51 +415,34 @@ def cmd_suite(args, out):
     return 1 if violations else 0
 
 
+# How `leafspace check` reads the text of an option the registry names;
+# the integer options arrive parsed and --locus is an index into the loci.
+OPTION_PARSERS = {"--word": Word.parse, "--from": parse_point, "--to": parse_point,
+                  "--point": parse_point, "--pos": parse_point, "--neg": parse_point}
+
+
 def cmd_check(args, out):
     spec, name = load_model(args)
     checker = args.checker
-    if checker not in CHECKER_FNS:
+    if checker not in ck.CHECKERS:
         raise SystemExit2(f"unknown checker {checker!r}; "
-                          f"choose from {', '.join(SUITE_CHECKERS)}")
+                          f"choose from {', '.join(ck.CHECKERS)}")
     kwargs = {}
-    if checker in ("check_lower_bound", "check_path_in_comparable_set"):
-        kwargs = {"word": Word.parse(_require(args.word, "--word")),
-                  "lam": parse_point(_require(args.frm, "--from")),
-                  "mu": parse_point(_require(args.to, "--to"))}
-    elif checker == "check_connected_open":
-        kwargs = {"word": Word.parse(_require(args.word, "--word"))}
-    elif checker == "check_odd_path":
-        kwargs = {"word": Word.parse(_require(args.word, "--word")),
-                  "lam": parse_point(_require(args.point, "--point")),
-                  "k_max": args.k_max}
-    elif checker == "check_return":
-        kwargs = {"word": Word.parse(_require(args.word, "--word")),
-                  "lam": parse_point(_require(args.point, "--point")),
-                  "k": args.k}
-    elif checker in ("check_invariant_locus_stem", "check_fix_propagation"):
-        trunc = expand(spec, args.depth)
-        try:
-            locus = _pick_locus(trunc, args.locus)
-        except NoLoci:
-            out.line(f"SKIP       {checker}  (no branch loci in this window)")
-            out.payload = {"check": checker, "verdict": "skip"}
-            return 0
-        if checker == "check_fix_propagation":
-            kwargs = {"locus": locus, "radius": args.word_len}
-        else:
-            kwargs = {"word": Word.parse(_require(args.word, "--word")),
-                      "locus": locus}
-    elif checker == "check_faithfulness":
-        kwargs = {"max_word_len": args.word_len}
-    elif checker == "check_intermediate_fixed":
-        kwargs = {"word": Word.parse(_require(args.word, "--word")),
-                  "x_pos": parse_point(_require(args.pos, "--pos")),
-                  "x_neg": parse_point(_require(args.neg, "--neg"))}
-    elif checker == "screen_infinite_locus":
-        kwargs = {"max_word_len": args.word_len}
-    if checker in SCREENS:
+    for key, option in ck.CHECKERS[checker].items():
+        value = getattr(args, option[2:].replace("-", "_"))
+        if option == "--locus":
+            try:
+                value = _pick_locus(spec.window(args.depth), value)
+            except NoLoci:
+                out.line(f"SKIP       {checker}  (no branch loci in this window)")
+                out.payload = {"check": checker, "verdict": "skip"}
+                return 0
+        elif option in OPTION_PARSERS:
+            value = OPTION_PARSERS[option](_require(value, option))
+        kwargs[key] = value
+    if checker in ck.SCREENS:
         out.line(f"note: {SCREEN_DISCLAIMER}")
-    rep = _run_instance(spec, args.depth, checker, kwargs)
+    rep = ck.run_checker(spec, checker, args.depth, **kwargs)
     render_report(out, rep)
     out.payload = rep.to_dict()
     return 1 if rep.verdict == VIOLATION else 0
@@ -587,7 +504,7 @@ def build_parser():
     p.add_argument("checker")
     _add_model_args(p)
     p.add_argument("--word")
-    p.add_argument("--from", dest="frm")
+    p.add_argument("--from")
     p.add_argument("--to")
     p.add_argument("--point")
     p.add_argument("--pos")
@@ -616,7 +533,6 @@ def build_parser():
     p = sub.add_parser("suite")
     _add_model_args(p)
     p.add_argument("--word-len", type=int, default=6)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=cmd_suite)
 
     return parser
@@ -635,6 +551,9 @@ def main(argv=None, stream=None):
     except SystemExit2 as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except (ParseError, SemanticError) as exc:
+        sys.stderr.write(f"error: invalid model: {exc}\n")
+        return 1
     except (ValueError, LeafSpaceError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -500,12 +500,11 @@ class Truncation:
                 else:
                     owner[m] = idx
         self._locus_group = {}        # vertex cell -> group id (min locus index)
-        self._group_loci = {}         # group id -> tuple of locus indices
+        groups = {}                   # union-find root -> locus indices
         for idx in range(len(loci)):
-            root = find(idx)
-            self._group_loci.setdefault(root, []).append(idx)
-        self._group_loci = {min(v): tuple(v) for v in self._group_loci.values()}
-        for gid, idxs in self._group_loci.items():
+            groups.setdefault(find(idx), []).append(idx)
+        for idxs in groups.values():
+            gid = min(idxs)
             for li in idxs:
                 for m in loci[li].members:
                     self._locus_group[m] = gid
@@ -521,12 +520,6 @@ class Truncation:
 
     def locus_group_of(self, vcell):
         return self._locus_group.get(vcell)
-
-    def group_members(self, gid):
-        out = set()
-        for li in self._group_loci[gid]:
-            out.update(self.loci[li].members)
-        return sorted(out)
 
     def common_locus(self, m1, m2):
         """Smallest locus index containing both vertices, else None."""
@@ -602,6 +595,8 @@ class Truncation:
                 edges.append((("tail", fam, side), target, cut, anchor, None))
         edges.sort(key=lambda e: e[0])
         self.graph_edges = tuple(edges)
+        # edge cell -> id of its graph edge
+        self.edge_index = {e[0][1:]: eid for eid, e in enumerate(edges) if e[0][0] == "cell"}
         adj = {}
         for eid, (payload, lo, hi, _, _) in enumerate(edges):
             adj.setdefault(lo, []).append((eid, hi))
@@ -695,24 +690,23 @@ class Truncation:
         """Cells incident to the given cell, via attachments, gluings,
         limit membership and elided tails; symmetric by construction."""
         out = set()
-        if cell in self._edge_set:
-            for payload, lo, hi, a_lo, a_hi in self.graph_edges:
-                if payload[0] != "cell" or payload[1:] != cell:
-                    continue
-                for anchor, node in ((a_lo, lo), (a_hi, hi)):
-                    if anchor and anchor[0] == "point":
-                        out.add(anchor[1])
-                    elif anchor and anchor[0] == "stem":
-                        out.update(self.loci[anchor[1]].members)
-                    elif node[0] == "glue":
-                        fam, n = node[1], node[2]
-                        other = (fam, n) if (fam, n) != cell else (fam, n + 1)
-                        if other in self._edge_set:
-                            out.add(other)
-                    elif node[0] == "cut":
-                        rule = self.spec.chain_ends.get((node[1], node[2]))
-                        if rule is not None and rule.kind == "limit":
-                            out.update((v, 0) for v in rule.targets)
+        eid = self.edge_index.get(cell)
+        if eid is not None:
+            _, lo, hi, a_lo, a_hi = self.graph_edges[eid]
+            for anchor, node in ((a_lo, lo), (a_hi, hi)):
+                if anchor and anchor[0] == "point":
+                    out.add(anchor[1])
+                elif anchor and anchor[0] == "stem":
+                    out.update(self.loci[anchor[1]].members)
+                elif node[0] == "glue":
+                    fam, n = node[1], node[2]
+                    other = (fam, n) if (fam, n) != cell else (fam, n + 1)
+                    if other in self._edge_set:
+                        out.add(other)
+                elif node[0] == "cut":
+                    rule = self.spec.chain_ends.get((node[1], node[2]))
+                    if rule is not None and rule.kind == "limit":
+                        out.update((v, 0) for v in rule.targets)
         else:
             for payload, lo, hi, a_lo, a_hi in self.graph_edges:
                 for anchor in (a_lo, a_hi):

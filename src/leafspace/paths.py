@@ -113,17 +113,6 @@ class Path:
         return " ".join(str(iv) for iv in self.intervals)
 
 
-def _edge_index(trunc):
-    idx = getattr(trunc, "_cell_to_eid", None)
-    if idx is None:
-        idx = {}
-        for eid, (payload, *_rest) in enumerate(trunc.graph_edges):
-            if payload[0] == "cell":
-                idx[payload[1:]] = eid
-        trunc._cell_to_eid = idx
-    return idx
-
-
 @dataclass(frozen=True)
 class _Rec:
     """One routable edge: a window-graph edge or a split half of one."""
@@ -177,9 +166,9 @@ def _route(trunc, x, y):
 
     cuts = {}
     if not x.is_vertex:
-        cuts.setdefault(_edge_index(trunc)[x.cell], []).append((x.t, ("pt", 0)))
+        cuts.setdefault(trunc.edge_index[x.cell], []).append((x.t, ("pt", 0)))
     if not y.is_vertex:
-        cuts.setdefault(_edge_index(trunc)[y.cell], []).append((y.t, ("pt", 1)))
+        cuts.setdefault(trunc.edge_index[y.cell], []).append((y.t, ("pt", 1)))
     for eid, cut in cuts.items():
         split(eid, cut)
 

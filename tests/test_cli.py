@@ -1,8 +1,16 @@
+import inspect
 import io
 import json
+import re
+from pathlib import Path
 
-from leafspace.cli import main
+import pytest
+
+from leafspace import checkers as ck
+from leafspace.cli import build_parser, main
 from leafspace.formats import parse
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(*argv):
@@ -119,15 +127,61 @@ def test_violation_exits_one(tmp_path):
     assert code == 1 and "violations" in out
 
 
-def test_suite_jobs_deterministic():
-    serial = run("suite", "--gallery", "SWAP", "--depth", "4", "--word-len", "6")
-    threaded = run("suite", "--gallery", "SWAP", "--depth", "4", "--word-len", "6",
-                   "--jobs", "4")
-    assert serial == threaded
-
-
 def test_stab_no_loci_is_empty_answer():
     code, out = run("stab", "--gallery", "LINE")
     assert code == 0 and "no branch loci" in out
     code, out = run("check", "check_fix_propagation", "--gallery", "LINE")
     assert code == 0 and "SKIP" in out
+
+
+def test_checker_registry():
+    # every entry names a public checker whose keyword arguments are the
+    # entry's keys, and every option it names exists on `check`
+    parser = build_parser()
+    for name, options in ck.CHECKERS.items():
+        fn = getattr(ck, name)
+        assert not name.startswith("_") and inspect.isfunction(fn)
+        assert set(inspect.signature(fn).parameters) - {"spec", "depth"} == set(options)
+        for option in options.values():
+            parser.parse_args(["check", name, option, "1"])
+    assert ck.SCREENS <= set(ck.CHECKERS)
+    for golden in sorted(GOLDEN.glob("suite_*.txt")):
+        listed = re.findall(r"^[A-Z-]+ +(\w+)", golden.read_text(encoding="utf-8"), re.M)
+        assert listed == list(ck.CHECKERS), golden.name
+
+
+def test_check_from_to_options():
+    code, out = run("check", "check_path_in_comparable_set", "--gallery", "COMB",
+                    "--word", "u", "--from", "a[-4]", "--to", "a[-2]")
+    assert code == 0 and out.startswith("PASS       check_path_in_comparable_set")
+
+
+def test_check_pos_neg_options():
+    code, out = run("check", "check_intermediate_fixed", "--gallery", "SWAP",
+                    "--word", "g^2", "--pos", "s[0]:1/2", "--neg", "ra[0]:1/2")
+    assert code == 0 and "PASS" in out and "witness=a[0]" in out
+
+
+def test_check_missing_option_exits_two(capsys):
+    code, out = run("check", "check_path_in_comparable_set", "--gallery", "COMB",
+                    "--word", "u", "--to", "a[-2]")
+    assert code == 2 and out == ""
+    assert "--from is required for this checker" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("document", [
+    "leafspace/1\nfamily a vertex sometimes\n",
+    "leafspace/1\nfamily a vertex unit\nfamily a vertex unit\n",
+], ids=["parse-error", "semantic-error"])
+def test_rejected_document_exits_one(tmp_path, capsys, document):
+    doc = tmp_path / "bad.leafspace"
+    doc.write_text(document, encoding="utf-8")
+    code, out = run("validate", "--spec", str(doc))
+    assert code == 1 and out == ""
+    assert "error:" in capsys.readouterr().err
+
+
+def test_unreadable_spec_exits_two(tmp_path, capsys):
+    code, out = run("suite", "--spec", str(tmp_path / "missing.leafspace"))
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("error: ")
