@@ -90,10 +90,7 @@ class Word:
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        out = Word.identity()
-        for _ in range(k):
-            out = out * self
-        return out
+        return Word.of(self.letters * k)
 
     def __str__(self):
         if not self.letters:
@@ -134,6 +131,11 @@ def is_identity_action(spec, word):
     return all(img == fam and shift == 0 for fam, (img, shift) in word_map(spec, word).items())
 
 
+def _moved(wmap, point):
+    img, shift = wmap[point.cell[0]]
+    return Point((img, point.cell[1] + shift), point.t)
+
+
 def act_cell(spec, word, cell):
     img, shift = word_map(spec, word)[cell[0]]
     return (img, cell[1] + shift)
@@ -142,7 +144,13 @@ def act_cell(spec, word, cell):
 def act(spec, word, point):
     """Image of a point; interior coordinates are preserved because
     actions restrict to index shifts on each family."""
-    return Point(act_cell(spec, word, point.cell), point.t)
+    return _moved(word_map(spec, word), point)
+
+
+def act_all(spec, word, points):
+    """Images of many points under one word, composing its map once."""
+    wmap = word_map(spec, word)
+    return [_moved(wmap, p) for p in points]
 
 
 def act_locus(spec, word, members):
@@ -185,15 +193,17 @@ def image_relation(spec, trunc, point, image):
     return _same_glued_chain_relation(spec, point, image)
 
 
+def _membership(rel):
+    if rel is None:
+        return Tri.TRUNCATED
+    return Tri.YES if rel in COMPARABLE else Tri.NO
+
+
 def in_comparable_set(spec, word, point, depth):
     """Whether the point is comparable with its image, on the given window."""
     trunc = spec.window(depth)
     trunc.require_point(point)
-    image = act(spec, word, point)
-    rel = image_relation(spec, trunc, point, image)
-    if rel is None:
-        return Tri.TRUNCATED
-    return Tri.YES if rel in COMPARABLE else Tri.NO
+    return _membership(image_relation(spec, trunc, point, act(spec, word, point)))
 
 
 @dataclass(frozen=True)
@@ -214,8 +224,9 @@ class ComparableSample:
 
 def comparable_sample(spec, word, depth):
     trunc = spec.window(depth)
-    answers = tuple((p, in_comparable_set(spec, word, p, depth))
-                    for p in canonical_points(trunc))
+    points = canonical_points(trunc)
+    answers = tuple((p, _membership(image_relation(spec, trunc, p, image)))
+                    for p, image in zip(points, act_all(spec, word, points)))
     return ComparableSample(word, depth, answers)
 
 
@@ -287,8 +298,9 @@ def classify_element(spec, word, depth):
         break
     pos_witness = neg_witness = None
     tainted = trunc.has_truncation
-    for p in canonical_points(trunc):
-        rel = image_relation(spec, trunc, p, act(spec, word, p))
+    points = canonical_points(trunc)
+    for p, image in zip(points, act_all(spec, word, points)):
+        rel = image_relation(spec, trunc, p, image)
         if rel is None:
             tainted = True
         elif rel is Comparability.LESS and pos_witness is None:

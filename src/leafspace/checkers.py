@@ -23,10 +23,11 @@ from .core import (
     mid_point,
     require_valid,
 )
-from .paths import Comparability, compare, path, sample_points
+from .paths import COMPARABLE, Comparability, compare, path, sample_points
 from .action import (
     Word,
     act,
+    act_all,
     act_cell,
     act_locus,
     branching_type,
@@ -34,6 +35,7 @@ from .action import (
     classify_element,
     comparable_sample,
     fingerprint,
+    image_relation,
     in_comparable_set,
     is_identity_action,
 )
@@ -98,8 +100,6 @@ def reduced_words(names, max_len, include_identity=True):
 
 def _certified(spec, word, point, depth, want, label):
     """Require a certified comparison between a point and its image."""
-    from .action import image_relation
-
     trunc = spec.window(depth)
     trunc.require_point(point)
     rel = image_relation(spec, trunc, point, act(spec, word, point))
@@ -265,10 +265,10 @@ def check_odd_path(spec, word, lam, k_max, depth):
     gamma = path(trunc, lam, act(spec, word, lam))
     if gamma.length % 2 == 0:
         raise PreconditionFailed(f"path length {gamma.length} is even")
+    points = canonical_points(trunc)
     for k in range(1, k_max + 1):
-        power = word ** k
-        for x in canonical_points(trunc):
-            if in_comparable_set(spec, power, x, depth) is Tri.YES:
+        for x, image in zip(points, act_all(spec, word ** k, points)):
+            if image_relation(spec, trunc, x, image) in COMPARABLE:
                 return CheckReport.make(name, VIOLATION, depth=depth, witness={
                     "word": word, "k": k, "point": x})
     return CheckReport.make(name, PASS, depth=depth, witness={

@@ -26,7 +26,7 @@ from .core import (
 from .paths import COMPARABLE, Comparability, compare, path
 from .action import (
     Word,
-    act,
+    act_all,
     act_locus,
     branching_type,
     canonical_points,
@@ -284,6 +284,7 @@ def _find_comparable_pair(spec, word, depth, limit=400):
     """First (lam, mu) with lam < mu and lam < w(mu), both certified."""
     trunc = spec.window(depth)
     pts = canonical_points(trunc)
+    images = dict(zip(pts, act_all(spec, word, pts)))
     tried = 0
     for lam in pts:
         for mu in pts:
@@ -294,7 +295,7 @@ def _find_comparable_pair(spec, word, depth, limit=400):
                 return None
             if compare(trunc, lam, mu) is not Comparability.LESS:
                 continue
-            w_mu = act(spec, word, mu)
+            w_mu = images[mu]
             if not trunc.contains_point(w_mu):
                 continue
             if compare(trunc, lam, w_mu) is Comparability.LESS:
@@ -320,7 +321,8 @@ def discover_instances(spec, depth, word_len):
             instances["check_lower_bound"].append(
                 {"word": word, "lam": pair[0], "mu": pair[1]})
 
-        rels = [(p, image_relation(spec, trunc, p, act(spec, word, p))) for p in points]
+        images = act_all(spec, word, points)
+        rels = [(p, image_relation(spec, trunc, p, image)) for p, image in zip(points, images)]
 
         yes_points = [p for p, rel in rels if rel in COMPARABLE][:3]
         for i, lam in enumerate(yes_points):
@@ -329,11 +331,11 @@ def discover_instances(spec, depth, word_len):
                     {"word": word, "lam": lam, "mu": mu})
 
         odd_lam = even_lam = None
-        for p, rel in rels:
+        for (p, rel), image in zip(rels, images):
             if rel is not Comparability.INCOMPARABLE:
                 continue
             try:
-                gamma = path(trunc, p, act(spec, word, p))
+                gamma = path(trunc, p, image)
             except (TruncatedError, LeafSpaceError):
                 continue
             if gamma.length % 2 == 1 and odd_lam is None:

@@ -606,6 +606,26 @@ class Truncation:
         for nbrs in adj.values():
             nbrs.sort(key=lambda pair: (self.graph_edges[pair[0]][0], pair[1]))
         self.adjacency = adj
+        # Root every component at its smallest node: node -> (parent node,
+        # id of the edge to the parent, depth), with (None, None, 0) at a
+        # root.  On a tree each route walks these pointers up to the
+        # meeting node; on a cyclic graph they span a forest whose roots
+        # still count the components.
+        rooting = {}
+        for root in sorted(adj):
+            if root in rooting:
+                continue
+            rooting[root] = (None, None, 0)
+            frontier = [root]
+            while frontier:
+                node = frontier.pop()
+                depth = rooting[node][2] + 1
+                for eid, other in adj[node]:
+                    if other not in rooting:
+                        rooting[other] = (node, eid, depth)
+                        frontier.append(other)
+        self.rooting = rooting
+        self.components = sum(1 for parent, _, _ in rooting.values() if parent is None)
 
     def nodes(self):
         return sorted(self.adjacency)
@@ -708,7 +728,9 @@ class Truncation:
                     if rule is not None and rule.kind == "limit":
                         out.update((v, 0) for v in rule.targets)
         else:
-            for payload, lo, hi, a_lo, a_hi in self.graph_edges:
+            # an edge reaches the vertex only at the vertex's own node
+            for eid, _ in self.adjacency[self.vertex_node(cell)]:
+                payload, _, _, a_lo, a_hi = self.graph_edges[eid]
                 for anchor in (a_lo, a_hi):
                     if anchor and anchor[0] == "point" and anchor[1] == cell:
                         out.add(payload[1:3] if payload[0] == "cell"
@@ -805,31 +827,19 @@ def validate(trunc):
                     f"{vcell[0]}[{vcell[1]}] has {len(providers)} germs on its {side} side")
 
     # (c) tree check on the window graph
-    nodes = trunc.nodes()
+    n_nodes = len(trunc.adjacency)
     n_edges = len(trunc.graph_edges)
-    if nodes:
+    components = trunc.components
+    if n_nodes:
         for payload, lo, hi, _, _ in trunc.graph_edges:
             if lo == hi:
                 bad("not-a-tree", f"edge {payload} closes a loop at {lo}")
-        seen = set()
-        components = 0
-        for node in nodes:
-            if node in seen:
-                continue
-            components += 1
-            seen.add(node)
-            stack = [node]
-            while stack:
-                for eid, other in trunc.adjacency[stack.pop()]:
-                    if other not in seen:
-                        seen.add(other)
-                        stack.append(other)
         if components > 1:
             bad("disconnected",
                 f"window graph falls into {components} components")
-        if n_edges != len(nodes) - components:
+        if n_edges != n_nodes - components:
             bad("not-a-tree",
-                f"window graph has {n_edges} edges on {len(nodes)} nodes "
+                f"window graph has {n_edges} edges on {n_nodes} nodes "
                 f"in {components} components")
 
     for name, mark in sorted(spec.marks.items()):

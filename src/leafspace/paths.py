@@ -10,6 +10,12 @@ keeps the interval going, while switching between members of a locus
 closes the interval, records a junction, and opens the next one.
 Consecutive junctions inside one collapsed node are separated by
 degenerate single-point intervals.
+
+The window graph is rooted once per window (``Truncation.rooting``), so a
+route walks parent pointers from both ends up to their meeting node and
+costs the length of the route, not the size of the window.  ``compare``
+reads the jumps and the direction of travel off that route without
+lifting a ``Path``.
 """
 
 from __future__ import annotations
@@ -134,67 +140,61 @@ class _Rec:
 def _route(trunc, x, y):
     """Unique simple route between the positions of x and y, as a list of
     (_Rec, from_node, to_node); None when the window graph does not
-    connect them (the connection lies beyond the depth bound)."""
-    adj = {n: list(pairs) for n, pairs in trunc.adjacency.items()}
-    recs = {}
+    connect them (the connection lies beyond the depth bound).
 
-    def base_rec(eid):
-        if eid not in recs:
-            _, lo, hi, _, _ = trunc.graph_edges[eid]
-            recs[eid] = _Rec(eid, lo, hi, None)
-        return recs[eid]
+    Both ends walk up the parent pointers of the rooted window tree to
+    their meeting node.  A point inside an edge cell is a ("pt", k) node
+    that splits only its own edge: it hangs below the edge's parent end,
+    and the edge's child end hangs below it."""
+    if not x.is_vertex and not y.is_vertex and x.cell == y.cell:
+        (s, a), (t, b) = sorted(((x.t, ("pt", 0)), (y.t, ("pt", 1))))
+        return [(_Rec(trunc.edge_index[x.cell], a, b, (s, t)), ("pt", 0), ("pt", 1))]
+    moved = {}      # node -> (_Rec, parent node) where a split edge re-hangs it
+    level = {}      # ("pt", k) -> doubled depth, between its edge's two ends
 
-    for node, pairs in adj.items():
-        adj[node] = [(base_rec(eid), other) for eid, other in pairs]
+    def place(point, k):
+        if point.is_vertex:
+            return trunc.vertex_node(point.cell)
+        eid = trunc.edge_index[point.cell]
+        _, lo, hi, _, _ = trunc.graph_edges[eid]
+        pt = ("pt", k)
+        low = _Rec(eid, lo, pt, (Fraction(0), point.t))
+        high = _Rec(eid, pt, hi, (point.t, Fraction(1)))
+        if trunc.rooting[lo][1] == eid:
+            moved[pt], moved[lo] = (high, hi), (low, pt)
+        else:
+            moved[pt], moved[hi] = (low, lo), (high, pt)
+        level[pt] = 2 * trunc.rooting[moved[pt][1]][2] + 1
+        return pt
 
-    def split(eid, cuts):
-        """Replace a cell edge by consecutive segments at the given
-        (t, point-node) cuts, ordered by t."""
-        rec = base_rec(eid)
-        for node, pairs in adj.items():
-            adj[node] = [(r, o) for r, o in pairs if r.eid != eid or r.span is not None]
-        pieces = []
-        prev_t, prev_node = Fraction(0), rec.lo
-        for t, pnode in sorted(cuts):
-            pieces.append(_Rec(eid, prev_node, pnode, (prev_t, t)))
-            adj.setdefault(pnode, [])
-            prev_t, prev_node = t, pnode
-        pieces.append(_Rec(eid, prev_node, rec.hi, (prev_t, Fraction(1))))
-        for piece in pieces:
-            adj[piece.lo].append((piece, piece.hi))
-            adj[piece.hi].append((piece, piece.lo))
+    def depth(node):
+        return level[node] if node in level else 2 * trunc.rooting[node][2]
 
-    cuts = {}
-    if not x.is_vertex:
-        cuts.setdefault(trunc.edge_index[x.cell], []).append((x.t, ("pt", 0)))
-    if not y.is_vertex:
-        cuts.setdefault(trunc.edge_index[y.cell], []).append((y.t, ("pt", 1)))
-    for eid, cut in cuts.items():
-        split(eid, cut)
+    def up(node):
+        if node in moved:
+            return moved[node]
+        parent, eid, _ = trunc.rooting[node]
+        if parent is None:
+            return None
+        _, lo, hi, _, _ = trunc.graph_edges[eid]
+        return _Rec(eid, lo, hi, None), parent
 
-    start = ("pt", 0) if not x.is_vertex else trunc.vertex_node(x.cell)
-    goal = ("pt", 1) if not y.is_vertex else trunc.vertex_node(y.cell)
-    if start == goal:
-        return []
-    parent = {start: None}
-    frontier = [start]
-    while frontier and goal not in parent:
-        nxt = []
-        for node in frontier:
-            for rec, other in adj[node]:
-                if other not in parent:
-                    parent[other] = (rec, node)
-                    nxt.append(other)
-        frontier = nxt
-    if goal not in parent:
-        return None
-    route = []
-    node = goal
-    while parent[node] is not None:
-        rec, prev = parent[node]
-        route.append((rec, prev, node))
-        node = prev
-    route.reverse()
+    a, b = place(x, 0), place(y, 1)
+    route, tail = [], []
+    while a != b:
+        if depth(a) >= depth(b):
+            step = up(a)
+            if step is None:
+                return None
+            route.append((step[0], a, step[1]))
+            a = step[1]
+        else:
+            step = up(b)
+            if step is None:
+                return None
+            tail.append((step[0], step[1], b))
+            b = step[1]
+    route.extend(reversed(tail))
     return route
 
 
@@ -204,6 +204,12 @@ def _resolve_anchor(trunc, anchor):
     if anchor[0] == "point":
         return [anchor[1]]
     return list(trunc.loci[anchor[1]].members)
+
+
+def _jumps(trunc, entry, exit_):
+    """Whether crossing a collapsed node from the entry anchor to the exit
+    anchor needs a jump: no single vertex stands on both."""
+    return set(_resolve_anchor(trunc, entry)).isdisjoint(_resolve_anchor(trunc, exit_))
 
 
 def _jump_chain(trunc, entry, exit_):
@@ -324,18 +330,34 @@ def path(trunc, x, y):
 
 def compare(trunc, x, y):
     """Less iff an embedded monotone ascending arc runs from x to y;
-    Truncated when the deciding arc leaves the depth window."""
+    Truncated when the deciding arc leaves the depth window.
+
+    Read off the route without lifting a Path: the first jump inside a
+    collapsed node makes the points incomparable, otherwise the direction
+    of travel decides."""
     trunc.require_point(x)
     trunc.require_point(y)
     if x == y:
         return Comparability.EQUAL
-    try:
-        p = path(trunc, x, y)
-    except TruncatedError:
+    require_routable(trunc)
+    route = _route(trunc, x, y)
+    if route is None:
         return Comparability.TRUNCATED
-    if p.length > 1:
+    direction = None
+    pending = ("point", x.cell) if x.is_vertex else None
+    for rec, frm, to in route:
+        if frm[0] == "locus" and _jumps(trunc, pending, rec.anchor_at(trunc, frm)):
+            return Comparability.INCOMPARABLE
+        step = ASC if to == rec.hi else DESC
+        if direction is None:
+            direction = step
+        elif direction != step:
+            raise InvalidModel("route lift is not monotone between junctions")
+        pending = rec.anchor_at(trunc, to)
+    if (y.is_vertex and trunc.vertex_node(y.cell)[0] == "locus"
+            and _jumps(trunc, pending, ("point", y.cell))):
         return Comparability.INCOMPARABLE
-    return Comparability.LESS if p.intervals[0].direction == ASC else Comparability.GREATER
+    return Comparability.LESS if direction == ASC else Comparability.GREATER
 
 
 def interval_contains(trunc, interval, z):

@@ -32,6 +32,10 @@ def test_word_reduction_and_parse():
     assert (w * w.inverse()).is_identity
     assert str(Word.generator("g", -3)) == "g^-3"
     assert (Word.generator("g") ** 0).is_identity
+    w = Word.parse("g*h^-1")
+    assert w ** 3 == w * w * w and w ** -2 == w.inverse() * w.inverse()
+    w = Word.parse("g*h*g^-1")
+    assert (w ** 4).letters == (("g", 1),) + (("h", 1),) * 4 + (("g", -1),)
 
 
 def test_act_examples(line, swap):

@@ -204,6 +204,8 @@ def test_disconnected_window_reported():
     from leafspace.core import TruncatedError
     with pytest.raises(TruncatedError):
         path(trunc, vertex_point("v", 1), vertex_point("v", 2))
+    assert compare(trunc, vertex_point("v", 1), vertex_point("v", 2)) is Comparability.TRUNCATED
+    assert compare(trunc, mid_point("e", -1), vertex_point("v", 1)) is Comparability.TRUNCATED
 
 
 def test_hausdorff_fibers_are_exactly_loci(swap, zigzag, comb):

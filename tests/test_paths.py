@@ -4,7 +4,16 @@ import random
 import pytest
 from fractions import Fraction
 
-from leafspace.core import PointOutOfRange, Point, Tri, expand, mid_point, vertex_point
+from leafspace.core import (
+    PointOutOfRange,
+    Point,
+    Tri,
+    TruncatedError,
+    expand,
+    mid_point,
+    vertex_point,
+)
+from leafspace.gallery import GALLERY_NAMES, gallery
 from leafspace.paths import (
     Comparability,
     compare,
@@ -154,6 +163,28 @@ def test_parity_compare_iff_length_one():
             assert len(p.junctions) == p.length - 1
             assert (rel in (Comparability.EQUAL, Comparability.LESS,
                             Comparability.GREATER)) == (p.length == 1)
+    # compare reads the route without lifting a path: it must agree with
+    # the comparability and direction read off path, including points off
+    # the edge midpoints
+    for name in GALLERY_NAMES:
+        for depth in range(5):
+            trunc = expand(gallery(name).spec, depth)
+            pts = canonical_points(trunc) + [Point(c, Fraction(1, 3)) for c in trunc.edge_cells]
+            for x, y in itertools.product(pts, pts):
+                rel = compare(trunc, x, y)
+                try:
+                    p = path(trunc, x, y)
+                except TruncatedError:
+                    assert rel is Comparability.TRUNCATED
+                    continue
+                if x == y:
+                    assert rel is Comparability.EQUAL
+                elif p.length > 1:
+                    assert rel is Comparability.INCOMPARABLE
+                elif p.intervals[0].direction == "ascending":
+                    assert rel is Comparability.LESS
+                else:
+                    assert rel is Comparability.GREATER
 
 
 def test_strict_partial_order_on_samples():
