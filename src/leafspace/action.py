@@ -123,12 +123,62 @@ def word_map(spec, word):
     return total
 
 
+def _letter_step(spec, name, exp):
+    step = _generator_map(spec, name, exp)
+    return [(fam, *step[fam]) for fam in spec.families]
+
+
+def word_walk(spec, max_len, names=None):
+    """Every reduced word of length <= max_len over ``names`` (default:
+    the model's generators) with its composed map, lazily, in shortlex
+    order: shorter words first, then letter by letter with generators by
+    name and each letter before its inverse.
+
+    A word's map is its prefix's map composed with its last letter,
+    ``map(u*x)[f] = map(u)[x(f)]`` with the shifts added, so each word
+    costs one composition; each letter's step is built once, and only the
+    maps of the current frontier layer are kept.  The yielded maps equal
+    ``word_map(spec, word)`` and are shared with the walk: do not mutate
+    them.  With ``spec`` None the maps are empty (the word-only view)."""
+    if names is None:
+        names = spec.generators
+    alphabet = [(n, e) for n in sorted(names) for e in (1, -1)]
+    steps = {}
+    identity = {fam: (fam, 0) for fam in spec.families} if spec is not None else {}
+    yield Word.identity(), identity
+    frontier = [((), identity)]
+    for length in range(1, max_len + 1):
+        grow = []
+        for letters, umap in frontier:
+            for let in alphabet:
+                if letters and letters[-1] == (let[0], -let[1]):
+                    continue
+                step = steps.get(let)
+                if step is None:    # at its first word, so a partial map fails where word_map does
+                    step = steps[let] = _letter_step(spec, *let) if spec is not None else ()
+                wmap = {fam: (umap[img][0], shift + umap[img][1]) for fam, img, shift in step}
+                word_letters = letters + (let,)
+                if length < max_len:
+                    grow.append((word_letters, wmap))
+                yield Word(word_letters), wmap
+        frontier = grow
+
+
+def map_fingerprint(wmap):
+    """Hashable form of a composed map."""
+    return tuple(sorted(wmap.items()))
+
+
 def fingerprint(spec, word):
-    return tuple(sorted(word_map(spec, word).items()))
+    return map_fingerprint(word_map(spec, word))
+
+
+def is_identity_map(wmap):
+    return all(img == fam and shift == 0 for fam, (img, shift) in wmap.items())
 
 
 def is_identity_action(spec, word):
-    return all(img == fam and shift == 0 for fam, (img, shift) in word_map(spec, word).items())
+    return is_identity_map(word_map(spec, word))
 
 
 def _moved(wmap, point):
@@ -136,9 +186,14 @@ def _moved(wmap, point):
     return Point((img, point.cell[1] + shift), point.t)
 
 
-def act_cell(spec, word, cell):
-    img, shift = word_map(spec, word)[cell[0]]
+def _moved_cell(wmap, cell):
+    """Image of a cell under a composed map."""
+    img, shift = wmap[cell[0]]
     return (img, cell[1] + shift)
+
+
+def act_cell(spec, word, cell):
+    return _moved_cell(word_map(spec, word), cell)
 
 
 def act(spec, word, point):
@@ -154,7 +209,8 @@ def act_all(spec, word, points):
 
 
 def act_locus(spec, word, members):
-    return tuple(sorted(act_cell(spec, word, m) for m in members))
+    wmap = word_map(spec, word)
+    return tuple(sorted(_moved_cell(wmap, m) for m in members))
 
 
 def canonical_points(trunc):
@@ -234,9 +290,11 @@ def fixed_cells(spec, word, depth):
     """Window cells the word maps to themselves.  Under shift-only
     actions a fixed edge cell is fixed pointwise, so fixed cells and
     fixed points coincide."""
-    trunc = spec.window(depth)
-    fixed_families = {fam for fam, (img, shift) in word_map(spec, word).items()
-                      if img == fam and shift == 0}
+    return _fixed_cells(spec.window(depth), word_map(spec, word))
+
+
+def _fixed_cells(trunc, wmap):
+    fixed_families = {fam for fam, (img, shift) in wmap.items() if img == fam and shift == 0}
     return sorted(c for c in trunc.vertex_cells + trunc.edge_cells
                   if c[0] in fixed_families)
 
@@ -291,7 +349,8 @@ def classify_element(spec, word, depth):
     trunc = spec.window(depth)
     require_valid(trunc)
 
-    fixed = fixed_cells(spec, word, depth)
+    wmap = word_map(spec, word)
+    fixed = _fixed_cells(trunc, wmap)
     tan_witness = None
     for cell in fixed:
         tan_witness = (vertex_point(*cell) if trunc.has_vertex(cell) else mid_point(*cell))
@@ -299,8 +358,8 @@ def classify_element(spec, word, depth):
     pos_witness = neg_witness = None
     tainted = trunc.has_truncation
     points = canonical_points(trunc)
-    for p, image in zip(points, act_all(spec, word, points)):
-        rel = image_relation(spec, trunc, p, image)
+    for p in points:
+        rel = image_relation(spec, trunc, p, _moved(wmap, p))
         if rel is None:
             tainted = True
         elif rel is Comparability.LESS and pos_witness is None:

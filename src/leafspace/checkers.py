@@ -26,18 +26,19 @@ from .core import (
 from .paths import COMPARABLE, Comparability, compare, path, sample_points
 from .action import (
     Word,
+    _moved_cell,
     act,
     act_all,
-    act_cell,
     act_locus,
     branching_type,
     canonical_points,
     classify_element,
     comparable_sample,
-    fingerprint,
     image_relation,
     in_comparable_set,
-    is_identity_action,
+    is_identity_map,
+    map_fingerprint,
+    word_walk,
 )
 
 PASS, VIOLATION, TRUNCATED = "pass", "violation", "truncated"
@@ -75,27 +76,12 @@ class CheckReport:
         }
 
 
-def word_sort_key(word):
-    return (len(word), tuple((n, 0 if e > 0 else 1) for n, e in word.letters))
-
-
 def reduced_words(names, max_len, include_identity=True):
     """All reduced words of length <= max_len over the given generator
-    names, in deterministic order (shorter first, positive letters first)."""
-    alphabet = [(n, e) for n in sorted(names) for e in (1, -1)]
-    out = [Word.identity()] if include_identity else []
-    layer = [()]
-    for _ in range(max_len):
-        nxt = []
-        for letters in layer:
-            for let in alphabet:
-                if letters and letters[-1] == (let[0], -let[1]):
-                    continue
-                nxt.append(letters + (let,))
-        out.extend(Word(ls) for ls in nxt)
-        layer = nxt
-    out.sort(key=word_sort_key)
-    return out
+    names, in the shortlex order of :func:`word_walk` (shorter first,
+    positive letters first)."""
+    words = [w for w, _ in word_walk(None, max_len, names)]
+    return words if include_identity else words[1:]
 
 
 def _certified(spec, word, point, depth, want, label):
@@ -358,7 +344,9 @@ def check_invariant_locus_stem(spec, word, locus, depth):
 
 @dataclass(frozen=True)
 class StabilizerBall:
-    """All reduced words up to a radius that fix a locus setwise."""
+    """All reduced words up to a radius that fix a locus setwise.  The
+    cyclic certificate compares word sets: some member's powers within
+    the radius must be exactly the nontrivial members."""
 
     locus: tuple                # member cells
     radius: int
@@ -373,16 +361,22 @@ def stabilizer_ball(spec, locus, radius, depth):
     members = locus.members if hasattr(locus, "members") else tuple(sorted(locus))
     trunc = spec.window(depth)
     require_valid(trunc)
-    ball = [w for w in reduced_words(spec.generators, radius)
-            if act_locus(spec, w, members) == members]
-    table = tuple((w, tuple(act_cell(spec, w, m) for m in members)) for w in ball)
+    ball, table = [], []
+    for word, wmap in word_walk(spec, radius):
+        images = tuple(_moved_cell(wmap, m) for m in members)
+        if tuple(sorted(images)) == members:
+            ball.append(word)
+            table.append((word, images))
     nontrivial = any(images != members for _, images in table)
 
     cyclic, generator = False, None
     nontriv_words = [w for w in ball if not w.is_identity]
     if not nontriv_words:
         cyclic = True
-    else:
+    elif len(nontriv_words) <= 2 * radius:
+        # A nontrivial reduced word u*c*u^-1 (c cyclically reduced) has
+        # |w^k| = 2|u| + k|c|, so w and w^-1 have at most 2*radius powers
+        # within the radius: a larger ball cannot be one word's powers.
         have = set(ball) - {Word.identity()}
         for cand in nontriv_words:
             powers = set()
@@ -394,7 +388,8 @@ def stabilizer_ball(spec, locus, radius, depth):
             if powers == have:
                 cyclic, generator = True, cand
                 break
-    return StabilizerBall(members, radius, tuple(ball), table, cyclic, generator, nontrivial)
+    return StabilizerBall(members, radius, tuple(ball), tuple(table), cyclic, generator,
+                          nontrivial)
 
 
 def check_fix_propagation(spec, locus, radius, depth):
@@ -421,8 +416,8 @@ def check_faithfulness(spec, max_word_len, depth):
         raise PreconditionFailed(
             "model shows no branching in the window; a fibration-like model "
             "may act unfaithfully, so the check does not apply")
-    for word in reduced_words(spec.generators, max_word_len, include_identity=False):
-        if is_identity_action(spec, word):
+    for word, wmap in word_walk(spec, max_word_len):
+        if not word.is_identity and is_identity_map(wmap):
             return CheckReport.make(name, VIOLATION, depth=depth, word_bound=max_word_len,
                                     witness={"word": word})
     return CheckReport.make(name, PASS, depth=depth, word_bound=max_word_len)
@@ -475,12 +470,12 @@ def screen_infinite_locus(spec, max_word_len, depth):
     seen = set()
     neither = []
     tainted = False
-    for word in reduced_words(spec.generators, max_word_len, include_identity=False):
-        fp = fingerprint(spec, word)
+    for word, wmap in word_walk(spec, max_word_len):
+        fp = map_fingerprint(wmap)
         if fp in seen:
             continue
         seen.add(fp)
-        if is_identity_action(spec, word):
+        if is_identity_map(wmap):
             continue
         profile = classify_element(spec, word, depth)
         tangent = profile.tangentiable.value is Tri.YES

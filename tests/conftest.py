@@ -90,3 +90,28 @@ def tripod_inconsistent():
 @pytest.fixture(scope="session")
 def updown():
     return build_updown()
+
+
+def build_swap_k():
+    """SWAP plus a second generator k that shifts the chains and commutes
+    with g: Z^2 acts, so the reduced words of a ball name far fewer
+    elements than there are words, and g*k*g^-1*k^-1 acts trivially."""
+    spec = LeafSpaceSpec()
+    spec.add_vertex("a")
+    spec.add_vertex("b")
+    spec.add_glued_chain("s", glue=-1, neg=ChainEndRule("limit", ("a", "b")),
+                         pos=ChainEndRule("open"))
+    spec.add_glued_chain("ra", glue=1, neg=ChainEndRule("limit", ("a",)),
+                         pos=ChainEndRule("open"))
+    spec.add_glued_chain("rb", glue=1, neg=ChainEndRule("limit", ("b",)),
+                         pos=ChainEndRule("open"))
+    spec.add_generator("g", {"s": ("s", -1), "ra": ("rb", 0), "rb": ("ra", -1),
+                             "a": ("b", 0), "b": ("a", 0)})
+    spec.add_generator("k", {"s": ("s", -1), "ra": ("ra", -1), "rb": ("rb", -1),
+                             "a": ("a", 0), "b": ("b", 0)})
+    return spec
+
+
+@pytest.fixture(scope="session")
+def swap_k():
+    return build_swap_k()

@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 
@@ -15,8 +16,12 @@ from leafspace.action import (
     fixed_cells,
     in_comparable_set,
     is_identity_action,
+    is_identity_map,
+    map_fingerprint,
     word_map,
+    word_walk,
 )
+from leafspace.checkers import reduced_words
 from leafspace.paths import Comparability, compare
 from leafspace.core import branch_loci
 from leafspace.randspec import RandomParams, random_spec
@@ -248,3 +253,28 @@ def test_profile_witnesses_verify(swap, line):
         if profile.neg_transversable.value is Tri.YES:
             w = profile.neg_transversable.witness
             assert image_relation(spec, trunc, w, act(spec, word, w)) is Comparability.GREATER
+
+
+def _shortlex_key(word):
+    return (len(word), tuple((n, 0 if e > 0 else 1) for n, e in word.letters))
+
+
+def test_word_walk_matches_reduced_words_and_word_map(swap, zigzag, tripod, swap_k):
+    for spec in (swap.spec, zigzag.spec, tripod, swap_k):
+        for radius in range(6):
+            walked = list(word_walk(spec, radius))
+            words = [w for w, _ in walked]
+            assert words == reduced_words(spec.generators, radius)
+            assert words == sorted(words, key=_shortlex_key)
+            assert reduced_words(spec.generators, radius, include_identity=False) == words[1:]
+            for w, wmap in walked:
+                assert wmap == word_map(spec, w)
+                assert map_fingerprint(wmap) == tuple(sorted(word_map(spec, w).items()))
+                assert is_identity_map(wmap) == is_identity_action(spec, w)
+
+
+def test_word_walk_is_lazy(swap_k):
+    # a radius-60 ball has about 4 * 3^59 words; the first few come at once
+    first = list(islice(word_walk(swap_k, 60), 6))
+    assert [str(w) for w, _ in first] == ["1", "g", "g^-1", "k", "k^-1", "g^2"]
+    assert [w for w, _ in islice(word_walk(None, 60, ["g", "k"]), 6)] == [w for w, _ in first]

@@ -2,10 +2,11 @@ import pytest
 
 from leafspace.core import PreconditionFailed, Tri, expand, mid_point, vertex_point
 from leafspace.core import branch_loci
-from leafspace.action import Word, act, act_cell, in_comparable_set
+from leafspace.action import Word, act, act_cell, act_locus, fingerprint, in_comparable_set
 from leafspace.checkers import (
     PASS,
     VIOLATION,
+    StabilizerBall,
     check_connected_open,
     check_faithfulness,
     check_fix_propagation,
@@ -19,6 +20,7 @@ from leafspace.checkers import (
     screen_infinite_locus,
     stabilizer_ball,
 )
+from leafspace.gallery import GALLERY_NAMES, gallery
 from leafspace.paths import path
 
 
@@ -335,3 +337,78 @@ def test_ball_with_two_generators_is_not_cyclic(tripod):
     rep = check_faithfulness(spec, 2, 2)
     assert rep.verdict == VIOLATION
     assert dict(rep.witness)["word"] in ("u*w^-1", "w*u^-1", "w^-1*u", "u^-1*w", "w^2", "u^2")
+
+
+# -- stabilizer balls against the word-set reference --------------------------
+
+
+def reference_stabilizer_ball(spec, locus, radius):
+    """The ball as first written: filter every reduced word by its action
+    on the locus, then try each nontrivial member's power set."""
+    members = locus.members
+    ball = [w for w in reduced_words(spec.generators, radius)
+            if act_locus(spec, w, members) == members]
+    table = tuple((w, tuple(act_cell(spec, w, m) for m in members)) for w in ball)
+    nontrivial = any(images != members for _, images in table)
+    cyclic, generator = False, None
+    nontriv_words = [w for w in ball if not w.is_identity]
+    if not nontriv_words:
+        cyclic = True
+    have = set(nontriv_words)
+    for cand in nontriv_words:
+        powers = set()
+        for base in (cand, cand.inverse()):
+            power = base
+            while len(power) <= radius:
+                powers.add(power)
+                power = power * base
+        if powers == have:
+            cyclic, generator = True, cand
+            break
+    return StabilizerBall(members, radius, tuple(ball), table, cyclic, generator, nontrivial)
+
+
+def test_stabilizer_ball_matches_reference(tripod, swap_k):
+    from conftest import build_tripod
+
+    two_gen = build_tripod()
+    two_gen.add_generator("u", dict(two_gen.generators["w"].maps))
+    cases = [(gallery(name).spec, 4, range(7)) for name in GALLERY_NAMES]
+    cases += [(tripod, 2, range(7)), (two_gen, 2, range(6)), (swap_k, 4, range(5))]
+    checked = 0
+    for spec, depth, radii in cases:
+        for locus in branch_loci(expand(spec, depth)):
+            for radius in radii:
+                ball = stabilizer_ball(spec, locus, radius, depth)
+                assert ball == reference_stabilizer_ball(spec, locus, radius)
+                checked += 1
+    assert checked > 50
+
+
+def test_cyclic_size_bound_edges(swap, swap_k):
+    # exactly 2r nontrivial words: the candidate loop still runs and finds g
+    ball = stabilizer_ball(swap.spec, swap_locus(swap), 6, 4)
+    assert len(ball.members) - 1 == 2 * 6
+    assert ball.cyclic_at_radius and ball.cyclic_generator == Word.generator("g")
+    # above the bound: not cyclic, as the full candidate search also finds
+    locus = branch_loci(expand(swap_k, 4))[0]
+    for radius in (1, 2):
+        ball = stabilizer_ball(swap_k, locus, radius, 4)
+        assert len(ball.members) - 1 > 2 * radius
+        assert not ball.cyclic_at_radius and ball.cyclic_generator is None
+        assert ball == reference_stabilizer_ball(swap_k, locus, radius)
+
+
+def test_swap_k_radius_8(swap_k):
+    locus = branch_loci(expand(swap_k, 4))[0]
+    ball = stabilizer_ball(swap_k, locus, 8, 4)
+    assert len(ball.members) == 13121              # every reduced word fixes {a, b}
+    assert len({fingerprint(swap_k, w) for w in ball.members}) == 145
+    assert not ball.cyclic_at_radius and ball.cyclic_generator is None
+    assert ball.acts_nontrivially
+    assert check_fix_propagation(swap_k, locus, 8, 4).verdict == PASS
+    # a group relation of Z^2, reported as unfaithfulness: the known false
+    # Violation of this screen, pinned until the screen's claim is fixed
+    rep = check_faithfulness(swap_k, 8, 4)
+    assert rep.verdict == VIOLATION
+    assert dict(rep.witness)["word"] == "g*k*g^-1*k^-1"
