@@ -5,6 +5,12 @@ word's total action is again such a map; two words act identically on the
 whole model exactly when their composed maps coincide, which makes the
 map a cheap exact fingerprint for deduplication and identity tests.
 
+A membership sweep relates every canonical point of a window to its
+image under one element.  Each window sweeps an element once: ``sweep``
+keeps the relations on the window (``Truncation.sweeps``), keyed by the
+element's map fingerprint, and every full sweep -- ``classify_element``,
+``comparable_sample`` and the suite's checkers -- reads them from there.
+
 Window sweeps answer in Tri: a Yes always comes with a witness; a No is
 certified only when the sweep closed without touching a truncated end,
 otherwise the answer degrades to Truncated (recording whether a witness
@@ -214,12 +220,9 @@ def act_locus(spec, word, members):
 
 
 def canonical_points(trunc):
-    """One representative point per window cell: the vertex itself, or
-    the edge midpoint (comparability is constant on cell interiors under
-    shift actions)."""
-    pts = [vertex_point(*c) for c in trunc.vertex_cells]
-    pts += [mid_point(*c) for c in trunc.edge_cells]
-    return pts
+    """One representative point per window cell (``Truncation.canonical_points``),
+    as a new list."""
+    return list(trunc.canonical_points)
 
 
 def _same_glued_chain_relation(spec, point, image):
@@ -249,17 +252,34 @@ def image_relation(spec, trunc, point, image):
     return _same_glued_chain_relation(spec, point, image)
 
 
+def sweep(trunc, wmap):
+    """Image relation of every canonical point of the window under one
+    composed map, in canonical order (``image_relation``: None where the
+    window cannot decide).  Computed once per window and element."""
+    key = map_fingerprint(wmap)
+    rels = trunc.sweeps.get(key)
+    if rels is None:
+        rels = trunc.sweeps[key] = tuple(image_relation(trunc.spec, trunc, p, _moved(wmap, p))
+                                         for p in trunc.canonical_points)
+    return rels
+
+
 def _membership(rel):
     if rel is None:
         return Tri.TRUNCATED
     return Tri.YES if rel in COMPARABLE else Tri.NO
 
 
+def _member(trunc, wmap, point):
+    """Membership of a window point, for a map composed by the caller."""
+    return _membership(image_relation(trunc.spec, trunc, point, _moved(wmap, point)))
+
+
 def in_comparable_set(spec, word, point, depth):
     """Whether the point is comparable with its image, on the given window."""
     trunc = spec.window(depth)
     trunc.require_point(point)
-    return _membership(image_relation(spec, trunc, point, act(spec, word, point)))
+    return _member(trunc, word_map(spec, word), point)
 
 
 @dataclass(frozen=True)
@@ -280,9 +300,8 @@ class ComparableSample:
 
 def comparable_sample(spec, word, depth):
     trunc = spec.window(depth)
-    points = canonical_points(trunc)
-    answers = tuple((p, _membership(image_relation(spec, trunc, p, image)))
-                    for p, image in zip(points, act_all(spec, word, points)))
+    answers = tuple((p, _membership(rel)) for p, rel in
+                    zip(trunc.canonical_points, sweep(trunc, word_map(spec, word))))
     return ComparableSample(word, depth, answers)
 
 
@@ -357,9 +376,7 @@ def classify_element(spec, word, depth):
         break
     pos_witness = neg_witness = None
     tainted = trunc.has_truncation
-    points = canonical_points(trunc)
-    for p in points:
-        rel = image_relation(spec, trunc, p, _moved(wmap, p))
+    for p, rel in zip(trunc.canonical_points, sweep(trunc, wmap)):
         if rel is None:
             tainted = True
         elif rel is Comparability.LESS and pos_witness is None:

@@ -26,18 +26,20 @@ from .core import (
 from .paths import COMPARABLE, Comparability, compare, path, sample_points
 from .action import (
     Word,
+    _member,
+    _moved,
     _moved_cell,
     act,
-    act_all,
     act_locus,
     branching_type,
-    canonical_points,
     classify_element,
     comparable_sample,
     image_relation,
     in_comparable_set,
     is_identity_map,
     map_fingerprint,
+    sweep,
+    word_map,
     word_walk,
 )
 
@@ -128,14 +130,17 @@ def check_path_in_comparable_set(spec, word, lam, mu, depth):
     """The connection between two points comparable with their images
     stays inside the comparable set, and its junction points are fixed."""
     name = "check_path_in_comparable_set"
+    trunc = spec.window(depth)
+    trunc.require_point(lam)
+    wmap = word_map(spec, word)
     for pt, label in ((lam, "lam"), (mu, "mu")):
-        member = in_comparable_set(spec, word, pt, depth)
+        trunc.require_point(pt)
+        member = _member(trunc, wmap, pt)
         if member is Tri.NO:
             raise PreconditionFailed(f"{label} is not comparable with its image")
         if member is Tri.TRUNCATED:
             return CheckReport.make(name, TRUNCATED, depth=depth,
                                     notes=(f"{label} membership undecided",))
-    trunc = spec.window(depth)
     try:
         gamma = path(trunc, lam, mu)
     except TruncatedError:
@@ -144,11 +149,11 @@ def check_path_in_comparable_set(spec, word, lam, mu, depth):
     truncated = False
     for j, junction in enumerate(gamma.junctions, start=1):
         for pt, role in ((junction.arrive, "arrive"), (junction.depart, "depart")):
-            if act(spec, word, pt) != pt:
+            if _moved(wmap, pt) != pt:
                 return CheckReport.make(name, VIOLATION, depth=depth, witness={
-                    "word": word, "junction": j, "point": pt, role: act(spec, word, pt)})
+                    "word": word, "junction": j, "point": pt, role: _moved(wmap, pt)})
     for pt in sample_points(gamma):
-        member = in_comparable_set(spec, word, pt, depth)
+        member = _member(trunc, wmap, pt)
         if member is Tri.NO:
             return CheckReport.make(name, VIOLATION, depth=depth,
                                     witness={"word": word, "point": pt})
@@ -167,7 +172,7 @@ def _vertex_sides(trunc, vcell):
     for side in (LOW, HIGH):
         nbrs = []
         boundary = None
-        for provider, in_window in trunc._germ_providers(vcell, side):
+        for provider, in_window in trunc.germ_providers(vcell, side):
             if provider[0] == "cell" and in_window:
                 nbrs.append(provider[1:3])
             elif provider[0] == "chain":
@@ -251,10 +256,9 @@ def check_odd_path(spec, word, lam, k_max, depth):
     gamma = path(trunc, lam, act(spec, word, lam))
     if gamma.length % 2 == 0:
         raise PreconditionFailed(f"path length {gamma.length} is even")
-    points = canonical_points(trunc)
     for k in range(1, k_max + 1):
-        for x, image in zip(points, act_all(spec, word ** k, points)):
-            if image_relation(spec, trunc, x, image) in COMPARABLE:
+        for x, rel in zip(trunc.canonical_points, sweep(trunc, word_map(spec, word ** k))):
+            if rel in COMPARABLE:
                 return CheckReport.make(name, VIOLATION, depth=depth, witness={
                     "word": word, "k": k, "point": x})
     return CheckReport.make(name, PASS, depth=depth, witness={

@@ -29,10 +29,10 @@ from .action import (
     act_all,
     act_locus,
     branching_type,
-    canonical_points,
     classify_element,
-    image_relation,
     in_comparable_set,
+    sweep,
+    word_map,
 )
 from . import checkers as ck
 from .checkers import PASS, SCREEN_DISCLAIMER, TRUNCATED, VIOLATION
@@ -283,7 +283,7 @@ def _basic_words(spec):
 def _find_comparable_pair(spec, word, depth, limit=400):
     """First (lam, mu) with lam < mu and lam < w(mu), both certified."""
     trunc = spec.window(depth)
-    pts = canonical_points(trunc)
+    pts = trunc.canonical_points
     images = dict(zip(pts, act_all(spec, word, pts)))
     tried = 0
     for lam in pts:
@@ -305,10 +305,10 @@ def _find_comparable_pair(spec, word, depth, limit=400):
 
 def discover_instances(spec, depth, word_len):
     """Deterministic suite instances: checker name -> list of kwargs.
-    Each basic word's image relation is computed once per canonical
-    point, and every pick is the first in canonical order."""
+    Each basic word's image relations come from the window's sweep, and
+    every pick is the first in canonical order."""
     trunc = spec.window(depth)
-    points = canonical_points(trunc)
+    points = trunc.canonical_points
     loci = branch_loci(trunc)[:4]
     one_sided_positive = branching_type(spec, depth).value == "one_sided_positive"
     instances = {name: [] for name in ck.CHECKERS}
@@ -322,7 +322,7 @@ def discover_instances(spec, depth, word_len):
                 {"word": word, "lam": pair[0], "mu": pair[1]})
 
         images = act_all(spec, word, points)
-        rels = [(p, image_relation(spec, trunc, p, image)) for p, image in zip(points, images)]
+        rels = list(zip(points, sweep(trunc, word_map(spec, word))))
 
         yes_points = [p for p, rel in rels if rel in COMPARABLE][:3]
         for i, lam in enumerate(yes_points):

@@ -42,6 +42,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 
 class Tri(enum.Enum):
@@ -175,11 +176,13 @@ class Point:
     t: Fraction | None = None
 
     def __post_init__(self):
-        if self.t is not None:
-            t = Fraction(self.t)
-            if not 0 < t < 1:
+        t = self.t
+        if t is not None:
+            if type(t) is not Fraction:     # images of points pass their Fraction on
+                t = Fraction(t)
+                object.__setattr__(self, "t", t)
+            if not 0 < t.numerator < t.denominator:     # 0 < t < 1, on integers
                 raise ValueError("interior coordinate must be in (0,1)")
-            object.__setattr__(self, "t", t)
 
     @property
     def is_vertex(self):
@@ -203,7 +206,8 @@ def mid_point(family, index=0):
 
 
 class LeafSpaceSpec:
-    """A finitely generated model; immutable after construction by convention."""
+    """A finitely generated model.  ``add_*`` and ``add_mark`` drop the
+    cached windows, so a window is never older than the spec it came from."""
 
     def __init__(self):
         self.families = {}
@@ -237,6 +241,7 @@ class LeafSpaceSpec:
         if fam.name in self.families:
             raise UnresolvedName(f"duplicate family {fam.name!r}")
         self.families[fam.name] = fam
+        self._windows.clear()
 
     def add_generator(self, name, maps, check=True):
         gen = GeneratorAction(name, dict(maps))
@@ -246,9 +251,11 @@ class LeafSpaceSpec:
                 raise UnresolvedName(
                     f"generator {name!r} is not an automorphism: " + "; ".join(problems))
         self.generators[name] = gen
+        self._windows.clear()
 
     def add_mark(self, name, point):
         self.marks[name] = point
+        self._windows.clear()
 
     # -- well-formedness -------------------------------------------------
 
@@ -381,7 +388,12 @@ class ValidationReport:
 class Truncation:
     """Depth-bounded window of a model: concrete cells plus an adjacency
     graph whose nodes collapse branch loci (the Hausdorffification of the
-    window), with elided glued-chain tails kept as explicit edges."""
+    window), with elided glued-chain tails kept as explicit edges.
+
+    Besides its structure a window keeps what queries on it reuse: its
+    validation report, its canonical points and its membership sweeps
+    (``sweeps``: composed-map fingerprint -> image relation of every
+    canonical point, filled by :func:`leafspace.action.sweep`)."""
 
     def __init__(self, spec, depth):
         self.spec = spec
@@ -391,6 +403,7 @@ class Truncation:
         self._build_graph()
         self._scan_truncated_ends()
         self._validation = None
+        self.sweeps = {}
 
     # -- cells -----------------------------------------------------------
 
@@ -443,6 +456,14 @@ class Truncation:
 
     def contains_point(self, p):
         return p.cell in self._vertex_set if p.is_vertex else p.cell in self._edge_set
+
+    @cached_property
+    def canonical_points(self):
+        """One representative point per window cell: the vertex itself, or
+        the edge midpoint (comparability is constant on cell interiors under
+        shift actions)."""
+        return (tuple(vertex_point(*c) for c in self.vertex_cells)
+                + tuple(mid_point(*c) for c in self.edge_cells))
 
     def require_point(self, p):
         if not self.contains_point(p):
@@ -640,49 +661,60 @@ class Truncation:
 
     # -- truncated ends ------------------------------------------------------
 
-    def _germ_providers(self, vcell, side):
+    def _germ_sources(self):
+        """(vertex family, side) -> the rules that can supply that germ, in
+        rule order: ("end", edge family, offset) for a per-cell end rule,
+        ("chain", edge family, chain side) for a glued chain's limit."""
+        spec = self.spec
+        sources = {}
+        for (efam, end), rule in sorted(spec.ends.items()):
+            if rule.kind == "open":
+                continue
+            side = LOW if end == HIGH else HIGH     # an edge's high end supplies a low germ
+            for tfam, off in rule.targets:
+                sources.setdefault((tfam, side), []).append(("end", efam, off))
+        for (efam, cside), rule in sorted(spec.chain_ends.items()):
+            if rule.kind != "limit":
+                continue
+            side = LOW if chain_end_ascends(spec.families[efam].glue, cside) else HIGH
+            for vfam in dict.fromkeys(rule.targets):
+                sources.setdefault((vfam, side), []).append(("chain", efam, cside))
+        return sources
+
+    def _providers(self, sources, vcell):
         """Schematic providers of one germ of a vertex: list of
-        (edge cell or chain descriptor, in_window flag).  ``side`` is the
-        vertex's own side: LOW means the germ below the vertex."""
+        (edge cell or chain descriptor, in_window flag)."""
         vfam, j = vcell
         vchain = self.spec.families[vfam].chain
-        want_end = HIGH if side == LOW else LOW   # edge end that supplies this germ
         out = []
-        for (efam, end), rule in sorted(self.spec.ends.items()):
-            if end != want_end or rule.kind == "open":
-                continue
-            for tfam, off in rule.targets:
-                if tfam != vfam:
-                    continue
-                ef = self.spec.families[efam]
-                if ef.chain and vchain:
-                    i = j - off
-                    out.append((("cell", efam, i), abs(i) <= self.depth
-                                and (efam, i) in self._edge_set))
-                elif ef.chain and not vchain:
-                    out.append((("cell-every", efam), False))   # one germ per index: overfull
-                elif vchain:
-                    if off == j:
-                        out.append((("cell", efam, 0), (efam, 0) in self._edge_set))
-                else:
-                    out.append((("cell", efam, 0), (efam, 0) in self._edge_set))
-        for (efam, cside), rule in sorted(self.spec.chain_ends.items()):
-            if rule.kind != "limit" or vfam not in rule.targets:
-                continue
-            glue = self.spec.families[efam].glue
-            provides = LOW if chain_end_ascends(glue, cside) else HIGH
-            if provides == side:
-                out.append((("chain", efam, cside), True))   # tail edge is in the graph
+        for kind, efam, arg in sources:
+            if kind == "chain":
+                out.append((("chain", efam, arg), True))   # tail edge is in the graph
+            elif self.spec.families[efam].chain and vchain:
+                i = j - arg
+                out.append((("cell", efam, i), abs(i) <= self.depth
+                            and (efam, i) in self._edge_set))
+            elif self.spec.families[efam].chain:
+                out.append((("cell-every", efam), False))   # one germ per index: overfull
+            elif not vchain or arg == j:
+                out.append((("cell", efam, 0), (efam, 0) in self._edge_set))
         return out
 
+    def germ_providers(self, vcell, side):
+        """Providers of the germ on one side of a window vertex (LOW means
+        the germ below it), computed once per window."""
+        return self._germs[(vcell, side)]
+
     def _scan_truncated_ends(self):
+        sources = self._germ_sources()
+        self._germs = {(vcell, side): self._providers(sources.get((vcell[0], side), ()), vcell)
+                       for vcell in self.vertex_cells for side in (LOW, HIGH)}
         ends = []
-        for vcell in self.vertex_cells:
-            for side in (LOW, HIGH):
-                for provider, in_window in self._germ_providers(vcell, side):
-                    if not in_window and provider[0] == "cell":
-                        ends.append(TruncatedEnd(
-                            (vcell, side), f"edge {provider[1]}[{provider[2]}]"))
+        for (vcell, side), providers in self._germs.items():
+            for provider, in_window in providers:
+                if not in_window and provider[0] == "cell":
+                    ends.append(TruncatedEnd(
+                        (vcell, side), f"edge {provider[1]}[{provider[2]}]"))
         for name in sorted(self.spec.families):
             fam = self.spec.families[name]
             if fam.glue is None:
@@ -694,7 +726,7 @@ class Truncation:
                 tail = "open" if rule.kind == "open" else "limit {%s}" % ",".join(rule.targets)
                 ends.append(TruncatedEnd(
                     ("chain", name, side), f"{name}[{nxt}] ... then {tail}"))
-        ends.sort(key=lambda te: (te.at, te.continuation))
+        ends.sort(key=lambda te: (te.at[0] == "chain", te.at, te.continuation))   # vertex sides first
         self.truncated_ends = tuple(ends)
         self.has_truncation = bool(self.truncated_ends)
         # vertex sides whose germ lies beyond the window
@@ -818,7 +850,7 @@ def validate(trunc):
     # (a) germ counts, schematic over the window
     for vcell in trunc.vertex_cells:
         for side in (LOW, HIGH):
-            providers = trunc._germ_providers(vcell, side)
+            providers = trunc.germ_providers(vcell, side)
             if any(p[0][0] == "cell-every" for p in providers):
                 bad("germ-count",
                     f"{vcell[0]}[{vcell[1]}] {side} side receives one germ per chain index")
@@ -849,13 +881,13 @@ def validate(trunc):
         elif (fam.kind == "vertex") != mark.is_vertex:
             bad("mark", f"mark {name} kind does not match family {mark.cell[0]}")
 
-    return ValidationReport(tuple(violations))
+    trunc._validation = ValidationReport(tuple(violations))
+    return trunc._validation
 
 
 def cached_validation(trunc):
-    if trunc._validation is None:
-        trunc._validation = validate(trunc)
-    return trunc._validation
+    """The window's validation report, computed at most once."""
+    return trunc._validation or validate(trunc)
 
 
 def require_valid(trunc):

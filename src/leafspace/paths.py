@@ -13,9 +13,10 @@ degenerate single-point intervals.
 
 The window graph is rooted once per window (``Truncation.rooting``), so a
 route walks parent pointers from both ends up to their meeting node and
-costs the length of the route, not the size of the window.  ``compare``
-reads the jumps and the direction of travel off that route without
-lifting a ``Path``.
+costs the length of the route, not the size of the window.  A route is a
+list of plain hop tuples.  ``compare`` reads the jumps and the direction
+of travel off that route without lifting a ``Path``; only ``path`` turns
+hops into parameter spans.
 """
 
 from __future__ import annotations
@@ -119,81 +120,70 @@ class Path:
         return " ".join(str(iv) for iv in self.intervals)
 
 
-@dataclass(frozen=True)
-class _Rec:
-    """One routable edge: a window-graph edge or a split half of one."""
+_PT = (("pt", 0), ("pt", 1))       # the nodes of the two route ends inside edge cells
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
-    eid: int
-    lo: tuple
-    hi: tuple
-    span: tuple | None       # (lo_t, hi_t) for halves of a cell edge
 
-    def anchor_at(self, trunc, node):
-        if self.span is not None and node[0] == "pt":
-            return None
-        return trunc.edge_anchor_at(self.eid, node)
-
-    def payload(self, trunc):
-        return trunc.graph_edges[self.eid][0]
+def _anchor(trunc, eid, span, node):
+    """Anchor of a hop's edge at one of its ends; a split point has none."""
+    if span is not None and node[0] == "pt":
+        return None
+    return trunc.edge_anchor_at(eid, node)
 
 
 def _route(trunc, x, y):
     """Unique simple route between the positions of x and y, as a list of
-    (_Rec, from_node, to_node); None when the window graph does not
-    connect them (the connection lies beyond the depth bound).
+    hops (eid, lo, hi, span, from_node, to_node); None when the window
+    graph does not connect them (the connection lies beyond the depth
+    bound).  A hop crosses graph edge ``eid`` between its ends ``lo`` and
+    ``hi``; for a split half of a cell edge one end is a ("pt", k) node
+    and ``span`` is the (lo_t, hi_t) parameter range it covers, otherwise
+    ``span`` is None.
 
     Both ends walk up the parent pointers of the rooted window tree to
     their meeting node.  A point inside an edge cell is a ("pt", k) node
     that splits only its own edge: it hangs below the edge's parent end,
     and the edge's child end hangs below it."""
     if not x.is_vertex and not y.is_vertex and x.cell == y.cell:
-        (s, a), (t, b) = sorted(((x.t, ("pt", 0)), (y.t, ("pt", 1))))
-        return [(_Rec(trunc.edge_index[x.cell], a, b, (s, t)), ("pt", 0), ("pt", 1))]
-    moved = {}      # node -> (_Rec, parent node) where a split edge re-hangs it
+        (s, a), (t, b) = sorted(((x.t, _PT[0]), (y.t, _PT[1])))
+        return [(trunc.edge_index[x.cell], a, b, (s, t), _PT[0], _PT[1])]
+    rooting, edges = trunc.rooting, trunc.graph_edges
+    moved = {}      # node -> (eid, lo, hi, span, parent node) where a split edge re-hangs it
     level = {}      # ("pt", k) -> doubled depth, between its edge's two ends
-
-    def place(point, k):
+    ends = []
+    for pt, point in zip(_PT, (x, y)):
         if point.is_vertex:
-            return trunc.vertex_node(point.cell)
+            ends.append(trunc.vertex_node(point.cell))
+            continue
         eid = trunc.edge_index[point.cell]
-        _, lo, hi, _, _ = trunc.graph_edges[eid]
-        pt = ("pt", k)
-        low = _Rec(eid, lo, pt, (Fraction(0), point.t))
-        high = _Rec(eid, pt, hi, (point.t, Fraction(1)))
-        if trunc.rooting[lo][1] == eid:
-            moved[pt], moved[lo] = (high, hi), (low, pt)
+        _, lo, hi, _, _ = edges[eid]
+        low, high = (eid, lo, pt, (_ZERO, point.t)), (eid, pt, hi, (point.t, _ONE))
+        if rooting[lo][1] == eid:
+            moved[pt], moved[lo] = high + (hi,), low + (pt,)
         else:
-            moved[pt], moved[hi] = (low, lo), (high, pt)
-        level[pt] = 2 * trunc.rooting[moved[pt][1]][2] + 1
-        return pt
-
-    def depth(node):
-        return level[node] if node in level else 2 * trunc.rooting[node][2]
-
-    def up(node):
-        if node in moved:
-            return moved[node]
-        parent, eid, _ = trunc.rooting[node]
-        if parent is None:
-            return None
-        _, lo, hi, _, _ = trunc.graph_edges[eid]
-        return _Rec(eid, lo, hi, None), parent
-
-    a, b = place(x, 0), place(y, 1)
+            moved[pt], moved[hi] = low + (lo,), high + (pt,)
+        level[pt] = 2 * rooting[moved[pt][4]][2] + 1
+        ends.append(pt)
+    a, b = ends
     route, tail = [], []
     while a != b:
-        if depth(a) >= depth(b):
-            step = up(a)
-            if step is None:
+        climb_a = (level[a] if a in level else 2 * rooting[a][2]) >= \
+            (level[b] if b in level else 2 * rooting[b][2])
+        node = a if climb_a else b
+        hop = moved.get(node)
+        if hop is None:
+            parent, eid, _ = rooting[node]
+            if parent is None:
                 return None
-            route.append((step[0], a, step[1]))
-            a = step[1]
+            _, lo, hi, _, _ = edges[eid]
+            hop = (eid, lo, hi, None, parent)
+        eid, lo, hi, span, parent = hop
+        if climb_a:
+            route.append((eid, lo, hi, span, a, parent))
+            a = parent
         else:
-            step = up(b)
-            if step is None:
-                return None
-            tail.append((step[0], step[1], b))
-            b = step[1]
+            tail.append((eid, lo, hi, span, parent, b))
+            b = parent
     route.extend(reversed(tail))
     return route
 
@@ -277,18 +267,18 @@ class _Builder:
         self.steps = [("vertex",) + chain[-1]]
         self.direction = None
 
-    def traverse(self, rec, to, trunc):
-        direction = ASC if to == rec.hi else DESC
+    def traverse(self, eid, hi, span, to):
+        direction = ASC if to == hi else DESC
         if self.direction is None:
             self.direction = direction
         elif self.direction != direction:
             raise InvalidModel("route lift is not monotone between junctions")
-        payload = rec.payload(trunc)
+        payload = self.trunc.graph_edges[eid][0]
         if payload[0] == "tail":
             self.steps.append(payload)
         else:
-            lo, hi = rec.span or (Fraction(0), Fraction(1))
-            self.steps.append(("edge", payload[1], payload[2], lo, hi))
+            lo_t, hi_t = span or (_ZERO, _ONE)
+            self.steps.append(("edge", payload[1], payload[2], lo_t, hi_t))
 
 
 def path(trunc, x, y):
@@ -310,14 +300,13 @@ def path(trunc, x, y):
 
     builder = _Builder(trunc, x)
     pending = ("point", x.cell) if x.is_vertex else None
-    for rec, frm, to in route:
+    for eid, _, hi, span, frm, to in route:
         if frm[0] == "locus":
-            exit_anchor = rec.anchor_at(trunc, frm)
-            builder.transit(pending, exit_anchor)
+            builder.transit(pending, _anchor(trunc, eid, span, frm))
         elif frm[0] == "vertex":
             builder.vertex_step(frm[1:])
-        builder.traverse(rec, to, trunc)
-        pending = rec.anchor_at(trunc, to)
+        builder.traverse(eid, hi, span, to)
+        pending = _anchor(trunc, eid, span, to)
     final = ("pt", 1) if not y.is_vertex else trunc.vertex_node(y.cell)
     if final[0] == "locus":
         builder.transit(pending, ("point", y.cell))
@@ -345,15 +334,15 @@ def compare(trunc, x, y):
         return Comparability.TRUNCATED
     direction = None
     pending = ("point", x.cell) if x.is_vertex else None
-    for rec, frm, to in route:
-        if frm[0] == "locus" and _jumps(trunc, pending, rec.anchor_at(trunc, frm)):
+    for eid, _, hi, span, frm, to in route:
+        if frm[0] == "locus" and _jumps(trunc, pending, _anchor(trunc, eid, span, frm)):
             return Comparability.INCOMPARABLE
-        step = ASC if to == rec.hi else DESC
+        step = ASC if to == hi else DESC
         if direction is None:
             direction = step
         elif direction != step:
             raise InvalidModel("route lift is not monotone between junctions")
-        pending = rec.anchor_at(trunc, to)
+        pending = _anchor(trunc, eid, span, to)
     if (y.is_vertex and trunc.vertex_node(y.cell)[0] == "locus"
             and _jumps(trunc, pending, ("point", y.cell))):
         return Comparability.INCOMPARABLE

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import islice
 
 import pytest
@@ -278,3 +279,92 @@ def test_word_walk_is_lazy(swap_k):
     first = list(islice(word_walk(swap_k, 60), 6))
     assert [str(w) for w, _ in first] == ["1", "g", "g^-1", "k", "k^-1", "g^2"]
     assert [w for w, _ in islice(word_walk(None, 60, ["g", "k"]), 6)] == [w for w, _ in first]
+
+
+# -- one sweep table per window ------------------------------------------------
+
+
+def _sweep_models():
+    from leafspace.gallery import GALLERY_NAMES, gallery
+
+    for name in GALLERY_NAMES:
+        for depth in (2, 4, 8):
+            yield name, gallery(name).spec, depth
+    for seed in range(100):
+        yield f"seed {seed}", random_spec(RandomParams(seed=seed, symmetric=seed % 2 == 1)), 0
+
+
+def test_sweep_table_matches_fresh_relations():
+    from leafspace.action import act_all, image_relation, sweep
+
+    for label, spec, depth in _sweep_models():
+        trunc = expand(spec, depth)
+        pts = canonical_points(trunc)
+        assert trunc.canonical_points == tuple(pts) and not trunc.sweeps
+        elements = set()
+        for w, wmap in word_walk(spec, 4):
+            key = map_fingerprint(wmap)
+            first_use = key not in elements
+            assert (key not in trunc.sweeps) == first_use, (label, w)
+            rels = sweep(trunc, wmap)
+            fresh = [image_relation(spec, trunc, p, image)
+                     for p, image in zip(pts, act_all(spec, w, pts))]
+            assert list(rels) == fresh, (label, depth, str(w))
+            assert sweep(trunc, wmap) is rels
+            elements.add(key)
+        assert set(trunc.sweeps) == elements
+
+
+def reference_classify_element(spec, word, depth):
+    """classify_element as it was before the sweep table: one image
+    relation per canonical point, computed in the loop."""
+    from leafspace.action import ElementProfile, _entry, _fixed_cells, _moved, image_relation
+    from leafspace.core import require_valid
+
+    trunc = spec.window(depth)
+    require_valid(trunc)
+    wmap = word_map(spec, word)
+    fixed = _fixed_cells(trunc, wmap)
+    tan_witness = None
+    for cell in fixed:
+        tan_witness = (vertex_point(*cell) if trunc.has_vertex(cell) else mid_point(*cell))
+        break
+    pos_witness = neg_witness = None
+    tainted = trunc.has_truncation
+    for p in canonical_points(trunc):
+        rel = image_relation(spec, trunc, p, _moved(wmap, p))
+        if rel is None:
+            tainted = True
+        elif rel is Comparability.LESS and pos_witness is None:
+            pos_witness = p
+        elif rel is Comparability.GREATER and neg_witness is None:
+            neg_witness = p
+    return ElementProfile(
+        word, depth,
+        tangentiable=_entry(tan_witness, tainted),
+        pos_transversable=_entry(pos_witness, tainted),
+        neg_transversable=_entry(neg_witness, tainted),
+    )
+
+
+def test_classify_element_matches_reference(tripod, updown):
+    from leafspace.action import image_relation
+
+    models = list(_sweep_models()) + [("tripod", tripod, 2), ("updown", updown, 3)]
+    for label, spec, depth in models:
+        for w, _ in word_walk(spec, 4):
+            try:
+                want = reference_classify_element(spec, w, depth)
+            except Exception as exc:        # the same error must come back
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    classify_element(spec, w, depth)
+                continue
+            assert classify_element(spec, w, depth) == want, (label, depth, str(w))
+            trunc = spec.window(depth)
+            sample = comparable_sample(spec, w, depth)
+            assert [p for p, _ in sample.answers] == canonical_points(trunc)
+            for p, answer in sample.answers:
+                rel = image_relation(spec, trunc, p, act(spec, w, p))
+                assert answer is (Tri.TRUNCATED if rel is None else
+                                  Tri.YES if rel in (Comparability.EQUAL, Comparability.LESS,
+                                                     Comparability.GREATER) else Tri.NO)

@@ -1,3 +1,6 @@
+import io
+from collections import Counter
+
 import pytest
 
 from leafspace.core import PreconditionFailed, Tri, expand, mid_point, vertex_point
@@ -412,3 +415,110 @@ def test_swap_k_radius_8(swap_k):
     rep = check_faithfulness(swap_k, 8, 4)
     assert rep.verdict == VIOLATION
     assert dict(rep.witness)["word"] == "g*k*g^-1*k^-1"
+
+
+# -- membership sweeps shared across the suite ---------------------------------
+
+
+def reference_check_odd_path(spec, word, lam, k_max, depth):
+    """check_odd_path as it was before the sweep table: each power's sweep
+    runs in the loop and stops at the first comparable point."""
+    from leafspace.action import act_all, canonical_points, image_relation
+    from leafspace.checkers import TRUNCATED, CheckReport
+    from leafspace.paths import COMPARABLE
+
+    name = "check_odd_path"
+    member = in_comparable_set(spec, word, lam, depth)
+    if member is Tri.YES:
+        raise PreconditionFailed("lam is comparable with its image")
+    if member is Tri.TRUNCATED:
+        return CheckReport.make(name, TRUNCATED, depth=depth,
+                                notes=("membership of lam undecided",))
+    trunc = spec.window(depth)
+    gamma = path(trunc, lam, act(spec, word, lam))
+    if gamma.length % 2 == 0:
+        raise PreconditionFailed(f"path length {gamma.length} is even")
+    points = canonical_points(trunc)
+    for k in range(1, k_max + 1):
+        for x, image in zip(points, act_all(spec, word ** k, points)):
+            if image_relation(spec, trunc, x, image) in COMPARABLE:
+                return CheckReport.make(name, VIOLATION, depth=depth, witness={
+                    "word": word, "k": k, "point": x})
+    return CheckReport.make(name, PASS, depth=depth, witness={
+        "word": word, "path_length": gamma.length, "k_max": k_max})
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:        # the same error must come back
+        return type(exc).__name__, str(exc)
+
+
+def build_odd_involution():
+    """Loci {a,b} (positive) and {b,c} (negative) share b, so a and c are
+    joined by a length-3 connection; ``f`` (built with check=False)
+    exchanges a and c and fixes everything else, an inconsistent action
+    of order 2 that the odd-path checker must flag."""
+    from leafspace.core import LeafSpaceSpec, open_end, to_limit, to_vertex
+
+    spec = LeafSpaceSpec()
+    for v in ("a", "b", "c"):
+        spec.add_vertex(v)
+    spec.add_edge("s1", low=open_end(), high=to_limit(("a", 0), ("b", 0)))
+    spec.add_edge("s2", low=to_limit(("b", 0), ("c", 0)), high=open_end())
+    spec.add_edge("pa", low=to_vertex("a"), high=open_end())
+    spec.add_edge("pc", low=open_end(), high=to_vertex("c"))
+    spec.add_generator("f", {"a": ("c", 0), "c": ("a", 0), "b": ("b", 0), "s1": ("s1", 0),
+                             "s2": ("s2", 0), "pa": ("pa", 0), "pc": ("pc", 0)}, check=False)
+    return spec
+
+
+def test_check_odd_path_matches_reference(tripod, updown):
+    from leafspace.randspec import RandomParams, random_spec
+
+    models = [(gallery(name).spec, depth) for name in GALLERY_NAMES for depth in (2, 4, 8)]
+    models += [(build_odd_involution(), 0)]
+    models += [(random_spec(RandomParams(seed=seed, symmetric=seed % 2 == 1)), 0)
+               for seed in range(100)]
+    models += [(tripod, 2), (updown, 3)]
+    verdicts = Counter()
+    for spec, depth in models:
+        pts = expand(spec, depth).canonical_points
+        for word in reduced_words(spec.generators, 2, include_identity=False):
+            for lam in pts[::max(1, len(pts) // 10)]:
+                for k_max in (1, 3):
+                    want = _outcome(reference_check_odd_path, spec, word, lam, k_max, depth)
+                    assert _outcome(check_odd_path, spec, word, lam, k_max, depth) == want
+                    verdicts[want[0] if isinstance(want, tuple) else want.verdict] += 1
+    assert verdicts[PASS] and verdicts[VIOLATION] and verdicts["PreconditionFailed"]
+
+
+def test_suite_sweeps_each_element_once_per_window(monkeypatch):
+    from leafspace import action, checkers, cli
+
+    calls = []
+    original = action.image_relation
+
+    def counted(spec, trunc, point, image):
+        calls.append((trunc, point, image))
+        return original(spec, trunc, point, image)
+
+    monkeypatch.setattr(action, "image_relation", counted)
+    monkeypatch.setattr(checkers, "image_relation", counted)
+    assert cli.main(["suite", "--gallery", "ZIGZAG", "--depth", "4"], stream=io.StringIO()) == 0
+    windows = {id(trunc): trunc for trunc, _, _ in calls}
+    assert len(windows) == 1
+    (trunc,) = windows.values()
+    pts = trunc.canonical_points
+    # a sweep is a run of evaluations over the canonical points in order;
+    # its element is the tuple of images
+    sweeps, i = [], 0
+    while i < len(calls):
+        run = calls[i:i + len(pts)]
+        if tuple(point for _, point, _ in run) == pts:
+            sweeps.append(tuple(image for _, _, image in run))
+            i += len(pts)
+        else:
+            i += 1
+    assert len(sweeps) == len(set(sweeps)) == len(trunc.sweeps) == 13

@@ -228,3 +228,110 @@ def test_malformed_glue_reported_not_crashed():
     report = validate(expand(spec, 1))
     codes = {v.code for v in report.violations}
     assert "shape" in codes
+
+
+# -- cached windows and their germ table ----------------------------------------
+
+
+def test_add_drops_cached_windows():
+    from leafspace.core import ChainEndRule, Point, cached_validation
+    from leafspace.gallery import gallery
+
+    spec = gallery("LINE").spec
+    assert cached_validation(spec.window(2)).valid
+    spec.add_mark("bad", Point(("v", 0), "1/2"))
+    fresh = validate(expand(spec, 2))
+    assert {v.code for v in fresh.violations} == {"mark"}
+    assert cached_validation(spec.window(2)) == fresh
+    for add in (lambda: spec.add_vertex("w"),
+                lambda: spec.add_edge("f", low=open_end(), high=open_end()),
+                lambda: spec.add_glued_chain("r", 1, ChainEndRule("open"), ChainEndRule("open")),
+                lambda: spec.add_generator("k", {f: (f, 0) for f in spec.families}),
+                lambda: spec.add_mark("m", vertex_point("v", 1))):
+        before = spec.window(2)
+        add()
+        assert spec.window(2) is not before
+    # cut vertex sides and glued-chain ends in one window: vertex sides first
+    ats = [te.at for te in spec.window(2).truncated_ends]
+    assert ats[-2:] == [("chain", "r", "neg"), ("chain", "r", "pos")]
+    assert ats[0] == (("v", -2), "low")
+
+
+def test_validate_records_its_report(swap):
+    from leafspace.core import cached_validation
+
+    trunc = expand(swap.spec, 2)
+    report = validate(trunc)
+    assert cached_validation(trunc) is report
+
+
+def reference_germ_providers(trunc, vcell, side):
+    """The providers of one germ found by scanning every end rule of the
+    spec, as before the germ table."""
+    from leafspace.core import HIGH, LOW, chain_end_ascends
+
+    spec = trunc.spec
+    vfam, j = vcell
+    vchain = spec.families[vfam].chain
+    want_end = HIGH if side == LOW else LOW
+    out = []
+    for (efam, end), rule in sorted(spec.ends.items()):
+        if end != want_end or rule.kind == "open":
+            continue
+        for tfam, off in rule.targets:
+            if tfam != vfam:
+                continue
+            ef = spec.families[efam]
+            if ef.chain and vchain:
+                i = j - off
+                out.append((("cell", efam, i), abs(i) <= trunc.depth and trunc.has_edge((efam, i))))
+            elif ef.chain and not vchain:
+                out.append((("cell-every", efam), False))
+            elif vchain:
+                if off == j:
+                    out.append((("cell", efam, 0), trunc.has_edge((efam, 0))))
+            else:
+                out.append((("cell", efam, 0), trunc.has_edge((efam, 0))))
+    for (efam, cside), rule in sorted(spec.chain_ends.items()):
+        if rule.kind != "limit" or vfam not in rule.targets:
+            continue
+        provides = LOW if chain_end_ascends(spec.families[efam].glue, cside) else HIGH
+        if provides == side:
+            out.append((("chain", efam, cside), True))
+    return out
+
+
+def odd_germs_spec():
+    """Germ corner cases: a chain edge ending on a unit vertex (one germ
+    per index), a unit edge ending on one cell of a vertex chain, and a
+    chain-end limit naming its vertex twice."""
+    from leafspace.core import ChainEndRule
+
+    spec = LeafSpaceSpec()
+    spec.add_vertex("u")
+    spec.add_vertex("V", chain=True)
+    spec.add_edge("e", low=to_vertex("u"), high=to_vertex("V", 0), chain=True)
+    spec.add_edge("d", low=open_end(), high=to_vertex("V", 2))
+    spec.add_glued_chain("r", 1, ChainEndRule("limit", ("u", "u")), ChainEndRule("open"))
+    return spec
+
+
+def test_germ_table_matches_rule_scan(tripod, updown, swap_k):
+    from leafspace.core import HIGH, LOW
+    from leafspace.gallery import GALLERY_NAMES, gallery
+    from leafspace.randspec import RandomParams, random_spec
+
+    cases = [(gallery(name).spec, depth) for name in GALLERY_NAMES for depth in range(5)]
+    cases += [(spec, depth) for spec in (tripod, updown, swap_k, broken_yplus(), odd_germs_spec())
+              for depth in (0, 1, 3)]
+    cases += [(random_spec(RandomParams(seed=seed, symmetric=seed % 2 == 1)), 0)
+              for seed in range(100)]
+    kinds = set()
+    for spec, depth in cases:
+        trunc = expand(spec, depth)
+        for vcell in trunc.vertex_cells:
+            for side in (LOW, HIGH):
+                providers = trunc.germ_providers(vcell, side)
+                assert providers == reference_germ_providers(trunc, vcell, side)
+                kinds.update(p[0][0] for p in providers)
+    assert kinds == {"cell", "cell-every", "chain"}
