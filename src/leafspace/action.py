@@ -19,7 +19,6 @@ was at least absent from the window).
 
 from __future__ import annotations
 
-import enum
 import re
 from dataclasses import dataclass
 
@@ -134,23 +133,21 @@ def _letter_step(spec, name, exp):
     return [(fam, *step[fam]) for fam in spec.families]
 
 
-def word_walk(spec, max_len, names=None):
-    """Every reduced word of length <= max_len over ``names`` (default:
-    the model's generators) with its composed map, lazily, in shortlex
-    order: shorter words first, then letter by letter with generators by
-    name and each letter before its inverse.
+def word_walk(spec, max_len):
+    """Every reduced word of length <= max_len over the model's generators
+    with its composed map, lazily, in shortlex order: shorter words first,
+    then letter by letter with generators by name and each letter before
+    its inverse.
 
     A word's map is its prefix's map composed with its last letter,
     ``map(u*x)[f] = map(u)[x(f)]`` with the shifts added, so each word
     costs one composition; each letter's step is built once, and only the
     maps of the current frontier layer are kept.  The yielded maps equal
     ``word_map(spec, word)`` and are shared with the walk: do not mutate
-    them.  With ``spec`` None the maps are empty (the word-only view)."""
-    if names is None:
-        names = spec.generators
-    alphabet = [(n, e) for n in sorted(names) for e in (1, -1)]
+    them."""
+    alphabet = [(n, e) for n in sorted(spec.generators) for e in (1, -1)]
     steps = {}
-    identity = {fam: (fam, 0) for fam in spec.families} if spec is not None else {}
+    identity = {fam: (fam, 0) for fam in spec.families}
     yield Word.identity(), identity
     frontier = [((), identity)]
     for length in range(1, max_len + 1):
@@ -161,7 +158,7 @@ def word_walk(spec, max_len, names=None):
                     continue
                 step = steps.get(let)
                 if step is None:    # at its first word, so a partial map fails where word_map does
-                    step = steps[let] = _letter_step(spec, *let) if spec is not None else ()
+                    step = steps[let] = _letter_step(spec, *let)
                 wmap = {fam: (umap[img][0], shift + umap[img][1]) for fam, img, shift in step}
                 word_letters = letters + (let,)
                 if length < max_len:
@@ -196,10 +193,6 @@ def _moved_cell(wmap, cell):
     """Image of a cell under a composed map."""
     img, shift = wmap[cell[0]]
     return (img, cell[1] + shift)
-
-
-def act_cell(spec, word, cell):
-    return _moved_cell(word_map(spec, word), cell)
 
 
 def act(spec, word, point):
@@ -318,22 +311,18 @@ def _fixed_cells(trunc, wmap):
                   if c[0] in fixed_families)
 
 
-class Found(enum.Enum):
-    YES = "yes"
-    NO = "no"                  # certified: the sweep closed
-    NO_IN_WINDOW = "no*"       # absent from the window, not certified
-
-
 @dataclass(frozen=True)
 class ProfileEntry:
+    """One classification answer: Yes with a witness, a certified No (the
+    sweep closed), or Truncated (no witness in the window, not certified)."""
+
     value: Tri
     witness: Point | None
-    found: Found
 
     def __str__(self):
         if self.value is Tri.YES:
             return f"yes ({self.witness})"
-        return "no" if self.found is Found.NO else "no within window (truncated)"
+        return "no" if self.value is Tri.NO else "no within window (truncated)"
 
 
 @dataclass(frozen=True)
@@ -352,10 +341,8 @@ class ElementProfile:
 
 def _entry(witness, tainted):
     if witness is not None:
-        return ProfileEntry(Tri.YES, witness, Found.YES)
-    if tainted:
-        return ProfileEntry(Tri.TRUNCATED, None, Found.NO_IN_WINDOW)
-    return ProfileEntry(Tri.NO, None, Found.NO)
+        return ProfileEntry(Tri.YES, witness)
+    return ProfileEntry(Tri.TRUNCATED if tainted else Tri.NO, None)
 
 
 def classify_element(spec, word, depth):
@@ -363,7 +350,7 @@ def classify_element(spec, word, depth):
 
     A No is certified only when the exhaustive sweep over window cells
     closed without any truncated answer; otherwise the entry degrades to
-    Truncated with found = no-in-window.
+    Truncated.
     """
     trunc = spec.window(depth)
     require_valid(trunc)

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
+    PointOutOfRange,
     PreconditionFailed,
     Tri,
     TruncatedError,
@@ -78,14 +79,6 @@ class CheckReport:
         }
 
 
-def reduced_words(names, max_len, include_identity=True):
-    """All reduced words of length <= max_len over the given generator
-    names, in the shortlex order of :func:`word_walk` (shorter first,
-    positive letters first)."""
-    words = [w for w, _ in word_walk(None, max_len, names)]
-    return words if include_identity else words[1:]
-
-
 def _certified(spec, word, point, depth, want, label):
     """Require a certified comparison between a point and its image."""
     trunc = spec.window(depth)
@@ -105,13 +98,15 @@ def check_lower_bound(spec, word, lam, mu, depth):
     if bt.value != "one_sided_positive":
         raise PreconditionFailed(f"needs one_sided_positive branching, model is {bt.value}")
     trunc = spec.window(depth)
-    image_mu = act(spec, word, mu)
-    for a, b, label in ((lam, mu, "lam < mu"), (lam, image_mu, "lam < w(mu)")):
-        trunc.require_point(a)
+    wmap = word_map(spec, word)
+    trunc.require_point(lam)
+    if mu.cell[0] not in spec.families:
+        raise PointOutOfRange(f"{mu} lies in no family of the model")
+    for b, label in ((mu, "lam < mu"), (_moved(wmap, mu), "lam < w(mu)")):
         if not trunc.contains_point(b):
             return CheckReport.make("check_lower_bound", TRUNCATED, depth=depth,
                                     notes=("bound leaves the window",))
-        rel = compare(trunc, a, b)
+        rel = compare(trunc, lam, b)
         if rel is Comparability.TRUNCATED:
             return CheckReport.make("check_lower_bound", TRUNCATED, depth=depth)
         if rel is not Comparability.LESS:
@@ -164,27 +159,6 @@ def check_path_in_comparable_set(spec, word, lam, mu, depth):
                             witness={"word": word, "path_length": gamma.length})
 
 
-def _vertex_sides(trunc, vcell):
-    """Per side of a vertex: (neighboring cells, boundary kind or None)."""
-    from .core import LOW, HIGH
-
-    sides = []
-    for side in (LOW, HIGH):
-        nbrs = []
-        boundary = None
-        for provider, in_window in trunc.germ_providers(vcell, side):
-            if provider[0] == "cell" and in_window:
-                nbrs.append(provider[1:3])
-            elif provider[0] == "chain":
-                nbrs.append(trunc._tail_neighbor(provider))
-            else:
-                boundary = "cut"
-        if not nbrs and boundary is None:
-            boundary = "cut"
-        sides.append((tuple(nbrs), boundary))
-    return sides
-
-
 def check_connected_open(spec, word, depth):
     """The comparable set of a word, sampled on window cells, induces a
     connected subgraph and is open at the sampled resolution."""
@@ -229,8 +203,8 @@ def check_connected_open(spec, word, depth):
     for cell in yes_cells:
         if not trunc.has_vertex(cell):
             continue        # an edge cell's interior is open by itself
-        for nbrs, boundary in _vertex_sides(trunc, cell):
-            if boundary in ("open", "cut"):
+        for nbrs, cut in trunc.vertex_sides(cell):
+            if cut:
                 continue
             if any(status.get(n) in (Tri.YES, Tri.TRUNCATED) for n in nbrs):
                 continue

@@ -417,10 +417,11 @@ def cmd_suite(args, out):
     return 1 if violations else 0
 
 
-# How `leafspace check` reads the text of an option the registry names;
-# the integer options arrive parsed and --locus is an index into the loci.
+# The options of `leafspace check` the registry names: how each text option
+# is read, and each integer option's default (--locus indexes the loci).
 OPTION_PARSERS = {"--word": Word.parse, "--from": parse_point, "--to": parse_point,
                   "--point": parse_point, "--pos": parse_point, "--neg": parse_point}
+INT_OPTIONS = (("--k", 2), ("--k-max", 4), ("--locus", 0), ("--word-len", 6))
 
 
 def cmd_check(args, out):
@@ -505,16 +506,10 @@ def build_parser():
     p = sub.add_parser("check")
     p.add_argument("checker")
     _add_model_args(p)
-    p.add_argument("--word")
-    p.add_argument("--from")
-    p.add_argument("--to")
-    p.add_argument("--point")
-    p.add_argument("--pos")
-    p.add_argument("--neg")
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--k-max", type=int, default=4)
-    p.add_argument("--locus", type=int, default=0)
-    p.add_argument("--word-len", type=int, default=6)
+    for option in OPTION_PARSERS:
+        p.add_argument(option)
+    for option, default in INT_OPTIONS:
+        p.add_argument(option, type=int, default=default)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("gallery")

@@ -188,9 +188,6 @@ class Point:
     def is_vertex(self):
         return self.t is None
 
-    def sort_key(self):
-        return (self.cell, self.t if self.t is not None else Fraction(-1))
-
     def __str__(self):
         fam, idx = self.cell
         base = f"{fam}[{idx}]"
@@ -391,7 +388,9 @@ class Truncation:
     window), with elided glued-chain tails kept as explicit edges.
 
     Besides its structure a window keeps what queries on it reuse: its
-    validation report, its canonical points and its membership sweeps
+    validation report, its canonical points, its germ table (the providers
+    of the germ on each side of each vertex, read by ``germ_providers`` and,
+    as cell adjacency, by ``vertex_sides``) and its membership sweeps
     (``sweeps``: composed-map fingerprint -> image relation of every
     canonical point, filled by :func:`leafspace.action.sweep`)."""
 
@@ -424,7 +423,6 @@ class Truncation:
         spec = self.spec
         self.vertex_cells = []
         self.edge_cells = []
-        self.excluded_edges = []
         for name in sorted(spec.families):
             fam = spec.families[name]
             cells = [(name, i) for i in self._indices(fam)]
@@ -442,7 +440,8 @@ class Truncation:
                         for vfam, off in rule.targets:
                             if not self._target_in_range(name, cell[1], vfam, off):
                                 ok = False
-                    (self.edge_cells if ok else self.excluded_edges).append(cell)
+                    if ok:
+                        self.edge_cells.append(cell)
         self.vertex_cells.sort()
         self.edge_cells.sort()
         self._edge_set = set(self.edge_cells)
@@ -502,6 +501,7 @@ class Truncation:
             loci.append(BranchLocus(members, sign, ("chain_end", fam, side)))
         loci.sort(key=lambda b: (b.members, b.stem))
         self.loci = tuple(loci)
+        self._stem_locus = {locus.stem: li for li, locus in enumerate(loci)}
 
         # union-find over loci sharing members (a vertex may sit in a
         # positive and a negative locus on its two sides)
@@ -555,12 +555,6 @@ class Truncation:
         gid = self._locus_group.get(vcell)
         return ("locus", gid) if gid is not None else ("vertex",) + vcell
 
-    def _locus_index_of_stem(self, stem):
-        for li, locus in enumerate(self.loci):
-            if locus.stem == stem:
-                return li
-        return None
-
     def _resolve_cell_end(self, cell, end):
         """(node, anchor) for one end of an in-window edge cell.
 
@@ -590,7 +584,7 @@ class Truncation:
         if rule.kind == "vertex" or len(cells) == 1:
             v = cells[0]
             return self.vertex_node(v), ("point", v)
-        li = self._locus_index_of_stem(("cell_end", fam, i, end))
+        li = self._stem_locus.get(("cell_end", fam, i, end))
         return self.vertex_node(cells[0]), ("stem", li)
 
     def _build_graph(self):
@@ -608,7 +602,7 @@ class Truncation:
             if len(cells) == 1:
                 target, anchor = self.vertex_node(cells[0]), ("point", cells[0])
             else:
-                li = self._locus_index_of_stem(("chain_end", fam, side))
+                li = self._stem_locus.get(("chain_end", fam, side))
                 target, anchor = self.vertex_node(cells[0]), ("stem", li)
             if chain_end_ascends(glue, side):
                 edges.append((("tail", fam, side), cut, target, None, anchor))
@@ -729,14 +723,28 @@ class Truncation:
         ends.sort(key=lambda te: (te.at[0] == "chain", te.at, te.continuation))   # vertex sides first
         self.truncated_ends = tuple(ends)
         self.has_truncation = bool(self.truncated_ends)
-        # vertex sides whose germ lies beyond the window
-        self._cut_vertex_sides = {
-            te.at for te in ends if te.at[0] != "chain"}
-
-    def vertex_side_is_cut(self, vcell, side):
-        return (vcell, side) in self._cut_vertex_sides
 
     # -- cell adjacency (for sweeps) -----------------------------------------
+
+    def vertex_sides(self, vcell):
+        """Per side of a window vertex, low then high: (the window cells
+        whose germ it is, cut), where cut says that a germ of that side lies
+        beyond the window, or that none is supplied.  The one place that
+        reads germ providers as cell neighbors."""
+        sides = []
+        for side in (LOW, HIGH):
+            nbrs = []
+            cut = False
+            for provider, in_window in self._germs[(vcell, side)]:
+                if provider[0] == "cell" and in_window:
+                    nbrs.append(provider[1:3])
+                elif provider[0] == "chain":    # the tail's last window cell
+                    fam, cside = provider[1], provider[2]
+                    nbrs.append((fam, -self.depth if cside == NEG else self.depth))
+                else:
+                    cut = True
+            sides.append((tuple(nbrs), cut or not nbrs))
+        return sides
 
     def cell_neighbors(self, cell):
         """Cells incident to the given cell, via attachments, gluings,
@@ -760,22 +768,10 @@ class Truncation:
                     if rule is not None and rule.kind == "limit":
                         out.update((v, 0) for v in rule.targets)
         else:
-            # an edge reaches the vertex only at the vertex's own node
-            for eid, _ in self.adjacency[self.vertex_node(cell)]:
-                payload, _, _, a_lo, a_hi = self.graph_edges[eid]
-                for anchor in (a_lo, a_hi):
-                    if anchor and anchor[0] == "point" and anchor[1] == cell:
-                        out.add(payload[1:3] if payload[0] == "cell"
-                                else self._tail_neighbor(payload))
-                    elif anchor and anchor[0] == "stem" and cell in self.loci[anchor[1]].members:
-                        out.add(payload[1:3] if payload[0] == "cell"
-                                else self._tail_neighbor(payload))
+            for nbrs, _ in self.vertex_sides(cell):
+                out.update(nbrs)
         out.discard(cell)
         return sorted(out)
-
-    def _tail_neighbor(self, payload):
-        fam, side = payload[1], payload[2]
-        return (fam, -self.depth) if side == NEG else (fam, self.depth)
 
 
 # ---------------------------------------------------------------------------

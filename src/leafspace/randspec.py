@@ -38,7 +38,6 @@ class RandomParams:
     locus_size: tuple = (2, 4)
     sign_mix: float = 0.5          # probability a locus is positive
     extra_edges: int = 2           # subdivision vertices inserted after assembly
-    finite_only: bool = True
     symmetric: bool = False
 
 
@@ -107,8 +106,6 @@ def _locus_slots(asm, members, sign):
 
 def random_spec(params):
     """Deterministic in the seed; the result always passes validation."""
-    if not params.finite_only:
-        raise ValueError("only finite models are generated")
     rng = random.Random(params.seed)
     if params.symmetric:
         return _symmetric_spec(rng, params)

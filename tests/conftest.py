@@ -1,7 +1,27 @@
 import pytest
 
-from leafspace.core import LeafSpaceSpec, ChainEndRule, open_end, to_limit, to_vertex
+from leafspace.action import Word, act
+from leafspace.core import LeafSpaceSpec, ChainEndRule, Point, open_end, to_limit, to_vertex
 from leafspace.gallery import gallery
+
+
+def reduced_words(names, max_len, include_identity=True):
+    """Reference enumeration: every reduced word of length <= max_len
+    over ``names`` in shortlex order (shorter first, generators by name,
+    each letter before its inverse), built layer by layer without maps."""
+    alphabet = [(n, e) for n in sorted(names) for e in (1, -1)]
+    words = [Word.identity()] if include_identity else []
+    layer = [()]
+    for _ in range(max_len):
+        layer = [letters + (let,) for letters in layer for let in alphabet
+                 if not letters or letters[-1] != (let[0], -let[1])]
+        words.extend(Word(letters) for letters in layer)
+    return words
+
+
+def act_cell(spec, word, cell):
+    """Image of a cell under a word."""
+    return act(spec, word, Point(cell)).cell
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,6 @@ from leafspace.core import Tri, UnresolvedName, UndefinedGenerator, expand, mid_
 from leafspace.action import (
     Word,
     act,
-    act_cell,
     act_locus,
     branching_type,
     canonical_points,
@@ -22,7 +21,7 @@ from leafspace.action import (
     word_map,
     word_walk,
 )
-from leafspace.checkers import reduced_words
+from conftest import act_cell, reduced_words
 from leafspace.paths import Comparability, compare
 from leafspace.core import branch_loci
 from leafspace.randspec import RandomParams, random_spec
@@ -278,7 +277,6 @@ def test_word_walk_is_lazy(swap_k):
     # a radius-60 ball has about 4 * 3^59 words; the first few come at once
     first = list(islice(word_walk(swap_k, 60), 6))
     assert [str(w) for w, _ in first] == ["1", "g", "g^-1", "k", "k^-1", "g^2"]
-    assert [w for w, _ in islice(word_walk(None, 60, ["g", "k"]), 6)] == [w for w, _ in first]
 
 
 # -- one sweep table per window ------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from leafspace.core import PreconditionFailed, Tri, expand, mid_point, vertex_point
 from leafspace.core import branch_loci
-from leafspace.action import Word, act, act_cell, act_locus, fingerprint, in_comparable_set
+from leafspace.action import Word, act, act_locus, fingerprint, in_comparable_set
 from leafspace.checkers import (
     PASS,
     VIOLATION,
@@ -19,12 +19,13 @@ from leafspace.checkers import (
     check_odd_path,
     check_path_in_comparable_set,
     check_return,
-    reduced_words,
     screen_infinite_locus,
     stabilizer_ball,
 )
 from leafspace.gallery import GALLERY_NAMES, gallery
 from leafspace.paths import path
+
+from conftest import act_cell, reduced_words
 
 
 def swap_locus(swap, depth=4):

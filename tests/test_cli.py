@@ -169,6 +169,20 @@ def test_check_missing_option_exits_two(capsys):
     assert "--from is required for this checker" in capsys.readouterr().err
 
 
+def test_lower_bound_unknown_or_outside_point(capsys):
+    # a family the model lacks is a typed error; a known family beyond the
+    # window makes the bound leave the window
+    code, out = run("check", "check_lower_bound", "--gallery", "SWAP", "--depth", "2",
+                    "--word", "g", "--from", "a[0]", "--to", "nope[0]")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: nope[0] lies in no family of the model\n"
+    code, out = run("check", "check_lower_bound", "--gallery", "SWAP", "--depth", "2",
+                    "--word", "g", "--from", "a[0]", "--to", "ra[9]:1/2")
+    assert code == 0
+    assert out == ("TRUNCATED  check_lower_bound\n"
+                   "           note: bound leaves the window\n")
+
+
 @pytest.mark.parametrize("document", [
     "leafspace/1\nfamily a vertex sometimes\n",
     "leafspace/1\nfamily a vertex unit\nfamily a vertex unit\n",

@@ -335,3 +335,48 @@ def test_germ_table_matches_rule_scan(tripod, updown, swap_k):
                 assert providers == reference_germ_providers(trunc, vcell, side)
                 kinds.update(p[0][0] for p in providers)
     assert kinds == {"cell", "cell-every", "chain"}
+
+
+def reference_vertex_neighbors(trunc, vcell):
+    """The cells incident to a window vertex read off the anchors of the
+    graph edges at the vertex's node, as before the germ table drove
+    ``cell_neighbors``: an edge anchored at the vertex itself or at the
+    stem of a locus holding it; a chain tail counts as its last window
+    cell."""
+    out = set()
+    for eid, _ in trunc.adjacency[trunc.vertex_node(vcell)]:
+        payload, _, _, a_lo, a_hi = trunc.graph_edges[eid]
+        for anchor in (a_lo, a_hi):
+            if anchor is None:
+                continue
+            if (anchor == ("point", vcell)
+                    or anchor[0] == "stem" and vcell in trunc.loci[anchor[1]].members):
+                if payload[0] == "cell":
+                    out.add(payload[1:3])
+                else:
+                    fam, side = payload[1:3]
+                    out.add((fam, -trunc.depth if side == "neg" else trunc.depth))
+    out.discard(vcell)
+    return sorted(out)
+
+
+def test_vertex_neighbors_match_graph_anchors(swap_k):
+    from leafspace.gallery import GALLERY_NAMES, gallery
+    from leafspace.randspec import RandomParams, random_spec
+
+    cases = [(gallery(name).spec, depth) for name in GALLERY_NAMES for depth in range(9)]
+    cases += [(random_spec(RandomParams(seed=seed, symmetric=seed % 3 == 0)), 0)
+              for seed in range(300)]
+    cases += [(swap_k, depth) for depth in range(9)]
+    checked = 0
+    for spec, depth in cases:
+        trunc = expand(spec, depth)
+        if not validate(trunc).valid:
+            continue
+        for vcell in trunc.vertex_cells:
+            assert trunc.cell_neighbors(vcell) == reference_vertex_neighbors(trunc, vcell)
+            checked += 1
+        for cell in trunc.vertex_cells + trunc.edge_cells:
+            for nbr in trunc.cell_neighbors(cell):
+                assert cell in trunc.cell_neighbors(nbr)
+    assert checked > 1000

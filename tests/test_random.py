@@ -1,5 +1,3 @@
-import pytest
-
 from leafspace.core import branch_loci, expand, validate
 from leafspace.action import Word, act_locus
 from leafspace.formats import emit
@@ -45,11 +43,6 @@ def test_symmetric_specs_carry_working_automorphism():
         rho = Word.generator("rho")
         members = loci[0].members
         assert act_locus(spec, rho, members) == members
-
-
-def test_infinite_generation_refused():
-    with pytest.raises(ValueError):
-        random_spec(RandomParams(seed=1, finite_only=False))
 
 
 def test_extra_edges_subdivide():
