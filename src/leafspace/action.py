@@ -134,36 +134,49 @@ def _letter_step(spec, name, exp):
 
 
 def word_walk(spec, max_len):
-    """Every reduced word of length <= max_len over the model's generators
-    with its composed map, lazily, in shortlex order: shorter words first,
-    then letter by letter with generators by name and each letter before
-    its inverse.
+    """Every reduced word of length <= max_len over the model's generators,
+    lazily, in shortlex order (shorter words first, then letter by letter
+    with generators by name and each letter before its inverse), as
+    ``(word, element index, map)``.
 
-    A word's map is its prefix's map composed with its last letter,
-    ``map(u*x)[f] = map(u)[x(f)]`` with the shifts added, so each word
-    costs one composition; each letter's step is built once, and only the
-    maps of the current frontier layer are kept.  The yielded maps equal
-    ``word_map(spec, word)`` and are shared with the walk: do not mutate
-    them."""
+    Index 0 is the identity.  Words share an index exactly when their maps
+    are equal, and then share one map object, equal to
+    ``word_map(spec, word)``: do not mutate it.  A map is composed from an
+    element's map and one letter, ``map(u*x)[f] = map(u)[x(f)]`` with the
+    shifts added, and fingerprinted, at most once per (element, letter).
+    Each letter's step is built at its first word, so a partial generator
+    map fails where ``word_map`` does."""
     alphabet = [(n, e) for n in sorted(spec.generators) for e in (1, -1)]
     steps = {}
     identity = {fam: (fam, 0) for fam in spec.families}
-    yield Word.identity(), identity
-    frontier = [((), identity)]
+    elements = [identity]                           # index -> map
+    index_of = {map_fingerprint(identity): 0}       # fingerprint -> index
+    moves = {}                                      # (index, letter) -> index
+    yield Word.identity(), 0, identity
+    frontier = [((), 0)]
     for length in range(1, max_len + 1):
         grow = []
-        for letters, umap in frontier:
+        for letters, u in frontier:
             for let in alphabet:
                 if letters and letters[-1] == (let[0], -let[1]):
                     continue
                 step = steps.get(let)
                 if step is None:    # at its first word, so a partial map fails where word_map does
                     step = steps[let] = _letter_step(spec, *let)
-                wmap = {fam: (umap[img][0], shift + umap[img][1]) for fam, img, shift in step}
+                w = moves.get((u, let))
+                if w is None:
+                    umap = elements[u]
+                    wmap = {fam: (umap[img][0], shift + umap[img][1]) for fam, img, shift in step}
+                    fp = map_fingerprint(wmap)
+                    w = index_of.get(fp)
+                    if w is None:
+                        w = index_of[fp] = len(elements)
+                        elements.append(wmap)
+                    moves[u, let] = w
                 word_letters = letters + (let,)
                 if length < max_len:
-                    grow.append((word_letters, wmap))
-                yield Word(word_letters), wmap
+                    grow.append((word_letters, w))
+                yield Word(word_letters), w, elements[w]
         frontier = grow
 
 
@@ -354,8 +367,11 @@ def classify_element(spec, word, depth):
     """
     trunc = spec.window(depth)
     require_valid(trunc)
+    return _classify(trunc, word, word_map(spec, word))
 
-    wmap = word_map(spec, word)
+
+def _classify(trunc, word, wmap):
+    """``classify_element`` on a valid window, for a map composed by the caller."""
     fixed = _fixed_cells(trunc, wmap)
     tan_witness = None
     for cell in fixed:
@@ -371,7 +387,7 @@ def classify_element(spec, word, depth):
         elif rel is Comparability.GREATER and neg_witness is None:
             neg_witness = p
     return ElementProfile(
-        word, depth,
+        word, trunc.depth,
         tangentiable=_entry(tan_witness, tainted),
         pos_transversable=_entry(pos_witness, tainted),
         neg_transversable=_entry(neg_witness, tainted),

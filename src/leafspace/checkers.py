@@ -27,18 +27,16 @@ from .core import (
 from .paths import COMPARABLE, Comparability, compare, path, sample_points
 from .action import (
     Word,
+    _classify,
     _member,
     _moved,
     _moved_cell,
     act,
     act_locus,
     branching_type,
-    classify_element,
     comparable_sample,
     image_relation,
     in_comparable_set,
-    is_identity_map,
-    map_fingerprint,
     sweep,
     word_map,
     word_walk,
@@ -340,9 +338,13 @@ def stabilizer_ball(spec, locus, radius, depth):
     trunc = spec.window(depth)
     require_valid(trunc)
     ball, table = [], []
-    for word, wmap in word_walk(spec, radius):
-        images = tuple(_moved_cell(wmap, m) for m in members)
-        if tuple(sorted(images)) == members:
+    fixing = {}             # element index -> member images, or None if it moves the locus
+    for word, index, wmap in word_walk(spec, radius):
+        if index not in fixing:
+            images = tuple(_moved_cell(wmap, m) for m in members)
+            fixing[index] = images if tuple(sorted(images)) == members else None
+        images = fixing[index]
+        if images is not None:
             ball.append(word)
             table.append((word, images))
     nontrivial = any(images != members for _, images in table)
@@ -375,8 +377,11 @@ def check_fix_propagation(spec, locus, radius, depth):
     them all; a partial fix flags the model as non-realizable."""
     name = "check_fix_propagation"
     ball = stabilizer_ball(spec, locus, radius, depth)
+    fixed_by = {}           # member images -> the members they fix
     for word, images in ball.action_table:
-        fixed = tuple(m for m, img in zip(ball.locus, images) if m == img)
+        fixed = fixed_by.get(images)
+        if fixed is None:
+            fixed = fixed_by[images] = tuple(m for m, img in zip(ball.locus, images) if m == img)
         if fixed and len(fixed) < len(ball.locus):
             return CheckReport.make(name, VIOLATION, depth=depth, word_bound=radius, witness={
                 "word": word,
@@ -394,8 +399,8 @@ def check_faithfulness(spec, max_word_len, depth):
         raise PreconditionFailed(
             "model shows no branching in the window; a fibration-like model "
             "may act unfaithfully, so the check does not apply")
-    for word, wmap in word_walk(spec, max_word_len):
-        if not word.is_identity and is_identity_map(wmap):
+    for word, index, _ in word_walk(spec, max_word_len):
+        if index == 0 and not word.is_identity:
             return CheckReport.make(name, VIOLATION, depth=depth, word_bound=max_word_len,
                                     witness={"word": word})
     return CheckReport.make(name, PASS, depth=depth, word_bound=max_word_len)
@@ -448,14 +453,13 @@ def screen_infinite_locus(spec, max_word_len, depth):
     seen = set()
     neither = []
     tainted = False
-    for word, wmap in word_walk(spec, max_word_len):
-        fp = map_fingerprint(wmap)
-        if fp in seen:
+    for word, index, wmap in word_walk(spec, max_word_len):
+        if index in seen:
             continue
-        seen.add(fp)
-        if is_identity_map(wmap):
+        seen.add(index)
+        if index == 0:
             continue
-        profile = classify_element(spec, word, depth)
+        profile = _classify(trunc, word, wmap)
         tangent = profile.tangentiable.value is Tri.YES
         transversable = (profile.pos_transversable.value is Tri.YES
                          or profile.neg_transversable.value is Tri.YES)

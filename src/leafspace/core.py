@@ -261,6 +261,8 @@ class LeafSpaceSpec:
         for (fam, end), rule in list(self.ends.items()) + list(self.chain_ends.items()):
             if fam not in self.families:
                 raise UnresolvedName(f"end rule on unknown family {fam!r}")
+            if rule.kind != "open" and not rule.targets:
+                raise UnresolvedName(f"{rule.kind} rule on {fam}.{end} names no target")
             for tgt in rule.targets:
                 if isinstance(tgt, tuple):
                     vfam, off = tgt

@@ -21,7 +21,7 @@ from leafspace.action import (
     word_map,
     word_walk,
 )
-from conftest import act_cell, reduced_words
+from conftest import act_cell, build_swap_k, reduced_words
 from leafspace.paths import Comparability, compare
 from leafspace.core import branch_loci
 from leafspace.randspec import RandomParams, random_spec
@@ -263,11 +263,11 @@ def test_word_walk_matches_reduced_words_and_word_map(swap, zigzag, tripod, swap
     for spec in (swap.spec, zigzag.spec, tripod, swap_k):
         for radius in range(6):
             walked = list(word_walk(spec, radius))
-            words = [w for w, _ in walked]
+            words = [w for w, _, _ in walked]
             assert words == reduced_words(spec.generators, radius)
             assert words == sorted(words, key=_shortlex_key)
             assert reduced_words(spec.generators, radius, include_identity=False) == words[1:]
-            for w, wmap in walked:
+            for w, _, wmap in walked:
                 assert wmap == word_map(spec, w)
                 assert map_fingerprint(wmap) == tuple(sorted(word_map(spec, w).items()))
                 assert is_identity_map(wmap) == is_identity_action(spec, w)
@@ -276,7 +276,56 @@ def test_word_walk_matches_reduced_words_and_word_map(swap, zigzag, tripod, swap
 def test_word_walk_is_lazy(swap_k):
     # a radius-60 ball has about 4 * 3^59 words; the first few come at once
     first = list(islice(word_walk(swap_k, 60), 6))
-    assert [str(w) for w, _ in first] == ["1", "g", "g^-1", "k", "k^-1", "g^2"]
+    assert [str(w) for w, _, _ in first] == ["1", "g", "g^-1", "k", "k^-1", "g^2"]
+
+
+def test_word_walk_names_each_element_once(swap, zigzag, tripod, swap_k):
+    for spec in (swap.spec, zigzag.spec, tripod, swap_k):
+        for radius in (0, 3, 5):
+            index_of, map_of = {}, {}
+            for w, index, wmap in word_walk(spec, radius):
+                # equal fingerprints share an index, one index yields one map object
+                assert index_of.setdefault(map_fingerprint(wmap), index) == index, str(w)
+                assert map_of.setdefault(index, wmap) is wmap, str(w)
+                assert (index == 0) == is_identity_map(wmap), str(w)
+            # so distinct fingerprints have distinct indices, numbered from 0
+            assert sorted(index_of.values()) == list(range(len(index_of)))
+
+
+def test_word_walk_fingerprints_once_per_element_and_letter(swap_k, monkeypatch):
+    within_7 = len({index for _, index, _ in word_walk(swap_k, 7)})
+    calls = []
+
+    def counting(wmap):
+        calls.append(wmap)
+        return map_fingerprint(wmap)
+
+    monkeypatch.setattr("leafspace.action.map_fingerprint", counting)
+    walked = list(word_walk(swap_k, 8))
+    assert len(walked) == 13121
+    assert len({index for _, index, _ in walked}) == 145
+    assert len(calls) <= 1 + 4 * within_7
+
+
+def test_partial_generator_fails_at_the_same_word():
+    families = list(build_swap_k().families)
+    partial = {fam: (fam, 0) for fam in families[1:]}             # misses a family
+    merging = {fam: (families[0], 0) for fam in families[:2]}      # no inverse for one family
+    merging.update({fam: (fam, 0) for fam in families[2:]})
+    for maps in (partial, merging):
+        spec = build_swap_k()
+        spec.add_generator("h", maps, check=False)
+        walked = []
+        with pytest.raises(KeyError) as walk_error:
+            for w, _, _ in word_walk(spec, 3):
+                walked.append(w)
+        words = reduced_words(spec.generators, 3)
+        assert words[:len(walked)] == walked
+        for w in walked:
+            word_map(spec, w)
+        with pytest.raises(KeyError) as map_error:
+            word_map(spec, words[len(walked)])
+        assert map_error.value.args == walk_error.value.args
 
 
 # -- one sweep table per window ------------------------------------------------
@@ -300,7 +349,7 @@ def test_sweep_table_matches_fresh_relations():
         pts = canonical_points(trunc)
         assert trunc.canonical_points == tuple(pts) and not trunc.sweeps
         elements = set()
-        for w, wmap in word_walk(spec, 4):
+        for w, _, wmap in word_walk(spec, 4):
             key = map_fingerprint(wmap)
             first_use = key not in elements
             assert (key not in trunc.sweeps) == first_use, (label, w)
@@ -350,7 +399,7 @@ def test_classify_element_matches_reference(tripod, updown):
 
     models = list(_sweep_models()) + [("tripod", tripod, 2), ("updown", updown, 3)]
     for label, spec, depth in models:
-        for w, _ in word_walk(spec, 4):
+        for w, _, _ in word_walk(spec, 4):
             try:
                 want = reference_classify_element(spec, w, depth)
             except Exception as exc:        # the same error must come back

@@ -127,6 +127,23 @@ def test_violation_exits_one(tmp_path):
     assert code == 1 and "violations" in out
 
 
+def test_two_generator_model_from_document(tmp_path):
+    # SWAP+k: Z^2 acts, so the radius-8 ball lists 13,121 words for 145 elements
+    from leafspace.formats import emit
+    from conftest import build_swap_k
+
+    doc = tmp_path / "swap_k.leafspace"
+    doc.write_text(emit(build_swap_k()), encoding="utf-8")
+    code, out = run("stab", "--spec", str(doc), "--depth", "4", "--word-len", "8")
+    assert code == 0
+    assert "size: 13121" in out and "cyclic at this radius: no" in out
+    assert "acts on the locus nontrivially: yes" in out
+    code, out = run("check", "check_fix_propagation", "--spec", str(doc),
+                    "--depth", "4", "--word-len", "8")
+    assert code == 0
+    assert re.search(r"^PASS +check_fix_propagation +ball_size=13121$", out, re.M)
+
+
 def test_stab_no_loci_is_empty_answer():
     code, out = run("stab", "--gallery", "LINE")
     assert code == 0 and "no branch loci" in out

@@ -2,6 +2,8 @@ import pytest
 
 from leafspace.core import (
     BadOffset,
+    ChainEndRule,
+    EndRule,
     InvalidModel,
     LeafSpaceSpec,
     UnresolvedName,
@@ -14,6 +16,7 @@ from leafspace.core import (
     validate,
     vertex_point,
 )
+from leafspace.formats import ParseError, parse
 from leafspace.paths import Comparability, compare, path
 from leafspace.core import mid_point
 
@@ -55,6 +58,25 @@ def test_expand_unresolved_name():
     spec.add_edge("e", low=to_vertex("nope"), high=open_end())
     with pytest.raises(UnresolvedName):
         expand(spec, 1)
+
+
+def test_limit_rule_without_target_is_unresolved():
+    edge = LeafSpaceSpec()
+    edge.add_vertex("a")
+    edge.add_edge("e", low=open_end(), high=EndRule("limit", ()))
+    chain = LeafSpaceSpec()
+    chain.add_vertex("a")
+    chain.add_glued_chain("s", glue=1, neg=ChainEndRule("limit", ()), pos=ChainEndRule("open"))
+    for spec in (edge, chain):
+        for depth in (0, 1):
+            with pytest.raises(UnresolvedName, match="limit rule on .* names no target"):
+                expand(spec, depth)
+    # a document never gets that far: the parser rejects the line
+    with pytest.raises(ParseError, match="line 4.*VFAM OFFSET"):
+        parse("leafspace/1\nfamily a vertex unit\nfamily e edge unit\nend e high limit\n")
+    with pytest.raises(ParseError, match="line 4.*at least one vertex"):
+        parse("leafspace/1\nfamily a vertex unit\nfamily s edge chain glue +1\n"
+              "chainend s neg limit\n")
 
 
 def test_expand_bad_offset():
