@@ -77,11 +77,11 @@ class CheckReport:
         }
 
 
-def _certified(spec, word, point, depth, want, label):
-    """Require a certified comparison between a point and its image."""
-    trunc = spec.window(depth)
+def _certified(trunc, wmap, point, want, label):
+    """Require a certified comparison between a point and its image under
+    a map composed by the caller."""
     trunc.require_point(point)
-    rel = image_relation(spec, trunc, point, act(spec, word, point))
+    rel = image_relation(trunc.spec, trunc, point, _moved(wmap, point))
     if rel is None:
         return None
     if rel is not want:
@@ -245,19 +245,22 @@ def check_return(spec, word, lam, k, depth):
     name = "check_return"
     if k <= 1:
         raise PreconditionFailed("k must exceed 1")
-    member = in_comparable_set(spec, word, lam, depth)
+    trunc = spec.window(depth)
+    trunc.require_point(lam)
+    wmap = word_map(spec, word)
+    member = _member(trunc, wmap, lam)
     if member is Tri.YES:
         raise PreconditionFailed("lam is comparable with its image")
     if member is Tri.TRUNCATED:
         return CheckReport.make(name, TRUNCATED, depth=depth)
-    member_k = in_comparable_set(spec, word ** k, lam, depth)
+    wmap_k = word_map(spec, word ** k)
+    member_k = _member(trunc, wmap_k, lam)
     if member_k is Tri.NO:
         raise PreconditionFailed(f"lam is not comparable with its image under the {k}-th power")
     if member_k is Tri.TRUNCATED:
         return CheckReport.make(name, TRUNCATED, depth=depth)
-    trunc = spec.window(depth)
     try:
-        gamma = path(trunc, lam, act(spec, word, lam))
+        gamma = path(trunc, lam, _moved(wmap, lam))
     except TruncatedError:
         return CheckReport.make(name, TRUNCATED, depth=depth)
     if gamma.length % 2 == 1:
@@ -266,14 +269,14 @@ def check_return(spec, word, lam, k, depth):
     m = gamma.length // 2
     junction = gamma.junctions[m - 1]
     arrive, depart = junction.arrive, junction.depart
-    if act(spec, word, arrive) != depart:
+    image = _moved(wmap, arrive)
+    if image != depart:
         return CheckReport.make(name, VIOLATION, depth=depth, witness={
-            "word": word, "m": m, "arrive": arrive,
-            "image": act(spec, word, arrive), "expected": depart})
-    if act(spec, word ** k, arrive) != arrive:
+            "word": word, "m": m, "arrive": arrive, "image": image, "expected": depart})
+    image = _moved(wmap_k, arrive)
+    if image != arrive:
         return CheckReport.make(name, VIOLATION, depth=depth, witness={
-            "word": word, "k": k, "m": m, "arrive": arrive,
-            "image": act(spec, word ** k, arrive)})
+            "word": word, "k": k, "m": m, "arrive": arrive, "image": image})
     return CheckReport.make(name, PASS, depth=depth, witness={
         "word": word, "k": k, "m": m, "arrive": arrive, "depart": depart})
 
@@ -410,18 +413,20 @@ def check_intermediate_fixed(spec, word, x_pos, x_neg, depth):
     """A word moving one point up and another down fixes a point between
     them; for an incomparable pair the fixed witness sits in a locus."""
     name = "check_intermediate_fixed"
-    if _certified(spec, word, x_pos, depth, Comparability.LESS, "x_pos") is None:
-        return CheckReport.make(name, TRUNCATED, depth=depth)
-    if _certified(spec, word, x_neg, depth, Comparability.GREATER, "x_neg") is None:
-        return CheckReport.make(name, TRUNCATED, depth=depth)
     trunc = spec.window(depth)
+    trunc.require_point(x_pos)      # an out-of-window point is reported before an unknown generator
+    wmap = word_map(spec, word)
+    if _certified(trunc, wmap, x_pos, Comparability.LESS, "x_pos") is None:
+        return CheckReport.make(name, TRUNCATED, depth=depth)
+    if _certified(trunc, wmap, x_neg, Comparability.GREATER, "x_neg") is None:
+        return CheckReport.make(name, TRUNCATED, depth=depth)
     try:
         gamma = path(trunc, x_pos, x_neg)
     except TruncatedError:
         return CheckReport.make(name, TRUNCATED, depth=depth)
     witness = None
     for pt in sample_points(gamma):
-        if act(spec, word, pt) == pt:
+        if _moved(wmap, pt) == pt:
             witness = pt
             break
     if witness is None:

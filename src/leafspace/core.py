@@ -392,9 +392,12 @@ class Truncation:
     Besides its structure a window keeps what queries on it reuse: its
     validation report, its canonical points, its germ table (the providers
     of the germ on each side of each vertex, read by ``germ_providers`` and,
-    as cell adjacency, by ``vertex_sides``) and its membership sweeps
+    as cell adjacency, by ``vertex_sides``), its membership sweeps
     (``sweeps``: composed-map fingerprint -> image relation of every
-    canonical point, filled by :func:`leafspace.action.sweep`)."""
+    canonical point, filled by :func:`leafspace.action.sweep`) and its
+    transit table (``transits``: (entry anchor, exit anchor) at a collapsed
+    locus node -> what a path gains crossing it, filled by
+    :func:`leafspace.paths.path`)."""
 
     def __init__(self, spec, depth):
         self.spec = spec
@@ -405,6 +408,7 @@ class Truncation:
         self._scan_truncated_ends()
         self._validation = None
         self.sweeps = {}
+        self.transits = {}
 
     # -- cells -----------------------------------------------------------
 

@@ -16,7 +16,11 @@ route walks parent pointers from both ends up to their meeting node and
 costs the length of the route, not the size of the window.  A route is a
 list of plain hop tuples.  ``compare`` reads the jumps and the direction
 of travel off that route without lifting a ``Path``; only ``path`` turns
-hops into parameter spans.
+hops into parameter spans.  Each crossing of a collapsed node is lifted
+once per window: the transit table (``Truncation.transits``) maps an
+(entry anchor, exit anchor) pair to the vertex steps, points, junctions
+and degenerate intervals it contributes, so a locus hop costs ``path`` a
+table lookup.
 """
 
 from __future__ import annotations
@@ -192,8 +196,8 @@ def _resolve_anchor(trunc, anchor):
     """Vertex cells an anchor can stand on: a pinned point, or every
     member of the locus whose stem we arrive along."""
     if anchor[0] == "point":
-        return [anchor[1]]
-    return list(trunc.loci[anchor[1]].members)
+        return (anchor[1],)
+    return trunc.loci[anchor[1]].members
 
 
 def _jumps(trunc, entry, exit_):
@@ -206,13 +210,13 @@ def _jump_chain(trunc, entry, exit_):
     """Minimal chain of locus members c0..cj inside one collapsed node,
     where consecutive members share a locus; j is the number of jumps
     (0 means the node is crossed through a single vertex)."""
-    starts = sorted(_resolve_anchor(trunc, entry))
+    starts = _resolve_anchor(trunc, entry)
     goals = set(_resolve_anchor(trunc, exit_))
-    shared = sorted(set(starts) & goals)
+    shared = goals.intersection(starts)
     if shared:
-        return [shared[0]]
-    parent = {c: None for c in starts}
-    frontier = list(starts)
+        return [min(shared)]
+    frontier = sorted(starts)
+    parent = dict.fromkeys(frontier)
     hit = None
     while frontier and hit is None:
         nxt = []
@@ -233,6 +237,32 @@ def _jump_chain(trunc, entry, exit_):
     return chain
 
 
+def _lift_chain(trunc, chain):
+    """What crossing a collapsed node along a jump chain adds to a path:
+    (first vertex step, first point, junctions, the degenerate intervals
+    between them, last point, last vertex step).  A chain without a jump
+    leaves only its vertex step: no points and empty tuples."""
+    step = ("vertex",) + chain[0]
+    if len(chain) == 1:
+        return step, None, (), (), None, step
+    points = [Point(c) for c in chain]
+    junctions = tuple(PathJunction(a, b, trunc.loci[trunc.common_locus(a.cell, b.cell)])
+                      for a, b in zip(points, points[1:]))
+    between = tuple(Interval(b, b, ASC, (("vertex",) + b.cell,)) for b in points[1:-1])
+    return step, points[0], junctions, between, points[-1], ("vertex",) + chain[-1]
+
+
+def _transit(trunc, entry, exit_):
+    """The lifted crossing of a collapsed node from the entry anchor to the
+    exit anchor, computed once per window (``Truncation.transits``); a
+    crossing whose jump search fails is not stored."""
+    key = (entry, exit_)
+    hit = trunc.transits.get(key)
+    if hit is None:
+        hit = trunc.transits[key] = _lift_chain(trunc, _jump_chain(trunc, entry, exit_))
+    return hit
+
+
 class _Builder:
     def __init__(self, trunc, start):
         self.trunc = trunc
@@ -242,8 +272,7 @@ class _Builder:
         self.start = start
         self.direction = None
 
-    def vertex_step(self, cell):
-        step = ("vertex",) + cell
+    def vertex_step(self, step):
         if not self.steps or self.steps[-1] != step:
             self.steps.append(step)
 
@@ -252,19 +281,15 @@ class _Builder:
             self.start, end, self.direction or ASC, tuple(self.steps)))
 
     def transit(self, entry, exit_):
-        chain = _jump_chain(self.trunc, entry, exit_)
-        if len(chain) == 1:
-            self.vertex_step(chain[0])
+        first_step, first, junctions, between, last, last_step = _transit(self.trunc, entry, exit_)
+        self.vertex_step(first_step)
+        if not junctions:
             return
-        self.vertex_step(chain[0])
-        self.close(Point(chain[0]))
-        for k, (a, b) in enumerate(zip(chain, chain[1:])):
-            li = self.trunc.common_locus(a, b)
-            self.junctions.append(PathJunction(Point(a), Point(b), self.trunc.loci[li]))
-            if k < len(chain) - 2:
-                self.intervals.append(Interval(Point(b), Point(b), ASC, (("vertex",) + b,)))
-        self.start = Point(chain[-1])
-        self.steps = [("vertex",) + chain[-1]]
+        self.close(first)
+        self.junctions.extend(junctions)
+        self.intervals.extend(between)
+        self.start = last
+        self.steps = [last_step]
         self.direction = None
 
     def traverse(self, eid, hi, span, to):
@@ -304,15 +329,13 @@ def path(trunc, x, y):
         if frm[0] == "locus":
             builder.transit(pending, _anchor(trunc, eid, span, frm))
         elif frm[0] == "vertex":
-            builder.vertex_step(frm[1:])
+            builder.vertex_step(frm)
         builder.traverse(eid, hi, span, to)
         pending = _anchor(trunc, eid, span, to)
-    final = ("pt", 1) if not y.is_vertex else trunc.vertex_node(y.cell)
-    if final[0] == "locus":
-        builder.transit(pending, ("point", y.cell))
-        builder.vertex_step(y.cell)
-    elif final[0] == "vertex":
-        builder.vertex_step(y.cell)
+    if y.is_vertex:
+        if trunc.vertex_node(y.cell)[0] == "locus":
+            builder.transit(pending, ("point", y.cell))
+        builder.vertex_step(("vertex",) + y.cell)
     builder.close(y)
     return Path(tuple(builder.intervals), tuple(builder.junctions))
 
@@ -361,12 +384,8 @@ def sample_points(p):
     """Representative points of a path: endpoints, junction vertices,
     every vertex passed through, and a midpoint inside each covered edge
     span (elided tails have no in-window points to sample)."""
-    seen = []
-
-    def add(pt):
-        if pt not in seen:
-            seen.append(pt)
-
+    seen = {}       # insertion-ordered set
+    add = seen.setdefault
     for iv in p.intervals:
         add(iv.start)
         for step in iv.steps:
@@ -378,4 +397,4 @@ def sample_points(p):
                 if 0 < t < 1:
                     add(Point(step[1:3], t))
         add(iv.end)
-    return seen
+    return list(seen)

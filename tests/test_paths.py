@@ -4,18 +4,29 @@ import random
 import pytest
 from fractions import Fraction
 
+from leafspace import paths as paths_mod
 from leafspace.core import (
+    InvalidModel,
+    LeafSpaceSpec,
     PointOutOfRange,
     Point,
     Tri,
     TruncatedError,
     expand,
     mid_point,
+    open_end,
+    to_limit,
+    to_vertex,
+    validate,
     vertex_point,
 )
 from leafspace.gallery import GALLERY_NAMES, gallery
 from leafspace.paths import (
+    ASC,
     Comparability,
+    Interval,
+    Path,
+    PathJunction,
     compare,
     interval_contains,
     path,
@@ -236,12 +247,8 @@ def test_oracle_agreement_spot():
                         (a, d, frozenset(m)) for a, d, m in juncs]
 
 
-def test_point_in_two_loci():
-    # a vertex may sit in a positive and a negative locus on its two
-    # sides; transits through it pass monotonically, and jumps across the
-    # merged node chain through degenerate intervals
-    from leafspace.core import LeafSpaceSpec, open_end, to_limit, to_vertex, validate
-
+def _two_loci_spec():
+    """A vertex m in a positive locus {a, m} and a negative locus {m, c}."""
     spec = LeafSpaceSpec()
     for v in ("a", "m", "c"):
         spec.add_vertex(v)
@@ -249,7 +256,14 @@ def test_point_in_two_loci():
     spec.add_edge("t", low=to_limit(("m", 0), ("c", 0)), high=open_end())
     spec.add_edge("pa", low=to_vertex("a"), high=open_end())
     spec.add_edge("pc", low=open_end(), high=to_vertex("c"))
-    trunc = expand(spec, 0)
+    return spec
+
+
+def test_point_in_two_loci():
+    # a vertex may sit in a positive and a negative locus on its two
+    # sides; transits through it pass monotonically, and jumps across the
+    # merged node chain through degenerate intervals
+    trunc = expand(_two_loci_spec(), 0)
     assert validate(trunc).valid
 
     # monotone pass-through of the shared member
@@ -276,3 +290,276 @@ def test_reversal_through_elided_tails(swap, zigzag):
     p = path(trunc, mid_point("E", -2), mid_point("E", 2))
     assert p.length == 9
     assert p.reverse() == path(trunc, mid_point("E", 2), mid_point("E", -2))
+
+
+# -- the transit table ---------------------------------------------------------
+#
+# The reference below is the lift as it was before each window kept a transit
+# table: every crossing of a collapsed node re-runs the jump search and builds
+# its points, junctions and degenerate intervals afresh.
+
+
+def _reference_jump_chain(trunc, entry, exit_):
+    def resolve(anchor):
+        if anchor[0] == "point":
+            return [anchor[1]]
+        return list(trunc.loci[anchor[1]].members)
+
+    starts = sorted(resolve(entry))
+    goals = set(resolve(exit_))
+    shared = sorted(set(starts) & goals)
+    if shared:
+        return [shared[0]]
+    parent = {c: None for c in starts}
+    frontier = list(starts)
+    hit = None
+    while frontier and hit is None:
+        nxt = []
+        for c in frontier:
+            for mate, _li in trunc._mates.get(c, ()):
+                if mate not in parent:
+                    parent[mate] = c
+                    if mate in goals and hit is None:
+                        hit = mate
+                    nxt.append(mate)
+        frontier = nxt
+    if hit is None:
+        raise InvalidModel("branch loci at a collapsed node are not jump-connected")
+    chain = [hit]
+    while parent[chain[-1]] is not None:
+        chain.append(parent[chain[-1]])
+    chain.reverse()
+    return chain
+
+
+class _ReferenceBuilder:
+    def __init__(self, trunc, start):
+        self.trunc = trunc
+        self.intervals = []
+        self.junctions = []
+        self.steps = [("vertex",) + start.cell] if start.is_vertex else []
+        self.start = start
+        self.direction = None
+
+    def vertex_step(self, cell):
+        step = ("vertex",) + cell
+        if not self.steps or self.steps[-1] != step:
+            self.steps.append(step)
+
+    def close(self, end):
+        self.intervals.append(Interval(
+            self.start, end, self.direction or ASC, tuple(self.steps)))
+
+    def transit(self, entry, exit_):
+        chain = _reference_jump_chain(self.trunc, entry, exit_)
+        if len(chain) == 1:
+            self.vertex_step(chain[0])
+            return
+        self.vertex_step(chain[0])
+        self.close(Point(chain[0]))
+        for k, (a, b) in enumerate(zip(chain, chain[1:])):
+            li = self.trunc.common_locus(a, b)
+            self.junctions.append(PathJunction(Point(a), Point(b), self.trunc.loci[li]))
+            if k < len(chain) - 2:
+                self.intervals.append(Interval(Point(b), Point(b), ASC, (("vertex",) + b,)))
+        self.start = Point(chain[-1])
+        self.steps = [("vertex",) + chain[-1]]
+        self.direction = None
+
+    def traverse(self, eid, hi, span, to):
+        direction = ASC if to == hi else "descending"
+        if self.direction is None:
+            self.direction = direction
+        elif self.direction != direction:
+            raise InvalidModel("route lift is not monotone between junctions")
+        payload = self.trunc.graph_edges[eid][0]
+        if payload[0] == "tail":
+            self.steps.append(payload)
+        else:
+            lo_t, hi_t = span or (paths_mod._ZERO, paths_mod._ONE)
+            self.steps.append(("edge", payload[1], payload[2], lo_t, hi_t))
+
+
+def _reference_path(trunc, x, y):
+    if x == y:
+        steps = (("vertex",) + x.cell,) if x.is_vertex else (("edge",) + x.cell + (x.t, x.t),)
+        return Path((Interval(x, x, ASC, steps),), ())
+    route = paths_mod._route(trunc, x, y)
+    if route is None:
+        raise TruncatedError("no route")
+    anchor = paths_mod._anchor
+    builder = _ReferenceBuilder(trunc, x)
+    pending = ("point", x.cell) if x.is_vertex else None
+    for eid, _, hi, span, frm, to in route:
+        if frm[0] == "locus":
+            builder.transit(pending, anchor(trunc, eid, span, frm))
+        elif frm[0] == "vertex":
+            builder.vertex_step(frm[1:])
+        builder.traverse(eid, hi, span, to)
+        pending = anchor(trunc, eid, span, to)
+    final = ("pt", 1) if not y.is_vertex else trunc.vertex_node(y.cell)
+    if final[0] == "locus":
+        builder.transit(pending, ("point", y.cell))
+        builder.vertex_step(y.cell)
+    elif final[0] == "vertex":
+        builder.vertex_step(y.cell)
+    builder.close(y)
+    return Path(tuple(builder.intervals), tuple(builder.junctions))
+
+
+def _lifted(lift, trunc, x, y, key):
+    """key() of the lifted path, or the name of the error it raised."""
+    try:
+        return key(lift(trunc, x, y))
+    except (TruncatedError, InvalidModel) as exc:
+        return type(exc).__name__
+
+
+def _fields(p):
+    """Every field of a path as nested plain tuples: equal exactly when the
+    paths are, and compared in C (dataclass equality and repr cost several
+    times a lift on long paths)."""
+    return (tuple((iv.start.cell, iv.start.t, iv.end.cell, iv.end.t, iv.direction, iv.steps)
+                  for iv in p.intervals),
+            tuple((j.arrive.cell, j.arrive.t, j.depart.cell, j.depart.t, j.locus)
+                  for j in p.junctions))
+
+
+def _assert_table_matches_reference(trunc, pairs, key=repr):
+    """path equals the reference on every pair, lifted first on the table as
+    the earlier pairs left it (cold for every crossing met first here) and
+    again once the pair's crossings are all in it; a warm lift adds no
+    entry, and every entry pairs two anchors of one locus node."""
+    assert trunc.transits == {}
+    for x, y in pairs:
+        want = _lifted(_reference_path, trunc, x, y, key)
+        assert _lifted(path, trunc, x, y, key) == want, (x, y)
+        size = len(trunc.transits)
+        assert _lifted(path, trunc, x, y, key) == want, (x, y)
+        assert len(trunc.transits) == size
+    _assert_transits_bounded(trunc)
+
+
+def _locus_anchors(trunc):
+    """Locus node -> every anchor a path can enter or leave it by: the
+    anchors of its graph edges, and each member as a path end."""
+    anchors = {}
+    for eid, (_, lo, hi, a_lo, a_hi) in enumerate(trunc.graph_edges):
+        for node, a in ((lo, a_lo), (hi, a_hi)):
+            if node[0] == "locus":
+                anchors.setdefault(node, set()).add(a)
+    for vcell in trunc.vertex_cells:
+        node = trunc.vertex_node(vcell)
+        if node[0] == "locus":
+            anchors.setdefault(node, set()).add(("point", vcell))
+    return anchors
+
+
+def _assert_transits_bounded(trunc):
+    anchors = _locus_anchors(trunc)
+    node_of = {a: node for node, owned in anchors.items() for a in owned}
+    for entry, exit_ in trunc.transits:
+        assert node_of[entry] == node_of[exit_]
+    assert len(trunc.transits) <= sum(len(owned) ** 2 for owned in anchors.values())
+
+
+@pytest.mark.parametrize("name", GALLERY_NAMES)
+def test_transit_table_matches_reference_on_gallery(name):
+    for depth in range(9):
+        trunc = expand(gallery(name).spec, depth)
+        pts = trunc.canonical_points
+        _assert_table_matches_reference(trunc, list(itertools.product(pts, pts)),
+                                        key=repr if depth <= 2 else _fields)
+
+
+def test_transit_table_matches_reference_at_depth_64():
+    rng = random.Random(64)
+    for name in GALLERY_NAMES:
+        trunc = expand(gallery(name).spec, 64)
+        pts = trunc.canonical_points
+        pairs = [(rng.choice(pts), rng.choice(pts)) for _ in range(60)]
+        _assert_table_matches_reference(trunc, pairs + [(y, x) for x, y in pairs])
+
+
+def test_transit_table_matches_reference_on_random_specs():
+    for seed in range(1, 101):
+        trunc = expand(random_spec(RandomParams(seed=seed)), 0)
+        pts = trunc.canonical_points
+        _assert_table_matches_reference(trunc, list(itertools.product(pts, pts)))
+
+
+def test_transit_table_matches_reference_on_point_in_two_loci():
+    trunc = expand(_two_loci_spec(), 0)
+    pts = trunc.canonical_points + tuple(Point(c, Fraction(1, 3)) for c in trunc.edge_cells)
+    _assert_table_matches_reference(trunc, list(itertools.product(pts, pts)))
+    assert trunc.transits
+
+
+def test_failed_transit_is_not_cached(monkeypatch):
+    def broken(trunc, entry, exit_):
+        raise InvalidModel("branch loci at a collapsed node are not jump-connected")
+
+    monkeypatch.setattr(paths_mod, "_jump_chain", broken)
+    cases = [(gallery("YPLUS").spec, mid_point("p"), mid_point("q")),
+             (gallery("ZIGZAG").spec, mid_point("E", 0), mid_point("E", 1)),
+             (_two_loci_spec(), mid_point("s"), mid_point("t"))]
+    for spec, x, y in cases:
+        trunc = expand(spec, 2)
+        for _ in range(3):
+            with pytest.raises(InvalidModel):
+                path(trunc, x, y)
+            with pytest.raises(InvalidModel):
+                path(trunc, y, x)
+        assert trunc.transits == {}
+
+
+def test_add_drops_the_transit_table(zigzag):
+    spec = zigzag.spec
+    trunc = spec.window(3)
+    path(trunc, mid_point("E", -2), mid_point("E", 2))
+    assert trunc.transits
+    spec.add_mark("here", mid_point("E", 0))
+    fresh = spec.window(3)
+    assert fresh is not trunc and fresh.transits == {}
+
+
+# -- sample_points -----------------------------------------------------------------
+
+
+def _reference_sample_points(p):
+    """sample_points as it was, deduplicating over a list."""
+    seen = []
+
+    def add(pt):
+        if pt not in seen:
+            seen.append(pt)
+
+    for iv in p.intervals:
+        add(iv.start)
+        for step in iv.steps:
+            if step[0] == "vertex":
+                add(Point(step[1:3]))
+            elif step[0] == "edge":
+                lo, hi = step[3], step[4]
+                t = (lo + hi) / 2
+                if 0 < t < 1:
+                    add(Point(step[1:3], t))
+        add(iv.end)
+    return seen
+
+
+def test_sample_points_matches_reference():
+    rng = random.Random(29)
+    for name in GALLERY_NAMES:
+        for depth in (0, 1, 3, 8, 32):
+            trunc = expand(gallery(name).spec, depth)
+            pts = trunc.canonical_points
+            extra = tuple(Point(c, Fraction(1, 3)) for c in trunc.edge_cells)
+            pairs = [(pts[0], pts[-1])] + [(rng.choice(pts + extra), rng.choice(pts + extra))
+                                           for _ in range(40)]
+            for x, y in pairs:
+                try:
+                    p = path(trunc, x, y)
+                except TruncatedError:
+                    continue
+                assert sample_points(p) == _reference_sample_points(p)
