@@ -31,12 +31,9 @@ from .action import (
     _member,
     _moved,
     _moved_cell,
-    act,
-    act_locus,
     branching_type,
     comparable_sample,
     image_relation,
-    in_comparable_set,
     sweep,
     word_map,
     word_walk,
@@ -109,7 +106,7 @@ def check_lower_bound(spec, word, lam, mu, depth):
             return CheckReport.make("check_lower_bound", TRUNCATED, depth=depth)
         if rel is not Comparability.LESS:
             raise PreconditionFailed(f"{label} fails: {rel.value}")
-    member = in_comparable_set(spec, word, lam, depth)
+    member = _member(trunc, wmap, lam)
     if member is Tri.YES:
         return CheckReport.make("check_lower_bound", PASS, depth=depth,
                                 witness={"word": word, "lam": lam})
@@ -218,18 +215,21 @@ def check_odd_path(spec, word, lam, k_max, depth):
     """A point whose connection to its image has odd length forces every
     power of the word to have an empty comparable set."""
     name = "check_odd_path"
-    member = in_comparable_set(spec, word, lam, depth)
+    trunc = spec.window(depth)
+    trunc.require_point(lam)
+    wmap = word_map(spec, word)
+    member = _member(trunc, wmap, lam)
     if member is Tri.YES:
         raise PreconditionFailed("lam is comparable with its image")
     if member is Tri.TRUNCATED:
         return CheckReport.make(name, TRUNCATED, depth=depth,
                                 notes=("membership of lam undecided",))
-    trunc = spec.window(depth)
-    gamma = path(trunc, lam, act(spec, word, lam))
+    gamma = path(trunc, lam, _moved(wmap, lam))
     if gamma.length % 2 == 0:
         raise PreconditionFailed(f"path length {gamma.length} is even")
     for k in range(1, k_max + 1):
-        for x, rel in zip(trunc.canonical_points, sweep(trunc, word_map(spec, word ** k))):
+        wmap_k = wmap if k == 1 else word_map(spec, word ** k)
+        for x, rel in zip(trunc.canonical_points, sweep(trunc, wmap_k)):
             if rel in COMPARABLE:
                 return CheckReport.make(name, VIOLATION, depth=depth, witness={
                     "word": word, "k": k, "point": x})
@@ -298,7 +298,8 @@ def check_invariant_locus_stem(spec, word, locus, depth):
     """A word fixing a locus setwise keeps a whole stem suffix (the
     stem cells nearest the locus) inside its comparable set."""
     name = "check_invariant_locus_stem"
-    if act_locus(spec, word, locus.members) != locus.members:
+    wmap = word_map(spec, word)
+    if tuple(sorted(_moved_cell(wmap, m) for m in locus.members)) != locus.members:
         raise PreconditionFailed("word does not fix the locus setwise")
     trunc = spec.window(depth)
     cells = _stem_cells_outward(trunc, locus)
@@ -307,7 +308,7 @@ def check_invariant_locus_stem(spec, word, locus, depth):
                                 notes=("stem does not meet the window",))
     run = 0
     for cell in cells:
-        member = in_comparable_set(spec, word, mid_point(*cell), depth)
+        member = _member(trunc, wmap, mid_point(*cell))
         if member is Tri.YES:
             run += 1
         elif member is Tri.TRUNCATED and run == 0:

@@ -301,10 +301,7 @@ def automorphism_problems(spec, gen):
         problems.append("family map is not a bijection")
         return problems
     for fam, (img, shift) in gen.maps.items():
-        f, g = spec.families[fam], spec.families.get(img)
-        if g is None:
-            problems.append(f"{fam} -> unknown family {img}")
-            continue
+        f, g = spec.families[fam], spec.families[img]
         if (f.kind, f.chain, f.glue) != (g.kind, g.chain, g.glue):
             problems.append(f"{fam} -> {img} changes kind/indexing/glue")
         if not f.chain and shift != 0:
@@ -509,33 +506,10 @@ class Truncation:
         self.loci = tuple(loci)
         self._stem_locus = {locus.stem: li for li, locus in enumerate(loci)}
 
-        # union-find over loci sharing members (a vertex may sit in a
-        # positive and a negative locus on its two sides)
-        parent = list(range(len(loci)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        owner = {}
-        for idx, locus in enumerate(loci):
-            for m in locus.members:
-                if m in owner:
-                    parent[find(idx)] = find(owner[m])
-                else:
-                    owner[m] = idx
-        self._locus_group = {}        # vertex cell -> group id (min locus index)
-        groups = {}                   # union-find root -> locus indices
-        for idx in range(len(loci)):
-            groups.setdefault(find(idx), []).append(idx)
-        for idxs in groups.values():
-            gid = min(idxs)
-            for li in idxs:
-                for m in loci[li].members:
-                    self._locus_group[m] = gid
-        # member -> [(mate, locus index)] for jump searches inside a node
+        # The mate graph: member -> sorted [(mate, locus index)].  Loci that
+        # share a member (a vertex may sit in a positive and a negative locus
+        # on its two sides) are one node of the Hausdorffification, named by
+        # the first, hence smallest, locus index whose walk reaches it.
         self._mates = {}
         for li, locus in enumerate(loci):
             for m in locus.members:
@@ -544,6 +518,14 @@ class Truncation:
                         self._mates.setdefault(m, []).append((m2, li))
         for m in self._mates:
             self._mates[m].sort()
+        self._locus_group = {}        # vertex cell -> group id (min locus index)
+        for li, locus in enumerate(loci):
+            frontier = list(locus.members)
+            while frontier:
+                m = frontier.pop()
+                if m not in self._locus_group:
+                    self._locus_group[m] = li
+                    frontier.extend(mate for mate, _ in self._mates.get(m, ()))
 
     def locus_group_of(self, vcell):
         return self._locus_group.get(vcell)
@@ -624,8 +606,6 @@ class Truncation:
             adj.setdefault(hi, []).append((eid, lo))
         for vcell in self.vertex_cells:
             adj.setdefault(self.vertex_node(vcell), [])
-        for nbrs in adj.values():
-            nbrs.sort(key=lambda pair: (self.graph_edges[pair[0]][0], pair[1]))
         self.adjacency = adj
         # Root every component at its smallest node: node -> (parent node,
         # id of the edge to the parent, depth), with (None, None, 0) at a
@@ -647,9 +627,6 @@ class Truncation:
                         frontier.append(other)
         self.rooting = rooting
         self.components = sum(1 for parent, _, _ in rooting.values() if parent is None)
-
-    def nodes(self):
-        return sorted(self.adjacency)
 
     def edge_anchor_at(self, eid, node):
         payload, lo, hi, a_lo, a_hi = self.graph_edges[eid]
@@ -932,7 +909,7 @@ class HausdorffTree:
 def hausdorffify(trunc):
     require_valid(trunc)
     return HausdorffTree(
-        nodes=tuple(trunc.nodes()),
+        nodes=tuple(sorted(trunc.adjacency)),
         edges=tuple((p, lo, hi) for p, lo, hi, _, _ in trunc.graph_edges),
         vertex_projection={v: trunc.vertex_node(v) for v in trunc.vertex_cells},
         edge_projection={cell: ("cell",) + cell for cell in trunc.edge_cells},

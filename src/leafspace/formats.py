@@ -24,6 +24,8 @@ from fractions import Fraction
 from .core import (
     ChainEndRule,
     EndRule,
+    HIGH,
+    LOW,
     LeafSpaceError,
     LeafSpaceSpec,
     Point,
@@ -224,3 +226,17 @@ def _reject_overfull(spec):
     for violation in validate(trunc).violations:
         if violation.code == "germ-count" and ("has 0 germs" not in violation.message):
             raise SemanticError("model", violation.message)
+    # A unit edge may name a chain vertex cell far outside that window:
+    # count the germs of each such cell from the rules (the named edges
+    # plus the sources that supply every cell of the chain) rather than
+    # widening the window to reach it.
+    sources = trunc._germ_sources()
+    named = sorted({(vfam, off) for (efam, _), rule in spec.ends.items()
+                    if not spec.families[efam].chain
+                    for vfam, off in rule.targets
+                    if spec.families[vfam].kind == "vertex" and spec.families[vfam].chain})
+    for vfam, j in named:
+        for side in (LOW, HIGH):
+            germs = len(trunc._providers(sources.get((vfam, side), ()), (vfam, j)))
+            if germs > 1:
+                raise SemanticError("model", f"{vfam}[{j}] has {germs} germs on its {side} side")

@@ -402,3 +402,101 @@ def test_vertex_neighbors_match_graph_anchors(swap_k):
             for nbr in trunc.cell_neighbors(cell):
                 assert cell in trunc.cell_neighbors(nbr)
     assert checked > 1000
+
+
+def reference_locus_groups(trunc):
+    """Vertex cell -> group id by union-find over the loci that share a
+    member, each group named by its smallest locus index, as before the
+    mate graph named them."""
+    parent = list(range(len(trunc.loci)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    owner = {}
+    for idx, locus in enumerate(trunc.loci):
+        for m in locus.members:
+            if m in owner:
+                parent[find(idx)] = find(owner[m])
+            else:
+                owner[m] = idx
+    groups = {}
+    for idx in range(len(trunc.loci)):
+        groups.setdefault(find(idx), []).append(idx)
+    return {m: min(idxs) for idxs in groups.values()
+            for li in idxs for m in trunc.loci[li].members}
+
+
+def reference_rooting(trunc):
+    """The rooting walked over neighbour lists sorted by edge payload."""
+    adj = {node: sorted(nbrs, key=lambda pair: (trunc.graph_edges[pair[0]][0], pair[1]))
+           for node, nbrs in trunc.adjacency.items()}
+    rooting = {}
+    for root in sorted(adj):
+        if root in rooting:
+            continue
+        rooting[root] = (None, None, 0)
+        frontier = [root]
+        while frontier:
+            node = frontier.pop()
+            for eid, other in adj[node]:
+                if other not in rooting:
+                    rooting[other] = (node, eid, rooting[node][2] + 1)
+                    frontier.append(other)
+    return rooting
+
+
+@pytest.fixture(scope="module")
+def assorted_windows(tripod, updown, swap_k):
+    """Windows of the gallery, random, fixture and fuzz-mutated models."""
+    import random
+
+    from leafspace.core import LeafSpaceError
+    from leafspace.gallery import GALLERY_NAMES, gallery
+    from leafspace.randspec import RandomParams, random_spec
+    from test_fuzz import _mutate
+    from test_paths import _two_loci_spec
+
+    cases = [(gallery(name).spec, depth) for name in GALLERY_NAMES
+             for depth in list(range(9)) + [64]]
+    cases += [(random_spec(RandomParams(seed=seed, symmetric=seed % 3 == 0)), seed % 3)
+              for seed in range(300)]
+    cases += [(spec, depth) for spec in (tripod, updown, swap_k, _two_loci_spec(),
+                                         broken_yplus(), odd_germs_spec())
+              for depth in range(5)]
+    rng = random.Random(0)
+    for _ in range(250):
+        base = random_spec(RandomParams(seed=rng.randint(1, 500))) if rng.random() < 0.5 \
+            else gallery(rng.choice(GALLERY_NAMES)).spec
+        cases.append((_mutate(base, rng), 2))
+    windows = []
+    for spec, depth in cases:
+        try:
+            windows.append(expand(spec, depth))
+        except LeafSpaceError:
+            pass
+    return windows
+
+
+def test_vertex_nodes_match_union_find(assorted_windows):
+    merged = 0
+    for trunc in assorted_windows:
+        groups = reference_locus_groups(trunc)
+        for vcell in trunc.vertex_cells:
+            gid = groups.get(vcell)
+            want = ("locus", gid) if gid is not None else ("vertex",) + vcell
+            assert trunc.vertex_node(vcell) == want
+        merged += len(set(groups.values())) < len(trunc.loci)
+    assert merged       # some window joins loci that share a member
+
+
+def test_rooting_matches_sorted_neighbours(assorted_windows):
+    routable = 0
+    for trunc in assorted_windows:
+        if all(v.code == "disconnected" for v in validate(trunc).violations):
+            assert trunc.rooting == reference_rooting(trunc)
+            routable += 1
+    assert routable > len(assorted_windows) // 2

@@ -105,3 +105,45 @@ def test_duplicate_marks_rejected():
     doc = emit(gallery("SWAP").spec) + "mark ra0 ra 1\n"
     with pytest.raises(SemanticError, match="duplicate mark"):
         parse(doc)
+
+
+def _chain_vertex_doc(body):
+    return "leafspace/1\nfamily v vertex chain\n" + body
+
+
+def _two_unit_edges_at(index):
+    return _chain_vertex_doc(
+        "family p edge unit\nfamily q edge unit\n"
+        f"end p low open\nend p high vertex v {index}\n"
+        f"end q low open\nend q high vertex v {index}\n")
+
+
+@pytest.mark.parametrize("index", [1, 5, -5, 10 ** 9])
+def test_overfull_chain_vertex_named_by_unit_edges(index):
+    with pytest.raises(SemanticError, match=rf"^model: v\[{index}\] has 2 germs on its low side$"):
+        parse(_two_unit_edges_at(index))
+
+
+def test_overfull_chain_vertex_beside_a_chain_edge():
+    doc = _chain_vertex_doc(
+        "family c edge chain\nend c low vertex v 0\nend c high vertex v 1\n"
+        "family p edge unit\nend p low vertex v 5\nend p high open\n")
+    with pytest.raises(SemanticError, match=r"^model: v\[5\] has 2 germs on its high side$"):
+        parse(doc)
+    parse(doc.replace("end p low vertex v 5", "end p low open"))    # the chain edge alone is fine
+
+
+def test_far_offset_is_rejected_without_a_far_window(monkeypatch):
+    import leafspace.formats as formats
+
+    depths = []
+    real_expand = formats.expand
+
+    def recording_expand(spec, depth):
+        depths.append(depth)
+        return real_expand(spec, depth)
+
+    monkeypatch.setattr(formats, "expand", recording_expand)
+    with pytest.raises(SemanticError, match="germs"):
+        parse(_two_unit_edges_at(10 ** 9))
+    assert depths == [1]
