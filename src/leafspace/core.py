@@ -279,6 +279,45 @@ class LeafSpaceSpec:
                 if not isinstance(shift, int):
                     raise BadOffset(f"generator {gen.name!r} shift {shift!r} is not an integer")
 
+    def germ_sources(self):
+        """(vertex family, side) -> the rules that can supply that germ, in
+        rule order: ("end", edge family, offset) for a per-cell end rule,
+        ("chain", edge family, chain side) for a glued chain's limit."""
+        sources = {}
+        for (efam, end), rule in sorted(self.ends.items()):
+            if rule.kind == "open":
+                continue
+            side = LOW if end == HIGH else HIGH     # an edge's high end supplies a low germ
+            for tfam, off in rule.targets:
+                sources.setdefault((tfam, side), []).append(("end", efam, off))
+        for (efam, cside), rule in sorted(self.chain_ends.items()):
+            if rule.kind != "limit":
+                continue
+            side = LOW if chain_end_ascends(self.families[efam].glue, cside) else HIGH
+            for vfam in dict.fromkeys(rule.targets):
+                sources.setdefault((vfam, side), []).append(("chain", efam, cside))
+        return sources
+
+    def germ_providers(self, sources, vcell, side, edges):
+        """(provider, in window) pairs for one side of a vertex cell: a glued
+        chain's tail ("chain", edge family, chain side) is in every window, an
+        edge cell ("cell", family, index) when among ``edges``, and ("cell-every",
+        family), a germ from every cell of a chain, in none."""
+        vfam, j = vcell
+        vchain = self.families[vfam].chain
+        out = []
+        for kind, efam, arg in sources.get((vfam, side), ()):
+            if kind == "chain":
+                out.append((("chain", efam, arg), True))
+            elif not self.families[efam].chain:
+                if not vchain or arg == j:
+                    out.append((("cell", efam, 0), (efam, 0) in edges))
+            elif vchain:
+                out.append((("cell", efam, j - arg), (efam, j - arg) in edges))
+            else:
+                out.append((("cell-every", efam), False))
+        return out
+
     def window(self, depth):
         """Cached truncation at the given depth."""
         if depth not in self._windows:
@@ -307,27 +346,23 @@ def automorphism_problems(spec, gen):
         if not f.chain and shift != 0:
             problems.append(f"unit family {fam} mapped with nonzero shift")
 
-    def image_rule(rule, shift):
-        tgts = []
-        for vfam, off in rule.targets:
-            vimg, vshift = gen.maps[vfam]
-            if spec.families[vfam].chain:
-                tgts.append((vimg, off + vshift - shift))
-            else:
-                tgts.append((vimg, off))
-        return EndRule(rule.kind, tuple(tgts))
+    def image_of(vfam, where):      # gen.maps covers every family, so a miss names none
+        if vfam not in gen.maps:
+            raise UnresolvedName(f"{where} targets unknown family {vfam!r}")
+        return gen.maps[vfam]
 
     for (fam, end), rule in spec.ends.items():
         img, shift = gen.maps[fam]
-        want = image_rule(rule, shift)
-        have = spec.ends.get((img, end))
-        if have != want:
+        tgts = []
+        for vfam, off in rule.targets:
+            vimg, vshift = image_of(vfam, f"{fam}.{end}")
+            tgts.append((vimg, off + vshift - shift if spec.families[vfam].chain else off))
+        if spec.ends.get((img, end)) != EndRule(rule.kind, tuple(tgts)):
             problems.append(f"{fam}.{end} does not map onto {img}.{end}")
     for (fam, side), rule in spec.chain_ends.items():
         img, _ = gen.maps[fam]
-        want = ChainEndRule(rule.kind, tuple(gen.maps[v][0] for v in rule.targets))
-        have = spec.chain_ends.get((img, side))
-        if have != want:
+        tgts = tuple(image_of(v, f"{fam}.{side}")[0] for v in rule.targets)
+        if spec.chain_ends.get((img, side)) != ChainEndRule(rule.kind, tgts):
             problems.append(f"{fam} chain end {side} does not map onto {img}")
     return problems
 
@@ -638,53 +673,15 @@ class Truncation:
 
     # -- truncated ends ------------------------------------------------------
 
-    def _germ_sources(self):
-        """(vertex family, side) -> the rules that can supply that germ, in
-        rule order: ("end", edge family, offset) for a per-cell end rule,
-        ("chain", edge family, chain side) for a glued chain's limit."""
-        spec = self.spec
-        sources = {}
-        for (efam, end), rule in sorted(spec.ends.items()):
-            if rule.kind == "open":
-                continue
-            side = LOW if end == HIGH else HIGH     # an edge's high end supplies a low germ
-            for tfam, off in rule.targets:
-                sources.setdefault((tfam, side), []).append(("end", efam, off))
-        for (efam, cside), rule in sorted(spec.chain_ends.items()):
-            if rule.kind != "limit":
-                continue
-            side = LOW if chain_end_ascends(spec.families[efam].glue, cside) else HIGH
-            for vfam in dict.fromkeys(rule.targets):
-                sources.setdefault((vfam, side), []).append(("chain", efam, cside))
-        return sources
-
-    def _providers(self, sources, vcell):
-        """Schematic providers of one germ of a vertex: list of
-        (edge cell or chain descriptor, in_window flag)."""
-        vfam, j = vcell
-        vchain = self.spec.families[vfam].chain
-        out = []
-        for kind, efam, arg in sources:
-            if kind == "chain":
-                out.append((("chain", efam, arg), True))   # tail edge is in the graph
-            elif self.spec.families[efam].chain and vchain:
-                i = j - arg
-                out.append((("cell", efam, i), abs(i) <= self.depth
-                            and (efam, i) in self._edge_set))
-            elif self.spec.families[efam].chain:
-                out.append((("cell-every", efam), False))   # one germ per index: overfull
-            elif not vchain or arg == j:
-                out.append((("cell", efam, 0), (efam, 0) in self._edge_set))
-        return out
-
     def germ_providers(self, vcell, side):
         """Providers of the germ on one side of a window vertex (LOW means
         the germ below it), computed once per window."""
         return self._germs[(vcell, side)]
 
     def _scan_truncated_ends(self):
-        sources = self._germ_sources()
-        self._germs = {(vcell, side): self._providers(sources.get((vcell[0], side), ()), vcell)
+        spec = self.spec
+        sources = spec.germ_sources()
+        self._germs = {(vcell, side): spec.germ_providers(sources, vcell, side, self._edge_set)
                        for vcell in self.vertex_cells for side in (LOW, HIGH)}
         ends = []
         for (vcell, side), providers in self._germs.items():
@@ -770,6 +767,15 @@ def expand(spec, depth):
     return Truncation(spec, depth)
 
 
+def _germ_count_problem(vcell, side, kinds):
+    """The germ-count fault of a vertex side with providers of these kinds, or None."""
+    if "cell-every" in kinds:
+        return f"{vcell[0]}[{vcell[1]}] {side} side receives one germ per chain index"
+    if len(kinds) != 1:
+        return f"{vcell[0]}[{vcell[1]}] has {len(kinds)} germs on its {side} side"
+    return None
+
+
 def validate(trunc):
     """Report violations of the 1-manifold contract; never raises.
 
@@ -829,13 +835,10 @@ def validate(trunc):
     # (a) germ counts, schematic over the window
     for vcell in trunc.vertex_cells:
         for side in (LOW, HIGH):
-            providers = trunc.germ_providers(vcell, side)
-            if any(p[0][0] == "cell-every" for p in providers):
-                bad("germ-count",
-                    f"{vcell[0]}[{vcell[1]}] {side} side receives one germ per chain index")
-            elif len(providers) != 1:
-                bad("germ-count",
-                    f"{vcell[0]}[{vcell[1]}] has {len(providers)} germs on its {side} side")
+            kinds = [p[0] for p, _ in trunc.germ_providers(vcell, side)]
+            problem = _germ_count_problem(vcell, side, kinds)
+            if problem:
+                bad("germ-count", problem)
 
     # (c) tree check on the window graph
     n_nodes = len(trunc.adjacency)

@@ -24,13 +24,13 @@ from fractions import Fraction
 from .core import (
     ChainEndRule,
     EndRule,
+    Family,
     HIGH,
     LOW,
     LeafSpaceError,
     LeafSpaceSpec,
     Point,
-    expand,
-    validate,
+    _germ_count_problem,
 )
 
 HEADER = "leafspace/1"
@@ -93,7 +93,8 @@ def _int(token, lineno, what):
 def parse(text):
     """Parse a model document; rejects malformed lines with line-anchored
     diagnostics and structurally impossible models (a vertex side owning
-    two germs) with SemanticError."""
+    two germs) with SemanticError.  Germs are counted from the end and
+    chain-end rules; no window is built."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != HEADER:
         raise ParseError(1, f"expected header {HEADER!r}")
@@ -123,7 +124,6 @@ def parse(text):
                     raise ParseError(lineno, "glue direction must be +1 or -1")
             if name in spec.families:
                 raise SemanticError(name, "duplicate family")
-            from .core import Family
             spec._add_family(Family(name, kind, indexing == "chain", glue))
         elif kw == "end":
             if len(tokens) < 4 or tokens[2] not in ("low", "high"):
@@ -217,26 +217,23 @@ def parse(text):
 
 def _reject_overfull(spec):
     """A point of a 1-manifold has exactly two local directions; reject
-    documents that give some vertex two germs on one side outright."""
+    documents that give some vertex two germs on one side outright.  Germs
+    are counted from the rules, with no window: on the vertex cells of a
+    depth-1 window, then on far chain vertex cells that unit edges name."""
     try:
         spec.check_wellformed()
-        trunc = expand(spec, 1)
     except LeafSpaceError as exc:
         raise SemanticError("model", str(exc)) from None
-    for violation in validate(trunc).violations:
-        if violation.code == "germ-count" and ("has 0 germs" not in violation.message):
-            raise SemanticError("model", violation.message)
-    # A unit edge may name a chain vertex cell far outside that window:
-    # count the germs of each such cell from the rules (the named edges
-    # plus the sources that supply every cell of the chain) rather than
-    # widening the window to reach it.
-    sources = trunc._germ_sources()
-    named = sorted({(vfam, off) for (efam, _), rule in spec.ends.items()
-                    if not spec.families[efam].chain
-                    for vfam, off in rule.targets
-                    if spec.families[vfam].kind == "vertex" and spec.families[vfam].chain})
-    for vfam, j in named:
+    fams = spec.families
+    near = [(name, i) for name, fam in sorted(fams.items()) if fam.kind == "vertex"
+            for i in ((-1, 0, 1) if fam.chain else (0,))]
+    far = sorted({(vfam, off) for (efam, _), rule in spec.ends.items() if not fams[efam].chain
+                  for vfam, off in rule.targets
+                  if fams[vfam].kind == "vertex" and fams[vfam].chain})
+    sources = spec.germ_sources()
+    for vcell in near + far:
         for side in (LOW, HIGH):
-            germs = len(trunc._providers(sources.get((vfam, side), ()), (vfam, j)))
-            if germs > 1:
-                raise SemanticError("model", f"{vfam}[{j}] has {germs} germs on its {side} side")
+            kinds = [p[0] for p, _ in spec.germ_providers(sources, vcell, side, ())]
+            problem = kinds and _germ_count_problem(vcell, side, kinds)
+            if problem:
+                raise SemanticError("model", problem)

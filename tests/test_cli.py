@@ -203,7 +203,9 @@ def test_lower_bound_unknown_or_outside_point(capsys):
 @pytest.mark.parametrize("document", [
     "leafspace/1\nfamily a vertex sometimes\n",
     "leafspace/1\nfamily a vertex unit\nfamily a vertex unit\n",
-], ids=["parse-error", "semantic-error"])
+    "leafspace/1\nfamily a vertex unit\nfamily e edge unit\nend e low vertex ghost 0\n"
+    "end e high open\ngen g a a 0\ngen g e e 0\n",
+], ids=["parse-error", "semantic-error", "unknown-target-beside-a-generator"])
 def test_rejected_document_exits_one(tmp_path, capsys, document):
     doc = tmp_path / "bad.leafspace"
     doc.write_text(document, encoding="utf-8")

@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leafspace.core import HIGH, LOW, LeafSpaceError, Truncation, expand, validate
 from leafspace.formats import ParseError, SemanticError, emit, parse
 from leafspace.gallery import GALLERY_NAMES, gallery
 from leafspace.randspec import RandomParams, random_spec
+from test_core import reference_germ_providers
+from test_fuzz import _corrupt, _mutate
 
 
 def spec_equal(a, b):
@@ -133,17 +136,128 @@ def test_overfull_chain_vertex_beside_a_chain_edge():
     parse(doc.replace("end p low vertex v 5", "end p low open"))    # the chain edge alone is fine
 
 
+def test_depth_one_cells_are_checked_before_far_cells():
+    doc = _two_unit_edges_at(-5) + (
+        "family r edge unit\nfamily s edge unit\n"
+        "end r low open\nend r high vertex v 0\nend s low open\nend s high vertex v 0\n")
+    with pytest.raises(SemanticError, match=r"^model: v\[0\] has 2 germs on its low side$"):
+        parse(doc)
+
+
 def test_far_offset_is_rejected_without_a_far_window(monkeypatch):
+    depths = []
+    real_init = Truncation.__init__
+
+    def recording_init(self, spec, depth):
+        depths.append(depth)
+        real_init(self, spec, depth)
+
+    monkeypatch.setattr(Truncation, "__init__", recording_init)
+    doc = _two_unit_edges_at(10 ** 9)
+    with pytest.raises(SemanticError, match="germs"):
+        parse(doc)
+    parse(doc.replace("end q low open\nend q high vertex v 1000000000",
+                      "end q low vertex v 1000000000\nend q high open"))
+    parse(emit(gallery("COMB").spec))
+    assert depths == []
+
+
+def test_chain_edge_onto_a_unit_vertex_is_rejected():
+    doc = ("leafspace/1\nfamily u vertex unit\nfamily c edge chain\n"
+           "end c low vertex u 0\nend c high open\n")
+    with pytest.raises(SemanticError,
+                       match=r"^model: u\[0\] high side receives one germ per chain index$"):
+        parse(doc)
+
+
+def test_a_side_with_no_germ_is_accepted():
+    doc = ("leafspace/1\nfamily e edge unit\nfamily u vertex unit\n"
+           "end e low vertex u 0\nend e high open\n")
+    spec = parse(doc)
+    messages = [v.message for v in validate(expand(spec, 0)).violations]
+    assert messages == ["u[0] has 0 germs on its low side"]
+    assert emit(spec) == doc
+
+
+GHOST_CHAIN_END = """leafspace/1
+family a vertex unit
+family s edge chain glue -1
+chainend s neg limit a ghost
+chainend s pos open
+gen g a a 0
+gen g s s 0
+"""
+
+GHOST_END = """leafspace/1
+family a vertex unit
+family e edge unit
+end e low vertex ghost 0
+end e high open
+gen g a a 0
+gen g e e 0
+"""
+
+
+@pytest.mark.parametrize("doc, where", [(GHOST_CHAIN_END, "s.neg"), (GHOST_END, "e.low")],
+                         ids=["chainend", "end"])
+def test_unknown_target_beside_a_generator_is_semantic_error(doc, where):
+    with pytest.raises(SemanticError, match=rf"^g: {where} targets unknown family 'ghost'$"):
+        parse(doc)
+
+
+def window_reject_overfull(spec):
+    """Reference for the overfull-side check: validate the depth-1 window
+    and keep its germ-count faults other than a missing germ, then count
+    the germs of the far chain vertex cells that unit edges name by
+    scanning the rules."""
+    try:
+        spec.check_wellformed()
+        trunc = expand(spec, 1)
+    except LeafSpaceError as exc:
+        raise SemanticError("model", str(exc)) from None
+    for violation in validate(trunc).violations:
+        if violation.code == "germ-count" and "has 0 germs" not in violation.message:
+            raise SemanticError("model", violation.message)
+    fams = spec.families
+    far = sorted({(vfam, off) for (efam, _), rule in spec.ends.items() if not fams[efam].chain
+                  for vfam, off in rule.targets
+                  if fams[vfam].kind == "vertex" and fams[vfam].chain})
+    for vfam, j in far:
+        for side in (LOW, HIGH):
+            germs = len(reference_germ_providers(trunc, (vfam, j), side))
+            if germs > 1:
+                raise SemanticError("model", f"{vfam}[{j}] has {germs} germs on its {side} side")
+
+
+def _outcome(doc):
+    try:
+        return "ok", emit(parse(doc))
+    except LeafSpaceError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_parse_counts_germs_as_the_window_did(monkeypatch):
     import leafspace.formats as formats
 
-    depths = []
-    real_expand = formats.expand
-
-    def recording_expand(spec, depth):
-        depths.append(depth)
-        return real_expand(spec, depth)
-
-    monkeypatch.setattr(formats, "expand", recording_expand)
-    with pytest.raises(SemanticError, match="germs"):
-        parse(_two_unit_edges_at(10 ** 9))
-    assert depths == [1]
+    gallery_docs = [emit(gallery(name).spec) for name in GALLERY_NAMES]
+    random_docs = [emit(random_spec(RandomParams(seed=s, symmetric=sym)))
+                   for s in range(1, 61) for sym in (False, True)]
+    rng = random.Random(7)
+    corrupted = []
+    for _trial in range(3000):
+        doc = _corrupt(rng.choice(gallery_docs + random_docs[:30]), rng)
+        for _ in range(rng.randrange(3)):
+            doc = _corrupt(doc, rng)
+        corrupted.append(doc)
+    # corruption seldom overfills a side; retargeted rules often do
+    bases = [parse(doc) for doc in gallery_docs + random_docs[:60]]
+    retargeted = [emit(_mutate(rng.choice(bases), rng)) for _ in range(600)]
+    docs = (gallery_docs + random_docs + corrupted + retargeted
+            + [_two_unit_edges_at(i) for i in (1, 5, -5, 10 ** 9)]
+            + [GHOST_CHAIN_END, GHOST_END])
+    got = [_outcome(doc) for doc in docs]
+    monkeypatch.setattr(formats, "_reject_overfull", window_reject_overfull)
+    assert got == [_outcome(doc) for doc in docs]
+    kinds = {kind for kind, _ in got}
+    assert {"ok", "ParseError", "SemanticError"} <= kinds
+    assert sum(text.startswith("model: ") and "germ" in text for _, text in got) >= 20
