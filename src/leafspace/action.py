@@ -1,14 +1,14 @@
 """Words over generator actions and their effect on a model.
 
 Generators are per-family maps composed with integer index shifts, so a
-word's total action is again such a map; two words act identically on the
-whole model exactly when their composed maps coincide, which makes the
-map a cheap exact fingerprint for deduplication and identity tests.
+word's total action is again such a map: an :class:`Element`.  Two words
+act identically on the whole model exactly when their elements are equal,
+so an element is its own exact key for deduplication and identity tests.
 
 A membership sweep relates every canonical point of a window to its
 image under one element.  Each window sweeps an element once: ``sweep``
 keeps the relations on the window (``Truncation.sweeps``), keyed by the
-element's map fingerprint, and every full sweep -- ``classify_element``,
+element, and every full sweep -- ``classify_element``,
 ``comparable_sample`` and the suite's checkers -- reads them from there.
 
 Window sweeps answer in Tri: a Yes always comes with a witness; a No is
@@ -109,48 +109,76 @@ class Word:
         return "*".join(n if e == 1 else f"{n}^{e}" for n, e in parts)
 
 
-def _generator_map(spec, name, exp):
+class Element:
+    """A group element: the action of a word on the whole model.
+
+    ``maps[f] = (f', b)`` sends cell f[n] to f'[n+b], for every family f in
+    the spec's order.  Elements are equal exactly when they act identically,
+    and hash alike, so an element is its own key; do not mutate ``maps``.
+    ``a * b`` applies b, then a."""
+
+    __slots__ = ("maps", "_key")
+
+    def __init__(self, maps):
+        self.maps = maps
+        self._key = tuple(maps.values())
+
+    def __eq__(self, other):
+        return isinstance(other, Element) and self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __mul__(self, other):
+        mine = self.maps
+        return Element({fam: (mine[img][0], shift + mine[img][1])
+                        for fam, (img, shift) in other.maps.items()})
+
+    def cell(self, cell):
+        img, shift = self.maps[cell[0]]
+        return (img, cell[1] + shift)
+
+    def point(self, point):
+        """Image of a point; interior coordinates are preserved because
+        actions restrict to index shifts on each family."""
+        img, shift = self.maps[point.cell[0]]
+        return Point((img, point.cell[1] + shift), point.t)
+
+
+def _letter(spec, name, exp):
+    """The element of one letter; a partial map fails at its first missing family."""
     gen = spec.generators.get(name)
     if gen is None:
         raise UndefinedGenerator(f"generator {name!r} is not defined on this model")
-    return gen.maps if exp == 1 else gen.inverse_maps()
+    maps = gen.maps if exp == 1 else gen.inverse_maps()
+    return Element({fam: maps[fam] for fam in spec.families})
 
 
 def word_map(spec, word):
-    """Composed cell map of a word: family -> (image family, shift).
-    Letters apply right to left.  Exact on the whole model, so equality of
-    maps is equality of actions (the action fingerprint)."""
-    total = {fam: (fam, 0) for fam in spec.families}
-    for name, exp in reversed(word.letters):
-        step = _generator_map(spec, name, exp)
-        total = {fam: (step[img][0], shift + step[img][1])
-                 for fam, (img, shift) in total.items()}
+    """The element of a word; letters apply right to left."""
+    total = Element({fam: (fam, 0) for fam in spec.families})
+    for name, exp in word.letters:
+        total = total * _letter(spec, name, exp)
     return total
-
-
-def _letter_step(spec, name, exp):
-    step = _generator_map(spec, name, exp)
-    return [(fam, *step[fam]) for fam in spec.families]
 
 
 def word_walk(spec, max_len):
     """Every reduced word of length <= max_len over the model's generators,
     lazily, in shortlex order (shorter words first, then letter by letter
     with generators by name and each letter before its inverse), as
-    ``(word, element index, map)``.
+    ``(word, element index, element)``.
 
-    Index 0 is the identity.  Words share an index exactly when their maps
-    are equal, and then share one map object, equal to
-    ``word_map(spec, word)``: do not mutate it.  A map is composed from an
-    element's map and one letter, ``map(u*x)[f] = map(u)[x(f)]`` with the
-    shifts added, and fingerprinted, at most once per (element, letter).
-    Each letter's step is built at its first word, so a partial generator
-    map fails where ``word_map`` does."""
+    Index 0 is the identity.  Words share an index exactly when their
+    elements are equal, and then share one element object, equal to
+    ``word_map(spec, word)``.  An element is composed from an element and
+    one letter, ``element(u*x) = element(u) * element(x)``, at most once per
+    (element, letter).  Each letter's element is built at its first word,
+    so a partial generator map fails where ``word_map`` does."""
     alphabet = [(n, e) for n in sorted(spec.generators) for e in (1, -1)]
     steps = {}
-    identity = {fam: (fam, 0) for fam in spec.families}
-    elements = [identity]                           # index -> map
-    index_of = {map_fingerprint(identity): 0}       # fingerprint -> index
+    identity = word_map(spec, Word.identity())
+    elements = [identity]                           # index -> element
+    index_of = {identity: 0}                        # element -> index
     moves = {}                                      # (index, letter) -> index
     yield Word.identity(), 0, identity
     frontier = [((), 0)]
@@ -160,19 +188,14 @@ def word_walk(spec, max_len):
             for let in alphabet:
                 if letters and letters[-1] == (let[0], -let[1]):
                     continue
-                step = steps.get(let)
-                if step is None:    # at its first word, so a partial map fails where word_map does
-                    step = steps[let] = _letter_step(spec, *let)
                 w = moves.get((u, let))
                 if w is None:
-                    umap = elements[u]
-                    wmap = {fam: (umap[img][0], shift + umap[img][1]) for fam, img, shift in step}
-                    fp = map_fingerprint(wmap)
-                    w = index_of.get(fp)
-                    if w is None:
-                        w = index_of[fp] = len(elements)
-                        elements.append(wmap)
-                    moves[u, let] = w
+                    if let not in steps:
+                        steps[let] = _letter(spec, *let)
+                    elem = elements[u] * steps[let]
+                    w = moves[u, let] = index_of.setdefault(elem, len(elements))
+                    if w == len(elements):
+                        elements.append(elem)
                 word_letters = letters + (let,)
                 if length < max_len:
                     grow.append((word_letters, w))
@@ -180,49 +203,26 @@ def word_walk(spec, max_len):
         frontier = grow
 
 
-def map_fingerprint(wmap):
-    """Hashable form of a composed map."""
-    return tuple(sorted(wmap.items()))
-
-
 def fingerprint(spec, word):
-    return map_fingerprint(word_map(spec, word))
-
-
-def is_identity_map(wmap):
-    return all(img == fam and shift == 0 for fam, (img, shift) in wmap.items())
+    return word_map(spec, word)
 
 
 def is_identity_action(spec, word):
-    return is_identity_map(word_map(spec, word))
-
-
-def _moved(wmap, point):
-    img, shift = wmap[point.cell[0]]
-    return Point((img, point.cell[1] + shift), point.t)
-
-
-def _moved_cell(wmap, cell):
-    """Image of a cell under a composed map."""
-    img, shift = wmap[cell[0]]
-    return (img, cell[1] + shift)
+    return word_map(spec, word) == word_map(spec, Word.identity())
 
 
 def act(spec, word, point):
-    """Image of a point; interior coordinates are preserved because
-    actions restrict to index shifts on each family."""
-    return _moved(word_map(spec, word), point)
+    """Image of a point under a word."""
+    return word_map(spec, word).point(point)
 
 
 def act_all(spec, word, points):
-    """Images of many points under one word, composing its map once."""
-    wmap = word_map(spec, word)
-    return [_moved(wmap, p) for p in points]
+    """Images of many points under one word, composing its element once."""
+    return list(map(word_map(spec, word).point, points))
 
 
 def act_locus(spec, word, members):
-    wmap = word_map(spec, word)
-    return tuple(sorted(_moved_cell(wmap, m) for m in members))
+    return tuple(sorted(map(word_map(spec, word).cell, members)))
 
 
 def canonical_points(trunc):
@@ -258,15 +258,14 @@ def image_relation(spec, trunc, point, image):
     return _same_glued_chain_relation(spec, point, image)
 
 
-def sweep(trunc, wmap):
+def sweep(trunc, elem):
     """Image relation of every canonical point of the window under one
-    composed map, in canonical order (``image_relation``: None where the
+    element, in canonical order (``image_relation``: None where the
     window cannot decide).  Computed once per window and element."""
-    key = map_fingerprint(wmap)
-    rels = trunc.sweeps.get(key)
+    rels = trunc.sweeps.get(elem)
     if rels is None:
-        rels = trunc.sweeps[key] = tuple(image_relation(trunc.spec, trunc, p, _moved(wmap, p))
-                                         for p in trunc.canonical_points)
+        rels = trunc.sweeps[elem] = tuple(image_relation(trunc.spec, trunc, p, elem.point(p))
+                                          for p in trunc.canonical_points)
     return rels
 
 
@@ -276,9 +275,9 @@ def _membership(rel):
     return Tri.YES if rel in COMPARABLE else Tri.NO
 
 
-def _member(trunc, wmap, point):
-    """Membership of a window point, for a map composed by the caller."""
-    return _membership(image_relation(trunc.spec, trunc, point, _moved(wmap, point)))
+def _member(trunc, elem, point):
+    """Membership of a window point, for an element composed by the caller."""
+    return _membership(image_relation(trunc.spec, trunc, point, elem.point(point)))
 
 
 def in_comparable_set(spec, word, point, depth):
@@ -318,8 +317,8 @@ def fixed_cells(spec, word, depth):
     return _fixed_cells(spec.window(depth), word_map(spec, word))
 
 
-def _fixed_cells(trunc, wmap):
-    fixed_families = {fam for fam, (img, shift) in wmap.items() if img == fam and shift == 0}
+def _fixed_cells(trunc, elem):
+    fixed_families = {fam for fam, (img, shift) in elem.maps.items() if img == fam and shift == 0}
     return sorted(c for c in trunc.vertex_cells + trunc.edge_cells
                   if c[0] in fixed_families)
 
@@ -370,16 +369,16 @@ def classify_element(spec, word, depth):
     return _classify(trunc, word, word_map(spec, word))
 
 
-def _classify(trunc, word, wmap):
-    """``classify_element`` on a valid window, for a map composed by the caller."""
-    fixed = _fixed_cells(trunc, wmap)
+def _classify(trunc, word, elem):
+    """``classify_element`` on a valid window, for an element composed by the caller."""
+    fixed = _fixed_cells(trunc, elem)
     tan_witness = None
     for cell in fixed:
         tan_witness = (vertex_point(*cell) if trunc.has_vertex(cell) else mid_point(*cell))
         break
     pos_witness = neg_witness = None
     tainted = trunc.has_truncation
-    for p, rel in zip(trunc.canonical_points, sweep(trunc, wmap)):
+    for p, rel in zip(trunc.canonical_points, sweep(trunc, elem)):
         if rel is None:
             tainted = True
         elif rel is Comparability.LESS and pos_witness is None:

@@ -29,8 +29,6 @@ from .action import (
     Word,
     _classify,
     _member,
-    _moved,
-    _moved_cell,
     branching_type,
     comparable_sample,
     image_relation,
@@ -74,11 +72,11 @@ class CheckReport:
         }
 
 
-def _certified(trunc, wmap, point, want, label):
+def _certified(trunc, elem, point, want, label):
     """Require a certified comparison between a point and its image under
-    a map composed by the caller."""
+    an element composed by the caller."""
     trunc.require_point(point)
-    rel = image_relation(trunc.spec, trunc, point, _moved(wmap, point))
+    rel = image_relation(trunc.spec, trunc, point, elem.point(point))
     if rel is None:
         return None
     if rel is not want:
@@ -93,11 +91,11 @@ def check_lower_bound(spec, word, lam, mu, depth):
     if bt.value != "one_sided_positive":
         raise PreconditionFailed(f"needs one_sided_positive branching, model is {bt.value}")
     trunc = spec.window(depth)
-    wmap = word_map(spec, word)
+    elem = word_map(spec, word)
     trunc.require_point(lam)
     if mu.cell[0] not in spec.families:
         raise PointOutOfRange(f"{mu} lies in no family of the model")
-    for b, label in ((mu, "lam < mu"), (_moved(wmap, mu), "lam < w(mu)")):
+    for b, label in ((mu, "lam < mu"), (elem.point(mu), "lam < w(mu)")):
         if not trunc.contains_point(b):
             return CheckReport.make("check_lower_bound", TRUNCATED, depth=depth,
                                     notes=("bound leaves the window",))
@@ -106,7 +104,7 @@ def check_lower_bound(spec, word, lam, mu, depth):
             return CheckReport.make("check_lower_bound", TRUNCATED, depth=depth)
         if rel is not Comparability.LESS:
             raise PreconditionFailed(f"{label} fails: {rel.value}")
-    member = _member(trunc, wmap, lam)
+    member = _member(trunc, elem, lam)
     if member is Tri.YES:
         return CheckReport.make("check_lower_bound", PASS, depth=depth,
                                 witness={"word": word, "lam": lam})
@@ -122,10 +120,10 @@ def check_path_in_comparable_set(spec, word, lam, mu, depth):
     name = "check_path_in_comparable_set"
     trunc = spec.window(depth)
     trunc.require_point(lam)
-    wmap = word_map(spec, word)
+    elem = word_map(spec, word)
     for pt, label in ((lam, "lam"), (mu, "mu")):
         trunc.require_point(pt)
-        member = _member(trunc, wmap, pt)
+        member = _member(trunc, elem, pt)
         if member is Tri.NO:
             raise PreconditionFailed(f"{label} is not comparable with its image")
         if member is Tri.TRUNCATED:
@@ -139,11 +137,11 @@ def check_path_in_comparable_set(spec, word, lam, mu, depth):
     truncated = False
     for j, junction in enumerate(gamma.junctions, start=1):
         for pt, role in ((junction.arrive, "arrive"), (junction.depart, "depart")):
-            if _moved(wmap, pt) != pt:
+            if (image := elem.point(pt)) != pt:
                 return CheckReport.make(name, VIOLATION, depth=depth, witness={
-                    "word": word, "junction": j, "point": pt, role: _moved(wmap, pt)})
+                    "word": word, "junction": j, "point": pt, role: image})
     for pt in sample_points(gamma):
-        member = _member(trunc, wmap, pt)
+        member = _member(trunc, elem, pt)
         if member is Tri.NO:
             return CheckReport.make(name, VIOLATION, depth=depth,
                                     witness={"word": word, "point": pt})
@@ -217,22 +215,23 @@ def check_odd_path(spec, word, lam, k_max, depth):
     name = "check_odd_path"
     trunc = spec.window(depth)
     trunc.require_point(lam)
-    wmap = word_map(spec, word)
-    member = _member(trunc, wmap, lam)
+    elem = word_map(spec, word)
+    member = _member(trunc, elem, lam)
     if member is Tri.YES:
         raise PreconditionFailed("lam is comparable with its image")
     if member is Tri.TRUNCATED:
         return CheckReport.make(name, TRUNCATED, depth=depth,
                                 notes=("membership of lam undecided",))
-    gamma = path(trunc, lam, _moved(wmap, lam))
+    gamma = path(trunc, lam, elem.point(lam))
     if gamma.length % 2 == 0:
         raise PreconditionFailed(f"path length {gamma.length} is even")
+    power = elem
     for k in range(1, k_max + 1):
-        wmap_k = wmap if k == 1 else word_map(spec, word ** k)
-        for x, rel in zip(trunc.canonical_points, sweep(trunc, wmap_k)):
+        for x, rel in zip(trunc.canonical_points, sweep(trunc, power)):
             if rel in COMPARABLE:
                 return CheckReport.make(name, VIOLATION, depth=depth, witness={
                     "word": word, "k": k, "point": x})
+        power = power * elem
     return CheckReport.make(name, PASS, depth=depth, witness={
         "word": word, "path_length": gamma.length, "k_max": k_max})
 
@@ -247,20 +246,22 @@ def check_return(spec, word, lam, k, depth):
         raise PreconditionFailed("k must exceed 1")
     trunc = spec.window(depth)
     trunc.require_point(lam)
-    wmap = word_map(spec, word)
-    member = _member(trunc, wmap, lam)
+    elem = word_map(spec, word)
+    member = _member(trunc, elem, lam)
     if member is Tri.YES:
         raise PreconditionFailed("lam is comparable with its image")
     if member is Tri.TRUNCATED:
         return CheckReport.make(name, TRUNCATED, depth=depth)
-    wmap_k = word_map(spec, word ** k)
-    member_k = _member(trunc, wmap_k, lam)
+    power = elem
+    for _ in range(k - 1):
+        power = power * elem
+    member_k = _member(trunc, power, lam)
     if member_k is Tri.NO:
         raise PreconditionFailed(f"lam is not comparable with its image under the {k}-th power")
     if member_k is Tri.TRUNCATED:
         return CheckReport.make(name, TRUNCATED, depth=depth)
     try:
-        gamma = path(trunc, lam, _moved(wmap, lam))
+        gamma = path(trunc, lam, elem.point(lam))
     except TruncatedError:
         return CheckReport.make(name, TRUNCATED, depth=depth)
     if gamma.length % 2 == 1:
@@ -269,11 +270,11 @@ def check_return(spec, word, lam, k, depth):
     m = gamma.length // 2
     junction = gamma.junctions[m - 1]
     arrive, depart = junction.arrive, junction.depart
-    image = _moved(wmap, arrive)
+    image = elem.point(arrive)
     if image != depart:
         return CheckReport.make(name, VIOLATION, depth=depth, witness={
             "word": word, "m": m, "arrive": arrive, "image": image, "expected": depart})
-    image = _moved(wmap_k, arrive)
+    image = power.point(arrive)
     if image != arrive:
         return CheckReport.make(name, VIOLATION, depth=depth, witness={
             "word": word, "k": k, "m": m, "arrive": arrive, "image": image})
@@ -298,8 +299,8 @@ def check_invariant_locus_stem(spec, word, locus, depth):
     """A word fixing a locus setwise keeps a whole stem suffix (the
     stem cells nearest the locus) inside its comparable set."""
     name = "check_invariant_locus_stem"
-    wmap = word_map(spec, word)
-    if tuple(sorted(_moved_cell(wmap, m) for m in locus.members)) != locus.members:
+    elem = word_map(spec, word)
+    if tuple(sorted(map(elem.cell, locus.members))) != locus.members:
         raise PreconditionFailed("word does not fix the locus setwise")
     trunc = spec.window(depth)
     cells = _stem_cells_outward(trunc, locus)
@@ -308,7 +309,7 @@ def check_invariant_locus_stem(spec, word, locus, depth):
                                 notes=("stem does not meet the window",))
     run = 0
     for cell in cells:
-        member = _member(trunc, wmap, mid_point(*cell))
+        member = _member(trunc, elem, mid_point(*cell))
         if member is Tri.YES:
             run += 1
         elif member is Tri.TRUNCATED and run == 0:
@@ -343,9 +344,9 @@ def stabilizer_ball(spec, locus, radius, depth):
     require_valid(trunc)
     ball, table = [], []
     fixing = {}             # element index -> member images, or None if it moves the locus
-    for word, index, wmap in word_walk(spec, radius):
+    for word, index, elem in word_walk(spec, radius):
         if index not in fixing:
-            images = tuple(_moved_cell(wmap, m) for m in members)
+            images = tuple(map(elem.cell, members))
             fixing[index] = images if tuple(sorted(images)) == members else None
         images = fixing[index]
         if images is not None:
@@ -416,10 +417,10 @@ def check_intermediate_fixed(spec, word, x_pos, x_neg, depth):
     name = "check_intermediate_fixed"
     trunc = spec.window(depth)
     trunc.require_point(x_pos)      # an out-of-window point is reported before an unknown generator
-    wmap = word_map(spec, word)
-    if _certified(trunc, wmap, x_pos, Comparability.LESS, "x_pos") is None:
+    elem = word_map(spec, word)
+    if _certified(trunc, elem, x_pos, Comparability.LESS, "x_pos") is None:
         return CheckReport.make(name, TRUNCATED, depth=depth)
-    if _certified(trunc, wmap, x_neg, Comparability.GREATER, "x_neg") is None:
+    if _certified(trunc, elem, x_neg, Comparability.GREATER, "x_neg") is None:
         return CheckReport.make(name, TRUNCATED, depth=depth)
     try:
         gamma = path(trunc, x_pos, x_neg)
@@ -427,7 +428,7 @@ def check_intermediate_fixed(spec, word, x_pos, x_neg, depth):
         return CheckReport.make(name, TRUNCATED, depth=depth)
     witness = None
     for pt in sample_points(gamma):
-        if _moved(wmap, pt) == pt:
+        if elem.point(pt) == pt:
             witness = pt
             break
     if witness is None:
@@ -459,13 +460,13 @@ def screen_infinite_locus(spec, max_word_len, depth):
     seen = set()
     neither = []
     tainted = False
-    for word, index, wmap in word_walk(spec, max_word_len):
+    for word, index, elem in word_walk(spec, max_word_len):
         if index in seen:
             continue
         seen.add(index)
         if index == 0:
             continue
-        profile = _classify(trunc, word, wmap)
+        profile = _classify(trunc, word, elem)
         tangent = profile.tangentiable.value is Tri.YES
         transversable = (profile.pos_transversable.value is Tri.YES
                          or profile.neg_transversable.value is Tri.YES)

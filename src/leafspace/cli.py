@@ -26,11 +26,9 @@ from .core import (
 from .paths import COMPARABLE, Comparability, compare, path
 from .action import (
     Word,
-    act_all,
-    act_locus,
+    _member,
     branching_type,
     classify_element,
-    in_comparable_set,
     sweep,
     word_map,
 )
@@ -280,11 +278,9 @@ def _basic_words(spec):
     return words
 
 
-def _find_comparable_pair(spec, word, depth, limit=400):
+def _find_comparable_pair(trunc, elem, limit=400):
     """First (lam, mu) with lam < mu and lam < w(mu), both certified."""
-    trunc = spec.window(depth)
     pts = trunc.canonical_points
-    images = dict(zip(pts, act_all(spec, word, pts)))
     tried = 0
     for lam in pts:
         for mu in pts:
@@ -295,7 +291,7 @@ def _find_comparable_pair(spec, word, depth, limit=400):
                 return None
             if compare(trunc, lam, mu) is not Comparability.LESS:
                 continue
-            w_mu = images[mu]
+            w_mu = elem.point(mu)
             if not trunc.contains_point(w_mu):
                 continue
             if compare(trunc, lam, w_mu) is Comparability.LESS:
@@ -315,14 +311,15 @@ def discover_instances(spec, depth, word_len):
 
     for word in _basic_words(spec):
         instances["check_connected_open"].append({"word": word})
+        elem = word_map(spec, word)
 
-        pair = _find_comparable_pair(spec, word, depth) if one_sided_positive else None
+        pair = _find_comparable_pair(trunc, elem) if one_sided_positive else None
         if pair is not None:
             instances["check_lower_bound"].append(
                 {"word": word, "lam": pair[0], "mu": pair[1]})
 
-        images = act_all(spec, word, points)
-        rels = list(zip(points, sweep(trunc, word_map(spec, word))))
+        images = [elem.point(p) for p in points]
+        rels = list(zip(points, sweep(trunc, elem)))
 
         yes_points = [p for p, rel in rels if rel in COMPARABLE][:3]
         for i, lam in enumerate(yes_points):
@@ -348,8 +345,10 @@ def discover_instances(spec, depth, word_len):
             instances["check_odd_path"].append(
                 {"word": word, "lam": odd_lam, "k_max": min(4, word_len)})
         if even_lam is not None:
+            power = elem
             for k in range(2, max(3, word_len // 2) + 1):
-                if in_comparable_set(spec, word ** k, even_lam, depth) is Tri.YES:
+                power = power * elem
+                if _member(trunc, power, even_lam) is Tri.YES:
                     instances["check_return"].append(
                         {"word": word, "lam": even_lam, "k": k})
                     break
@@ -361,7 +360,7 @@ def discover_instances(spec, depth, word_len):
                 {"word": word, "x_pos": pos, "x_neg": neg})
 
         for locus in loci:
-            if act_locus(spec, word, locus.members) == locus.members:
+            if tuple(sorted(map(elem.cell, locus.members))) == locus.members:
                 instances["check_invariant_locus_stem"].append(
                     {"word": word, "locus": locus})
 

@@ -243,6 +243,7 @@ class LeafSpaceSpec:
     def add_generator(self, name, maps, check=True):
         gen = GeneratorAction(name, dict(maps))
         if check:
+            self.check_wellformed()
             problems = automorphism_problems(self, gen)
             if problems:
                 raise UnresolvedName(
@@ -345,23 +346,17 @@ def automorphism_problems(spec, gen):
             problems.append(f"{fam} -> {img} changes kind/indexing/glue")
         if not f.chain and shift != 0:
             problems.append(f"unit family {fam} mapped with nonzero shift")
-
-    def image_of(vfam, where):      # gen.maps covers every family, so a miss names none
-        if vfam not in gen.maps:
-            raise UnresolvedName(f"{where} targets unknown family {vfam!r}")
-        return gen.maps[vfam]
-
     for (fam, end), rule in spec.ends.items():
         img, shift = gen.maps[fam]
         tgts = []
         for vfam, off in rule.targets:
-            vimg, vshift = image_of(vfam, f"{fam}.{end}")
+            vimg, vshift = gen.maps[vfam]
             tgts.append((vimg, off + vshift - shift if spec.families[vfam].chain else off))
         if spec.ends.get((img, end)) != EndRule(rule.kind, tuple(tgts)):
             problems.append(f"{fam}.{end} does not map onto {img}.{end}")
     for (fam, side), rule in spec.chain_ends.items():
         img, _ = gen.maps[fam]
-        tgts = tuple(image_of(v, f"{fam}.{side}")[0] for v in rule.targets)
+        tgts = tuple(gen.maps[v][0] for v in rule.targets)
         if spec.chain_ends.get((img, side)) != ChainEndRule(rule.kind, tgts):
             problems.append(f"{fam} chain end {side} does not map onto {img}")
     return problems
@@ -425,7 +420,7 @@ class Truncation:
     validation report, its canonical points, its germ table (the providers
     of the germ on each side of each vertex, read by ``germ_providers`` and,
     as cell adjacency, by ``vertex_sides``), its membership sweeps
-    (``sweeps``: composed-map fingerprint -> image relation of every
+    (``sweeps``: group element -> image relation of every
     canonical point, filled by :func:`leafspace.action.sweep`) and its
     transit table (``transits``: (entry anchor, exit anchor) at a collapsed
     locus node -> what a path gains crossing it, filled by
@@ -726,31 +721,26 @@ class Truncation:
             sides.append((tuple(nbrs), cut or not nbrs))
         return sides
 
+    @cached_property
+    def _edge_vertices(self):
+        """Window edge cell -> the window vertices it supplies a germ to."""
+        inverse = {}
+        for vcell in self.vertex_cells:
+            for nbrs, _ in self.vertex_sides(vcell):
+                for edge in nbrs:
+                    inverse.setdefault(edge, []).append(vcell)
+        return inverse
+
     def cell_neighbors(self, cell):
-        """Cells incident to the given cell, via attachments, gluings,
-        limit membership and elided tails; symmetric by construction."""
-        out = set()
-        eid = self.edge_index.get(cell)
-        if eid is not None:
-            _, lo, hi, a_lo, a_hi = self.graph_edges[eid]
-            for anchor, node in ((a_lo, lo), (a_hi, hi)):
-                if anchor and anchor[0] == "point":
-                    out.add(anchor[1])
-                elif anchor and anchor[0] == "stem":
-                    out.update(self.loci[anchor[1]].members)
-                elif node[0] == "glue":
-                    fam, n = node[1], node[2]
-                    other = (fam, n) if (fam, n) != cell else (fam, n + 1)
-                    if other in self._edge_set:
-                        out.add(other)
-                elif node[0] == "cut":
-                    rule = self.spec.chain_ends.get((node[1], node[2]))
-                    if rule is not None and rule.kind == "limit":
-                        out.update((v, 0) for v in rule.targets)
-        else:
-            for nbrs, _ in self.vertex_sides(cell):
-                out.update(nbrs)
-        out.discard(cell)
+        """Cells incident to the given cell, read off the germ table: a
+        vertex's germ providers, or an edge cell's vertices and the cells
+        glued to it; symmetric by construction."""
+        if self.has_vertex(cell):
+            return sorted({nbr for nbrs, _ in self.vertex_sides(cell) for nbr in nbrs})
+        out = set(self._edge_vertices.get(cell, ()))
+        fam, i = cell
+        if self.spec.families[fam].glue is not None:
+            out.update(c for c in ((fam, i - 1), (fam, i + 1)) if c in self._edge_set)
         return sorted(out)
 
 

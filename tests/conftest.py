@@ -19,6 +19,19 @@ def reduced_words(names, max_len, include_identity=True):
     return words
 
 
+def reference_word_map(spec, word):
+    """Reference composition: a word's action as a dict family -> (image
+    family, shift), built one letter at a time from the generator maps
+    (letters apply right to left), as before the element type."""
+    total = {fam: (fam, 0) for fam in spec.families}
+    for name, exp in reversed(word.letters):
+        gen = spec.generators[name]
+        step = gen.maps if exp == 1 else gen.inverse_maps()
+        total = {fam: (step[img][0], shift + step[img][1])
+                 for fam, (img, shift) in total.items()}
+    return total
+
+
 def act_cell(spec, word, cell):
     """Image of a cell under a word."""
     return act(spec, word, Point(cell)).cell

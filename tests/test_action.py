@@ -4,7 +4,8 @@ from itertools import islice
 
 import pytest
 
-from leafspace.core import Tri, UnresolvedName, UndefinedGenerator, expand, mid_point, vertex_point
+from leafspace.core import (
+    LeafSpaceSpec, Point, Tri, UnresolvedName, UndefinedGenerator, expand, mid_point, vertex_point)
 from leafspace.action import (
     Word,
     act,
@@ -16,12 +17,10 @@ from leafspace.action import (
     fixed_cells,
     in_comparable_set,
     is_identity_action,
-    is_identity_map,
-    map_fingerprint,
     word_map,
     word_walk,
 )
-from conftest import act_cell, build_swap_k, reduced_words
+from conftest import act_cell, build_swap_k, reduced_words, reference_word_map
 from leafspace.paths import Comparability, compare
 from leafspace.core import branch_loci
 from leafspace.randspec import RandomParams, random_spec
@@ -219,12 +218,67 @@ def test_tangentiable_iff_fixed_cells(swap, zigzag, comb):
 
 def test_word_map_composition(swap):
     g = Word.generator("g")
-    m = word_map(swap.spec, g ** 2)
+    m = word_map(swap.spec, g ** 2).maps
     assert m["s"] == ("s", -2)
     assert m["ra"] == ("ra", -1) and m["rb"] == ("rb", -1)
     assert m["a"] == ("a", 0)
     assert is_identity_action(swap.spec, g * g.inverse())
     assert not is_identity_action(swap.spec, g ** 2)
+
+
+def _noncommuting_spec():
+    """Bare vertex families under two generators that do not commute, so
+    the order of composition shows in both the images and the shifts."""
+    spec = LeafSpaceSpec()
+    for name in ("a", "b", "c"):
+        spec.add_vertex(name)
+    for name in ("x", "y"):
+        spec.add_vertex(name, chain=True)
+    spec.add_generator("g", {"a": ("b", 0), "b": ("a", 0), "c": ("c", 0),
+                             "x": ("y", 1), "y": ("x", 0)})
+    spec.add_generator("h", {"a": ("a", 0), "b": ("c", 0), "c": ("b", 0),
+                             "x": ("x", 2), "y": ("y", -1)})
+    return spec
+
+
+def _reference_models(swap_k):
+    from leafspace.gallery import GALLERY_NAMES, gallery
+
+    for name in GALLERY_NAMES:
+        yield name, gallery(name).spec, 2
+    yield "SWAP+k", swap_k, 2
+    yield "noncommuting", _noncommuting_spec(), 2
+    for seed in range(40):
+        yield f"seed {seed}", random_spec(RandomParams(seed=seed, symmetric=True)), 0
+
+
+def test_element_equality_matches_reference_maps(swap_k):
+    for label, spec, _ in _reference_models(swap_k):
+        words = reduced_words(spec.generators, 4)
+        elements = [word_map(spec, w) for w in words]
+        maps = [reference_word_map(spec, w) for w in words]
+        for w, elem, ref in zip(words, elements, maps):
+            assert elem.maps == ref, (label, str(w))
+        for (w, _, elem), ref in zip(word_walk(spec, 4), maps):
+            assert elem.maps == ref, (label, str(w))
+        for i, (a, ref_a) in enumerate(zip(elements, maps)):
+            for b, ref_b in zip(elements[i:], maps[i:]):
+                assert (a == b) == (ref_a == ref_b), label
+                assert a != b or hash(a) == hash(b), label
+
+
+def test_act_matches_reference_maps(swap_k):
+    for label, spec, depth in _reference_models(swap_k):
+        trunc = expand(spec, depth)
+        loci = [locus.members for locus in trunc.loci]
+        for w in reduced_words(spec.generators, 4):
+            ref = reference_word_map(spec, w)
+            for p in canonical_points(trunc):
+                img, shift = ref[p.cell[0]]
+                assert act(spec, w, p) == Point((img, p.cell[1] + shift), p.t), (label, str(w))
+            for members in loci:
+                assert act_locus(spec, w, members) == tuple(sorted(
+                    (ref[f][0], i + ref[f][1]) for f, i in members)), (label, str(w))
 
 
 def test_membership_yes_is_depth_monotone(swap, comb):
@@ -267,10 +321,12 @@ def test_word_walk_matches_reduced_words_and_word_map(swap, zigzag, tripod, swap
             assert words == reduced_words(spec.generators, radius)
             assert words == sorted(words, key=_shortlex_key)
             assert reduced_words(spec.generators, radius, include_identity=False) == words[1:]
-            for w, _, wmap in walked:
-                assert wmap == word_map(spec, w)
-                assert map_fingerprint(wmap) == tuple(sorted(word_map(spec, w).items()))
-                assert is_identity_map(wmap) == is_identity_action(spec, w)
+            for w, _, elem in walked:
+                assert elem == word_map(spec, w)
+                reference = reference_word_map(spec, w)
+                assert elem.maps == reference
+                assert is_identity_action(spec, w) == all(
+                    img == fam and shift == 0 for fam, (img, shift) in reference.items())
 
 
 def test_word_walk_is_lazy(swap_k):
@@ -282,25 +338,29 @@ def test_word_walk_is_lazy(swap_k):
 def test_word_walk_names_each_element_once(swap, zigzag, tripod, swap_k):
     for spec in (swap.spec, zigzag.spec, tripod, swap_k):
         for radius in (0, 3, 5):
-            index_of, map_of = {}, {}
-            for w, index, wmap in word_walk(spec, radius):
-                # equal fingerprints share an index, one index yields one map object
-                assert index_of.setdefault(map_fingerprint(wmap), index) == index, str(w)
-                assert map_of.setdefault(index, wmap) is wmap, str(w)
-                assert (index == 0) == is_identity_map(wmap), str(w)
-            # so distinct fingerprints have distinct indices, numbered from 0
+            index_of, element_of = {}, {}
+            for w, index, elem in word_walk(spec, radius):
+                # equal elements share an index, one index yields one element object
+                assert index_of.setdefault(elem, index) == index, str(w)
+                assert element_of.setdefault(index, elem) is elem, str(w)
+                assert (index == 0) == is_identity_action(spec, w), str(w)
+            # so distinct elements have distinct indices, numbered from 0
             assert sorted(index_of.values()) == list(range(len(index_of)))
 
 
 def test_word_walk_fingerprints_once_per_element_and_letter(swap_k, monkeypatch):
+    # counts element compositions, which the walk makes once per (element, letter)
+    from leafspace.action import Element
+
     within_7 = len({index for _, index, _ in word_walk(swap_k, 7)})
     calls = []
+    compose = Element.__mul__
 
-    def counting(wmap):
-        calls.append(wmap)
-        return map_fingerprint(wmap)
+    def counting(left, right):
+        calls.append(right)
+        return compose(left, right)
 
-    monkeypatch.setattr("leafspace.action.map_fingerprint", counting)
+    monkeypatch.setattr(Element, "__mul__", counting)
     walked = list(word_walk(swap_k, 8))
     assert len(walked) == 13121
     assert len({index for _, index, _ in walked}) == 145
@@ -349,29 +409,28 @@ def test_sweep_table_matches_fresh_relations():
         pts = canonical_points(trunc)
         assert trunc.canonical_points == tuple(pts) and not trunc.sweeps
         elements = set()
-        for w, _, wmap in word_walk(spec, 4):
-            key = map_fingerprint(wmap)
-            first_use = key not in elements
-            assert (key not in trunc.sweeps) == first_use, (label, w)
-            rels = sweep(trunc, wmap)
+        for w, _, elem in word_walk(spec, 4):
+            first_use = elem not in elements
+            assert (elem not in trunc.sweeps) == first_use, (label, w)
+            rels = sweep(trunc, elem)
             fresh = [image_relation(spec, trunc, p, image)
                      for p, image in zip(pts, act_all(spec, w, pts))]
             assert list(rels) == fresh, (label, depth, str(w))
-            assert sweep(trunc, wmap) is rels
-            elements.add(key)
+            assert sweep(trunc, elem) is rels
+            elements.add(elem)
         assert set(trunc.sweeps) == elements
 
 
 def reference_classify_element(spec, word, depth):
     """classify_element as it was before the sweep table: one image
     relation per canonical point, computed in the loop."""
-    from leafspace.action import ElementProfile, _entry, _fixed_cells, _moved, image_relation
+    from leafspace.action import ElementProfile, _entry, _fixed_cells, image_relation
     from leafspace.core import require_valid
 
     trunc = spec.window(depth)
     require_valid(trunc)
-    wmap = word_map(spec, word)
-    fixed = _fixed_cells(trunc, wmap)
+    elem = word_map(spec, word)
+    fixed = _fixed_cells(trunc, elem)
     tan_witness = None
     for cell in fixed:
         tan_witness = (vertex_point(*cell) if trunc.has_vertex(cell) else mid_point(*cell))
@@ -379,7 +438,7 @@ def reference_classify_element(spec, word, depth):
     pos_witness = neg_witness = None
     tainted = trunc.has_truncation
     for p in canonical_points(trunc):
-        rel = image_relation(spec, trunc, p, _moved(wmap, p))
+        rel = image_relation(spec, trunc, p, elem.point(p))
         if rel is None:
             tainted = True
         elif rel is Comparability.LESS and pos_witness is None:

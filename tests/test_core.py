@@ -60,6 +60,15 @@ def test_expand_unresolved_name():
         expand(spec, 1)
 
 
+def test_generator_on_spec_with_unknown_end_family_is_unresolved():
+    # built through the API, so no parse checked the rule's family first
+    spec = LeafSpaceSpec()
+    spec.add_vertex("a")
+    spec.ends[("ghost", "low")] = open_end()
+    with pytest.raises(UnresolvedName, match="end rule on unknown family 'ghost'"):
+        spec.add_generator("g", {"a": ("a", 0)})
+
+
 def test_limit_rule_without_target_is_unresolved():
     edge = LeafSpaceSpec()
     edge.add_vertex("a")
@@ -401,6 +410,50 @@ def test_vertex_neighbors_match_graph_anchors(swap_k):
         for cell in trunc.vertex_cells + trunc.edge_cells:
             for nbr in trunc.cell_neighbors(cell):
                 assert cell in trunc.cell_neighbors(nbr)
+    assert checked > 1000
+
+
+def reference_edge_neighbors(trunc, cell):
+    """The cells incident to a window edge cell read off the anchors and
+    nodes of its graph edge, as before the germ table drove
+    ``cell_neighbors``: an anchored vertex, the members of an anchored
+    stem's locus, the cell across a glue junction, and the limit targets
+    past a chain's cut."""
+    out = set()
+    _, lo, hi, a_lo, a_hi = trunc.graph_edges[trunc.edge_index[cell]]
+    for anchor, node in ((a_lo, lo), (a_hi, hi)):
+        if anchor and anchor[0] == "point":
+            out.add(anchor[1])
+        elif anchor and anchor[0] == "stem":
+            out.update(trunc.loci[anchor[1]].members)
+        elif node[0] == "glue":
+            fam, n = node[1], node[2]
+            other = (fam, n) if (fam, n) != cell else (fam, n + 1)
+            if trunc.has_edge(other):
+                out.add(other)
+        elif node[0] == "cut":
+            rule = trunc.spec.chain_ends.get((node[1], node[2]))
+            if rule is not None and rule.kind == "limit":
+                out.update((v, 0) for v in rule.targets)
+    out.discard(cell)
+    return sorted(out)
+
+
+def test_edge_neighbors_match_graph_anchors(swap_k):
+    # the windows of test_vertex_neighbors_match_graph_anchors, invalid ones included
+    from leafspace.gallery import GALLERY_NAMES, gallery
+    from leafspace.randspec import RandomParams, random_spec
+
+    cases = [(gallery(name).spec, depth) for name in GALLERY_NAMES for depth in range(9)]
+    cases += [(random_spec(RandomParams(seed=seed, symmetric=seed % 3 == 0)), 0)
+              for seed in range(300)]
+    cases += [(swap_k, depth) for depth in range(9)]
+    checked = 0
+    for spec, depth in cases:
+        trunc = expand(spec, depth)
+        for cell in trunc.edge_cells:
+            assert trunc.cell_neighbors(cell) == reference_edge_neighbors(trunc, cell)
+            checked += 1
     assert checked > 1000
 
 
