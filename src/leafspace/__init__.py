@@ -5,8 +5,8 @@ path/comparability calculus, and executable consistency checkers."""
 from .core import (
     BadOffset,
     BranchLocus,
+    Element,
     Family,
-    GeneratorAction,
     HausdorffTree,
     InvalidModel,
     LeafSpaceError,

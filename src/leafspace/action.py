@@ -1,7 +1,8 @@
 """Words over generator actions and their effect on a model.
 
-Generators are per-family maps composed with integer index shifts, so a
-word's total action is again such a map: an :class:`Element`.  Two words
+Each generator is an :class:`Element` (a per-family map composed with
+integer index shifts, from :mod:`leafspace.core`), so a word's total
+action is again one: the product of its letters.  Two words
 act identically on the whole model exactly when their elements are equal,
 so an element is its own exact key for deduplication and identity tests.
 
@@ -23,7 +24,7 @@ import re
 from dataclasses import dataclass
 
 from .core import (
-    Point,
+    Element,
     Tri,
     UndefinedGenerator,
     mid_point,
@@ -109,49 +110,12 @@ class Word:
         return "*".join(n if e == 1 else f"{n}^{e}" for n, e in parts)
 
 
-class Element:
-    """A group element: the action of a word on the whole model.
-
-    ``maps[f] = (f', b)`` sends cell f[n] to f'[n+b], for every family f in
-    the spec's order.  Elements are equal exactly when they act identically,
-    and hash alike, so an element is its own key; do not mutate ``maps``.
-    ``a * b`` applies b, then a."""
-
-    __slots__ = ("maps", "_key")
-
-    def __init__(self, maps):
-        self.maps = maps
-        self._key = tuple(maps.values())
-
-    def __eq__(self, other):
-        return isinstance(other, Element) and self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
-
-    def __mul__(self, other):
-        mine = self.maps
-        return Element({fam: (mine[img][0], shift + mine[img][1])
-                        for fam, (img, shift) in other.maps.items()})
-
-    def cell(self, cell):
-        img, shift = self.maps[cell[0]]
-        return (img, cell[1] + shift)
-
-    def point(self, point):
-        """Image of a point; interior coordinates are preserved because
-        actions restrict to index shifts on each family."""
-        img, shift = self.maps[point.cell[0]]
-        return Point((img, point.cell[1] + shift), point.t)
-
-
 def _letter(spec, name, exp):
-    """The element of one letter; a partial map fails at its first missing family."""
+    """The element of one letter."""
     gen = spec.generators.get(name)
     if gen is None:
         raise UndefinedGenerator(f"generator {name!r} is not defined on this model")
-    maps = gen.maps if exp == 1 else gen.inverse_maps()
-    return Element({fam: maps[fam] for fam in spec.families})
+    return gen if exp == 1 else gen.inverse()
 
 
 def word_map(spec, word):
@@ -172,10 +136,9 @@ def word_walk(spec, max_len):
     elements are equal, and then share one element object, equal to
     ``word_map(spec, word)``.  An element is composed from an element and
     one letter, ``element(u*x) = element(u) * element(x)``, at most once per
-    (element, letter).  Each letter's element is built at its first word,
-    so a partial generator map fails where ``word_map`` does."""
+    (element, letter)."""
     alphabet = [(n, e) for n in sorted(spec.generators) for e in (1, -1)]
-    steps = {}
+    steps = {let: _letter(spec, *let) for let in alphabet}
     identity = word_map(spec, Word.identity())
     elements = [identity]                           # index -> element
     index_of = {identity: 0}                        # element -> index
@@ -190,8 +153,6 @@ def word_walk(spec, max_len):
                     continue
                 w = moves.get((u, let))
                 if w is None:
-                    if let not in steps:
-                        steps[let] = _letter(spec, *let)
                     elem = elements[u] * steps[let]
                     w = moves[u, let] = index_of.setdefault(elem, len(elements))
                     if w == len(elements):

@@ -16,6 +16,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from .core import (
+    InvalidModel,
     LeafSpaceError,
     Point,
     Tri,
@@ -547,7 +548,7 @@ def main(argv=None, stream=None):
     except SystemExit2 as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (ParseError, SemanticError) as exc:
+    except (ParseError, SemanticError, InvalidModel) as exc:
         sys.stderr.write(f"error: invalid model: {exc}\n")
         return 1
     except (ValueError, LeafSpaceError) as exc:

@@ -33,8 +33,9 @@ declared chain-end rule), which lets paths traverse elided tails without
 guessing.
 
 Points on the model are vertex cells or exact rational positions in the
-interior of edge cells.  Group actions are per-family maps composed with
-integer index shifts; see :mod:`leafspace.action`.
+interior of edge cells.  Group elements (:class:`Element`, each generator
+among them) are per-family maps composed with integer index shifts; see
+:mod:`leafspace.action` for words.
 """
 
 from __future__ import annotations
@@ -150,21 +151,6 @@ def to_limit(*targets):
 
 
 @dataclass(frozen=True)
-class GeneratorAction:
-    """One generator of the acting group: per-family image plus index shift.
-
-    ``maps[f] = (f', b)`` sends cell f[n] to f'[n+b], preserving edge
-    orientation and interior coordinates.
-    """
-
-    name: str
-    maps: dict
-
-    def inverse_maps(self):
-        return {img: (fam, -shift) for fam, (img, shift) in self.maps.items()}
-
-
-@dataclass(frozen=True)
 class Point:
     """A position: a vertex cell, or an interior point of an edge cell.
 
@@ -192,6 +178,47 @@ class Point:
         fam, idx = self.cell
         base = f"{fam}[{idx}]"
         return base if self.t is None else f"{base}:{self.t}"
+
+
+class Element:
+    """A group element: a generator, or the action of a word on the whole model.
+
+    ``maps[f] = (f', b)`` sends cell f[n] to f'[n+b], for every family f in
+    the spec's order, preserving edge orientation and interior coordinates.
+    Elements are equal exactly when they act identically, and hash alike,
+    so an element is its own key; do not mutate ``maps``.  ``a * b`` applies
+    b, then a."""
+
+    __slots__ = ("maps", "_key")
+
+    def __init__(self, maps):
+        self.maps = maps
+        self._key = tuple(maps.values())
+
+    def __eq__(self, other):
+        return isinstance(other, Element) and self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __mul__(self, other):
+        mine = self.maps
+        return Element({fam: (mine[img][0], shift + mine[img][1])
+                        for fam, (img, shift) in other.maps.items()})
+
+    def inverse(self):
+        back = {img: (fam, -shift) for fam, (img, shift) in self.maps.items()}
+        return Element({fam: back[fam] for fam in self.maps})
+
+    def cell(self, cell):
+        img, shift = self.maps[cell[0]]
+        return (img, cell[1] + shift)
+
+    def point(self, point):
+        """Image of a point; interior coordinates are preserved because
+        actions restrict to index shifts on each family."""
+        img, shift = self.maps[point.cell[0]]
+        return Point((img, point.cell[1] + shift), point.t)
 
 
 def vertex_point(family, index=0):
@@ -241,13 +268,27 @@ class LeafSpaceSpec:
         self._windows.clear()
 
     def add_generator(self, name, maps, check=True):
-        gen = GeneratorAction(name, dict(maps))
+        """Store a generator as the Element it is.  Whatever ``check`` says,
+        the map must be a bijection of the families with integer shifts
+        (else UnresolvedName, or BadOffset for a shift); ``check`` also
+        requires resolvable declarations and a map that preserves every
+        rule (``automorphism_problems``).  A rejected map changes nothing."""
         if check:
             self.check_wellformed()
-            problems = automorphism_problems(self, gen)
-            if problems:
-                raise UnresolvedName(
-                    f"generator {name!r} is not an automorphism: " + "; ".join(problems))
+        fams = sorted(self.families)
+        if sorted(maps) != fams:
+            problems = ["cell map must cover every family exactly once"]
+        elif sorted(img for img, _ in maps.values()) != fams:
+            problems = ["family map is not a bijection"]
+        else:
+            for _, shift in maps.values():
+                if not isinstance(shift, int):
+                    raise BadOffset(f"generator {name!r} shift {shift!r} is not an integer")
+            gen = Element({fam: maps[fam] for fam in self.families})
+            problems = automorphism_problems(self, gen) if check else []
+        if problems:
+            raise UnresolvedName(
+                f"generator {name!r} is not an automorphism: " + "; ".join(problems))
         self.generators[name] = gen
         self._windows.clear()
 
@@ -258,7 +299,8 @@ class LeafSpaceSpec:
     # -- well-formedness -------------------------------------------------
 
     def check_wellformed(self):
-        """Raise UnresolvedName/BadOffset for unresolvable declarations."""
+        """Raise UnresolvedName/BadOffset for unresolvable end and chain-end
+        rules; generator maps are checked when added."""
         for (fam, end), rule in list(self.ends.items()) + list(self.chain_ends.items()):
             if fam not in self.families:
                 raise UnresolvedName(f"end rule on unknown family {fam!r}")
@@ -273,12 +315,6 @@ class LeafSpaceSpec:
                     vfam = tgt
                 if vfam not in self.families:
                     raise UnresolvedName(f"{fam}.{end} targets unknown family {vfam!r}")
-        for gen in self.generators.values():
-            for fam, (img, shift) in gen.maps.items():
-                if fam not in self.families or img not in self.families:
-                    raise UnresolvedName(f"generator {gen.name!r} maps unknown family")
-                if not isinstance(shift, int):
-                    raise BadOffset(f"generator {gen.name!r} shift {shift!r} is not an integer")
 
     def germ_sources(self):
         """(vertex family, side) -> the rules that can supply that germ, in
@@ -327,19 +363,12 @@ class LeafSpaceSpec:
 
 
 def automorphism_problems(spec, gen):
-    """Check that a generator's cell map induces a bijection of the
-    attachment set; returns a list of human-readable problems (empty when
-    the map is an automorphism).  Limit rules must map onto limit rules
-    with the same member set, so loci map to loci preserving sign.
+    """Check that a generator element, a bijection of the families,
+    preserves the model's rules; returns a list of human-readable problems
+    (empty when it is an automorphism).  Limit rules must map onto limit
+    rules with the same member set, so loci map to loci preserving sign.
     """
     problems = []
-    if sorted(gen.maps) != sorted(spec.families):
-        problems.append("cell map must cover every family exactly once")
-        return problems
-    images = [img for img, _ in gen.maps.values()]
-    if sorted(images) != sorted(spec.families):
-        problems.append("family map is not a bijection")
-        return problems
     for fam, (img, shift) in gen.maps.items():
         f, g = spec.families[fam], spec.families[img]
         if (f.kind, f.chain, f.glue) != (g.kind, g.chain, g.glue):

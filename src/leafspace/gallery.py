@@ -25,7 +25,6 @@ from .core import (
 class GalleryEntry:
     name: str
     spec: LeafSpaceSpec
-    generators: tuple
     notes: str
     facts: dict
 
@@ -43,7 +42,7 @@ def _line():
     spec.add_mark("origin", vertex_point("v", 0))
     spec.add_mark("e0", mid_point("e", 0))
     return GalleryEntry(
-        "LINE", spec, tuple(spec.generators.values()),
+        "LINE", spec,
         "fibration-like model: a line translated by t; no branching",
         {
             "locus_count": 0,
@@ -67,7 +66,7 @@ def _yplus():
     spec.add_mark("pa", mid_point("p"))
     spec.add_mark("qb", mid_point("q"))
     return GalleryEntry(
-        "YPLUS", spec, (),
+        "YPLUS", spec,
         "minimal branching: the line with two origins, plus branches",
         {
             "locus_count": 1,
@@ -107,7 +106,7 @@ def _swap():
     spec.add_mark("ra0", mid_point("ra", 0))
     spec.add_mark("rb0", mid_point("rb", 0))
     return GalleryEntry(
-        "SWAP", spec, tuple(spec.generators.values()),
+        "SWAP", spec,
         "contracting holonomy rendered as index accumulation: chains "
         "limiting onto a two-point locus whose members g exchanges",
         {
@@ -137,7 +136,7 @@ def _zigzag():
     spec.add_mark("lam0", mid_point("E", 0))
     spec.add_mark("lam1", mid_point("E", 1))
     return GalleryEntry(
-        "ZIGZAG", spec, tuple(spec.generators.values()),
+        "ZIGZAG", spec,
         "alternating positive and negative loci along a zigzag spine; h "
         "is a candidate neither-tangentiable-nor-transversable element",
         {
@@ -161,7 +160,7 @@ def _comb():
     spec.add_mark("low", vertex_point("a", 0))
     spec.add_mark("tooth0", mid_point("r", 0))
     return GalleryEntry(
-        "COMB", spec, tuple(spec.generators.values()),
+        "COMB", spec,
         "a comb of loci along a spine; every sufficiently low point is "
         "comparable with its image under the shift",
         {

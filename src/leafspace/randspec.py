@@ -105,7 +105,13 @@ def _locus_slots(asm, members, sign):
 
 
 def random_spec(params):
-    """Deterministic in the seed; the result always passes validation."""
+    """Deterministic in the seed; the result always passes validation.
+    ``locus_count`` and ``locus_size`` must each satisfy 1 <= low <= high
+    (else ValueError)."""
+    for field in ("locus_count", "locus_size"):
+        low, high = getattr(params, field)
+        if not 1 <= low <= high:
+            raise ValueError(f"{field} must satisfy 1 <= low <= high, got {low} {high}")
     rng = random.Random(params.seed)
     if params.symmetric:
         return _symmetric_spec(rng, params)

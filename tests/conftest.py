@@ -22,11 +22,12 @@ def reduced_words(names, max_len, include_identity=True):
 def reference_word_map(spec, word):
     """Reference composition: a word's action as a dict family -> (image
     family, shift), built one letter at a time from the generator maps
-    (letters apply right to left), as before the element type."""
+    (letters apply right to left), with each inverse read off the map
+    itself rather than from ``Element.inverse``."""
     total = {fam: (fam, 0) for fam in spec.families}
     for name, exp in reversed(word.letters):
-        gen = spec.generators[name]
-        step = gen.maps if exp == 1 else gen.inverse_maps()
+        maps = spec.generators[name].maps
+        step = maps if exp == 1 else {img: (fam, -shift) for fam, (img, shift) in maps.items()}
         total = {fam: (step[img][0], shift + step[img][1])
                  for fam, (img, shift) in total.items()}
     return total

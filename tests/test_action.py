@@ -5,7 +5,8 @@ from itertools import islice
 import pytest
 
 from leafspace.core import (
-    LeafSpaceSpec, Point, Tri, UnresolvedName, UndefinedGenerator, expand, mid_point, vertex_point)
+    BadOffset, LeafSpaceSpec, Point, Tri, UnresolvedName, UndefinedGenerator, expand, mid_point,
+    validate, vertex_point)
 from leafspace.action import (
     Word,
     act,
@@ -367,25 +368,52 @@ def test_word_walk_fingerprints_once_per_element_and_letter(swap_k, monkeypatch)
     assert len(calls) <= 1 + 4 * within_7
 
 
-def test_partial_generator_fails_at_the_same_word():
+def test_bad_generator_map_is_rejected_at_add():
+    from leafspace.gallery import gallery
+
     families = list(build_swap_k().families)
-    partial = {fam: (fam, 0) for fam in families[1:]}             # misses a family
-    merging = {fam: (families[0], 0) for fam in families[:2]}      # no inverse for one family
-    merging.update({fam: (fam, 0) for fam in families[2:]})
-    for maps in (partial, merging):
-        spec = build_swap_k()
-        spec.add_generator("h", maps, check=False)
-        walked = []
-        with pytest.raises(KeyError) as walk_error:
-            for w, _, _ in word_walk(spec, 3):
-                walked.append(w)
-        words = reduced_words(spec.generators, 3)
-        assert words[:len(walked)] == walked
-        for w in walked:
-            word_map(spec, w)
-        with pytest.raises(KeyError) as map_error:
-            word_map(spec, words[len(walked)])
-        assert map_error.value.args == walk_error.value.args
+    ident = {fam: (fam, 0) for fam in families}
+    partial = {fam: (fam, 0) for fam in families[1:]}
+    merging = dict(ident, **{families[1]: (families[0], 0)})
+    unknown = dict(partial, ghost=(families[0], 0))
+    cover = "cell map must cover every family exactly once"
+    cases = [(build_swap_k, maps, False, UnresolvedName, message)
+             for maps, message in ((partial, cover), (merging, "family map is not a bijection"),
+                                   (unknown, cover), (dict(ident, ghost=("ghost", 0)), cover))]
+    for check in (True, False):
+        cases.append((build_swap_k, dict(ident, s=("s", 1.0)), check, BadOffset,
+                      "generator 'h' shift 1.0 is not an integer"))
+        cases.append((lambda: gallery("LINE").spec, {"v": ("v", 1.0), "e": ("e", 1.0)}, check,
+                      BadOffset, "generator 'h' shift 1.0 is not an integer"))
+    for build, maps, check, error, message in cases:
+        spec = build()
+        window, generators = spec.window(1), dict(spec.generators)
+        with pytest.raises(error, match=re.escape(message)):
+            spec.add_generator("h", maps, check=check)
+        assert spec.generators == generators and spec.window(1) is window
+        assert validate(expand(spec, 1)).valid
+
+
+def _generator_models():
+    from leafspace.gallery import GALLERY_NAMES, gallery
+
+    for name in GALLERY_NAMES:
+        yield gallery(name).spec
+    yield build_swap_k()
+    for seed in range(40):
+        yield random_spec(RandomParams(seed=seed, symmetric=True))
+        yield random_spec(RandomParams(seed=seed))
+
+
+def test_generators_are_their_elements_with_inverses():
+    for spec in _generator_models():
+        identity = word_map(spec, Word.identity())
+        for name, gen in spec.generators.items():
+            assert gen == word_map(spec, Word.generator(name))
+            inverse = word_map(spec, Word.generator(name, -1))
+            assert inverse == gen.inverse()
+            assert inverse.maps == reference_word_map(spec, Word.generator(name, -1))
+            assert gen * gen.inverse() == identity == gen.inverse() * gen
 
 
 # -- one sweep table per window ------------------------------------------------

@@ -200,18 +200,45 @@ def test_lower_bound_unknown_or_outside_point(capsys):
                    "           note: bound leaves the window\n")
 
 
-@pytest.mark.parametrize("document", [
-    "leafspace/1\nfamily a vertex sometimes\n",
-    "leafspace/1\nfamily a vertex unit\nfamily a vertex unit\n",
-    "leafspace/1\nfamily a vertex unit\nfamily e edge unit\nend e low vertex ghost 0\n"
-    "end e high open\ngen g a a 0\ngen g e e 0\n",
-], ids=["parse-error", "semantic-error", "unknown-target-beside-a-generator"])
-def test_rejected_document_exits_one(tmp_path, capsys, document):
+# parses, but the limit member b has no germ on its high side
+INVALID_WINDOW = (
+    "leafspace/1\nfamily a vertex unit\nfamily b vertex unit\nfamily p edge unit\n"
+    "family s edge unit\nend p low vertex a 0\nend p high open\nend s low open\n"
+    "end s high limit a 0 b 0\ngen g a a 0\ngen g b b 0\ngen g p p 0\ngen g s s 0\n")
+
+
+REJECTED_DOCUMENTS = {
+    "parse-error": "leafspace/1\nfamily a vertex sometimes\n",
+    "semantic-error": "leafspace/1\nfamily a vertex unit\nfamily a vertex unit\n",
+    "unknown-target-beside-a-generator":
+        "leafspace/1\nfamily a vertex unit\nfamily e edge unit\nend e low vertex ghost 0\n"
+        "end e high open\ngen g a a 0\ngen g e e 0\n",
+    "invalid-window": INVALID_WINDOW,
+}
+MODEL_COMMANDS = [
+    ("validate",),
+    ("loci",),
+    ("classify", "--word", "g"),
+    ("stab",),
+    ("check", "check_connected_open", "--word", "g"),
+    ("compare", "--x", "p[0]:1/2", "--y", "s[0]:1/2"),
+    ("path", "--from", "p[0]:1/2", "--to", "s[0]:1/2"),
+]
+
+
+@pytest.mark.parametrize("document, command", [
+    pytest.param(doc, cmd, id=name if cmd == ("validate",) else f"{name}-{cmd[0]}")
+    for name, doc in REJECTED_DOCUMENTS.items() for cmd in MODEL_COMMANDS])
+def test_rejected_document_exits_one(tmp_path, capsys, document, command):
     doc = tmp_path / "bad.leafspace"
     doc.write_text(document, encoding="utf-8")
-    code, out = run("validate", "--spec", str(doc))
-    assert code == 1 and out == ""
-    assert "error:" in capsys.readouterr().err
+    code, out = run(*command, "--spec", str(doc))
+    err = capsys.readouterr().err
+    assert code == 1
+    if document == INVALID_WINDOW and command == ("validate",):     # a report, not an error
+        assert "valid: no" in out and err == ""
+    else:
+        assert out == "" and err.startswith("error: invalid model: ")
 
 
 def test_unreadable_spec_exits_two(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import pytest
+
+from leafspace.cli import main
 from leafspace.core import branch_loci, expand, validate
 from leafspace.action import Word, act_locus
 from leafspace.formats import emit
@@ -50,3 +53,19 @@ def test_extra_edges_subdivide():
     thin = random_spec(RandomParams(seed=77, extra_edges=0))
     thick = random_spec(RandomParams(seed=77, extra_edges=4))
     assert len(thick.families) == len(thin.families) + 2 * 4
+
+
+@pytest.mark.parametrize("field, bounds", [
+    ("locus_count", (0, 0)), ("locus_count", (3, 1)),
+    ("locus_size", (0, 0)), ("locus_size", (5, 2)),
+])
+def test_out_of_range_bounds_are_rejected(field, bounds, capsys):
+    for symmetric in (False, True):
+        with pytest.raises(ValueError, match=f"{field} must satisfy 1 <= low <= high"):
+            random_spec(RandomParams(seed=1, symmetric=symmetric, **{field: bounds}))
+    flag = {"locus_count": "--loci", "locus_size": "--sizes"}[field]
+    assert main(["random", "--seed", "1", flag, *map(str, bounds)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field} must satisfy")
+    # the smallest valid bounds still build a valid model
+    spec = random_spec(RandomParams(seed=1, **{field: (1, 1)}))
+    assert validate(expand(spec, 1)).valid
