@@ -126,42 +126,43 @@ def word_map(spec, word):
     return total
 
 
-def word_walk(spec, max_len):
-    """Every reduced word of length <= max_len over the model's generators,
-    lazily, in shortlex order (shorter words first, then letter by letter
-    with generators by name and each letter before its inverse), as
-    ``(word, element index, element)``.
+def shortlex(word):
+    """Sort key of the walk's order: shorter words first, then letter by
+    letter with generators by name and each letter before its inverse."""
+    return len(word), tuple((name, -exp) for name, exp in word.letters)
 
-    Index 0 is the identity.  Words share an index exactly when their
-    elements are equal, and then share one element object, equal to
-    ``word_map(spec, word)``.  An element is composed from an element and
-    one letter, ``element(u*x) = element(u) * element(x)``, at most once per
-    (element, letter)."""
+
+def element_ball(spec, radius):
+    """Every group element within ``radius`` letters of the identity, by one
+    breadth-first walk of the Cayley graph, as ``(ball, relators)``.
+
+    ``ball`` maps each element to its shortlex-least word, in shortlex
+    order (``shortlex``), so the identity comes first.  The walk composes
+    an element with each letter that does not cancel its word's last
+    letter, once.  A product the ball already names closes a non-tree
+    edge: ``relators`` holds its word ``u*x*v^-1``, with u and v the named
+    words of the two ends, which is reduced and acts as the identity."""
     alphabet = [(n, e) for n in sorted(spec.generators) for e in (1, -1)]
     steps = {let: _letter(spec, *let) for let in alphabet}
-    identity = word_map(spec, Word.identity())
-    elements = [identity]                           # index -> element
-    index_of = {identity: 0}                        # element -> index
-    moves = {}                                      # (index, letter) -> index
-    yield Word.identity(), 0, identity
-    frontier = [((), 0)]
-    for length in range(1, max_len + 1):
+    ball = {word_map(spec, Word.identity()): Word.identity()}
+    relators = []
+    frontier = list(ball.items())
+    for _ in range(radius):
         grow = []
-        for letters, u in frontier:
+        for elem, word in frontier:
             for let in alphabet:
-                if letters and letters[-1] == (let[0], -let[1]):
+                if word.letters and word.letters[-1] == (let[0], -let[1]):
                     continue
-                w = moves.get((u, let))
-                if w is None:
-                    elem = elements[u] * steps[let]
-                    w = moves[u, let] = index_of.setdefault(elem, len(elements))
-                    if w == len(elements):
-                        elements.append(elem)
-                word_letters = letters + (let,)
-                if length < max_len:
-                    grow.append((word_letters, w))
-                yield Word(word_letters), w, elements[w]
+                image = elem * steps[let]
+                letters = word.letters + (let,)
+                named = ball.get(image)
+                if named is None:
+                    ball[image] = Word(letters)
+                    grow.append((image, ball[image]))
+                else:
+                    relators.append(Word(letters + named.inverse().letters))
         frontier = grow
+    return ball, relators
 
 
 def fingerprint(spec, word):
@@ -175,11 +176,6 @@ def is_identity_action(spec, word):
 def act(spec, word, point):
     """Image of a point under a word."""
     return word_map(spec, word).point(point)
-
-
-def act_all(spec, word, points):
-    """Images of many points under one word, composing its element once."""
-    return list(map(word_map(spec, word).point, points))
 
 
 def act_locus(spec, word, members):

@@ -31,10 +31,11 @@ from .action import (
     _member,
     branching_type,
     comparable_sample,
+    element_ball,
     image_relation,
+    shortlex,
     sweep,
     word_map,
-    word_walk,
 )
 
 PASS, VIOLATION, TRUNCATED = "pass", "violation", "truncated"
@@ -325,13 +326,14 @@ def check_invariant_locus_stem(spec, word, locus, depth):
 
 @dataclass(frozen=True)
 class StabilizerBall:
-    """All reduced words up to a radius that fix a locus setwise.  The
-    cyclic certificate compares word sets: some member's powers within
-    the radius must be exactly the nontrivial members."""
+    """The group elements within a radius that fix a locus setwise, each
+    named by its shortlex-least word.  The cyclic certificate compares
+    element sets: some member's powers must be exactly the nontrivial
+    members."""
 
     locus: tuple                # member cells
     radius: int
-    members: tuple              # Words, sorted by (length, letters)
+    members: tuple              # Words, one per element, in shortlex order
     action_table: tuple         # (word, image member tuple) pairs
     cyclic_at_radius: bool
     cyclic_generator: Word | None
@@ -340,53 +342,41 @@ class StabilizerBall:
 
 def stabilizer_ball(spec, locus, radius, depth):
     members = locus.members if hasattr(locus, "members") else tuple(sorted(locus))
-    trunc = spec.window(depth)
-    require_valid(trunc)
-    ball, table = [], []
-    fixing = {}             # element index -> member images, or None if it moves the locus
-    for word, index, elem in word_walk(spec, radius):
-        if index not in fixing:
-            images = tuple(map(elem.cell, members))
-            fixing[index] = images if tuple(sorted(images)) == members else None
-        images = fixing[index]
-        if images is not None:
-            ball.append(word)
-            table.append((word, images))
+    require_valid(spec.window(depth))
+    fixing = {}                 # element -> (word, member images)
+    for elem, word in element_ball(spec, radius)[0].items():
+        images = tuple(map(elem.cell, members))
+        if tuple(sorted(images)) == members:
+            fixing[elem] = word, images
+    table = tuple(fixing.values())
     nontrivial = any(images != members for _, images in table)
 
-    cyclic, generator = False, None
-    nontriv_words = [w for w in ball if not w.is_identity]
-    if not nontriv_words:
-        cyclic = True
-    elif len(nontriv_words) <= 2 * radius:
-        # A nontrivial reduced word u*c*u^-1 (c cyclically reduced) has
-        # |w^k| = 2|u| + k|c|, so w and w^-1 have at most 2*radius powers
-        # within the radius: a larger ball cannot be one word's powers.
-        have = set(ball) - {Word.identity()}
-        for cand in nontriv_words:
-            powers = set()
-            for base in (cand, cand.inverse()):
-                power = base
-                while len(power) <= radius:
-                    powers.add(power)
-                    power = power * base
-            if powers == have:
-                cyclic, generator = True, cand
-                break
-    return StabilizerBall(members, radius, tuple(ball), tuple(table), cyclic, generator,
-                          nontrivial)
+    # Walk each direction until a power leaves the nontrivial members,
+    # reaches the identity (which comes first) or repeats.
+    candidates = list(fixing)[1:]
+    have = set(candidates)
+    cyclic, generator = not have, None
+    for cand in candidates:
+        powers = set()
+        for base in (cand, cand.inverse()):
+            power = base
+            while power in have and power not in powers:
+                powers.add(power)
+                power = power * base
+        if powers == have:
+            cyclic, generator = True, fixing[cand][0]
+            break
+    return StabilizerBall(members, radius, tuple(w for w, _ in table), table, cyclic,
+                          generator, nontrivial)
 
 
 def check_fix_propagation(spec, locus, radius, depth):
-    """Any stabilizer word fixing one member of a finite locus must fix
+    """Any stabilizer element fixing one member of a finite locus must fix
     them all; a partial fix flags the model as non-realizable."""
     name = "check_fix_propagation"
     ball = stabilizer_ball(spec, locus, radius, depth)
-    fixed_by = {}           # member images -> the members they fix
     for word, images in ball.action_table:
-        fixed = fixed_by.get(images)
-        if fixed is None:
-            fixed = fixed_by[images] = tuple(m for m, img in zip(ball.locus, images) if m == img)
+        fixed = tuple(m for m, img in zip(ball.locus, images) if m == img)
         if fixed and len(fixed) < len(ball.locus):
             return CheckReport.make(name, VIOLATION, depth=depth, word_bound=radius, witness={
                 "word": word,
@@ -397,17 +387,21 @@ def check_fix_propagation(spec, locus, radius, depth):
 
 
 def check_faithfulness(spec, max_word_len, depth):
-    """On a branching model, no nontrivial word may act as the identity."""
+    """On a branching model, no nontrivial word may act as the identity.
+    Such a word of length <= r is a Cayley graph cycle that short; the
+    graph is vertex-transitive, so a walk to radius ceil(r/2) meets a
+    shortest cycle as a non-tree edge, whose relator is that short."""
     name = "check_faithfulness"
     bt = branching_type(spec, depth)
     if bt.value == "none":
         raise PreconditionFailed(
             "model shows no branching in the window; a fibration-like model "
             "may act unfaithfully, so the check does not apply")
-    for word, index, _ in word_walk(spec, max_word_len):
-        if index == 0 and not word.is_identity:
-            return CheckReport.make(name, VIOLATION, depth=depth, word_bound=max_word_len,
-                                    witness={"word": word})
+    _, relators = element_ball(spec, (max_word_len + 1) // 2)
+    short = [w for r in relators if len(r) <= max_word_len for w in (r, r.inverse())]
+    if short:
+        return CheckReport.make(name, VIOLATION, depth=depth, word_bound=max_word_len,
+                                witness={"word": min(short, key=shortlex)})
     return CheckReport.make(name, PASS, depth=depth, word_bound=max_word_len)
 
 
@@ -457,14 +451,10 @@ def screen_infinite_locus(spec, max_word_len, depth):
     trunc = spec.window(depth)
     require_valid(trunc)
     bt = branching_type(spec, depth)
-    seen = set()
     neither = []
     tainted = False
-    for word, index, elem in word_walk(spec, max_word_len):
-        if index in seen:
-            continue
-        seen.add(index)
-        if index == 0:
+    for elem, word in element_ball(spec, max_word_len)[0].items():
+        if word.is_identity:
             continue
         profile = _classify(trunc, word, elem)
         tangent = profile.tangentiable.value is Tri.YES

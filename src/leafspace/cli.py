@@ -279,7 +279,10 @@ def _basic_words(spec):
     return words
 
 
-def _find_comparable_pair(trunc, elem, limit=400):
+PAIR_SEARCH_LIMIT = 400        # ordered point pairs tried per word
+
+
+def _find_comparable_pair(trunc, elem):
     """First (lam, mu) with lam < mu and lam < w(mu), both certified."""
     pts = trunc.canonical_points
     tried = 0
@@ -288,7 +291,7 @@ def _find_comparable_pair(trunc, elem, limit=400):
             if lam == mu:
                 continue
             tried += 1
-            if tried > limit:
+            if tried > PAIR_SEARCH_LIMIT:
                 return None
             if compare(trunc, lam, mu) is not Comparability.LESS:
                 continue

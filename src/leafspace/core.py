@@ -231,7 +231,9 @@ def mid_point(family, index=0):
 
 class LeafSpaceSpec:
     """A finitely generated model.  ``add_*`` and ``add_mark`` drop the
-    cached windows, so a window is never older than the spec it came from."""
+    cached windows, so a window is never older than the spec it came from.
+    Families come first: a generator is checked against the families when
+    it is added, so a family added after one raises UnresolvedName."""
 
     def __init__(self):
         self.families = {}
@@ -264,6 +266,8 @@ class LeafSpaceSpec:
     def _add_family(self, fam):
         if fam.name in self.families:
             raise UnresolvedName(f"duplicate family {fam.name!r}")
+        if self.generators:     # each generator maps the families it was checked against
+            raise UnresolvedName(f"family {fam.name!r} added after a generator")
         self.families[fam.name] = fam
         self._windows.clear()
 

@@ -349,9 +349,9 @@ def compare(trunc, x, y):
     of travel decides."""
     trunc.require_point(x)
     trunc.require_point(y)
+    require_routable(trunc)
     if x == y:
         return Comparability.EQUAL
-    require_routable(trunc)
     route = _route(trunc, x, y)
     if route is None:
         return Comparability.TRUNCATED

@@ -1,7 +1,5 @@
 import random
 import re
-from itertools import islice
-
 import pytest
 
 from leafspace.core import (
@@ -15,11 +13,12 @@ from leafspace.action import (
     canonical_points,
     classify_element,
     comparable_sample,
+    element_ball,
     fixed_cells,
     in_comparable_set,
     is_identity_action,
+    shortlex,
     word_map,
-    word_walk,
 )
 from conftest import act_cell, build_swap_k, reduced_words, reference_word_map
 from leafspace.paths import Comparability, compare
@@ -260,8 +259,6 @@ def test_element_equality_matches_reference_maps(swap_k):
         maps = [reference_word_map(spec, w) for w in words]
         for w, elem, ref in zip(words, elements, maps):
             assert elem.maps == ref, (label, str(w))
-        for (w, _, elem), ref in zip(word_walk(spec, 4), maps):
-            assert elem.maps == ref, (label, str(w))
         for i, (a, ref_a) in enumerate(zip(elements, maps)):
             for b, ref_b in zip(elements[i:], maps[i:]):
                 assert (a == b) == (ref_a == ref_b), label
@@ -310,50 +307,55 @@ def test_profile_witnesses_verify(swap, line):
             assert image_relation(spec, trunc, w, act(spec, word, w)) is Comparability.GREATER
 
 
-def _shortlex_key(word):
-    return (len(word), tuple((n, 0 if e > 0 else 1) for n, e in word.letters))
+# The walk (``element_ball``) names each element within a radius by its
+# shortlex-least word, so these tests compare it with the reduced words.
 
 
 def test_word_walk_matches_reduced_words_and_word_map(swap, zigzag, tripod, swap_k):
     for spec in (swap.spec, zigzag.spec, tripod, swap_k):
         for radius in range(6):
-            walked = list(word_walk(spec, radius))
-            words = [w for w, _, _ in walked]
-            assert words == reduced_words(spec.generators, radius)
-            assert words == sorted(words, key=_shortlex_key)
-            assert reduced_words(spec.generators, radius, include_identity=False) == words[1:]
-            for w, _, elem in walked:
-                assert elem == word_map(spec, w)
-                reference = reference_word_map(spec, w)
-                assert elem.maps == reference
-                assert is_identity_action(spec, w) == all(
-                    img == fam and shift == 0 for fam, (img, shift) in reference.items())
-
-
-def test_word_walk_is_lazy(swap_k):
-    # a radius-60 ball has about 4 * 3^59 words; the first few come at once
-    first = list(islice(word_walk(swap_k, 60), 6))
-    assert [str(w) for w, _, _ in first] == ["1", "g", "g^-1", "k", "k^-1", "g^2"]
+            ball, _ = element_ball(spec, radius)
+            words = reduced_words(spec.generators, radius)
+            assert words == sorted(words, key=shortlex)
+            # the keys are the elements of the reduced words, in order of first use
+            assert list(ball) == list(dict.fromkeys(word_map(spec, w) for w in words))
+            for elem, w in ball.items():
+                assert elem.maps == reference_word_map(spec, w)
 
 
 def test_word_walk_names_each_element_once(swap, zigzag, tripod, swap_k):
     for spec in (swap.spec, zigzag.spec, tripod, swap_k):
-        for radius in (0, 3, 5):
-            index_of, element_of = {}, {}
-            for w, index, elem in word_walk(spec, radius):
-                # equal elements share an index, one index yields one element object
-                assert index_of.setdefault(elem, index) == index, str(w)
-                assert element_of.setdefault(index, elem) is elem, str(w)
-                assert (index == 0) == is_identity_action(spec, w), str(w)
-            # so distinct elements have distinct indices, numbered from 0
-            assert sorted(index_of.values()) == list(range(len(index_of)))
+        for radius in range(6):
+            ball, _ = element_ball(spec, radius)
+            first = {}
+            for w in reduced_words(spec.generators, radius):
+                first.setdefault(word_map(spec, w), w)
+            # each value is the first reduced word of its element, and names it
+            assert list(ball.values()) == list(first.values())
+            assert all(word_map(spec, w) == elem for elem, w in ball.items())
+            assert len(set(ball.values())) == len(ball)
+
+
+def test_element_ball_relators_are_reduced_identity_words(swap, zigzag, tripod, swap_k):
+    for spec in (swap.spec, zigzag.spec, tripod, swap_k):
+        for radius in range(6):
+            ball, relators = element_ball(spec, radius)
+            for r in relators:
+                assert Word.of(r.letters) == r and not r.is_identity, str(r)
+                assert is_identity_action(spec, r), str(r)
+                assert all(img == fam and shift == 0 for fam, (img, shift)
+                           in reference_word_map(spec, r).items()), str(r)
+            # a walk with no relator is a tree: one element per reduced word
+            if not relators:
+                assert len(ball) == len(reduced_words(spec.generators, radius))
 
 
 def test_word_walk_fingerprints_once_per_element_and_letter(swap_k, monkeypatch):
     # counts element compositions, which the walk makes once per (element, letter)
     from leafspace.action import Element
 
-    within_7 = len({index for _, index, _ in word_walk(swap_k, 7)})
+    within_7 = len(element_ball(swap_k, 7)[0])
+    assert within_7 == 113
     calls = []
     compose = Element.__mul__
 
@@ -362,9 +364,8 @@ def test_word_walk_fingerprints_once_per_element_and_letter(swap_k, monkeypatch)
         return compose(left, right)
 
     monkeypatch.setattr(Element, "__mul__", counting)
-    walked = list(word_walk(swap_k, 8))
-    assert len(walked) == 13121
-    assert len({index for _, index, _ in walked}) == 145
+    ball, _ = element_ball(swap_k, 8)
+    assert len(ball) == 145
     assert len(calls) <= 1 + 4 * within_7
 
 
@@ -430,19 +431,20 @@ def _sweep_models():
 
 
 def test_sweep_table_matches_fresh_relations():
-    from leafspace.action import act_all, image_relation, sweep
+    from leafspace.action import image_relation, sweep
 
     for label, spec, depth in _sweep_models():
         trunc = expand(spec, depth)
         pts = canonical_points(trunc)
         assert trunc.canonical_points == tuple(pts) and not trunc.sweeps
         elements = set()
-        for w, _, elem in word_walk(spec, 4):
+        for w in reduced_words(spec.generators, 4):
+            elem = word_map(spec, w)
             first_use = elem not in elements
             assert (elem not in trunc.sweeps) == first_use, (label, w)
             rels = sweep(trunc, elem)
             fresh = [image_relation(spec, trunc, p, image)
-                     for p, image in zip(pts, act_all(spec, w, pts))]
+                     for p, image in zip(pts, map(word_map(spec, w).point, pts))]
             assert list(rels) == fresh, (label, depth, str(w))
             assert sweep(trunc, elem) is rels
             elements.add(elem)
@@ -486,7 +488,7 @@ def test_classify_element_matches_reference(tripod, updown):
 
     models = list(_sweep_models()) + [("tripod", tripod, 2), ("updown", updown, 3)]
     for label, spec, depth in models:
-        for w, _, _ in word_walk(spec, 4):
+        for w in reduced_words(spec.generators, 4):
             try:
                 want = reference_classify_element(spec, w, depth)
             except Exception as exc:        # the same error must come back

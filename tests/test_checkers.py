@@ -5,7 +5,8 @@ import pytest
 
 from leafspace.core import PreconditionFailed, Tri, expand, mid_point, vertex_point
 from leafspace.core import branch_loci
-from leafspace.action import Word, act, act_locus, fingerprint, in_comparable_set
+from leafspace.action import (
+    Word, act, act_locus, branching_type, fingerprint, in_comparable_set, word_map)
 from leafspace.checkers import (
     PASS,
     VIOLATION,
@@ -25,7 +26,7 @@ from leafspace.checkers import (
 from leafspace.gallery import GALLERY_NAMES, gallery
 from leafspace.paths import path
 
-from conftest import act_cell, reduced_words
+from conftest import act_cell, build_swap_k, build_tripod, build_updown, reduced_words
 
 
 def swap_locus(swap, depth=4):
@@ -324,48 +325,45 @@ def test_reduced_words_counts():
     assert all(len(w) <= 3 for w in words)
 
 
-def test_ball_with_two_generators_is_not_cyclic(tripod):
-    # a second generator with the same action makes the locus stabilizer
-    # ball a rank-2 free ball: every mixed word still fixes the locus
-    # setwise, so no single word generates, and the redundancy is exactly
-    # what the faithfulness screen must flag (u*w^-1 acts trivially)
-    from conftest import build_tripod
-
+def test_ball_with_two_generators_acting_alike_is_cyclic():
+    # a second generator u with w's action: the ball lists elements, so it
+    # is {1, u} (u names w's element first in shortlex order), cyclic with
+    # generator u as the image group Z/2 is; the redundancy is what the
+    # faithfulness screen must flag (u^2 and u*w^-1 act trivially)
     spec = build_tripod()
     spec.add_generator("u", dict(spec.generators["w"].maps))
     locus = branch_loci(expand(spec, 2))[0]
     ball = stabilizer_ball(spec, locus, 3, 2)
-    assert len(ball.members) == 1 + 4 + 4 * 3 + 4 * 9
-    assert not ball.cyclic_at_radius and ball.cyclic_generator is None
-    assert Word.parse("u*w^-1") in ball.members
+    assert ball.members == (Word.identity(), Word.generator("u"))
+    assert ball.cyclic_at_radius and ball.cyclic_generator == Word.generator("u")
     rep = check_faithfulness(spec, 2, 2)
     assert rep.verdict == VIOLATION
-    assert dict(rep.witness)["word"] in ("u*w^-1", "w*u^-1", "w^-1*u", "u^-1*w", "w^2", "u^2")
+    assert dict(rep.witness)["word"] == "u^2"
 
 
 # -- stabilizer balls against the word-set reference --------------------------
 
 
 def reference_stabilizer_ball(spec, locus, radius):
-    """The ball as first written: filter every reduced word by its action
-    on the locus, then try each nontrivial member's power set."""
+    """The ball from every reduced word: keep the first word of each
+    element (by ``word_map``) that fixes the locus setwise, then try each
+    nontrivial member's powers, composed letter by letter, as elements."""
     members = locus.members
-    ball = [w for w in reduced_words(spec.generators, radius)
-            if act_locus(spec, w, members) == members]
+    first = {}
+    for w in reduced_words(spec.generators, radius):
+        first.setdefault(word_map(spec, w), w)
+    ball = [w for w in first.values() if act_locus(spec, w, members) == members]
     table = tuple((w, tuple(act_cell(spec, w, m) for m in members)) for w in ball)
     nontrivial = any(images != members for _, images in table)
-    cyclic, generator = False, None
-    nontriv_words = [w for w in ball if not w.is_identity]
-    if not nontriv_words:
-        cyclic = True
-    have = set(nontriv_words)
-    for cand in nontriv_words:
+    have = {word_map(spec, w) for w in ball if not w.is_identity}
+    cyclic, generator = not have, None
+    for cand in ball[1:]:
         powers = set()
         for base in (cand, cand.inverse()):
-            power = base
-            while len(power) <= radius:
+            k = 1
+            while (power := word_map(spec, base ** k)) in have and power not in powers:
                 powers.add(power)
-                power = power * base
+                k += 1
         if powers == have:
             cyclic, generator = True, cand
             break
@@ -373,8 +371,6 @@ def reference_stabilizer_ball(spec, locus, radius):
 
 
 def test_stabilizer_ball_matches_reference(tripod, swap_k):
-    from conftest import build_tripod
-
     two_gen = build_tripod()
     two_gen.add_generator("u", dict(two_gen.generators["w"].maps))
     cases = [(gallery(name).spec, 4, range(7)) for name in GALLERY_NAMES]
@@ -390,11 +386,11 @@ def test_stabilizer_ball_matches_reference(tripod, swap_k):
 
 
 def test_cyclic_size_bound_edges(swap, swap_k):
-    # exactly 2r nontrivial words: the candidate loop still runs and finds g
+    # 2r nontrivial members, g^-r .. g^r: the powers of g cover them
     ball = stabilizer_ball(swap.spec, swap_locus(swap), 6, 4)
     assert len(ball.members) - 1 == 2 * 6
     assert ball.cyclic_at_radius and ball.cyclic_generator == Word.generator("g")
-    # above the bound: not cyclic, as the full candidate search also finds
+    # a Z^2 ball has more members than one element's powers reach
     locus = branch_loci(expand(swap_k, 4))[0]
     for radius in (1, 2):
         ball = stabilizer_ball(swap_k, locus, radius, 4)
@@ -406,16 +402,103 @@ def test_cyclic_size_bound_edges(swap, swap_k):
 def test_swap_k_radius_8(swap_k):
     locus = branch_loci(expand(swap_k, 4))[0]
     ball = stabilizer_ball(swap_k, locus, 8, 4)
-    assert len(ball.members) == 13121              # every reduced word fixes {a, b}
+    # every element fixes {a, b}: |{(x, y) in Z^2 : |x| + |y| <= 8}| of them
+    assert len(ball.members) == 145
     assert len({fingerprint(swap_k, w) for w in ball.members}) == 145
     assert not ball.cyclic_at_radius and ball.cyclic_generator is None
     assert ball.acts_nontrivially
-    assert check_fix_propagation(swap_k, locus, 8, 4).verdict == PASS
+    rep = check_fix_propagation(swap_k, locus, 8, 4)
+    assert rep.verdict == PASS and dict(rep.witness)["ball_size"] == "145"
     # a group relation of Z^2, reported as unfaithfulness: the known false
     # Violation of this screen, pinned until the screen's claim is fixed
     rep = check_faithfulness(swap_k, 8, 4)
     assert rep.verdict == VIOLATION
     assert dict(rep.witness)["word"] == "g*k*g^-1*k^-1"
+
+
+# -- faithfulness against the loop over reduced words ---------------------------
+
+
+def reference_check_faithfulness(spec, max_word_len, depth):
+    """check_faithfulness as a loop over every reduced word in shortlex
+    order, each composed from its prefix's element: the first nontrivial
+    word that acts as the identity is the witness."""
+    from leafspace.checkers import CheckReport
+
+    name = "check_faithfulness"
+    if branching_type(spec, depth).value == "none":
+        raise PreconditionFailed(
+            "model shows no branching in the window; a fibration-like model "
+            "may act unfaithfully, so the check does not apply")
+    steps = {(n, e): word_map(spec, Word(((n, e),)))
+             for n in sorted(spec.generators) for e in (1, -1)}
+    identity = word_map(spec, Word.identity())
+    layer = [((), identity)]
+    for _ in range(max_word_len):
+        grow = []
+        for letters, elem in layer:
+            for let, step in steps.items():
+                if letters and letters[-1] == (let[0], -let[1]):
+                    continue
+                image = elem * step
+                if image == identity:
+                    return CheckReport.make(name, VIOLATION, depth=depth,
+                                            word_bound=max_word_len,
+                                            witness={"word": Word(letters + (let,))})
+                grow.append((letters + (let,), image))
+        layer = grow
+    return CheckReport.make(name, PASS, depth=depth, word_bound=max_word_len)
+
+
+def _random_generator_set(seed):
+    """The tripod's families under 2-4 random generators (check=False):
+    each permutes the vertices and the branches, here and there with a
+    shift, so short relations are common but not certain."""
+    import random
+
+    rng = random.Random(seed)
+    spec = build_tripod(with_valid_swap=False)
+    for name in "abcd"[:rng.randint(2, 4)]:
+        vertices, branches = rng.sample("abc", 3), rng.sample("abc", 3)
+        maps = {"s": ("s", rng.choice((0, 0, 0, 1)))}
+        for v, img, br in zip("abc", vertices, branches):
+            maps[v] = (img, rng.choice((0, 0, 0, 0, 0, 1, -1)))
+            maps["p" + v] = ("p" + br, rng.choice((0, 0, 0, 0, 1)))
+        spec.add_generator(name, maps, check=False)
+    return spec
+
+
+def _faithfulness_cases():
+    from leafspace.randspec import RandomParams, random_spec
+
+    two_gen = build_tripod()
+    two_gen.add_generator("u", dict(two_gen.generators["w"].maps))
+    for name in GALLERY_NAMES:
+        for depth in (2, 4, 8):
+            for radius in range(9):
+                yield name, gallery(name).spec, radius, depth
+    models = [("SWAP+k", build_swap_k(), 4), ("tripod", build_tripod(), 2),
+              ("tripod-inconsistent", build_tripod(False, True), 2),
+              ("two-generator tripod", two_gen, 2), ("updown", build_updown(), 3)]
+    for label, spec, depth in models:
+        for radius in range(9):
+            yield label, spec, radius, depth
+    for seed in range(200):
+        for symmetric in (False, True):
+            spec = random_spec(RandomParams(seed=seed, symmetric=symmetric))
+            yield f"seed {seed} {symmetric}", spec, seed % 7, 0
+    for seed in range(300):
+        spec = _random_generator_set(seed)
+        yield f"generators {seed}", spec, {2: 7, 3: 5, 4: 4}[len(spec.generators)] - seed % 3, 0
+
+
+def test_faithfulness_matches_reference():
+    verdicts = Counter()
+    for label, spec, radius, depth in _faithfulness_cases():
+        want = _outcome(reference_check_faithfulness, spec, radius, depth)
+        assert _outcome(check_faithfulness, spec, radius, depth) == want, (label, radius)
+        verdicts[want[0] if isinstance(want, tuple) else want.verdict] += 1
+    assert verdicts[PASS] and verdicts[VIOLATION] > 100 and verdicts["PreconditionFailed"]
 
 
 # -- membership sweeps shared across the suite ---------------------------------
@@ -424,7 +507,7 @@ def test_swap_k_radius_8(swap_k):
 def reference_check_odd_path(spec, word, lam, k_max, depth):
     """check_odd_path as it was before the sweep table: each power's sweep
     runs in the loop and stops at the first comparable point."""
-    from leafspace.action import act_all, canonical_points, image_relation
+    from leafspace.action import canonical_points, image_relation
     from leafspace.checkers import TRUNCATED, CheckReport
     from leafspace.paths import COMPARABLE
 
@@ -441,7 +524,7 @@ def reference_check_odd_path(spec, word, lam, k_max, depth):
         raise PreconditionFailed(f"path length {gamma.length} is even")
     points = canonical_points(trunc)
     for k in range(1, k_max + 1):
-        for x, image in zip(points, act_all(spec, word ** k, points)):
+        for x, image in zip(points, map(word_map(spec, word ** k).point, points)):
             if image_relation(spec, trunc, x, image) in COMPARABLE:
                 return CheckReport.make(name, VIOLATION, depth=depth, witness={
                     "word": word, "k": k, "point": x})

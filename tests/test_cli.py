@@ -128,7 +128,7 @@ def test_violation_exits_one(tmp_path):
 
 
 def test_two_generator_model_from_document(tmp_path):
-    # SWAP+k: Z^2 acts, so the radius-8 ball lists 13,121 words for 145 elements
+    # SWAP+k: Z^2 acts, so the radius-8 ball lists its 145 elements, one word each
     from leafspace.formats import emit
     from conftest import build_swap_k
 
@@ -136,12 +136,12 @@ def test_two_generator_model_from_document(tmp_path):
     doc.write_text(emit(build_swap_k()), encoding="utf-8")
     code, out = run("stab", "--spec", str(doc), "--depth", "4", "--word-len", "8")
     assert code == 0
-    assert "size: 13121" in out and "cyclic at this radius: no" in out
+    assert "size: 145" in out and "cyclic at this radius: no" in out
     assert "acts on the locus nontrivially: yes" in out
     code, out = run("check", "check_fix_propagation", "--spec", str(doc),
                     "--depth", "4", "--word-len", "8")
     assert code == 0
-    assert re.search(r"^PASS +check_fix_propagation +ball_size=13121$", out, re.M)
+    assert re.search(r"^PASS +check_fix_propagation +ball_size=145$", out, re.M)
 
 
 def test_stab_no_loci_is_empty_answer():
@@ -215,20 +215,27 @@ REJECTED_DOCUMENTS = {
         "end e high open\ngen g a a 0\ngen g e e 0\n",
     "invalid-window": INVALID_WINDOW,
 }
-MODEL_COMMANDS = [
-    ("validate",),
-    ("loci",),
-    ("classify", "--word", "g"),
-    ("stab",),
-    ("check", "check_connected_open", "--word", "g"),
-    ("compare", "--x", "p[0]:1/2", "--y", "s[0]:1/2"),
-    ("path", "--from", "p[0]:1/2", "--to", "s[0]:1/2"),
-]
+MODEL_COMMANDS = {
+    "validate": ("validate",),
+    "loci": ("loci",),
+    "classify": ("classify", "--word", "g"),
+    "stab": ("stab",),
+    "check": ("check", "check_connected_open", "--word", "g"),
+    "compare": ("compare", "--x", "p[0]:1/2", "--y", "s[0]:1/2"),
+    "path": ("path", "--from", "p[0]:1/2", "--to", "s[0]:1/2"),
+    # a point compared with itself, or with its image under a generator
+    # that fixes it, is still read on a window that must be valid
+    "check_return": ("check", "check_return", "--word", "g", "--point", "p[0]:1/2"),
+    "check_odd_path": ("check", "check_odd_path", "--word", "g", "--point", "p[0]:1/2"),
+    "check_intermediate_fixed": ("check", "check_intermediate_fixed", "--word", "g",
+                                 "--pos", "p[0]:1/2", "--neg", "s[0]:1/2"),
+    "compare-equal": ("compare", "--x", "p[0]:1/2", "--y", "p[0]:1/2"),
+}
 
 
 @pytest.mark.parametrize("document, command", [
-    pytest.param(doc, cmd, id=name if cmd == ("validate",) else f"{name}-{cmd[0]}")
-    for name, doc in REJECTED_DOCUMENTS.items() for cmd in MODEL_COMMANDS])
+    pytest.param(doc, cmd, id=name if key == "validate" else f"{name}-{key}")
+    for name, doc in REJECTED_DOCUMENTS.items() for key, cmd in MODEL_COMMANDS.items()])
 def test_rejected_document_exits_one(tmp_path, capsys, document, command):
     doc = tmp_path / "bad.leafspace"
     doc.write_text(document, encoding="utf-8")

@@ -264,11 +264,22 @@ def test_malformed_glue_reported_not_crashed():
 # -- cached windows and their germ table ----------------------------------------
 
 
-def test_add_drops_cached_windows():
-    from leafspace.core import ChainEndRule, Point, cached_validation
-    from leafspace.gallery import gallery
+def _line_families():
+    """LINE's families and marks, without its generator."""
+    from leafspace.core import mid_point
 
-    spec = gallery("LINE").spec
+    spec = LeafSpaceSpec()
+    spec.add_vertex("v", chain=True)
+    spec.add_edge("e", low=to_vertex("v", 0), high=to_vertex("v", 1), chain=True)
+    spec.add_mark("origin", vertex_point("v", 0))
+    spec.add_mark("e0", mid_point("e", 0))
+    return spec
+
+
+def test_add_drops_cached_windows():
+    from leafspace.core import Point, cached_validation
+
+    spec = _line_families()
     assert cached_validation(spec.window(2)).valid
     spec.add_mark("bad", Point(("v", 0), "1/2"))
     fresh = validate(expand(spec, 2))
@@ -286,6 +297,22 @@ def test_add_drops_cached_windows():
     ats = [te.at for te in spec.window(2).truncated_ends]
     assert ats[-2:] == [("chain", "r", "neg"), ("chain", "r", "pos")]
     assert ats[0] == (("v", -2), "low")
+
+
+def test_family_after_a_generator_is_rejected():
+    from leafspace.gallery import gallery
+
+    spec = gallery("LINE").spec
+    for add in (lambda: spec.add_vertex("w"),
+                lambda: spec.add_edge("f", low=open_end(), high=open_end()),
+                lambda: spec.add_glued_chain("r", 1, ChainEndRule("open"), ChainEndRule("open"))):
+        families, generators = dict(spec.families), dict(spec.generators)
+        ends, chain_ends, window = dict(spec.ends), dict(spec.chain_ends), spec.window(2)
+        with pytest.raises(UnresolvedName, match="added after a generator"):
+            add()
+        assert spec.families == families and spec.generators == generators
+        assert spec.ends == ends and spec.chain_ends == chain_ends
+        assert spec.window(2) is window
 
 
 def test_validate_records_its_report(swap):
