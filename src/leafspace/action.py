@@ -141,7 +141,10 @@ def element_ball(spec, radius):
     an element with each letter that does not cancel its word's last
     letter, once.  A product the ball already names closes a non-tree
     edge: ``relators`` holds its word ``u*x*v^-1``, with u and v the named
-    words of the two ends, which is reduced and acts as the identity."""
+    words of the two ends, which is reduced and acts as the identity.
+    A negative radius raises ValueError."""
+    if radius < 0:
+        raise ValueError(f"radius must be non-negative, got {radius}")
     alphabet = [(n, e) for n in sorted(spec.generators) for e in (1, -1)]
     steps = {let: _letter(spec, *let) for let in alphabet}
     ball = {word_map(spec, Word.identity()): Word.identity()}

@@ -100,9 +100,7 @@ def check_lower_bound(spec, word, lam, mu, depth):
         if not trunc.contains_point(b):
             return CheckReport.make("check_lower_bound", TRUNCATED, depth=depth,
                                     notes=("bound leaves the window",))
-        rel = compare(trunc, lam, b)
-        if rel is Comparability.TRUNCATED:
-            return CheckReport.make("check_lower_bound", TRUNCATED, depth=depth)
+        rel = compare(trunc, lam, b)     # a valid window is connected: never TRUNCATED
         if rel is not Comparability.LESS:
             raise PreconditionFailed(f"{label} fails: {rel.value}")
     member = _member(trunc, elem, lam)
@@ -214,6 +212,8 @@ def check_odd_path(spec, word, lam, k_max, depth):
     """A point whose connection to its image has odd length forces every
     power of the word to have an empty comparable set."""
     name = "check_odd_path"
+    if k_max < 1:
+        raise PreconditionFailed("k_max must be at least 1")
     trunc = spec.window(depth)
     trunc.require_point(lam)
     elem = word_map(spec, word)
@@ -253,18 +253,13 @@ def check_return(spec, word, lam, k, depth):
         raise PreconditionFailed("lam is comparable with its image")
     if member is Tri.TRUNCATED:
         return CheckReport.make(name, TRUNCATED, depth=depth)
-    power = elem
-    for _ in range(k - 1):
-        power = power * elem
+    power = elem ** k
     member_k = _member(trunc, power, lam)
     if member_k is Tri.NO:
         raise PreconditionFailed(f"lam is not comparable with its image under the {k}-th power")
     if member_k is Tri.TRUNCATED:
         return CheckReport.make(name, TRUNCATED, depth=depth)
-    try:
-        gamma = path(trunc, lam, elem.point(lam))
-    except TruncatedError:
-        return CheckReport.make(name, TRUNCATED, depth=depth)
+    gamma = path(trunc, lam, elem.point(lam))   # routed when lam's membership came out NO
     if gamma.length % 2 == 1:
         raise PreconditionFailed(
             f"path length {gamma.length} is odd, contradicting comparability of the power")
@@ -392,6 +387,8 @@ def check_faithfulness(spec, max_word_len, depth):
     graph is vertex-transitive, so a walk to radius ceil(r/2) meets a
     shortest cycle as a non-tree edge, whose relator is that short."""
     name = "check_faithfulness"
+    if max_word_len < 0:
+        raise ValueError(f"max_word_len must be non-negative, got {max_word_len}")
     bt = branching_type(spec, depth)
     if bt.value == "none":
         raise PreconditionFailed(

@@ -337,7 +337,7 @@ def discover_instances(spec, depth, word_len):
                 continue
             try:
                 gamma = path(trunc, p, image)
-            except (TruncatedError, LeafSpaceError):
+            except LeafSpaceError:
                 continue
             if gamma.length % 2 == 1 and odd_lam is None:
                 odd_lam = p

@@ -210,6 +210,21 @@ class Element:
         back = {img: (fam, -shift) for fam, (img, shift) in self.maps.items()}
         return Element({fam: back[fam] for fam in self.maps})
 
+    def __pow__(self, k):
+        """The k-th power by square-and-multiply, in at most 2 log2 |k|
+        products; a negative power is a power of the inverse, the 0-th the
+        identity over the same families."""
+        if k < 0:
+            return self.inverse() ** -k
+        power, base = None, self
+        while k:
+            if k & 1:
+                power = base if power is None else power * base
+            k >>= 1
+            if k:
+                base = base * base
+        return Element({fam: (fam, 0) for fam in self.maps}) if power is None else power
+
     def cell(self, cell):
         img, shift = self.maps[cell[0]]
         return (img, cell[1] + shift)
@@ -412,6 +427,14 @@ class BranchLocus:
         return self.members
 
 
+def edge_hops(eid, span, lo, hi, a_lo, a_hi):
+    """The two hops across graph edge ``eid``, or across a split half of
+    it covering the parameter ``span`` (None for the whole edge), low end
+    to high end first.  A hop is (eid, span, from node, to node, from
+    anchor, to anchor, ascending)."""
+    return (eid, span, lo, hi, a_lo, a_hi, True), (eid, span, hi, lo, a_hi, a_lo, False)
+
+
 def chain_end_ascends(glue, side):
     """True when the elided tail at the given chain side goes upward."""
     return (glue == 1) == (side == POS)
@@ -457,7 +480,9 @@ class Truncation:
     canonical point, filled by :func:`leafspace.action.sweep`) and its
     transit table (``transits``: (entry anchor, exit anchor) at a collapsed
     locus node -> what a path gains crossing it, filled by
-    :func:`leafspace.paths.path`)."""
+    :func:`leafspace.paths.path`).  An anchor is the frozenset of vertex
+    cells that arriving at a node through one edge end can stand on, and
+    ``rooting`` stores each tree edge as the two hops a route reads."""
 
     def __init__(self, spec, depth):
         self.spec = spec
@@ -567,7 +592,6 @@ class Truncation:
             loci.append(BranchLocus(members, sign, ("chain_end", fam, side)))
         loci.sort(key=lambda b: (b.members, b.stem))
         self.loci = tuple(loci)
-        self._stem_locus = {locus.stem: li for li, locus in enumerate(loci)}
 
         # The mate graph: member -> sorted [(mate, locus index)].  Loci that
         # share a member (a vertex may sit in a positive and a negative locus
@@ -609,10 +633,10 @@ class Truncation:
     def _resolve_cell_end(self, cell, end):
         """(node, anchor) for one end of an in-window edge cell.
 
-        The anchor says what arriving at the node through this end means:
-        ("point", vcell) pins a specific vertex, ("stem", locus index)
-        arrives along the locus stem (any member reachable), None for
-        structural nodes (glue junctions, cuts, open leaves).
+        The anchor is the frozenset of vertex cells that arriving at the
+        node through this end can stand on: the glued vertex, or every
+        member of the limit set (a locus stem reaches any member); None
+        for structural nodes (glue junctions, cuts, open leaves).
         """
         fam, i = cell
         f = self.spec.families[fam]
@@ -632,11 +656,7 @@ class Truncation:
         if rule is None or rule.kind == "open":
             return ("open", fam, i, end), None
         cells = [(v, self._target_index(fam, i, v, off)) for v, off in rule.targets]
-        if rule.kind == "vertex" or len(cells) == 1:
-            v = cells[0]
-            return self.vertex_node(v), ("point", v)
-        li = self._stem_locus.get(("cell_end", fam, i, end))
-        return self.vertex_node(cells[0]), ("stem", li)
+        return self.vertex_node(cells[0]), frozenset(cells[:1] if rule.kind == "vertex" else cells)
 
     def _build_graph(self):
         edges = []      # (payload, lo_node, hi_node, anchor_lo, anchor_hi)
@@ -650,11 +670,7 @@ class Truncation:
             glue = self.spec.families[fam].glue
             cut = ("cut", fam, side)
             cells = [(v, 0) for v in rule.targets]
-            if len(cells) == 1:
-                target, anchor = self.vertex_node(cells[0]), ("point", cells[0])
-            else:
-                li = self._stem_locus.get(("chain_end", fam, side))
-                target, anchor = self.vertex_node(cells[0]), ("stem", li)
+            target, anchor = self.vertex_node(cells[0]), frozenset(cells)
             if chain_end_ascends(glue, side):
                 edges.append((("tail", fam, side), cut, target, None, anchor))
             else:
@@ -671,33 +687,29 @@ class Truncation:
             adj.setdefault(self.vertex_node(vcell), [])
         self.adjacency = adj
         # Root every component at its smallest node: node -> (parent node,
-        # id of the edge to the parent, depth), with (None, None, 0) at a
-        # root.  On a tree each route walks these pointers up to the
-        # meeting node; on a cyclic graph they span a forest whose roots
-        # still count the components.
+        # id of the edge to the parent, depth, hop up to the parent, hop
+        # down from it), with (None, None, 0, None, None) at a root.  On a
+        # tree each route appends these hops up to the meeting node; on a
+        # cyclic graph they span a forest whose roots still count the
+        # components.
         rooting = {}
         for root in sorted(adj):
             if root in rooting:
                 continue
-            rooting[root] = (None, None, 0)
+            rooting[root] = (None, None, 0, None, None)
             frontier = [root]
             while frontier:
                 node = frontier.pop()
                 depth = rooting[node][2] + 1
                 for eid, other in adj[node]:
                     if other not in rooting:
-                        rooting[other] = (node, eid, depth)
+                        _, lo, hi, a_lo, a_hi = edges[eid]
+                        ascending, descending = edge_hops(eid, None, lo, hi, a_lo, a_hi)
+                        rooting[other] = (node, eid, depth) + (
+                            (ascending, descending) if other == lo else (descending, ascending))
                         frontier.append(other)
         self.rooting = rooting
-        self.components = sum(1 for parent, _, _ in rooting.values() if parent is None)
-
-    def edge_anchor_at(self, eid, node):
-        payload, lo, hi, a_lo, a_hi = self.graph_edges[eid]
-        if node == lo:
-            return a_lo
-        if node == hi:
-            return a_hi
-        raise KeyError(node)
+        self.components = sum(1 for r in rooting.values() if r[0] is None)
 
     # -- truncated ends ------------------------------------------------------
 

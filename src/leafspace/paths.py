@@ -11,16 +11,20 @@ closes the interval, records a junction, and opens the next one.
 Consecutive junctions inside one collapsed node are separated by
 degenerate single-point intervals.
 
-The window graph is rooted once per window (``Truncation.rooting``), so a
-route walks parent pointers from both ends up to their meeting node and
-costs the length of the route, not the size of the window.  A route is a
-list of plain hop tuples.  ``compare`` reads the jumps and the direction
-of travel off that route without lifting a ``Path``; only ``path`` turns
-hops into parameter spans.  Each crossing of a collapsed node is lifted
-once per window: the transit table (``Truncation.transits``) maps an
-(entry anchor, exit anchor) pair to the vertex steps, points, junctions
-and degenerate intervals it contributes, so a locus hop costs ``path`` a
-table lookup.
+The window graph is rooted once per window (``Truncation.rooting``), and
+the rooting stores each tree edge as its two hops, up and down: the edge,
+its ends, their anchors (the frozenset of vertex cells that arriving
+through that end can stand on) and whether the hop ascends.  A route
+walks parent pointers from both ends up to their meeting node and
+appends the stored hops, so it costs the length of the route, not the
+size of the window; only the split halves of an edge holding x or y are
+built per query.  ``compare`` reads the jumps (a crossing between anchors
+with no common vertex) and the direction off those hops without lifting a
+``Path``; only ``path`` turns hops into parameter spans.  Each crossing of
+a collapsed node is lifted once per window: the transit table
+(``Truncation.transits``) maps an (entry anchor, exit anchor) pair to the
+vertex steps, points, junctions and degenerate intervals it contributes,
+so a locus hop costs ``path`` a table lookup.
 """
 
 from __future__ import annotations
@@ -33,7 +37,9 @@ from .core import (
     BranchLocus,
     InvalidModel,
     Point,
+    Tri,
     TruncatedError,
+    edge_hops,
     require_routable,
 )
 
@@ -128,31 +134,24 @@ _PT = (("pt", 0), ("pt", 1))       # the nodes of the two route ends inside edge
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
-def _anchor(trunc, eid, span, node):
-    """Anchor of a hop's edge at one of its ends; a split point has none."""
-    if span is not None and node[0] == "pt":
-        return None
-    return trunc.edge_anchor_at(eid, node)
-
-
 def _route(trunc, x, y):
     """Unique simple route between the positions of x and y, as a list of
-    hops (eid, lo, hi, span, from_node, to_node); None when the window
-    graph does not connect them (the connection lies beyond the depth
-    bound).  A hop crosses graph edge ``eid`` between its ends ``lo`` and
-    ``hi``; for a split half of a cell edge one end is a ("pt", k) node
-    and ``span`` is the (lo_t, hi_t) parameter range it covers, otherwise
-    ``span`` is None.
+    hops (``core.edge_hops``); None when the window graph does not connect
+    them (the connection lies beyond the depth bound).  The hop of a split
+    half of a cell edge runs to or from a ("pt", k) node, which has no
+    anchor, and carries the (lo_t, hi_t) parameter span it covers.
 
-    Both ends walk up the parent pointers of the rooted window tree to
-    their meeting node.  A point inside an edge cell is a ("pt", k) node
-    that splits only its own edge: it hangs below the edge's parent end,
-    and the edge's child end hangs below it."""
+    Both ends climb the rooted window tree to their meeting node, taking
+    each node's stored hop up (and, from y's side, its hop down).  A point
+    inside an edge cell is a ("pt", k) node that splits only its own edge:
+    it hangs below the edge's parent end, and the edge's child end hangs
+    below it; only those two halves are built per query."""
     if not x.is_vertex and not y.is_vertex and x.cell == y.cell:
         (s, a), (t, b) = sorted(((x.t, _PT[0]), (y.t, _PT[1])))
-        return [(trunc.edge_index[x.cell], a, b, (s, t), _PT[0], _PT[1])]
+        ascending, descending = edge_hops(trunc.edge_index[x.cell], (s, t), a, b, None, None)
+        return [ascending if a == _PT[0] else descending]
     rooting, edges = trunc.rooting, trunc.graph_edges
-    moved = {}      # node -> (eid, lo, hi, span, parent node) where a split edge re-hangs it
+    moved = {}      # node -> (hop up, hop down) where a split edge re-hangs it
     level = {}      # ("pt", k) -> doubled depth, between its edge's two ends
     ends = []
     for pt, point in zip(_PT, (x, y)):
@@ -160,13 +159,14 @@ def _route(trunc, x, y):
             ends.append(trunc.vertex_node(point.cell))
             continue
         eid = trunc.edge_index[point.cell]
-        _, lo, hi, _, _ = edges[eid]
-        low, high = (eid, lo, pt, (_ZERO, point.t)), (eid, pt, hi, (point.t, _ONE))
+        _, lo, hi, a_lo, a_hi = edges[eid]
+        low = edge_hops(eid, (_ZERO, point.t), lo, pt, a_lo, None)
+        high = edge_hops(eid, (point.t, _ONE), pt, hi, None, a_hi)
         if rooting[lo][1] == eid:
-            moved[pt], moved[lo] = high + (hi,), low + (pt,)
+            moved[pt], moved[lo], parent = high, low, hi
         else:
-            moved[pt], moved[hi] = low + (lo,), high + (pt,)
-        level[pt] = 2 * rooting[moved[pt][4]][2] + 1
+            moved[pt], moved[hi], parent = low[::-1], high[::-1], lo
+        level[pt] = 2 * rooting[parent][2] + 1
         ends.append(pt)
     a, b = ends
     route, tail = [], []
@@ -174,48 +174,28 @@ def _route(trunc, x, y):
         climb_a = (level[a] if a in level else 2 * rooting[a][2]) >= \
             (level[b] if b in level else 2 * rooting[b][2])
         node = a if climb_a else b
-        hop = moved.get(node)
-        if hop is None:
-            parent, eid, _ = rooting[node]
-            if parent is None:
-                return None
-            _, lo, hi, _, _ = edges[eid]
-            hop = (eid, lo, hi, None, parent)
-        eid, lo, hi, span, parent = hop
+        up, down = moved.get(node) or rooting[node][3:]
+        if up is None:
+            return None
         if climb_a:
-            route.append((eid, lo, hi, span, a, parent))
-            a = parent
+            route.append(up)
+            a = up[3]
         else:
-            tail.append((eid, lo, hi, span, parent, b))
-            b = parent
+            tail.append(down)
+            b = up[3]
     route.extend(reversed(tail))
     return route
 
 
-def _resolve_anchor(trunc, anchor):
-    """Vertex cells an anchor can stand on: a pinned point, or every
-    member of the locus whose stem we arrive along."""
-    if anchor[0] == "point":
-        return (anchor[1],)
-    return trunc.loci[anchor[1]].members
-
-
-def _jumps(trunc, entry, exit_):
-    """Whether crossing a collapsed node from the entry anchor to the exit
-    anchor needs a jump: no single vertex stands on both."""
-    return set(_resolve_anchor(trunc, entry)).isdisjoint(_resolve_anchor(trunc, exit_))
-
-
 def _jump_chain(trunc, entry, exit_):
-    """Minimal chain of locus members c0..cj inside one collapsed node,
-    where consecutive members share a locus; j is the number of jumps
-    (0 means the node is crossed through a single vertex)."""
-    starts = _resolve_anchor(trunc, entry)
-    goals = set(_resolve_anchor(trunc, exit_))
-    shared = goals.intersection(starts)
+    """Minimal chain of locus members c0..cj inside one collapsed node, from
+    a member the entry anchor holds to one the exit anchor holds, where
+    consecutive members share a locus; j is the number of jumps (0 means
+    the node is crossed through a single vertex)."""
+    shared = entry & exit_
     if shared:
         return [min(shared)]
-    frontier = sorted(starts)
+    frontier = sorted(entry)
     parent = dict.fromkeys(frontier)
     hit = None
     while frontier and hit is None:
@@ -224,7 +204,7 @@ def _jump_chain(trunc, entry, exit_):
             for mate, _li in trunc._mates.get(c, ()):
                 if mate not in parent:
                     parent[mate] = c
-                    if mate in goals and hit is None:
+                    if mate in exit_ and hit is None:
                         hit = mate
                     nxt.append(mate)
         frontier = nxt
@@ -292,8 +272,8 @@ class _Builder:
         self.steps = [last_step]
         self.direction = None
 
-    def traverse(self, eid, hi, span, to):
-        direction = ASC if to == hi else DESC
+    def traverse(self, eid, span, ascending):
+        direction = ASC if ascending else DESC
         if self.direction is None:
             self.direction = direction
         elif self.direction != direction:
@@ -324,17 +304,17 @@ def path(trunc, x, y):
         raise TruncatedError(f"no route from {x} to {y} inside the depth-{trunc.depth} window")
 
     builder = _Builder(trunc, x)
-    pending = ("point", x.cell) if x.is_vertex else None
-    for eid, _, hi, span, frm, to in route:
+    pending = frozenset((x.cell,)) if x.is_vertex else None
+    for eid, span, frm, _, a_frm, a_to, ascending in route:
         if frm[0] == "locus":
-            builder.transit(pending, _anchor(trunc, eid, span, frm))
+            builder.transit(pending, a_frm)
         elif frm[0] == "vertex":
             builder.vertex_step(frm)
-        builder.traverse(eid, hi, span, to)
-        pending = _anchor(trunc, eid, span, to)
+        builder.traverse(eid, span, ascending)
+        pending = a_to
     if y.is_vertex:
         if trunc.vertex_node(y.cell)[0] == "locus":
-            builder.transit(pending, ("point", y.cell))
+            builder.transit(pending, frozenset((y.cell,)))
         builder.vertex_step(("vertex",) + y.cell)
     builder.close(y)
     return Path(tuple(builder.intervals), tuple(builder.junctions))
@@ -345,8 +325,8 @@ def compare(trunc, x, y):
     Truncated when the deciding arc leaves the depth window.
 
     Read off the route without lifting a Path: the first jump inside a
-    collapsed node makes the points incomparable, otherwise the direction
-    of travel decides."""
+    collapsed node (no vertex that both anchors hold) makes the points
+    incomparable, otherwise the first hop's direction decides."""
     trunc.require_point(x)
     trunc.require_point(y)
     require_routable(trunc)
@@ -355,27 +335,21 @@ def compare(trunc, x, y):
     route = _route(trunc, x, y)
     if route is None:
         return Comparability.TRUNCATED
-    direction = None
-    pending = ("point", x.cell) if x.is_vertex else None
-    for eid, _, hi, span, frm, to in route:
-        if frm[0] == "locus" and _jumps(trunc, pending, _anchor(trunc, eid, span, frm)):
+    ascending = route[0][6] if route else None     # empty between two members of one node
+    pending = frozenset((x.cell,)) if x.is_vertex else None
+    for _, _, frm, _, a_frm, a_to, up in route:
+        if frm[0] == "locus" and pending.isdisjoint(a_frm):
             return Comparability.INCOMPARABLE
-        step = ASC if to == hi else DESC
-        if direction is None:
-            direction = step
-        elif direction != step:
+        if up is not ascending:
             raise InvalidModel("route lift is not monotone between junctions")
-        pending = _anchor(trunc, eid, span, to)
-    if (y.is_vertex and trunc.vertex_node(y.cell)[0] == "locus"
-            and _jumps(trunc, pending, ("point", y.cell))):
+        pending = a_to
+    if y.is_vertex and trunc.vertex_node(y.cell)[0] == "locus" and y.cell not in pending:
         return Comparability.INCOMPARABLE
-    return Comparability.LESS if direction == ASC else Comparability.GREATER
+    return Comparability.LESS if ascending else Comparability.GREATER
 
 
 def interval_contains(trunc, interval, z):
     """Whether z lies on the interval (endpoints included)."""
-    from .core import Tri
-
     trunc.require_point(z)
     return Tri.YES if interval.contains(z) else Tri.NO
 

@@ -417,6 +417,27 @@ def test_generators_are_their_elements_with_inverses():
             assert gen * gen.inverse() == identity == gen.inverse() * gen
 
 
+def test_element_power_matches_repeated_product():
+    from leafspace.gallery import GALLERY_NAMES, gallery
+
+    for spec in [gallery(name).spec for name in GALLERY_NAMES] + [build_swap_k()]:
+        identity = word_map(spec, Word.identity())
+        elements = list(spec.generators.values())
+        elements.append(word_map(spec, Word.of([(n, 1) for n in sorted(spec.generators)])))
+        for elem in elements:
+            up = down = identity
+            for k in range(7):
+                assert elem ** k == up and elem ** -k == down, k
+                assert (elem ** k).maps == up.maps
+                up, down = up * elem, down * elem.inverse()
+
+
+def test_element_ball_rejects_a_negative_radius(swap):
+    with pytest.raises(ValueError, match="radius"):
+        element_ball(swap.spec, -1)
+    assert list(element_ball(swap.spec, 0)[0].values()) == [Word.identity()]
+
+
 # -- one sweep table per window ------------------------------------------------
 
 

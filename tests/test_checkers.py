@@ -1,14 +1,16 @@
 import io
+import math
 from collections import Counter
 
 import pytest
 
-from leafspace.core import PreconditionFailed, Tri, expand, mid_point, vertex_point
+from leafspace.core import Element, PreconditionFailed, Tri, expand, mid_point, vertex_point
 from leafspace.core import branch_loci
 from leafspace.action import (
     Word, act, act_locus, branching_type, fingerprint, in_comparable_set, word_map)
 from leafspace.checkers import (
     PASS,
+    TRUNCATED,
     VIOLATION,
     StabilizerBall,
     check_connected_open,
@@ -135,6 +137,13 @@ def test_odd_path_guard_even(swap):
         check_odd_path(swap.spec, Word.generator("g"), mid_point("ra", 0), 4, 4)
 
 
+def test_odd_path_needs_a_power(zigzag):
+    h = Word.generator("h")
+    for k_max in (0, -2):
+        with pytest.raises(PreconditionFailed, match="k_max"):
+            check_odd_path(zigzag.spec, h, mid_point("E", 0), k_max, 4)
+
+
 def test_odd_path_square_never_violates(zigzag):
     # the h^2-connection has length 5 (odd again); the checker either
     # passes or refuses on parity, it never reports a violation
@@ -169,6 +178,23 @@ def test_return_guards(swap):
         check_return(swap.spec, g, mid_point("s", 0), 2, 4)      # lam in C_g
     with pytest.raises(PreconditionFailed):
         check_return(swap.spec, g, mid_point("ra", 0), 3, 4)     # g^3 keeps sides apart
+
+
+def test_return_power_takes_logarithmic_products(swap, monkeypatch):
+    # the k-th power is built by squaring, so k = 10**12 costs a few dozen products
+    k = 10 ** 12
+    budget = 2 * math.ceil(math.log2(k)) + 4
+    products = []
+    multiply = Element.__mul__
+
+    def counted(self, other):
+        products.append(1)
+        assert len(products) <= budget, "the power takes more products than squaring needs"
+        return multiply(self, other)
+
+    monkeypatch.setattr(Element, "__mul__", counted)
+    rep = check_return(swap.spec, Word.generator("g"), mid_point("ra", 0), k, 4)
+    assert rep.verdict == PASS and dict(rep.witness)["k"] == str(k)
 
 
 # -- invariant locus stems ----------------------------------------------------
@@ -252,6 +278,13 @@ def test_fix_propagation_identity_only_ball(zigzag):
 def test_faithfulness_branching_models(swap, zigzag):
     assert check_faithfulness(swap.spec, 6, 4).verdict == PASS
     assert check_faithfulness(zigzag.spec, 6, 4).verdict == PASS
+
+
+def test_faithfulness_rejects_a_negative_bound(swap):
+    for max_word_len in (-1, -2):
+        with pytest.raises(ValueError, match="max_word_len"):
+            check_faithfulness(swap.spec, max_word_len, 4)
+    assert check_faithfulness(swap.spec, 0, 4).verdict == PASS
 
 
 def test_faithfulness_guard_line(line):
@@ -606,3 +639,103 @@ def test_suite_sweeps_each_element_once_per_window(monkeypatch):
         else:
             i += 1
     assert len(sweeps) == len(set(sweeps)) == len(trunc.sweeps) == 13
+
+
+# -- truncated verdicts ----------------------------------------------------------
+#
+# Each Truncated return of the checkers, reached on a shallow window.  The
+# undecided memberships are images that leave the window on another family
+# (or on a family that is no glued chain).  Some returns need an action
+# that is no automorphism: ``_updown_with`` adds one with check=False to
+# the up/down fixture.
+
+
+def _updown_with(name, maps):
+    spec = build_updown()
+    spec.add_generator(name, maps, check=False)
+    return spec
+
+
+def _stem_to_branch():
+    """v sends the stem s onto the branch pb one step down (and pb back
+    onto s), fixing a, b and pa: on the depth-1 window s[-1] lands on
+    pb[-2], beyond the window, while s[0] and s[1] stay inside."""
+    return _updown_with("v", {"s": ("pb", -1), "pa": ("pa", 0), "pb": ("s", 0),
+                              "a": ("a", 0), "b": ("b", 0)})
+
+
+def test_lower_bound_truncated(comb):
+    # both bounds hold, but lam's image a[-2] lies beyond the depth-1 window
+    u_inv = Word.generator("u", -1)
+    assert in_comparable_set(comb.spec, u_inv, vertex_point("a", -1), 1) is Tri.TRUNCATED
+    rep = check_lower_bound(comb.spec, u_inv, vertex_point("a", -1), vertex_point("a", 1), 1)
+    assert (rep.verdict, rep.notes) == (TRUNCATED, ())
+
+
+def test_path_in_comparable_set_truncated(line):
+    t = Word.generator("t")
+    rep = check_path_in_comparable_set(line.spec, t, vertex_point("v", 0), vertex_point("v", 0), 0)
+    assert (rep.verdict, rep.notes) == (TRUNCATED, ("lam membership undecided",))
+    rep = check_path_in_comparable_set(line.spec, t, vertex_point("v", -1),
+                                       vertex_point("v", 1), 1)
+    assert (rep.verdict, rep.notes) == (TRUNCATED, ("mu membership undecided",))
+    # both ends are members, but the path passes s[-1], whose image is undecided
+    spec, v = _stem_to_branch(), Word.generator("v")
+    lam, mu = mid_point("pa", 0), mid_point("s", 0)
+    assert [in_comparable_set(spec, v, p, 1) for p in (lam, mu, mid_point("s", -1))] == [
+        Tri.YES, Tri.YES, Tri.TRUNCATED]
+    rep = check_path_in_comparable_set(spec, v, lam, mu, 1)
+    assert (rep.verdict, rep.notes) == (TRUNCATED, ())
+
+
+def test_connected_open_truncated():
+    # a and b are members, but only the undecided s[-1] joins them
+    spec, v = _stem_to_branch(), Word.generator("v")
+    assert in_comparable_set(spec, v, mid_point("s", -1), 1) is Tri.TRUNCATED
+    rep = check_connected_open(spec, v, 1)
+    assert rep.verdict == TRUNCATED
+    assert rep.notes == ("components join only through undecided cells",)
+
+
+def test_return_truncated(line, swap):
+    rep = check_return(line.spec, Word.generator("t"), vertex_point("v", 0), 2, 0)
+    assert (rep.verdict, rep.notes) == (TRUNCATED, ())
+    # g is decided at ra[0]; g^3 sends it to rb[-1], beyond the depth-0 window
+    g = Word.generator("g")
+    assert in_comparable_set(swap.spec, g, mid_point("ra", 0), 0) is Tri.NO
+    assert in_comparable_set(swap.spec, g ** 3, mid_point("ra", 0), 0) is Tri.TRUNCATED
+    rep = check_return(swap.spec, g, mid_point("ra", 0), 3, 0)
+    assert (rep.verdict, rep.notes) == (TRUNCATED, ())
+
+
+def test_invariant_locus_stem_truncated(comb):
+    # COMB's lowest locus in the depth-1 window hangs from sp[-2], beyond it
+    locus = branch_loci(expand(comb.spec, 1))[0]
+    assert locus.stem == ("cell_end", "sp", -2, "high")
+    rep = check_invariant_locus_stem(comb.spec, Word.identity(), locus, 1)
+    assert (rep.verdict, rep.notes) == (TRUNCATED, ("stem does not meet the window",))
+    # the stem cell nearest the locus is undecided
+    spec = _stem_to_branch()
+    locus = branch_loci(expand(spec, 1))[0]
+    rep = check_invariant_locus_stem(spec, Word.generator("v"), locus, 1)
+    assert (rep.verdict, rep.notes) == (TRUNCATED, ())
+
+
+def test_intermediate_fixed_truncated(line):
+    t = Word.generator("t")
+    rep = check_intermediate_fixed(line.spec, t, vertex_point("v", 0), vertex_point("v", 0), 0)
+    assert (rep.verdict, rep.notes) == (TRUNCATED, ())          # x_pos undecided
+    rep = check_intermediate_fixed(line.spec, t, vertex_point("v", -1), vertex_point("v", 1), 1)
+    assert (rep.verdict, rep.notes) == (TRUNCATED, ())          # x_neg undecided
+    # u moves pa up and pb down but swaps a and b: no sampled point is fixed
+    spec = _updown_with("u", {"s": ("s", 0), "pa": ("pa", 1), "pb": ("pb", -1),
+                              "a": ("b", 0), "b": ("a", 0)})
+    rep = check_intermediate_fixed(spec, Word.generator("u"), mid_point("pa", 0),
+                                   mid_point("pb", 0), 1)
+    assert (rep.verdict, rep.notes) == (TRUNCATED, ("no fixed point sampled in window",))
+
+
+def test_screen_truncated(swap_k):
+    # a tangentiable, never transversable word on a window with cut ends
+    rep = screen_infinite_locus(swap_k, 2, 0)
+    assert (rep.verdict, rep.notes) == (TRUNCATED, ())

@@ -2,6 +2,7 @@ import inspect
 import io
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from leafspace.cli import build_parser, main
 from leafspace.formats import parse
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def run(*argv):
@@ -60,6 +62,23 @@ def test_check_single_pass():
     code, out = run("check", "check_return", "--gallery", "SWAP",
                     "--word", "g", "--point", "ra[0]:1/2", "--k", "2")
     assert code == 0 and "PASS" in out
+
+
+def test_negative_bounds_are_refused(capsys):
+    code, out = run("stab", "--gallery", "SWAP", "--word-len", "-3")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: radius must be non-negative, got -3\n"
+    code, out = run("check", "check_faithfulness", "--gallery", "SWAP", "--word-len", "-2")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: max_word_len must be non-negative, got -2\n"
+    code, out = run("check", "check_odd_path", "--gallery", "ZIGZAG", "--word", "h",
+                    "--point", "E[0]:1/2", "--k-max", "-2")
+    assert code == 0
+    assert out == "PRECONDITION-FAILED check_odd_path\n           note: k_max must be at least 1\n"
+    # the suite gives check_odd_path k_max = min(4, word-len): skipped at word-len 0
+    code, out = run("suite", "--gallery", "ZIGZAG", "--word-len", "0")
+    assert code == 0 and "PRECONDITION-FAILED check_odd_path" in out
+    assert out.endswith("4 pass, 0 violations, 0 truncated, 6 skipped\n")
 
 
 def test_check_precondition_warns_but_exits_zero():
@@ -252,3 +271,32 @@ def test_unreadable_spec_exits_two(tmp_path, capsys):
     code, out = run("suite", "--spec", str(tmp_path / "missing.leafspace"))
     assert code == 2 and out == ""
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _readme_block(heading, fence=""):
+    """The first fenced block after a README heading."""
+    section = README.read_text(encoding="utf-8").split(f"## {heading}\n", 1)[1]
+    return section.split(f"```{fence}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_command_lines_exit_zero(tmp_path):
+    code, document = run("gallery", "SWAP")
+    assert code == 0
+    doc = tmp_path / "my.leafspace"
+    doc.write_text(document, encoding="utf-8")
+    commands = []
+    for line in _readme_block("Command line").splitlines():
+        argv = shlex.split(line, comments=True)
+        if argv and argv[0] == "leafspace":
+            commands.append(argv[1:])
+    assert len(commands) == 10
+    for argv in commands:
+        argv = [str(doc) if arg == "my.leafspace" else arg for arg in argv]
+        assert run(*argv)[0] == 0, argv
+
+
+def test_readme_library_snippet_runs():
+    # the snippet's import line ends in a literal "..."; import the names it lists
+    snippet = _readme_block("Library surface", "python")
+    assert ", ...)" in snippet
+    exec(snippet.replace(", ...)", ")"), {})

@@ -405,10 +405,7 @@ def reference_vertex_neighbors(trunc, vcell):
     for eid, _ in trunc.adjacency[trunc.vertex_node(vcell)]:
         payload, _, _, a_lo, a_hi = trunc.graph_edges[eid]
         for anchor in (a_lo, a_hi):
-            if anchor is None:
-                continue
-            if (anchor == ("point", vcell)
-                    or anchor[0] == "stem" and vcell in trunc.loci[anchor[1]].members):
+            if anchor is not None and vcell in anchor:
                 if payload[0] == "cell":
                     out.add(payload[1:3])
                 else:
@@ -449,10 +446,8 @@ def reference_edge_neighbors(trunc, cell):
     out = set()
     _, lo, hi, a_lo, a_hi = trunc.graph_edges[trunc.edge_index[cell]]
     for anchor, node in ((a_lo, lo), (a_hi, hi)):
-        if anchor and anchor[0] == "point":
-            out.add(anchor[1])
-        elif anchor and anchor[0] == "stem":
-            out.update(trunc.loci[anchor[1]].members)
+        if anchor is not None:
+            out.update(anchor)
         elif node[0] == "glue":
             fam, n = node[1], node[2]
             other = (fam, n) if (fam, n) != cell else (fam, n + 1)
@@ -577,6 +572,45 @@ def test_rooting_matches_sorted_neighbours(assorted_windows):
     routable = 0
     for trunc in assorted_windows:
         if all(v.code == "disconnected" for v in validate(trunc).violations):
-            assert trunc.rooting == reference_rooting(trunc)
+            assert {node: r[:3] for node, r in trunc.rooting.items()} == reference_rooting(trunc)
+            for node, (parent, eid, _, up, down) in trunc.rooting.items():
+                if parent is None:
+                    assert up is None and down is None
+                    continue
+                # each stored hop is its graph edge, oriented from node to parent
+                _, lo, hi, a_lo, a_hi = trunc.graph_edges[eid]
+                anchor = {lo: a_lo, hi: a_hi}
+                assert up == (eid, None, node, parent, anchor[node], anchor[parent], parent == hi)
+                assert down == (eid, None, parent, node, anchor[parent], anchor[node], node == hi)
             routable += 1
     assert routable > len(assorted_windows) // 2
+
+
+def test_anchors_of_two_or_more_cells_are_stem_loci(swap_k):
+    # an edge end limiting on two or more vertices is a locus stem, and its
+    # anchor holds exactly that locus's members
+    from leafspace.core import HIGH, LOW
+    from leafspace.gallery import GALLERY_NAMES, gallery
+    from leafspace.randspec import RandomParams, random_spec
+
+    cases = [(gallery(name).spec, depth) for name in GALLERY_NAMES for depth in range(9)]
+    cases += [(random_spec(RandomParams(seed=seed, symmetric=seed % 3 == 0)), 0)
+              for seed in range(300)]
+    cases += [(swap_k, depth) for depth in range(9)]
+    checked = 0
+    for spec, depth in cases:
+        trunc = expand(spec, depth)
+        if not validate(trunc).valid:
+            continue
+        members = {locus.stem: frozenset(locus.members) for locus in trunc.loci}
+        for payload, _, _, a_lo, a_hi in trunc.graph_edges:
+            for end, anchor in ((LOW, a_lo), (HIGH, a_hi)):
+                if anchor is None or len(anchor) < 2:
+                    continue
+                if payload[0] == "cell":
+                    stem = ("cell_end",) + payload[1:3] + (end,)
+                else:
+                    stem = ("chain_end",) + payload[1:3]
+                assert anchor == members[stem]
+                checked += 1
+    assert checked > 700

@@ -300,13 +300,8 @@ def test_reversal_through_elided_tails(swap, zigzag):
 
 
 def _reference_jump_chain(trunc, entry, exit_):
-    def resolve(anchor):
-        if anchor[0] == "point":
-            return [anchor[1]]
-        return list(trunc.loci[anchor[1]].members)
-
-    starts = sorted(resolve(entry))
-    goals = set(resolve(exit_))
+    starts = sorted(entry)
+    goals = set(exit_)
     shared = sorted(set(starts) & goals)
     if shared:
         return [shared[0]]
@@ -366,8 +361,8 @@ class _ReferenceBuilder:
         self.steps = [("vertex",) + chain[-1]]
         self.direction = None
 
-    def traverse(self, eid, hi, span, to):
-        direction = ASC if to == hi else "descending"
+    def traverse(self, eid, span, ascending):
+        direction = ASC if ascending else "descending"
         if self.direction is None:
             self.direction = direction
         elif self.direction != direction:
@@ -387,19 +382,18 @@ def _reference_path(trunc, x, y):
     route = paths_mod._route(trunc, x, y)
     if route is None:
         raise TruncatedError("no route")
-    anchor = paths_mod._anchor
     builder = _ReferenceBuilder(trunc, x)
-    pending = ("point", x.cell) if x.is_vertex else None
-    for eid, _, hi, span, frm, to in route:
+    pending = frozenset((x.cell,)) if x.is_vertex else None
+    for eid, span, frm, _, a_frm, a_to, ascending in route:
         if frm[0] == "locus":
-            builder.transit(pending, anchor(trunc, eid, span, frm))
+            builder.transit(pending, a_frm)
         elif frm[0] == "vertex":
             builder.vertex_step(frm[1:])
-        builder.traverse(eid, hi, span, to)
-        pending = anchor(trunc, eid, span, to)
+        builder.traverse(eid, span, ascending)
+        pending = a_to
     final = ("pt", 1) if not y.is_vertex else trunc.vertex_node(y.cell)
     if final[0] == "locus":
-        builder.transit(pending, ("point", y.cell))
+        builder.transit(pending, frozenset((y.cell,)))
         builder.vertex_step(y.cell)
     elif final[0] == "vertex":
         builder.vertex_step(y.cell)
@@ -451,7 +445,7 @@ def _locus_anchors(trunc):
     for vcell in trunc.vertex_cells:
         node = trunc.vertex_node(vcell)
         if node[0] == "locus":
-            anchors.setdefault(node, set()).add(("point", vcell))
+            anchors.setdefault(node, set()).add(frozenset((vcell,)))
     return anchors
 
 
