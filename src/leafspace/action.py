@@ -11,6 +11,11 @@ image under one element.  Each window sweeps an element once: ``sweep``
 keeps the relations on the window (``Truncation.sweeps``), keyed by the
 element, and every full sweep -- ``classify_element``,
 ``comparable_sample`` and the suite's checkers -- reads them from there.
+An automorphism preserves order, so a point relates to its image as the
+image relates to its own: a sweep costs one ``compare`` per orbit of the
+element in the window, plus a lookup per cell.  An element that is no
+automorphism (a generator added with ``check=False``) is swept cell by
+cell, one ``compare`` per in-window image.
 
 Window sweeps answer in Tri: a Yes always comes with a witness; a No is
 certified only when the sweep closed without touching a truncated end,
@@ -27,7 +32,9 @@ from .core import (
     Element,
     Tri,
     UndefinedGenerator,
+    automorphism_problems,
     mid_point,
+    require_routable,
     require_valid,
     vertex_point,
 )
@@ -224,9 +231,52 @@ def sweep(trunc, elem):
     window cannot decide).  Computed once per window and element."""
     rels = trunc.sweeps.get(elem)
     if rels is None:
-        rels = trunc.sweeps[elem] = tuple(image_relation(trunc.spec, trunc, p, elem.point(p))
-                                          for p in trunc.canonical_points)
+        rels = trunc.sweeps[elem] = _sweep_table(trunc, elem)
     return rels
+
+
+def _sweep_table(trunc, elem):
+    """``sweep`` computed afresh.  Along an orbit of an automorphism w the
+    relation of p with w.p is that of w.p with w^2.p, so one ``compare``
+    answers every cell of the orbit whose image lies in the window, in the
+    same component (``compare`` is Truncated exactly across components).
+    An image beyond the window gets ``_same_glued_chain_relation``."""
+    spec, points = trunc.spec, trunc.canonical_points
+    if automorphism_problems(spec, elem):       # no orbit rule: cell by cell
+        return tuple(image_relation(spec, trunc, p, elem.point(p)) for p in points)
+    cells, position, component = trunc.sweep_cells
+    maps = elem.maps
+    images = []
+    for fam, i in cells:
+        img, shift = maps[fam]
+        images.append(position.get((img, i + shift)))
+    if any(j is not None for j in images):      # where a per-cell compare would check
+        require_routable(trunc)
+    orbit = list(range(len(cells)))     # union-find over the in-window pairs
+
+    def find(k):
+        while orbit[k] != k:
+            orbit[k] = orbit[orbit[k]]
+            k = orbit[k]
+        return k
+
+    for k, j in enumerate(images):
+        if j is not None:
+            orbit[find(k)] = find(j)
+    relation = {}       # orbit root -> the relation of its connected pairs
+    rels = []
+    for k, j in enumerate(images):
+        if j is None:
+            rels.append(_same_glued_chain_relation(spec, points[k], elem.point(points[k])))
+        elif component[k] != component[j]:
+            rels.append(None)
+        else:
+            root = find(k)
+            if root not in relation:
+                rel = compare(trunc, points[k], points[j])
+                relation[root] = None if rel is Comparability.TRUNCATED else rel
+            rels.append(relation[root])
+    return tuple(rels)
 
 
 def _membership(rel):

@@ -9,6 +9,7 @@ model), 2 (usage error).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -471,7 +472,9 @@ def _add_model_args(p):
     p.add_argument("--json", action="store_true")
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="leafspace",
         description="models of non-Hausdorff 1-manifold leaf spaces with group actions")

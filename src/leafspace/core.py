@@ -477,7 +477,9 @@ class Truncation:
     of the germ on each side of each vertex, read by ``germ_providers`` and,
     as cell adjacency, by ``vertex_sides``), its membership sweeps
     (``sweeps``: group element -> image relation of every
-    canonical point, filled by :func:`leafspace.action.sweep`) and its
+    canonical point, filled by :func:`leafspace.action.sweep`), the cell
+    table those sweeps follow orbits on (``sweep_cells``: each cell's
+    position and component, built by the first sweep) and its
     transit table (``transits``: (entry anchor, exit anchor) at a collapsed
     locus node -> what a path gains crossing it, filled by
     :func:`leafspace.paths.path`).  An anchor is the frozenset of vertex
@@ -691,7 +693,7 @@ class Truncation:
         # down from it), with (None, None, 0, None, None) at a root.  On a
         # tree each route appends these hops up to the meeting node; on a
         # cyclic graph they span a forest whose roots still count the
-        # components.
+        # components.  Each root is followed by the rest of its component.
         rooting = {}
         for root in sorted(adj):
             if root in rooting:
@@ -710,6 +712,22 @@ class Truncation:
                         frontier.append(other)
         self.rooting = rooting
         self.components = sum(1 for r in rooting.values() if r[0] is None)
+
+    @cached_property
+    def sweep_cells(self):
+        """The window cells in canonical order, cell -> position, and per
+        position the component of the window forest holding the cell,
+        numbered in the order of the roots in ``rooting``."""
+        component, count = {}, -1
+        for node, hops in self.rooting.items():
+            if hops[0] is None:
+                count += 1
+            component[node] = count
+        edges, edge_index = self.graph_edges, self.edge_index
+        nodes = ([self.vertex_node(c) for c in self.vertex_cells]
+                 + [edges[edge_index[c]][1] for c in self.edge_cells])
+        cells = self.vertex_cells + self.edge_cells
+        return cells, {c: k for k, c in enumerate(cells)}, [component[n] for n in nodes]
 
     # -- truncated ends ------------------------------------------------------
 

@@ -3,8 +3,8 @@ import re
 import pytest
 
 from leafspace.core import (
-    BadOffset, LeafSpaceSpec, Point, Tri, UnresolvedName, UndefinedGenerator, expand, mid_point,
-    validate, vertex_point)
+    BadOffset, InvalidModel, LeafSpaceSpec, Point, Tri, UnresolvedName, UndefinedGenerator, expand,
+    mid_point, validate, vertex_point)
 from leafspace.action import (
     Word,
     act,
@@ -18,6 +18,7 @@ from leafspace.action import (
     in_comparable_set,
     is_identity_action,
     shortlex,
+    sweep,
     word_map,
 )
 from conftest import act_cell, build_swap_k, reduced_words, reference_word_map
@@ -470,6 +471,108 @@ def test_sweep_table_matches_fresh_relations():
             assert sweep(trunc, elem) is rels
             elements.add(elem)
         assert set(trunc.sweeps) == elements
+
+
+def _reference_sweep(trunc, elem):
+    """The sweep as it was before orbits: one image relation per canonical
+    point, each in-window image decided by its own ``compare``."""
+    from leafspace.action import image_relation
+
+    return tuple(image_relation(trunc.spec, trunc, p, elem.point(p))
+                 for p in trunc.canonical_points)
+
+
+def _offset_line():
+    """A line whose edge e[i] joins v[i-2] to v[i-1], so the window drops
+    e[d+1] and v[d] is cut off from the rest: the orbit of the shift t
+    through the vertices has pairs in one component and a last pair
+    across two."""
+    from leafspace.core import to_vertex
+
+    spec = LeafSpaceSpec()
+    spec.add_vertex("v", chain=True)
+    spec.add_edge("e", low=to_vertex("v", -2), high=to_vertex("v", -1), chain=True)
+    spec.add_generator("t", {"v": ("v", 1), "e": ("e", 1)})
+    return spec
+
+
+def _double_germ():
+    """Edges p[i] and q[i] both end below v[i]: every window fails the germ
+    count.  The shift t sends a depth-0 window wholly beyond itself, u
+    exchanges p and q, and f (check=False) exchanges p and r."""
+    from leafspace.core import open_end, to_vertex
+
+    spec = LeafSpaceSpec()
+    spec.add_vertex("v", chain=True)
+    spec.add_edge("p", low=open_end(), high=to_vertex("v"), chain=True)
+    spec.add_edge("q", low=open_end(), high=to_vertex("v"), chain=True)
+    spec.add_edge("r", low=to_vertex("v"), high=open_end(), chain=True)
+    spec.add_generator("t", {fam: (fam, 1) for fam in "pqrv"})
+    spec.add_generator("u", {"p": ("q", 0), "q": ("p", 0), "r": ("r", 0), "v": ("v", 0)})
+    spec.add_generator("f", {"p": ("r", 0), "q": ("q", 0), "r": ("p", 0), "v": ("v", 0)},
+                       check=False)
+    return spec
+
+
+def _assert_sweeps_match_reference(label, spec, depth, radius):
+    """Every element of the radius ball sweeps as the reference does on a
+    fresh window, or raises the reference's error and stores nothing."""
+    trunc = expand(spec, depth)
+    ball = element_ball(spec, radius)[0]
+    for elem, word in ball.items():
+        try:
+            want = _reference_sweep(trunc, elem)
+        except Exception as exc:        # the same error must come back
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                sweep(trunc, elem)
+            assert elem not in trunc.sweeps
+            continue
+        assert sweep(trunc, elem) == want, (label, depth, str(word))
+
+
+def test_sweep_matches_reference_on_gallery():
+    from leafspace.gallery import GALLERY_NAMES, gallery
+
+    for name in GALLERY_NAMES:
+        spec = gallery(name).spec
+        for depth in (0, 1, 2, 3, 4, 8, 16, 32):
+            _assert_sweeps_match_reference(name, spec, depth, 3)
+        _assert_sweeps_match_reference(name, spec, 64, 2)
+
+
+def test_sweep_matches_reference_on_random_specs():
+    for seed in range(300):
+        for symmetric in (False, True):
+            spec = random_spec(RandomParams(seed=seed, symmetric=symmetric))
+            _assert_sweeps_match_reference(f"seed {seed} {symmetric}", spec, 0, 3)
+
+
+def test_sweep_matches_reference_off_the_orbit_rule(tripod, tripod_inconsistent, updown):
+    # unchecked generators (no orbit rule), disconnected and invalid windows
+    from test_checkers import _random_generator_set, _stem_to_branch, build_odd_involution
+
+    models = [("tripod", tripod, 2), ("tripod-inconsistent", tripod_inconsistent, 2),
+              ("odd involution", build_odd_involution(), 0), ("swap+k", build_swap_k(), 4)]
+    models += [(label, spec, depth) for depth in range(4) for label, spec in (
+        ("updown", updown), ("stem to branch", _stem_to_branch()),
+        ("offset line", _offset_line()), ("double germ", _double_germ()))]
+    for label, spec, depth in models:
+        _assert_sweeps_match_reference(label, spec, depth, 3)
+    for seed in range(100):
+        _assert_sweeps_match_reference(f"generators {seed}", _random_generator_set(seed),
+                                       seed % 2, 2)
+    # the branches the models above stand for: images in the other
+    # component, and an invalid window
+    spec = _offset_line()
+    trunc = expand(spec, 2)
+    rels = dict(zip(trunc.canonical_points, sweep(trunc, word_map(spec, Word.generator("t")))))
+    assert trunc.components == 2
+    assert rels[vertex_point("v", 0)] is Comparability.LESS
+    assert rels[vertex_point("v", 1)] is None       # v[2] is cut off
+    spec = _double_germ()
+    assert set(sweep(expand(spec, 0), word_map(spec, Word.generator("t")))) == {None}
+    with pytest.raises(InvalidModel, match="2 germs"):
+        sweep(expand(spec, 0), word_map(spec, Word.generator("u")))
 
 
 def reference_classify_element(spec, word, depth):

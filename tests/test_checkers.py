@@ -612,33 +612,23 @@ def test_check_odd_path_matches_reference(tripod, updown):
 
 
 def test_suite_sweeps_each_element_once_per_window(monkeypatch):
-    from leafspace import action, checkers, cli
+    from leafspace import action, cli
 
     calls = []
-    original = action.image_relation
+    original = action._sweep_table
 
-    def counted(spec, trunc, point, image):
-        calls.append((trunc, point, image))
-        return original(spec, trunc, point, image)
+    def counted(trunc, elem):
+        calls.append((trunc, elem))
+        return original(trunc, elem)
 
-    monkeypatch.setattr(action, "image_relation", counted)
-    monkeypatch.setattr(checkers, "image_relation", counted)
+    monkeypatch.setattr(action, "_sweep_table", counted)
     assert cli.main(["suite", "--gallery", "ZIGZAG", "--depth", "4"], stream=io.StringIO()) == 0
-    windows = {id(trunc): trunc for trunc, _, _ in calls}
+    windows = {id(trunc): trunc for trunc, _ in calls}
     assert len(windows) == 1
     (trunc,) = windows.values()
-    pts = trunc.canonical_points
-    # a sweep is a run of evaluations over the canonical points in order;
-    # its element is the tuple of images
-    sweeps, i = [], 0
-    while i < len(calls):
-        run = calls[i:i + len(pts)]
-        if tuple(point for _, point, _ in run) == pts:
-            sweeps.append(tuple(image for _, _, image in run))
-            i += len(pts)
-        else:
-            i += 1
-    assert len(sweeps) == len(set(sweeps)) == len(trunc.sweeps) == 13
+    # each fill of the window's sweep table computes one element's sweep
+    elements = [elem for _, elem in calls]
+    assert len(elements) == len(set(elements)) == len(trunc.sweeps) == 13
 
 
 # -- truncated verdicts ----------------------------------------------------------

@@ -115,6 +115,23 @@ def test_usage_errors_exit_two():
     assert code == 2
 
 
+def test_one_parser_answers_like_fresh_ones(capsys):
+    # main shares one parser across calls; a usage error on it leaves later
+    # calls answering as a freshly built parser would
+    calls = [("suite", "--gallery", "SWAP", "--depth", "2", "--word-len", "3"),
+             ("suite", "--gallery", "SWAP", "--depth", "deep"),
+             ("compare", "--gallery", "YPLUS", "--x", "p[0]:1/2", "--y", "q[0]:1/2")]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append((run(*argv), capsys.readouterr().err))
+    build_parser.cache_clear()
+    shared = [(run(*argv), capsys.readouterr().err) for argv in calls]
+    assert build_parser() is build_parser()
+    assert shared == fresh
+    assert [code for (code, _), _ in shared] == [0, 2, 0]
+
+
 def test_json_reports_parse():
     code, out = run("suite", "--gallery", "ZIGZAG", "--depth", "3",
                     "--word-len", "4", "--json")
