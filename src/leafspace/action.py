@@ -305,9 +305,6 @@ class ComparableSample:
     depth: int
     answers: tuple        # ((Point, Tri), ...) in canonical order
 
-    def points(self, value):
-        return [p for p, a in self.answers if a is value]
-
     @property
     def touched_truncation(self):
         return any(a is Tri.TRUNCATED for _, a in self.answers)

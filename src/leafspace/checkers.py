@@ -10,6 +10,10 @@ The checkers named in :data:`SCREENS` (fix propagation, faithfulness,
 the infinite-locus screen) test necessary conditions for a model to arise
 from a leafwise hyperbolic taut foliation: a Violation there means the
 model is not realizable by such a foliation, not that a theorem failed.
+
+This module is the one registry of checkers: :data:`CHECKERS` names each
+checker's arguments, and :func:`discover_instances` picks the instances
+``leafspace suite`` runs, each meeting its checker's hypothesis.
 """
 
 from __future__ import annotations
@@ -17,10 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
+    LeafSpaceError,
     PointOutOfRange,
     PreconditionFailed,
     Tri,
     TruncatedError,
+    branch_loci,
     mid_point,
     require_valid,
 )
@@ -515,3 +521,107 @@ def run_checker(spec, name, depth, **kwargs):
         return globals()[name](spec, depth=depth, **kwargs)
     except PreconditionFailed as exc:
         return CheckReport.make(name, "precondition-failed", depth=depth, notes=(str(exc),))
+
+
+def _basic_words(spec):
+    words = []
+    for name in sorted(spec.generators):
+        g = Word.generator(name)
+        words.extend([g, g * g])
+    return words
+
+
+PAIR_SEARCH_LIMIT = 400        # ordered point pairs tried per word
+
+
+def _find_comparable_pair(trunc, elem):
+    """First (lam, mu) with lam < mu and lam < w(mu), both certified."""
+    pts = trunc.canonical_points
+    tried = 0
+    for lam in pts:
+        for mu in pts:
+            if lam == mu:
+                continue
+            tried += 1
+            if tried > PAIR_SEARCH_LIMIT:
+                return None
+            if compare(trunc, lam, mu) is not Comparability.LESS:
+                continue
+            w_mu = elem.point(mu)
+            if not trunc.contains_point(w_mu):
+                continue
+            if compare(trunc, lam, w_mu) is Comparability.LESS:
+                return lam, mu
+    return None
+
+
+def discover_instances(spec, depth, word_len):
+    """Deterministic suite instances: checker name -> list of kwargs.
+    Each basic word's image relations come from the window's sweep, and
+    every pick is the first in canonical order."""
+    trunc = spec.window(depth)
+    points = trunc.canonical_points
+    loci = branch_loci(trunc)[:4]
+    one_sided_positive = branching_type(spec, depth).value == "one_sided_positive"
+    instances = {name: [] for name in CHECKERS}
+
+    for word in _basic_words(spec):
+        instances["check_connected_open"].append({"word": word})
+        elem = word_map(spec, word)
+
+        pair = _find_comparable_pair(trunc, elem) if one_sided_positive else None
+        if pair is not None:
+            instances["check_lower_bound"].append(
+                {"word": word, "lam": pair[0], "mu": pair[1]})
+
+        images = [elem.point(p) for p in points]
+        rels = list(zip(points, sweep(trunc, elem)))
+
+        yes_points = [p for p, rel in rels if rel in COMPARABLE][:3]
+        for i, lam in enumerate(yes_points):
+            for mu in yes_points[i + 1:]:
+                instances["check_path_in_comparable_set"].append(
+                    {"word": word, "lam": lam, "mu": mu})
+
+        odd_lam = even_lam = None
+        for (p, rel), image in zip(rels, images):
+            if rel is not Comparability.INCOMPARABLE:
+                continue
+            try:
+                gamma = path(trunc, p, image)
+            except LeafSpaceError:
+                continue
+            if gamma.length % 2 == 1 and odd_lam is None:
+                odd_lam = p
+            if gamma.length % 2 == 0 and even_lam is None:
+                even_lam = p
+            if odd_lam is not None and even_lam is not None:
+                break
+        if odd_lam is not None:
+            instances["check_odd_path"].append(
+                {"word": word, "lam": odd_lam, "k_max": min(4, word_len)})
+        if even_lam is not None:
+            power = elem
+            for k in range(2, max(3, word_len // 2) + 1):
+                power = power * elem
+                if _member(trunc, power, even_lam) is Tri.YES:
+                    instances["check_return"].append(
+                        {"word": word, "lam": even_lam, "k": k})
+                    break
+
+        pos = next((p for p, rel in rels if rel is Comparability.LESS), None)
+        neg = next((p for p, rel in rels if rel is Comparability.GREATER), None)
+        if pos is not None and neg is not None:
+            instances["check_intermediate_fixed"].append(
+                {"word": word, "x_pos": pos, "x_neg": neg})
+
+        for locus in loci:
+            if tuple(sorted(map(elem.cell, locus.members))) == locus.members:
+                instances["check_invariant_locus_stem"].append(
+                    {"word": word, "locus": locus})
+
+    for locus in loci:
+        instances["check_fix_propagation"].append({"locus": locus, "radius": word_len})
+    instances["check_faithfulness"].append({"max_word_len": word_len})
+    instances["screen_infinite_locus"].append({"max_word_len": word_len})
+    return instances

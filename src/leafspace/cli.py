@@ -1,5 +1,7 @@
 """Command-line harness: inspect models, run single checkers, or the suite.
 
+This module only parses arguments and prints reports: ``checkers`` owns the
+registry (``CHECKERS``) and the suite's instances (``discover_instances``).
 Reports are deterministic byte-for-byte for identical inputs: everything
 is sorted, nothing timestamped.  Exit codes: 0 (ok; truncated verdicts
 and skipped checkers only produce warnings), 1 (a violation or an invalid
@@ -20,20 +22,12 @@ from .core import (
     InvalidModel,
     LeafSpaceError,
     Point,
-    Tri,
     TruncatedError,
     branch_loci,
     cached_validation,
 )
-from .paths import COMPARABLE, Comparability, compare, path
-from .action import (
-    Word,
-    _member,
-    branching_type,
-    classify_element,
-    sweep,
-    word_map,
-)
+from .paths import compare, path
+from .action import Word, branching_type, classify_element
 from . import checkers as ck
 from .checkers import PASS, SCREEN_DISCLAIMER, TRUNCATED, VIOLATION
 from .formats import ParseError, SemanticError, emit, parse
@@ -272,110 +266,6 @@ def cmd_random(args, out):
 # checkers
 
 
-def _basic_words(spec):
-    words = []
-    for name in sorted(spec.generators):
-        g = Word.generator(name)
-        words.extend([g, g * g])
-    return words
-
-
-PAIR_SEARCH_LIMIT = 400        # ordered point pairs tried per word
-
-
-def _find_comparable_pair(trunc, elem):
-    """First (lam, mu) with lam < mu and lam < w(mu), both certified."""
-    pts = trunc.canonical_points
-    tried = 0
-    for lam in pts:
-        for mu in pts:
-            if lam == mu:
-                continue
-            tried += 1
-            if tried > PAIR_SEARCH_LIMIT:
-                return None
-            if compare(trunc, lam, mu) is not Comparability.LESS:
-                continue
-            w_mu = elem.point(mu)
-            if not trunc.contains_point(w_mu):
-                continue
-            if compare(trunc, lam, w_mu) is Comparability.LESS:
-                return lam, mu
-    return None
-
-
-def discover_instances(spec, depth, word_len):
-    """Deterministic suite instances: checker name -> list of kwargs.
-    Each basic word's image relations come from the window's sweep, and
-    every pick is the first in canonical order."""
-    trunc = spec.window(depth)
-    points = trunc.canonical_points
-    loci = branch_loci(trunc)[:4]
-    one_sided_positive = branching_type(spec, depth).value == "one_sided_positive"
-    instances = {name: [] for name in ck.CHECKERS}
-
-    for word in _basic_words(spec):
-        instances["check_connected_open"].append({"word": word})
-        elem = word_map(spec, word)
-
-        pair = _find_comparable_pair(trunc, elem) if one_sided_positive else None
-        if pair is not None:
-            instances["check_lower_bound"].append(
-                {"word": word, "lam": pair[0], "mu": pair[1]})
-
-        images = [elem.point(p) for p in points]
-        rels = list(zip(points, sweep(trunc, elem)))
-
-        yes_points = [p for p, rel in rels if rel in COMPARABLE][:3]
-        for i, lam in enumerate(yes_points):
-            for mu in yes_points[i + 1:]:
-                instances["check_path_in_comparable_set"].append(
-                    {"word": word, "lam": lam, "mu": mu})
-
-        odd_lam = even_lam = None
-        for (p, rel), image in zip(rels, images):
-            if rel is not Comparability.INCOMPARABLE:
-                continue
-            try:
-                gamma = path(trunc, p, image)
-            except LeafSpaceError:
-                continue
-            if gamma.length % 2 == 1 and odd_lam is None:
-                odd_lam = p
-            if gamma.length % 2 == 0 and even_lam is None:
-                even_lam = p
-            if odd_lam is not None and even_lam is not None:
-                break
-        if odd_lam is not None:
-            instances["check_odd_path"].append(
-                {"word": word, "lam": odd_lam, "k_max": min(4, word_len)})
-        if even_lam is not None:
-            power = elem
-            for k in range(2, max(3, word_len // 2) + 1):
-                power = power * elem
-                if _member(trunc, power, even_lam) is Tri.YES:
-                    instances["check_return"].append(
-                        {"word": word, "lam": even_lam, "k": k})
-                    break
-
-        pos = next((p for p, rel in rels if rel is Comparability.LESS), None)
-        neg = next((p for p, rel in rels if rel is Comparability.GREATER), None)
-        if pos is not None and neg is not None:
-            instances["check_intermediate_fixed"].append(
-                {"word": word, "x_pos": pos, "x_neg": neg})
-
-        for locus in loci:
-            if tuple(sorted(map(elem.cell, locus.members))) == locus.members:
-                instances["check_invariant_locus_stem"].append(
-                    {"word": word, "locus": locus})
-
-    for locus in loci:
-        instances["check_fix_propagation"].append({"locus": locus, "radius": word_len})
-    instances["check_faithfulness"].append({"max_word_len": word_len})
-    instances["screen_infinite_locus"].append({"max_word_len": word_len})
-    return instances
-
-
 def cmd_suite(args, out):
     spec, name = load_model(args)
     trunc = spec.window(args.depth)
@@ -390,7 +280,7 @@ def cmd_suite(args, out):
     out.line(f"note: {SCREEN_DISCLAIMER}")
     out.line("")
 
-    instances = discover_instances(spec, args.depth, args.word_len)
+    instances = ck.discover_instances(spec, args.depth, args.word_len)
     order = {VIOLATION: 0, TRUNCATED: 1, "precondition-failed": 2, PASS: 3}
     violations = truncations = skips = 0
     payload_reports = []

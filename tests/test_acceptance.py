@@ -210,6 +210,9 @@ def test_criterion_8_determinism_and_golden_reports():
             assert code_a == 0, f"suite on {name} exited {code_a}"
             golden = (GOLDEN / f"suite_{name}.txt").read_text(encoding="utf-8")
             assert out_a == golden, f"golden mismatch for {name}"
+            code, out = _run_cli(argv + ["--json"])
+            golden = (GOLDEN / f"suite_{name}.json").read_text(encoding="utf-8")
+            assert (code, out) == (0, golden), f"--json golden mismatch for {name}"
         code_a, doc_a = _run_cli(["random", "--seed", "7"])
         code_b, doc_b = _run_cli(["random", "--seed", "7"])
         assert doc_a == doc_b and code_a == code_b == 0

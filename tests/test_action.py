@@ -190,7 +190,7 @@ def test_comparable_set_word_identities(swap, comb):
 def test_comparable_sample_records_sweep(swap):
     sample = comparable_sample(swap.spec, Word.generator("g"), 2)
     assert sample.touched_truncation
-    yes = sample.points(Tri.YES)
+    yes = [p for p, a in sample.answers if a is Tri.YES]
     assert yes and all(p.cell[0] == "s" for p in yes)
 
 

@@ -266,6 +266,7 @@ MODEL_COMMANDS = {
     "check_intermediate_fixed": ("check", "check_intermediate_fixed", "--word", "g",
                                  "--pos", "p[0]:1/2", "--neg", "s[0]:1/2"),
     "compare-equal": ("compare", "--x", "p[0]:1/2", "--y", "p[0]:1/2"),
+    "suite": ("suite",),
 }
 
 
@@ -280,8 +281,30 @@ def test_rejected_document_exits_one(tmp_path, capsys, document, command):
     assert code == 1
     if document == INVALID_WINDOW and command == ("validate",):     # a report, not an error
         assert "valid: no" in out and err == ""
+    elif document == INVALID_WINDOW and command == ("suite",):
+        assert out.endswith("\nmodel invalid (1 violations); suite aborted\n") and err == ""
     else:
         assert out == "" and err.startswith("error: invalid model: ")
+
+
+def test_path_on_disconnected_window_is_truncated(tmp_path):
+    # the edge from v[0] to v[3] leaves the depth-2 window, so v[1] and v[2]
+    # lie in different components: no route, reported as TRUNCATED, not an error
+    doc = tmp_path / "split.leafspace"
+    doc.write_text("leafspace/1\nfamily e edge chain\nfamily v vertex chain\n"
+                   "end e low vertex v 0\nend e high vertex v 3\n", encoding="utf-8")
+    argv = ("path", "--spec", str(doc), "--depth", "2", "--from", "v[1]", "--to", "v[2]")
+    reason = "no route from v[1] to v[2] inside the depth-2 window"
+    assert run(*argv) == (0, f"path v[1] -> v[2]: TRUNCATED ({reason})\n")
+    code, out = run(*argv, "--json")
+    assert code == 0
+    assert json.loads(out) == {"model": str(doc), "reason": reason, "truncated": True}
+
+
+def test_locus_out_of_range_exits_two(capsys):
+    for argv in (("stab",), ("check", "check_fix_propagation")):
+        assert run(*argv, "--gallery", "SWAP", "--locus", "3") == (2, "")
+        assert capsys.readouterr().err == "error: --locus must be in 0..0\n"
 
 
 def test_unreadable_spec_exits_two(tmp_path, capsys):

@@ -47,5 +47,6 @@ def test_tracer_installs_and_uninstalls(run):
         tracer.patches.uninstall()
     assert suite.check(state, op, result) == []
     assert tracer.summary()["cli.main"]["calls"] == 1
+    assert tracer.summary()["checkers.discover_instances"]["calls"] == 1
     assert lib.core.Truncation.__dict__["cell_neighbors"] is original
     assert not hasattr(lib.cli.main, "__wrapped__")
