@@ -13,9 +13,12 @@ element, and every full sweep -- ``classify_element``,
 ``comparable_sample`` and the suite's checkers -- reads them from there.
 An automorphism preserves order, so a point relates to its image as the
 image relates to its own: a sweep costs one ``compare`` per orbit of the
-element in the window, plus a lookup per cell.  An element that is no
-automorphism (a generator added with ``check=False``) is swept cell by
-cell, one ``compare`` per in-window image.
+element in the window, plus a lookup per cell.  The window keeps each
+cell's orbit beside the relations, for callers that can likewise answer
+once per orbit (the suite's instance discovery counts one path length per
+orbit).  An element that is no automorphism (a generator added with
+``check=False``) is swept cell by cell, one ``compare`` per in-window
+image, and each of its cells is an orbit of its own.
 
 Window sweeps answer in Tri: a Yes always comes with a witness; a No is
 certified only when the sweep closed without touching a truncated end,
@@ -229,21 +232,31 @@ def sweep(trunc, elem):
     """Image relation of every canonical point of the window under one
     element, in canonical order (``image_relation``: None where the
     window cannot decide).  Computed once per window and element."""
-    rels = trunc.sweeps.get(elem)
-    if rels is None:
-        rels = trunc.sweeps[elem] = _sweep_table(trunc, elem)
-    return rels
+    return _swept(trunc, elem)[0]
+
+
+def _swept(trunc, elem):
+    """(``sweep``, orbits) of an element on the window, kept on it.  The
+    orbits give, per canonical position, the position naming the orbit
+    whose one ``compare`` answered the cell.  A cell answered otherwise --
+    its image beyond the window or in another component, or any cell under
+    an element that is no automorphism -- names itself."""
+    hit = trunc.sweeps.get(elem)
+    if hit is None:
+        hit = trunc.sweeps[elem] = _sweep_table(trunc, elem)
+    return hit
 
 
 def _sweep_table(trunc, elem):
-    """``sweep`` computed afresh.  Along an orbit of an automorphism w the
+    """``_swept`` computed afresh.  Along an orbit of an automorphism w the
     relation of p with w.p is that of w.p with w^2.p, so one ``compare``
     answers every cell of the orbit whose image lies in the window, in the
     same component (``compare`` is Truncated exactly across components).
     An image beyond the window gets ``_same_glued_chain_relation``."""
     spec, points = trunc.spec, trunc.canonical_points
     if automorphism_problems(spec, elem):       # no orbit rule: cell by cell
-        return tuple(image_relation(spec, trunc, p, elem.point(p)) for p in points)
+        return (tuple(image_relation(spec, trunc, p, elem.point(p)) for p in points),
+                tuple(range(len(points))))
     cells, position, component = trunc.sweep_cells
     maps = elem.maps
     images = []
@@ -264,19 +277,19 @@ def _sweep_table(trunc, elem):
         if j is not None:
             orbit[find(k)] = find(j)
     relation = {}       # orbit root -> the relation of its connected pairs
-    rels = []
+    rels, roots = [], list(range(len(cells)))
     for k, j in enumerate(images):
         if j is None:
             rels.append(_same_glued_chain_relation(spec, points[k], elem.point(points[k])))
         elif component[k] != component[j]:
             rels.append(None)
         else:
-            root = find(k)
+            root = roots[k] = find(k)
             if root not in relation:
                 rel = compare(trunc, points[k], points[j])
                 relation[root] = None if rel is Comparability.TRUNCATED else rel
             rels.append(relation[root])
-    return tuple(rels)
+    return tuple(rels), tuple(roots)
 
 
 def _membership(rel):

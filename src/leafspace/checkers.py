@@ -30,11 +30,21 @@ from .core import (
     mid_point,
     require_valid,
 )
-from .paths import COMPARABLE, Comparability, compare, path, sample_points
+from .paths import (
+    COMPARABLE,
+    Comparability,
+    _path_length,
+    _read,
+    _relation_row,
+    compare,
+    path,
+    sample_points,
+)
 from .action import (
     Word,
     _classify,
     _member,
+    _swept,
     branching_type,
     comparable_sample,
     element_ball,
@@ -229,9 +239,9 @@ def check_odd_path(spec, word, lam, k_max, depth):
     if member is Tri.TRUNCATED:
         return CheckReport.make(name, TRUNCATED, depth=depth,
                                 notes=("membership of lam undecided",))
-    gamma = path(trunc, lam, elem.point(lam))
-    if gamma.length % 2 == 0:
-        raise PreconditionFailed(f"path length {gamma.length} is even")
+    length = _path_length(trunc, lam, elem.point(lam))
+    if length % 2 == 0:
+        raise PreconditionFailed(f"path length {length} is even")
     power = elem
     for k in range(1, k_max + 1):
         for x, rel in zip(trunc.canonical_points, sweep(trunc, power)):
@@ -240,7 +250,7 @@ def check_odd_path(spec, word, lam, k_max, depth):
                     "word": word, "k": k, "point": x})
         power = power * elem
     return CheckReport.make(name, PASS, depth=depth, witness={
-        "word": word, "path_length": gamma.length, "k_max": k_max})
+        "word": word, "path_length": length, "k_max": k_max})
 
 
 def check_return(spec, word, lam, k, depth):
@@ -434,7 +444,7 @@ def check_intermediate_fixed(spec, word, x_pos, x_neg, depth):
                                     notes=("no fixed point sampled in window",))
         return CheckReport.make(name, VIOLATION, depth=depth,
                                 witness={"word": word, "path_length": gamma.length})
-    incomparable = compare(trunc, x_pos, x_neg) is Comparability.INCOMPARABLE
+    incomparable = bool(gamma.junctions)
     in_locus = witness.is_vertex and trunc.locus_group_of(witness.cell) is not None
     if incomparable and not in_locus:
         return CheckReport.make(name, VIOLATION, depth=depth, witness={
@@ -534,48 +544,60 @@ def _basic_words(spec):
 PAIR_SEARCH_LIMIT = 400        # ordered point pairs tried per word
 
 
-def _find_comparable_pair(trunc, elem):
-    """First (lam, mu) with lam < mu and lam < w(mu), both certified."""
+def _find_comparable_pair(trunc, elem, rows):
+    """First (lam, mu) with lam < mu and lam < w(mu), both certified.  Both
+    tests read lam's relation row (``paths._relation_row``), made at
+    lam's first tried pair and kept in ``rows`` (position -> row)."""
     pts = trunc.canonical_points
+    position = trunc.sweep_cells[1]
     tried = 0
-    for lam in pts:
-        for mu in pts:
-            if lam == mu:
+    for i, lam in enumerate(pts):
+        row = None
+        for k, mu in enumerate(pts):
+            if k == i:
                 continue
             tried += 1
             if tried > PAIR_SEARCH_LIMIT:
                 return None
-            if compare(trunc, lam, mu) is not Comparability.LESS:
+            if row is None:
+                row = rows.get(i)
+                if row is None:
+                    row = rows[i] = _relation_row(trunc, lam)
+            if _read(row, k) is not Comparability.LESS:
                 continue
             w_mu = elem.point(mu)
             if not trunc.contains_point(w_mu):
                 continue
-            if compare(trunc, lam, w_mu) is Comparability.LESS:
+            if _read(row, position[w_mu.cell]) is Comparability.LESS:
                 return lam, mu
     return None
 
 
 def discover_instances(spec, depth, word_len):
     """Deterministic suite instances: checker name -> list of kwargs.
-    Each basic word's image relations come from the window's sweep, and
-    every pick is the first in canonical order."""
+    Each basic word's image relations and orbits come from the window's
+    sweep, and every pick is the first in canonical order.  The parity of
+    a point's connection to its image is counted once per orbit
+    (``paths._path_length``): an automorphism carries the connection of p
+    to w.p onto that of w.p to w^2.p."""
     trunc = spec.window(depth)
     points = trunc.canonical_points
     loci = branch_loci(trunc)[:4]
     one_sided_positive = branching_type(spec, depth).value == "one_sided_positive"
     instances = {name: [] for name in CHECKERS}
+    rows = {}
 
     for word in _basic_words(spec):
         instances["check_connected_open"].append({"word": word})
         elem = word_map(spec, word)
 
-        pair = _find_comparable_pair(trunc, elem) if one_sided_positive else None
+        pair = _find_comparable_pair(trunc, elem, rows) if one_sided_positive else None
         if pair is not None:
             instances["check_lower_bound"].append(
                 {"word": word, "lam": pair[0], "mu": pair[1]})
 
-        images = [elem.point(p) for p in points]
-        rels = list(zip(points, sweep(trunc, elem)))
+        sweep_rels, orbits = _swept(trunc, elem)
+        rels = list(zip(points, sweep_rels))
 
         yes_points = [p for p, rel in rels if rel in COMPARABLE][:3]
         for i, lam in enumerate(yes_points):
@@ -584,16 +606,18 @@ def discover_instances(spec, depth, word_len):
                     {"word": word, "lam": lam, "mu": mu})
 
         odd_lam = even_lam = None
-        for (p, rel), image in zip(rels, images):
+        parity = {}         # orbit -> parity of the length, None when it fails
+        for (p, rel), orbit in zip(rels, orbits):
             if rel is not Comparability.INCOMPARABLE:
                 continue
-            try:
-                gamma = path(trunc, p, image)
-            except LeafSpaceError:
-                continue
-            if gamma.length % 2 == 1 and odd_lam is None:
+            if orbit not in parity:
+                try:
+                    parity[orbit] = _path_length(trunc, p, elem.point(p)) % 2
+                except LeafSpaceError:
+                    parity[orbit] = None
+            if parity[orbit] == 1 and odd_lam is None:
                 odd_lam = p
-            if gamma.length % 2 == 0 and even_lam is None:
+            if parity[orbit] == 0 and even_lam is None:
                 even_lam = p
             if odd_lam is not None and even_lam is not None:
                 break

@@ -476,15 +476,16 @@ class Truncation:
     validation report, its canonical points, its germ table (the providers
     of the germ on each side of each vertex, read by ``germ_providers`` and,
     as cell adjacency, by ``vertex_sides``), its membership sweeps
-    (``sweeps``: group element -> image relation of every
-    canonical point, filled by :func:`leafspace.action.sweep`), the cell
-    table those sweeps follow orbits on (``sweep_cells``: each cell's
-    position and component, built by the first sweep) and its
-    transit table (``transits``: (entry anchor, exit anchor) at a collapsed
-    locus node -> what a path gains crossing it, filled by
-    :func:`leafspace.paths.path`).  An anchor is the frozenset of vertex
-    cells that arriving at a node through one edge end can stand on, and
-    ``rooting`` stores each tree edge as the two hops a route reads."""
+    (``sweeps``: group element -> the image relation of every canonical
+    point and, per cell, the orbit whose one ``compare`` answered it,
+    filled by :func:`leafspace.action.sweep`), the cell table those sweeps
+    follow orbits on (``sweep_cells``: each cell's position and component,
+    built by the first sweep) and its transit table (``transits``: (entry
+    anchor, exit anchor) at a collapsed locus node -> what a path gains
+    crossing it, filled by :func:`leafspace.paths.path` and the length
+    count beside it).  An anchor is the frozenset of vertex cells that
+    arriving at a node through one edge end can stand on, and ``rooting``
+    stores each tree edge as the two hops a route reads."""
 
     def __init__(self, spec, depth):
         self.spec = spec

@@ -25,6 +25,14 @@ a collapsed node is lifted once per window: the transit table
 (``Truncation.transits``) maps an (entry anchor, exit anchor) pair to the
 vertex steps, points, junctions and degenerate intervals it contributes,
 so a locus hop costs ``path`` a table lookup.
+
+Two private readers serve callers that need many answers, or only a
+path's length.  A relation row (``_relation_row``) holds ``compare(x, p)``
+for every canonical point p, from one walk of the window forest out of x
+that applies ``compare``'s rule hop by hop; a pair on which ``compare``
+would raise raises only when its entry is read (``_read``).  A length
+count (``_path_length``) is ``path(x, y).length`` read off the route: 1
+plus the junctions of each locus crossing, from the transit table.
 """
 
 from __future__ import annotations
@@ -131,7 +139,8 @@ class Path:
 
 
 _PT = (("pt", 0), ("pt", 1))       # the nodes of the two route ends inside edge cells
-_ZERO, _ONE = Fraction(0), Fraction(1)
+_ZERO, _HALF, _ONE = Fraction(0), Fraction(1, 2), Fraction(1)
+_NOT_MONOTONE = "route lift is not monotone between junctions"
 
 
 def _route(trunc, x, y):
@@ -277,7 +286,7 @@ class _Builder:
         if self.direction is None:
             self.direction = direction
         elif self.direction != direction:
-            raise InvalidModel("route lift is not monotone between junctions")
+            raise InvalidModel(_NOT_MONOTONE)
         payload = self.trunc.graph_edges[eid][0]
         if payload[0] == "tail":
             self.steps.append(payload)
@@ -341,11 +350,113 @@ def compare(trunc, x, y):
         if frm[0] == "locus" and pending.isdisjoint(a_frm):
             return Comparability.INCOMPARABLE
         if up is not ascending:
-            raise InvalidModel("route lift is not monotone between junctions")
+            raise InvalidModel(_NOT_MONOTONE)
         pending = a_to
     if y.is_vertex and trunc.vertex_node(y.cell)[0] == "locus" and y.cell not in pending:
         return Comparability.INCOMPARABLE
     return Comparability.LESS if ascending else Comparability.GREATER
+
+
+
+def _relation_row(trunc, x):
+    """``compare(x, p)`` for every canonical point p of the window, in
+    canonical order, from one walk of the window forest out of x.
+
+    The walk carries ``compare``'s state from node to node -- the first
+    hop's direction, the anchor arrived through, and the answer once a
+    jump or a turn has fixed it -- and applies its rule hop by hop: the
+    jump check, then the direction, then at a vertex p the locus-member
+    check.  An edge midpoint reads the hop of its whole edge from the end
+    nearer x, which is where the route to it leaves the forest.  An entry
+    on which ``compare`` would raise holds ``_NOT_MONOTONE``, which
+    ``_read`` raises as InvalidModel."""
+    trunc.require_point(x)
+    require_routable(trunc)
+    edges, adjacency = trunc.graph_edges, trunc.adjacency
+    at_edge = {}        # graph edge id -> relation of its midpoint
+    stack = []          # (node, edge id arrived by, direction, anchor, fixed answer)
+    if x.is_vertex:
+        stack.append((trunc.vertex_node(x.cell), None, None, frozenset((x.cell,)), None))
+    else:
+        eid = trunc.edge_index[x.cell]
+        _, lo, hi, a_lo, a_hi = edges[eid]
+        stack += [(lo, eid, False, a_lo, None), (hi, eid, True, a_hi, None)]
+        at_edge[eid] = (Comparability.EQUAL if x.t == _HALF else
+                        Comparability.LESS if x.t < _HALF else Comparability.GREATER)
+    at_node = {}
+    while stack:
+        node, via, ascending, pending, fixed = item = stack.pop()
+        at_node[node] = item
+        locus = node[0] == "locus"
+        for eid, other in adjacency[node]:
+            if eid == via:
+                continue
+            _, lo, _, a_lo, a_hi = edges[eid]
+            up = node == lo
+            a_frm, a_to = (a_lo, a_hi) if up else (a_hi, a_lo)
+            direction = up if ascending is None else ascending
+            answer = fixed
+            if answer is None:
+                if locus and pending.isdisjoint(a_frm):
+                    answer = Comparability.INCOMPARABLE
+                elif up is not direction:
+                    answer = _NOT_MONOTONE
+            at_edge[eid] = answer or (Comparability.LESS if direction else Comparability.GREATER)
+            stack.append((other, eid, direction, a_to, answer))
+    row = []
+    for cell in trunc.vertex_cells:
+        hit = at_node.get(trunc.vertex_node(cell))
+        if hit is None:
+            row.append(Comparability.TRUNCATED)
+        elif cell == x.cell and x.is_vertex:
+            row.append(Comparability.EQUAL)
+        elif hit[4] is not None:
+            row.append(hit[4])
+        elif hit[0][0] == "locus" and cell not in hit[3]:
+            row.append(Comparability.INCOMPARABLE)
+        else:
+            row.append(Comparability.LESS if hit[2] else Comparability.GREATER)
+    index = trunc.edge_index
+    row += (at_edge.get(index[cell], Comparability.TRUNCATED) for cell in trunc.edge_cells)
+    return tuple(row)
+
+
+def _read(row, k):
+    """Entry k of a ``_relation_row``, raising the error ``compare`` raises there."""
+    rel = row[k]
+    if rel is _NOT_MONOTONE:
+        raise InvalidModel(rel)
+    return rel
+
+
+def _path_length(trunc, x, y):
+    """``path(trunc, x, y).length`` without lifting the path: 1 plus the
+    junctions of each locus crossing on the route (``_transit``), with
+    ``path``'s monotonicity check between jumps and its errors."""
+    trunc.require_point(x)
+    trunc.require_point(y)
+    require_routable(trunc)
+    if x == y:
+        return 1
+    route = _route(trunc, x, y)
+    if route is None:
+        raise TruncatedError(f"no route from {x} to {y} inside the depth-{trunc.depth} window")
+    length, direction = 1, None
+    pending = frozenset((x.cell,)) if x.is_vertex else None
+    for _, _, frm, _, a_frm, a_to, up in route:
+        if frm[0] == "locus":
+            jumps = len(_transit(trunc, pending, a_frm)[2])
+            if jumps:
+                length += jumps
+                direction = None
+        if direction is None:
+            direction = up
+        elif direction is not up:
+            raise InvalidModel(_NOT_MONOTONE)
+        pending = a_to
+    if y.is_vertex and trunc.vertex_node(y.cell)[0] == "locus":
+        length += len(_transit(trunc, pending, frozenset((y.cell,)))[2])
+    return length
 
 
 def interval_contains(trunc, interval, z):

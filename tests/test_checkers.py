@@ -729,3 +729,173 @@ def test_screen_truncated(swap_k):
     # a tangentiable, never transversable word on a window with cut ends
     rep = screen_infinite_locus(swap_k, 2, 0)
     assert (rep.verdict, rep.notes) == (TRUNCATED, ())
+
+
+# -- suite instance discovery ------------------------------------------------------
+
+
+def _reference_find_comparable_pair(trunc, elem):
+    """The pair search as it was before relation rows: one ``compare`` per test."""
+    from leafspace.checkers import PAIR_SEARCH_LIMIT
+    from leafspace.paths import Comparability, compare
+
+    pts = trunc.canonical_points
+    tried = 0
+    for lam in pts:
+        for mu in pts:
+            if lam == mu:
+                continue
+            tried += 1
+            if tried > PAIR_SEARCH_LIMIT:
+                return None
+            if compare(trunc, lam, mu) is not Comparability.LESS:
+                continue
+            w_mu = elem.point(mu)
+            if not trunc.contains_point(w_mu):
+                continue
+            if compare(trunc, lam, w_mu) is Comparability.LESS:
+                return lam, mu
+    return None
+
+
+def reference_discover_instances(spec, depth, word_len):
+    """discover_instances as it was before relation rows and length counts:
+    the parity search lifts a path from each incomparable point to its
+    image until it has seen an odd and an even length."""
+    from leafspace.action import _member, sweep
+    from leafspace.checkers import CHECKERS, _basic_words
+    from leafspace.core import LeafSpaceError
+    from leafspace.paths import COMPARABLE, Comparability
+
+    trunc = spec.window(depth)
+    points = trunc.canonical_points
+    loci = branch_loci(trunc)[:4]
+    one_sided_positive = branching_type(spec, depth).value == "one_sided_positive"
+    instances = {name: [] for name in CHECKERS}
+
+    for word in _basic_words(spec):
+        instances["check_connected_open"].append({"word": word})
+        elem = word_map(spec, word)
+
+        pair = _reference_find_comparable_pair(trunc, elem) if one_sided_positive else None
+        if pair is not None:
+            instances["check_lower_bound"].append(
+                {"word": word, "lam": pair[0], "mu": pair[1]})
+
+        images = [elem.point(p) for p in points]
+        rels = list(zip(points, sweep(trunc, elem)))
+
+        yes_points = [p for p, rel in rels if rel in COMPARABLE][:3]
+        for i, lam in enumerate(yes_points):
+            for mu in yes_points[i + 1:]:
+                instances["check_path_in_comparable_set"].append(
+                    {"word": word, "lam": lam, "mu": mu})
+
+        odd_lam = even_lam = None
+        for (p, rel), image in zip(rels, images):
+            if rel is not Comparability.INCOMPARABLE:
+                continue
+            try:
+                gamma = path(trunc, p, image)
+            except LeafSpaceError:
+                continue
+            if gamma.length % 2 == 1 and odd_lam is None:
+                odd_lam = p
+            if gamma.length % 2 == 0 and even_lam is None:
+                even_lam = p
+            if odd_lam is not None and even_lam is not None:
+                break
+        if odd_lam is not None:
+            instances["check_odd_path"].append(
+                {"word": word, "lam": odd_lam, "k_max": min(4, word_len)})
+        if even_lam is not None:
+            power = elem
+            for k in range(2, max(3, word_len // 2) + 1):
+                power = power * elem
+                if _member(trunc, power, even_lam) is Tri.YES:
+                    instances["check_return"].append(
+                        {"word": word, "lam": even_lam, "k": k})
+                    break
+
+        pos = next((p for p, rel in rels if rel is Comparability.LESS), None)
+        neg = next((p for p, rel in rels if rel is Comparability.GREATER), None)
+        if pos is not None and neg is not None:
+            instances["check_intermediate_fixed"].append(
+                {"word": word, "x_pos": pos, "x_neg": neg})
+
+        for locus in loci:
+            if tuple(sorted(map(elem.cell, locus.members))) == locus.members:
+                instances["check_invariant_locus_stem"].append(
+                    {"word": word, "locus": locus})
+
+    for locus in loci:
+        instances["check_fix_propagation"].append({"locus": locus, "radius": word_len})
+    instances["check_faithfulness"].append({"max_word_len": word_len})
+    instances["screen_infinite_locus"].append({"max_word_len": word_len})
+    return instances
+
+
+def _assert_discovery_matches_reference(spec, depth, word_lens=(0, 6, 12)):
+    """The picks equal the reference's (as repr), or both raise alike; each
+    side runs on its own fresh window."""
+    from leafspace.checkers import discover_instances
+
+    for word_len in word_lens:
+        spec._windows.clear()
+        want = _outcome(lambda: repr(reference_discover_instances(spec, depth, word_len)))
+        spec._windows.clear()
+        assert _outcome(lambda: repr(discover_instances(spec, depth, word_len))) == want, \
+            (depth, word_len)
+
+
+@pytest.mark.parametrize("name", GALLERY_NAMES)
+def test_discovery_matches_reference_on_gallery(name):
+    spec = gallery(name).spec
+    for depth in list(range(9)) + [16, 32, 64]:
+        _assert_discovery_matches_reference(spec, depth)
+
+
+def test_discovery_matches_reference_on_random_specs():
+    from leafspace.randspec import RandomParams, random_spec
+
+    for seed in range(60):
+        spec = random_spec(RandomParams(seed=seed, symmetric=True))
+        _assert_discovery_matches_reference(spec, seed % 3, (6,))
+
+
+def test_discovery_matches_reference_with_unchecked_generators(tripod, tripod_inconsistent,
+                                                               updown):
+    # elements that are no automorphism: every cell is its own orbit
+    from leafspace.action import _swept
+
+    models = [(tripod_inconsistent, 2), (build_odd_involution(), 0), (_stem_to_branch(), 1),
+              (tripod, 2), (updown, 3), (build_swap_k(), 4)]
+    for spec, depth in models:
+        _assert_discovery_matches_reference(spec, depth)
+    trunc = expand(tripod_inconsistent, 2)
+    orbits = _swept(trunc, word_map(tripod_inconsistent, Word.generator("f")))[1]
+    assert orbits == tuple(range(len(trunc.canonical_points)))
+
+
+def test_orbit_cells_share_their_lifted_length():
+    # the equivariance the parity search relies on: every incomparable cell
+    # of one orbit is as far from its image as the others
+    from leafspace.action import _swept
+    from leafspace.checkers import _basic_words
+    from leafspace.paths import Comparability
+
+    shared = 0          # orbits with more than one incomparable cell
+    for name in GALLERY_NAMES:
+        spec = gallery(name).spec
+        for depth in (4, 8, 16, 32, 64):
+            trunc = expand(spec, depth)
+            for word in _basic_words(spec):
+                elem = word_map(spec, word)
+                lengths = {}
+                for p, rel, orbit in zip(trunc.canonical_points, *_swept(trunc, elem)):
+                    if rel is Comparability.INCOMPARABLE:
+                        lengths.setdefault(orbit, []).append(path(trunc, p, elem.point(p)).length)
+                for seen in lengths.values():
+                    assert len(set(seen)) == 1, (name, depth, str(word))
+                    shared += len(seen) > 1
+    assert shared

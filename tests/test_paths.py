@@ -401,6 +401,14 @@ def _reference_path(trunc, x, y):
     return Path(tuple(builder.intervals), tuple(builder.junctions))
 
 
+def _outcome(fn, *args):
+    """fn's result, or the type of the error it raised."""
+    try:
+        return fn(*args)
+    except (TruncatedError, InvalidModel) as exc:
+        return type(exc)
+
+
 def _lifted(lift, trunc, x, y, key):
     """key() of the lifted path, or the name of the error it raised."""
     try:
@@ -423,14 +431,19 @@ def _assert_table_matches_reference(trunc, pairs, key=repr):
     """path equals the reference on every pair, lifted first on the table as
     the earlier pairs left it (cold for every crossing met first here) and
     again once the pair's crossings are all in it; a warm lift adds no
-    entry, and every entry pairs two anchors of one locus node."""
+    entry, and every entry pairs two anchors of one locus node.  The length
+    count (``paths._path_length``) equals the reference's length, or
+    raises its error."""
     assert trunc.transits == {}
     for x, y in pairs:
-        want = _lifted(_reference_path, trunc, x, y, key)
+        ref = _outcome(_reference_path, trunc, x, y)
+        want = key(ref) if isinstance(ref, Path) else ref.__name__
         assert _lifted(path, trunc, x, y, key) == want, (x, y)
         size = len(trunc.transits)
         assert _lifted(path, trunc, x, y, key) == want, (x, y)
         assert len(trunc.transits) == size
+        length = ref.length if isinstance(ref, Path) else ref
+        assert _outcome(paths_mod._path_length, trunc, x, y) == length, (x, y)
     _assert_transits_bounded(trunc)
 
 
@@ -557,3 +570,88 @@ def test_sample_points_matches_reference():
                 except TruncatedError:
                     continue
                 assert sample_points(p) == _reference_sample_points(p)
+
+
+# -- relation rows and length counts ----------------------------------------------
+#
+# ``_relation_row`` must read ``compare`` off one walk of the window, entry by
+# entry, and ``_path_length`` must count ``path(...).length`` without lifting
+# it; both raise where the walked versions raise.  The transit-table tests
+# above check the count on the gallery, at depth 64 and on plain random specs.
+
+
+def _assert_rows_and_counts(trunc, xs=None, ys=None, counts=True):
+    """For every x of ``xs`` (default: the canonical points) and every
+    canonical position of ``ys`` (default: all): the row entry equals
+    ``compare`` and, with ``counts``, the count equals the lifted length,
+    or each raises the walked version's error type.  Returns the outcomes
+    of ``compare`` and of the lift."""
+    pts = trunc.canonical_points
+    seen = set()
+    for x in pts if xs is None else xs:
+        row = _outcome(paths_mod._relation_row, trunc, x)
+        for k in range(len(pts)) if ys is None else ys:
+            y = pts[k]
+            want = _outcome(compare, trunc, x, y)
+            got = row if row is InvalidModel else _outcome(paths_mod._read, row, k)
+            assert got == want, (x, y)
+            seen.add(want)
+            if counts:
+                length = _outcome(lambda: path(trunc, x, y).length)
+                assert _outcome(paths_mod._path_length, trunc, x, y) == length, (x, y)
+                seen.add(length)
+    return seen
+
+
+def test_rows_match_on_gallery():
+    for name in GALLERY_NAMES:
+        for depth in range(9):
+            _assert_rows_and_counts(expand(gallery(name).spec, depth), counts=False)
+
+
+def test_rows_match_at_depth_64():
+    rng = random.Random(640)
+    for name in GALLERY_NAMES:
+        trunc = expand(gallery(name).spec, 64)
+        pts = trunc.canonical_points
+        ys = rng.sample(range(len(pts)), min(40, len(pts)))
+        _assert_rows_and_counts(trunc, [pts[0], pts[-1], rng.choice(pts)], ys, counts=False)
+
+
+def test_rows_and_counts_match_on_random_specs():
+    for seed in range(100):
+        for symmetric in (False, True):
+            _assert_rows_and_counts(
+                expand(random_spec(RandomParams(seed=seed, symmetric=symmetric)), 0))
+
+
+def test_rows_and_counts_match_off_the_canonical_points():
+    # rows from points inside edge cells, away from the midpoint
+    trunc = expand(_two_loci_spec(), 0)
+    _assert_rows_and_counts(trunc, [Point(c, Fraction(k, 3)) for c in trunc.edge_cells
+                                    for k in (1, 2)])
+
+
+def test_rows_and_counts_match_on_broken_windows(tripod, tripod_inconsistent, updown):
+    # disconnected windows (Truncated, TruncatedError) and invalid ones
+    # (InvalidModel), the models the orbit-sweep reference runs on
+    from leafspace.core import ValidationReport
+    from test_action import _double_germ, _offset_line
+    from test_checkers import _stem_to_branch, build_odd_involution
+    from conftest import build_swap_k
+
+    windows = [expand(tripod, 2), expand(tripod_inconsistent, 2),
+               expand(build_odd_involution(), 0), expand(build_swap_k(), 4)]
+    windows += [expand(spec, depth) for depth in range(4) for spec in (
+        updown, _stem_to_branch(), _offset_line(), _double_germ())]
+    seen = set().union(*map(_assert_rows_and_counts, windows))
+    assert {Comparability.TRUNCATED, TruncatedError, InvalidModel} <= seen
+    # a window whose germ fault is waved through: the route from p[0] up to
+    # v[0] and down q[0] turns, so only such pairs raise, each where it is read
+    trunc = expand(_double_germ(), 0)
+    trunc._validation = ValidationReport(())
+    assert InvalidModel in _assert_rows_and_counts(trunc)
+    row = paths_mod._relation_row(trunc, mid_point("p", 0))
+    position = trunc.sweep_cells[1]
+    assert row[position[("q", 0)]] is paths_mod._NOT_MONOTONE
+    assert paths_mod._read(row, position[("r", 0)]) is Comparability.LESS
