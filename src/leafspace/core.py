@@ -485,7 +485,11 @@ class Truncation:
     crossing it, filled by :func:`leafspace.paths.path` and the length
     count beside it).  An anchor is the frozenset of vertex cells that
     arriving at a node through one edge end can stand on, and ``rooting``
-    stores each tree edge as the two hops a route reads."""
+    stores each tree edge as the two hops a route reads.  ``ladder``,
+    filled in the same pass, gives each node a jump pointer and its counts
+    of jumps and of turns without a jump up to the root, from which
+    :func:`leafspace.paths.compare` answers in O(log depth) without
+    walking the route."""
 
     def __init__(self, spec, depth):
         self.spec = spec
@@ -695,23 +699,46 @@ class Truncation:
         # tree each route appends these hops up to the meeting node; on a
         # cyclic graph they span a forest whose roots still count the
         # components.  Each root is followed by the rest of its component.
-        rooting = {}
+        # The same pass reaches every parent before its children and fills
+        # ``ladder``: node -> (jump pointer, jumps from the root, turns
+        # without a jump from the root).  The jump pointer (Myers, 1983)
+        # skips to the parent's second jump when the parent's two jumps span
+        # equal depths, else to the parent, so any ancestor is O(log depth)
+        # jumps away.  The counts sum, over the proper ancestors but the
+        # root, the crossing from the child on the path into the ancestor's
+        # own parent edge: a jump at a locus node whose two anchors share no
+        # vertex, else a turn where the two hops climb in opposite directions.
+        rooting, ladder = {}, {}
         for root in sorted(adj):
             if root in rooting:
                 continue
             rooting[root] = (None, None, 0, None, None)
+            ladder[root] = (root, 0, 0)
             frontier = [root]
             while frontier:
                 node = frontier.pop()
-                depth = rooting[node][2] + 1
+                _, _, depth, node_up, _ = rooting[node]
+                jump, jumps, turns = ladder[node]
+                far = ladder[jump][0]
+                equal = depth - rooting[jump][2] == rooting[jump][2] - rooting[far][2]
+                jump = far if equal else node
+                depth += 1
                 for eid, other in adj[node]:
                     if other not in rooting:
                         _, lo, hi, a_lo, a_hi = edges[eid]
                         ascending, descending = edge_hops(eid, None, lo, hi, a_lo, a_hi)
-                        rooting[other] = (node, eid, depth) + (
-                            (ascending, descending) if other == lo else (descending, ascending))
+                        hops = (ascending, descending) if other == lo else (descending, ascending)
+                        rooting[other] = (node, eid, depth) + hops
+                        up = hops[0]
+                        if node_up is None:
+                            ladder[other] = (jump, 0, 0)
+                        elif node[0] == "locus" and up[5].isdisjoint(node_up[4]):
+                            ladder[other] = (jump, jumps + 1, turns)
+                        else:
+                            ladder[other] = (jump, jumps, turns + (up[6] is not node_up[6]))
                         frontier.append(other)
         self.rooting = rooting
+        self.ladder = ladder
         self.components = sum(1 for r in rooting.values() if r[0] is None)
 
     @cached_property

@@ -18,9 +18,14 @@ through that end can stand on) and whether the hop ascends.  A route
 walks parent pointers from both ends up to their meeting node and
 appends the stored hops, so it costs the length of the route, not the
 size of the window; only the split halves of an edge holding x or y are
-built per query.  ``compare`` reads the jumps (a crossing between anchors
-with no common vertex) and the direction off those hops without lifting a
-``Path``; only ``path`` turns hops into parameter spans.  Each crossing of
+built per query.  ``compare`` builds no route: the rooting pass also
+stores per node (``Truncation.ladder``) a jump pointer and the number of
+jumps (a crossing between anchors with no common vertex) and of turns
+(two hops in opposite directions without a jump) on its way up to the
+root, so ``compare`` finds the meeting node of x and y in O(log depth)
+and reads the jumps and turns between them as differences of those
+counts, plus the crossings at the meeting node and at the two ends; only
+``path`` turns hops into parameter spans.  Each crossing of
 a collapsed node is lifted once per window: the transit table
 (``Truncation.transits``) maps an (entry anchor, exit anchor) pair to the
 vertex steps, points, junctions and degenerate intervals it contributes,
@@ -329,22 +334,115 @@ def path(trunc, x, y):
     return Path(tuple(builder.intervals), tuple(builder.junctions))
 
 
+def _tree_node(trunc, point):
+    """The node of the window forest that stands for a point: its vertex
+    node, or for a point inside an edge cell the edge's child end (the end
+    whose parent edge it is, below which ``_route`` hangs the point)."""
+    if point.is_vertex:
+        return trunc.vertex_node(point.cell)
+    eid = trunc.edge_index[point.cell]
+    lo, hi = trunc.graph_edges[eid][1:3]
+    return lo if trunc.rooting[lo][1] == eid else hi
+
+
+def _meet(trunc, u, v):
+    """(meeting node, its child toward u, its child toward v) of u and v
+    in the rooted window forest, a child being None where that end is the
+    meeting node itself; None when u and v lie in different components.
+    Climbs by the jump pointers of ``Truncation.ladder``: O(log depth)."""
+    rooting, ladder = trunc.rooting, trunc.ladder
+    cu = cv = None
+    du, dv = rooting[u][2], rooting[v][2]
+    if du != dv:
+        deep, level = (u, dv + 1) if du > dv else (v, du + 1)
+        while rooting[deep][2] > level:
+            jump = ladder[deep][0]
+            deep = jump if rooting[jump][2] >= level else rooting[deep][0]
+        if du > dv:
+            cu, u = deep, rooting[deep][0]
+        else:
+            cv, v = deep, rooting[deep][0]
+    if u == v:
+        return u, cu, cv
+    while True:
+        pu, pv = rooting[u][0], rooting[v][0]
+        if pu == pv:
+            return None if pu is None else (pu, u, v)
+        ju, jv = ladder[u][0], ladder[v][0]
+        u, v = (ju, jv) if ju != jv else (pu, pv)
+
+
 def compare(trunc, x, y):
     """Less iff an embedded monotone ascending arc runs from x to y;
     Truncated when the deciding arc leaves the depth window.
 
-    Read off the route without lifting a Path: the first jump inside a
-    collapsed node (no vertex that both anchors hold) makes the points
-    incomparable, otherwise the first hop's direction decides."""
+    Read off the route without walking it: the points are incomparable
+    when the route makes a jump (a crossing of a collapsed node between
+    anchors with no common vertex), otherwise the first hop's direction
+    decides.  The jumps and the turns (consecutive hops in opposite
+    directions with no jump) come from the prefix counts of
+    ``Truncation.ladder`` below the meeting node of the two ends, plus the
+    crossings at the ends and at the meeting node, so a query costs
+    O(log depth).  A route that turns before any jump raises InvalidModel;
+    only a window whose validation was waved through can have one, and
+    where such a route also jumps, its order is read by walking it
+    (``_walk_compare``).  A point inside an edge cell starts or ends the
+    route on the split half of its edge toward the other point."""
     trunc.require_point(x)
     trunc.require_point(y)
     require_routable(trunc)
     if x == y:
         return Comparability.EQUAL
-    route = _route(trunc, x, y)
-    if route is None:
+    if not x.is_vertex and not y.is_vertex and x.cell == y.cell:
+        return Comparability.LESS if x.t < y.t else Comparability.GREATER
+    u, v = _tree_node(trunc, x), _tree_node(trunc, y)
+    meet = _meet(trunc, u, v)
+    if meet is None:
         return Comparability.TRUNCATED
-    ascending = route[0][6] if route else None     # empty between two members of one node
+    rooting, ladder = trunc.rooting, trunc.ladder
+    top, cu, cv = meet
+    if cu is None and not x.is_vertex:      # y hangs below x's edge: enter it downward
+        top, cv = rooting[u][0], u
+    elif cv is None and not y.is_vertex:    # x hangs below y's edge
+        top, cu = rooting[v][0], v
+    jumps = turns = 0
+    first = arrive = None                   # the first hop; the anchor last arrived through
+    if cu is not None:
+        first, arrive = rooting[u][3], rooting[cu][3][5]
+        jumps += ladder[u][1] - ladder[cu][1]
+        turns += ladder[u][2] - ladder[cu][2]
+    if cv is not None:
+        leave = rooting[cv][4]              # hop down from top toward y
+        jumps += ladder[v][1] - ladder[cv][1]
+        turns += ladder[v][2] - ladder[cv][2]
+        if first is None:
+            first = leave
+        elif top[0] == "locus" and arrive.isdisjoint(leave[4]):
+            jumps += 1
+        elif rooting[cu][3][6] is not leave[6]:
+            turns += 1
+        arrive = rooting[v][4][5]
+    if first is None:                       # two members of one locus node
+        return Comparability.INCOMPARABLE
+    if x.is_vertex and u[0] == "locus" and x.cell not in first[4]:
+        jumps += 1
+    if y.is_vertex and v[0] == "locus" and y.cell not in arrive:
+        jumps += 1
+    if not turns:
+        if jumps:
+            return Comparability.INCOMPARABLE
+        return Comparability.LESS if first[6] else Comparability.GREATER
+    if not jumps:
+        raise InvalidModel(_NOT_MONOTONE)
+    return _walk_compare(trunc, x, y)
+
+
+def _walk_compare(trunc, x, y):
+    """``compare`` read hop by hop off the walked route between connected
+    x and y: the first jump makes the points incomparable, a hop against
+    the first hop's direction before it raises InvalidModel."""
+    route = _route(trunc, x, y)
+    ascending = route[0][6]
     pending = frozenset((x.cell,)) if x.is_vertex else None
     for _, _, frm, _, a_frm, a_to, up in route:
         if frm[0] == "locus" and pending.isdisjoint(a_frm):
@@ -355,7 +453,6 @@ def compare(trunc, x, y):
     if y.is_vertex and trunc.vertex_node(y.cell)[0] == "locus" and y.cell not in pending:
         return Comparability.INCOMPARABLE
     return Comparability.LESS if ascending else Comparability.GREATER
-
 
 
 def _relation_row(trunc, x):

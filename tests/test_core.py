@@ -586,6 +586,64 @@ def test_rooting_matches_sorted_neighbours(assorted_windows):
     assert routable > len(assorted_windows) // 2
 
 
+def reference_ladder_counts(trunc, node):
+    """(jumps, turns) of the crossings of node's proper ancestors but the
+    root, walked up parent by parent: a jump where the ancestor is a locus
+    node and the anchors arriving from below and leaving upward share no
+    vertex, else a turn where the two hops climb in opposite directions."""
+    rooting = trunc.rooting
+    jumps = turns = 0
+    up = rooting[node][3]
+    while up is not None:
+        above = rooting[up[3]][3]
+        if above is None:
+            break
+        if up[3][0] == "locus" and not up[5] & above[4]:
+            jumps += 1
+        elif up[6] != above[6]:
+            turns += 1
+        up = above
+    return jumps, turns
+
+
+def _climbs(trunc, node, level):
+    """Steps from node up to the given depth, by jump pointer where that
+    does not overshoot, else by parent."""
+    rooting, ladder = trunc.rooting, trunc.ladder
+    steps = 0
+    while rooting[node][2] > level:
+        jump = ladder[node][0]
+        node = jump if rooting[jump][2] >= level else rooting[node][0]
+        steps += 1
+    return steps
+
+
+def test_ladder_counts_crossings_and_climbs_in_log_depth(assorted_windows):
+    import math
+    import random
+
+    from leafspace.gallery import gallery
+
+    for trunc in assorted_windows:
+        rooting = trunc.rooting
+        assert trunc.ladder.keys() == rooting.keys()
+        for node, (jump, jumps, turns) in trunc.ladder.items():
+            assert (jumps, turns) == reference_ladder_counts(trunc, node)
+            if rooting[node][0] is None:
+                assert jump == node
+                continue
+            above = rooting[node][0]       # the jump pointer is a proper ancestor
+            while above != jump:
+                above = rooting[above][0]
+    rng = random.Random(3)
+    for name in ("SWAP", "ZIGZAG", "COMB"):
+        trunc = expand(gallery(name).spec, 512)
+        for node in rng.sample(sorted(trunc.rooting), 40):
+            depth = trunc.rooting[node][2]
+            for level in {0, depth // 3, depth // 2, depth - 1} - {-1}:
+                assert _climbs(trunc, node, level) <= 3 * math.log2(depth + 2), (node, level)
+
+
 def test_anchors_of_two_or_more_cells_are_stem_loci(swap_k):
     # an edge end limiting on two or more vertices is a locus stem, and its
     # anchor holds exactly that locus's members

@@ -15,6 +15,7 @@ from leafspace.core import (
     expand,
     mid_point,
     open_end,
+    require_routable,
     to_limit,
     to_vertex,
     validate,
@@ -401,6 +402,31 @@ def _reference_path(trunc, x, y):
     return Path(tuple(builder.intervals), tuple(builder.junctions))
 
 
+def reference_compare(trunc, x, y):
+    """compare as it was before each window kept jump pointers and prefix
+    counts: the route walked hop by hop, the first jump making the points
+    incomparable and a hop against the first hop's direction raising."""
+    trunc.require_point(x)
+    trunc.require_point(y)
+    require_routable(trunc)
+    if x == y:
+        return Comparability.EQUAL
+    route = paths_mod._route(trunc, x, y)
+    if route is None:
+        return Comparability.TRUNCATED
+    ascending = route[0][6] if route else None
+    pending = frozenset((x.cell,)) if x.is_vertex else None
+    for _, _, frm, _, a_frm, a_to, up in route:
+        if frm[0] == "locus" and pending.isdisjoint(a_frm):
+            return Comparability.INCOMPARABLE
+        if up is not ascending:
+            raise InvalidModel("route lift is not monotone between junctions")
+        pending = a_to
+    if y.is_vertex and trunc.vertex_node(y.cell)[0] == "locus" and y.cell not in pending:
+        return Comparability.INCOMPARABLE
+    return Comparability.LESS if ascending else Comparability.GREATER
+
+
 def _outcome(fn, *args):
     """fn's result, or the type of the error it raised."""
     try:
@@ -433,7 +459,8 @@ def _assert_table_matches_reference(trunc, pairs, key=repr):
     again once the pair's crossings are all in it; a warm lift adds no
     entry, and every entry pairs two anchors of one locus node.  The length
     count (``paths._path_length``) equals the reference's length, or
-    raises its error."""
+    raises its error, and ``compare`` answers as ``reference_compare``
+    does, or raises its error."""
     assert trunc.transits == {}
     for x, y in pairs:
         ref = _outcome(_reference_path, trunc, x, y)
@@ -444,6 +471,7 @@ def _assert_table_matches_reference(trunc, pairs, key=repr):
         assert len(trunc.transits) == size
         length = ref.length if isinstance(ref, Path) else ref
         assert _outcome(paths_mod._path_length, trunc, x, y) == length, (x, y)
+        assert _outcome(compare, trunc, x, y) == _outcome(reference_compare, trunc, x, y), (x, y)
     _assert_transits_bounded(trunc)
 
 
@@ -528,6 +556,178 @@ def test_add_drops_the_transit_table(zigzag):
     spec.add_mark("here", mid_point("E", 0))
     fresh = spec.window(3)
     assert fresh is not trunc and fresh.transits == {}
+
+
+# -- compare from jump pointers and prefix counts ------------------------------------
+#
+# ``compare`` reads the jumps and turns of a route off ``Truncation.ladder``
+# at the meeting node of its ends; ``reference_compare`` walks the route.  The
+# transit-table tests above check the two on every pair they lift (gallery
+# d = 0-8, d = 64 samples, random specs, two loci), and the row tests check
+# ``compare`` on the broken windows.
+
+
+def _child_end(trunc, cell):
+    """The end of an edge cell's graph edge that hangs below the other in
+    the rooted window forest (the one ``_route`` re-hangs below a point
+    inside the cell)."""
+    eid = trunc.edge_index[cell]
+    lo, hi = trunc.graph_edges[eid][1:3]
+    return lo if trunc.rooting[lo][1] == eid else hi
+
+
+def _at_or_below(trunc, node, top):
+    while node is not None:
+        if node == top:
+            return True
+        node = trunc.rooting[node][0]
+    return False
+
+
+@pytest.mark.parametrize("depth", (128, 512))
+def test_compare_matches_reference_on_deep_windows(depth):
+    # the window's two extreme points, random pairs (mostly far apart) and
+    # pairs of a point and the canonical point of a neighbouring cell
+    rng = random.Random(depth)
+    for name in ("SWAP", "ZIGZAG", "COMB"):
+        trunc = expand(gallery(name).spec, depth)
+        pts = trunc.canonical_points
+        pairs = [(pts[0], pts[-1])] + [(rng.choice(pts), rng.choice(pts)) for _ in range(100)]
+        _, position, _ = trunc.sweep_cells
+        for x in rng.sample(pts, 50):
+            pairs.append((x, pts[position[rng.choice(trunc.cell_neighbors(x.cell))]]))
+        seen = set()
+        for x, y in pairs + [(y, x) for x, y in pairs]:
+            rel = compare(trunc, x, y)
+            assert rel is reference_compare(trunc, x, y), (name, x, y)
+            seen.add(rel)
+        assert {Comparability.LESS, Comparability.GREATER, Comparability.INCOMPARABLE} <= seen
+
+
+def test_compare_from_inside_an_edge_cell():
+    # x at t = 1/3 and 2/3 of an edge cell, y at or below the edge's child
+    # end (the route leaves x through that end) and elsewhere (through the
+    # other end), in both orders
+    windows = [expand(gallery(name).spec, depth) for name in GALLERY_NAMES for depth in range(5)]
+    windows += [expand(_two_loci_spec(), 0)]
+    windows += [expand(random_spec(RandomParams(seed=seed)), 0) for seed in range(1, 31)]
+    seen = set()
+    for trunc in windows:
+        pts = trunc.canonical_points
+        for cell in trunc.edge_cells:
+            child = _child_end(trunc, cell)
+            for t in (Fraction(1, 3), Fraction(2, 3)):
+                x = Point(cell, t)
+                for y in pts:
+                    node = trunc.vertex_node(y.cell) if y.is_vertex else _child_end(trunc, y.cell)
+                    below = y.cell != cell and _at_or_below(trunc, node, child)
+                    for a, b in ((x, y), (y, x)):
+                        rel = compare(trunc, a, b)
+                        assert rel is reference_compare(trunc, a, b), (a, b)
+                        seen.add((below, rel))
+    for below in (True, False):
+        for rel in (Comparability.LESS, Comparability.GREATER, Comparability.INCOMPARABLE):
+            assert (below, rel) in seen
+
+
+def test_compare_across_components_is_truncated():
+    from test_action import _offset_line
+
+    trunc = expand(_offset_line(), 2)
+    assert trunc.components == 2
+    _, position, component = trunc.sweep_cells
+    pts = trunc.canonical_points + tuple(Point(c, Fraction(1, 3)) for c in trunc.edge_cells)
+    for x, y in itertools.product(pts, pts):
+        rel = compare(trunc, x, y)
+        assert rel is reference_compare(trunc, x, y), (x, y)
+        apart = component[position[x.cell]] != component[position[y.cell]]
+        assert (rel is Comparability.TRUNCATED) == apart, (x, y)
+
+
+def _edge_beside_locus():
+    """Edges p and q both leave b upward, p through the negative locus
+    {a, b}: b has two germs above it."""
+    spec = LeafSpaceSpec()
+    for v in ("a", "b"):
+        spec.add_vertex(v)
+    spec.add_edge("p", low=to_limit(("a", 0), ("b", 0)), high=open_end())
+    spec.add_edge("q", low=to_vertex("b"), high=open_end())
+    spec.add_edge("s", low=open_end(), high=to_limit(("a", 0), ("b", 0)))
+    return spec
+
+
+def _skewed_zigzag():
+    """ZIGZAG with E[n] running up to m2[n+2] instead of m1[n]: m2 has two
+    germs below it, m1 none, and windows fall apart."""
+    spec = LeafSpaceSpec()
+    for v in ("p1", "p2", "m1", "m2"):
+        spec.add_vertex(v, chain=True)
+    spec.add_edge("sg", low=open_end(), high=to_limit(("p1", 0), ("p2", 0)), chain=True)
+    spec.add_edge("tau", low=to_limit(("m1", 0), ("m2", 0)), high=open_end(), chain=True)
+    spec.add_edge("E", low=to_vertex("p2", 0), high=to_vertex("m2", 2), chain=True)
+    spec.add_edge("F", low=to_vertex("p1", 1), high=to_vertex("m2", 0), chain=True)
+    return spec
+
+
+def test_compare_on_turning_routes(monkeypatch):
+    # windows whose germ faults are waved through, so routes turn (at the
+    # meeting node, too); a route that turns and jumps is walked
+    from leafspace.core import ValidationReport
+
+    walked = []
+    walk = paths_mod._walk_compare
+    monkeypatch.setattr(paths_mod, "_walk_compare", lambda *args: walked.append(args) or walk(*args))
+    seen = set()
+    for spec in (_edge_beside_locus(), _skewed_zigzag()):
+        trunc = expand(spec, 2)
+        assert not validate(trunc).valid
+        trunc._validation = ValidationReport(())
+        pts = trunc.canonical_points + tuple(Point(c, Fraction(1, 3)) for c in trunc.edge_cells)
+        for x, y in itertools.product(pts, pts):
+            want = _outcome(reference_compare, trunc, x, y)
+            assert _outcome(compare, trunc, x, y) == want, (x, y)
+            seen.add(want)
+    assert InvalidModel in seen and Comparability.TRUNCATED in seen
+    assert walked
+
+
+@pytest.mark.parametrize("name", [n for n in GALLERY_NAMES if gallery(n).spec.generators])
+def test_compare_is_equivariant(name):
+    # compare(x, y) == compare(g.x, g.y) for every generator g, wherever
+    # both images lie in the window and neither answer is Truncated
+    spec = gallery(name).spec
+    rng = random.Random(8)
+    for depth in (4, 8, 64):
+        trunc = expand(spec, depth)
+        pts = trunc.canonical_points
+        pairs = (itertools.product(pts, pts) if depth <= 8
+                 else [(rng.choice(pts), rng.choice(pts)) for _ in range(400)])
+        checked = {gen: 0 for gen in spec.generators}
+        for x, y in pairs:
+            rel = compare(trunc, x, y)
+            for gen, elem in spec.generators.items():
+                gx, gy = elem.point(x), elem.point(y)
+                if not (trunc.contains_point(gx) and trunc.contains_point(gy)):
+                    continue
+                moved = compare(trunc, gx, gy)
+                if Comparability.TRUNCATED not in (rel, moved):
+                    assert moved is rel, (gen, x, y)
+                    checked[gen] += 1
+        assert all(checked.values()), (depth, checked)
+
+
+@pytest.mark.parametrize("name", GALLERY_NAMES)
+def test_compare_is_depth_monotone(name):
+    # an answer that is not Truncated at depth d is the answer at d + 1
+    spec = gallery(name).spec
+    deeper = expand(spec, 0)
+    for depth in range(9):
+        trunc, deeper = deeper, expand(spec, depth + 1)
+        pts = trunc.canonical_points
+        for x, y in itertools.product(pts, pts):
+            rel = compare(trunc, x, y)
+            if rel is not Comparability.TRUNCATED:
+                assert compare(deeper, x, y) is rel, (depth, x, y)
 
 
 # -- sample_points -----------------------------------------------------------------
