@@ -14,19 +14,19 @@ degenerate single-point intervals.
 The window graph is rooted once per window (``Truncation.rooting``), and
 the rooting stores each tree edge as its two hops, up and down: the edge,
 its ends, their anchors (the frozenset of vertex cells that arriving
-through that end can stand on) and whether the hop ascends.  A route
-walks parent pointers from both ends up to their meeting node and
-appends the stored hops, so it costs the length of the route, not the
-size of the window; only the split halves of an edge holding x or y are
-built per query.  ``compare`` builds no route: the rooting pass also
-stores per node (``Truncation.ladder``) a jump pointer and the number of
-jumps (a crossing between anchors with no common vertex) and of turns
-(two hops in opposite directions without a jump) on its way up to the
-root, so ``compare`` finds the meeting node of x and y in O(log depth)
-and reads the jumps and turns between them as differences of those
-counts, plus the crossings at the meeting node and at the two ends; only
-``path`` turns hops into parameter spans.  Each crossing of
-a collapsed node is lifted once per window: the transit table
+through that end can stand on) and whether the hop ascends.  The rooting
+pass also stores per node (``Truncation.ladder``) a jump pointer and the
+number of jumps (a crossing between anchors with no common vertex) and of
+turns (two hops in opposite directions without a jump) on its way up to
+the root.  Both queries find the meeting node of x and y by the jump
+pointers, in O(log depth) (``_meet``).  A route then climbs from each end
+straight to the meeting node and appends the stored hops, so it costs the
+length of the route, not the size of the window; only the split halves
+of an edge holding x or y are built per query.  ``compare`` builds no
+route: it reads the jumps and turns between x and y as differences of the
+ladder's counts, plus the crossings at the meeting node and at the two
+ends; only ``path`` turns hops into parameter spans.  Each crossing of a
+collapsed node is lifted once per window: the transit table
 (``Truncation.transits``) maps an (entry anchor, exit anchor) pair to the
 vertex steps, points, junctions and degenerate intervals it contributes,
 so a locus hop costs ``path`` a table lookup.
@@ -71,6 +71,7 @@ class Comparability(enum.Enum):
 COMPARABLE = (Comparability.EQUAL, Comparability.LESS, Comparability.GREATER)
 
 ASC, DESC = "ascending", "descending"
+_new, _setattr = object.__new__, object.__setattr__
 
 
 @dataclass(frozen=True)
@@ -111,6 +112,19 @@ class Interval:
     def __str__(self):
         arrow = "^" if self.direction == ASC else "v"
         return f"[{self.start} {arrow} {self.end}]"
+
+
+def _interval(start, end, direction, steps):
+    """``Interval(start, end, direction, steps)``, made as the frozen
+    dataclass's ``__init__`` makes it (one ``object.__setattr__`` per
+    field, in field order) without the cost of calling it; ``path``
+    builds one per jump."""
+    iv = _new(Interval)
+    _setattr(iv, "start", start)
+    _setattr(iv, "end", end)
+    _setattr(iv, "direction", direction)
+    _setattr(iv, "steps", steps)
+    return iv
 
 
 @dataclass(frozen=True)
@@ -155,49 +169,42 @@ def _route(trunc, x, y):
     half of a cell edge runs to or from a ("pt", k) node, which has no
     anchor, and carries the (lo_t, hi_t) parameter span it covers.
 
-    Both ends climb the rooted window tree to their meeting node, taking
-    each node's stored hop up (and, from y's side, its hop down).  A point
-    inside an edge cell is a ("pt", k) node that splits only its own edge:
-    it hangs below the edge's parent end, and the edge's child end hangs
-    below it; only those two halves are built per query."""
+    The meeting node of the two ends is found by jump pointers, as
+    ``compare`` finds it (``_meet``, with the same re-hang of a point
+    inside an edge cell); then x's end climbs to it taking each node's
+    stored hop up, and y's end its hop down.  The whole-edge hop that
+    starts or ends the route on the edge of a point inside an edge cell is
+    replaced by the split half from or to the point."""
     if not x.is_vertex and not y.is_vertex and x.cell == y.cell:
         (s, a), (t, b) = sorted(((x.t, _PT[0]), (y.t, _PT[1])))
         ascending, descending = edge_hops(trunc.edge_index[x.cell], (s, t), a, b, None, None)
         return [ascending if a == _PT[0] else descending]
-    rooting, edges = trunc.rooting, trunc.graph_edges
-    moved = {}      # node -> (hop up, hop down) where a split edge re-hangs it
-    level = {}      # ("pt", k) -> doubled depth, between its edge's two ends
-    ends = []
-    for pt, point in zip(_PT, (x, y)):
-        if point.is_vertex:
-            ends.append(trunc.vertex_node(point.cell))
-            continue
-        eid = trunc.edge_index[point.cell]
-        _, lo, hi, a_lo, a_hi = edges[eid]
-        low = edge_hops(eid, (_ZERO, point.t), lo, pt, a_lo, None)
-        high = edge_hops(eid, (point.t, _ONE), pt, hi, None, a_hi)
-        if rooting[lo][1] == eid:
-            moved[pt], moved[lo], parent = high, low, hi
-        else:
-            moved[pt], moved[hi], parent = low[::-1], high[::-1], lo
-        level[pt] = 2 * rooting[parent][2] + 1
-        ends.append(pt)
-    a, b = ends
-    route, tail = [], []
-    while a != b:
-        climb_a = (level[a] if a in level else 2 * rooting[a][2]) >= \
-            (level[b] if b in level else 2 * rooting[b][2])
-        node = a if climb_a else b
-        up, down = moved.get(node) or rooting[node][3:]
-        if up is None:
-            return None
-        if climb_a:
-            route.append(up)
-            a = up[3]
-        else:
-            tail.append(down)
-            b = up[3]
-    route.extend(reversed(tail))
+    rooting = trunc.rooting
+    u, v = _tree_node(trunc, x), _tree_node(trunc, y)
+    meet = _meet(trunc, u, v)
+    if meet is None:
+        return None
+    top = meet[0]
+    if top == u and not x.is_vertex:        # y hangs below x's edge: leave x down the edge
+        top = u = rooting[u][0]
+    elif top == v and not y.is_vertex:      # x hangs below y's edge: reach y up the edge
+        top = v = rooting[v][0]
+    route, down = [], []
+    while u != top:
+        hop = rooting[u][3]
+        route.append(hop)
+        u = hop[3]
+    while v != top:
+        parent, _, _, _, hop = rooting[v]
+        down.append(hop)
+        v = parent
+    route += reversed(down)
+    if not x.is_vertex:
+        eid, _, _, to, _, a_to, up = route[0]
+        route[0] = (eid, (x.t, _ONE) if up else (_ZERO, x.t), _PT[0], to, None, a_to, up)
+    if not y.is_vertex:
+        eid, _, frm, _, a_frm, _, up = route[-1]
+        route[-1] = (eid, (_ZERO, y.t) if up else (y.t, _ONE), frm, _PT[1], a_frm, None, up)
     return route
 
 
@@ -257,49 +264,6 @@ def _transit(trunc, entry, exit_):
     return hit
 
 
-class _Builder:
-    def __init__(self, trunc, start):
-        self.trunc = trunc
-        self.intervals = []
-        self.junctions = []
-        self.steps = [("vertex",) + start.cell] if start.is_vertex else []
-        self.start = start
-        self.direction = None
-
-    def vertex_step(self, step):
-        if not self.steps or self.steps[-1] != step:
-            self.steps.append(step)
-
-    def close(self, end):
-        self.intervals.append(Interval(
-            self.start, end, self.direction or ASC, tuple(self.steps)))
-
-    def transit(self, entry, exit_):
-        first_step, first, junctions, between, last, last_step = _transit(self.trunc, entry, exit_)
-        self.vertex_step(first_step)
-        if not junctions:
-            return
-        self.close(first)
-        self.junctions.extend(junctions)
-        self.intervals.extend(between)
-        self.start = last
-        self.steps = [last_step]
-        self.direction = None
-
-    def traverse(self, eid, span, ascending):
-        direction = ASC if ascending else DESC
-        if self.direction is None:
-            self.direction = direction
-        elif self.direction != direction:
-            raise InvalidModel(_NOT_MONOTONE)
-        payload = self.trunc.graph_edges[eid][0]
-        if payload[0] == "tail":
-            self.steps.append(payload)
-        else:
-            lo_t, hi_t = span or (_ZERO, _ONE)
-            self.steps.append(("edge", payload[1], payload[2], lo_t, hi_t))
-
-
 def path(trunc, x, y):
     """The unique minimal decomposition of the connection from x to y.
 
@@ -316,28 +280,49 @@ def path(trunc, x, y):
     route = _route(trunc, x, y)
     if route is None:
         raise TruncatedError(f"no route from {x} to {y} inside the depth-{trunc.depth} window")
-
-    builder = _Builder(trunc, x)
+    if y.is_vertex:     # arriving at y is a last crossing, with no hop after it
+        route.append((None, None, trunc.vertex_node(y.cell), None, frozenset((y.cell,)), None, None))
+    edges, transits = trunc.graph_edges, trunc.transits
+    intervals, junctions = [], []
+    start, up = x, None             # the open interval: its start and direction (None: not yet known)
+    # A crossing follows an edge step, or starts the route at x, so the
+    # vertex step it adds is never the last one (x's own comes from it).
+    steps = []
     pending = frozenset((x.cell,)) if x.is_vertex else None
     for eid, span, frm, _, a_frm, a_to, ascending in route:
         if frm[0] == "locus":
-            builder.transit(pending, a_frm)
+            first_step, first, jumps, between, last, last_step = (
+                transits.get((pending, a_frm)) or _transit(trunc, pending, a_frm))
+            steps.append(first_step)
+            if jumps:
+                intervals.append(_interval(start, first, DESC if up is False else ASC, tuple(steps)))
+                intervals += between
+                junctions += jumps
+                start, up, steps = last, None, [last_step]
         elif frm[0] == "vertex":
-            builder.vertex_step(frm)
-        builder.traverse(eid, span, ascending)
+            steps.append(frm)
+        if eid is None:
+            break
+        if up is None:
+            up = ascending
+        elif up is not ascending:
+            raise InvalidModel(_NOT_MONOTONE)
+        payload = edges[eid][0]
+        if payload[0] == "tail":
+            steps.append(payload)
+        elif span is None:
+            steps.append(("edge", payload[1], payload[2], _ZERO, _ONE))
+        else:
+            steps.append(("edge", payload[1], payload[2]) + span)
         pending = a_to
-    if y.is_vertex:
-        if trunc.vertex_node(y.cell)[0] == "locus":
-            builder.transit(pending, frozenset((y.cell,)))
-        builder.vertex_step(("vertex",) + y.cell)
-    builder.close(y)
-    return Path(tuple(builder.intervals), tuple(builder.junctions))
+    intervals.append(_interval(start, y, DESC if up is False else ASC, tuple(steps)))
+    return Path(tuple(intervals), tuple(junctions))
 
 
 def _tree_node(trunc, point):
     """The node of the window forest that stands for a point: its vertex
     node, or for a point inside an edge cell the edge's child end (the end
-    whose parent edge it is, below which ``_route`` hangs the point)."""
+    whose parent edge it is)."""
     if point.is_vertex:
         return trunc.vertex_node(point.cell)
     eid = trunc.edge_index[point.cell]

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import pickle
 import random
 
 import pytest
@@ -12,6 +14,7 @@ from leafspace.core import (
     Point,
     Tri,
     TruncatedError,
+    edge_hops,
     expand,
     mid_point,
     open_end,
@@ -104,6 +107,23 @@ def test_path_degenerate_cases(yplus):
     assert all(iv.degenerate for iv in p.intervals)
     p = path(trunc, a, mid_point("q"))
     assert p.length == 2 and p.intervals[0].degenerate
+
+
+def test_lifted_intervals_are_dataclass_intervals(zigzag):
+    # path builds its intervals without Interval.__init__; each must be
+    # indistinguishable from one built by it from the same fields
+    trunc = expand(zigzag.spec, 3)
+    p = path(trunc, mid_point("E", -2), mid_point("E", 2))
+    assert {iv.direction for iv in p.intervals} == {ASC, "descending"}
+    for iv in p.intervals:
+        built = Interval(iv.start, iv.end, iv.direction, iv.steps)
+        assert iv == built and built == iv and hash(iv) == hash(built)
+        assert repr(iv) == repr(built) and str(iv) == str(built)
+        assert list(vars(iv).items()) == list(vars(built).items())
+        assert list(vars(iv)) == [f.name for f in dataclasses.fields(Interval)]
+        assert pickle.loads(pickle.dumps(iv)) == iv and dataclasses.replace(iv) == iv
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            iv.direction = ASC
 
 
 def test_interval_contains(yplus):
@@ -295,9 +315,59 @@ def test_reversal_through_elided_tails(swap, zigzag):
 
 # -- the transit table ---------------------------------------------------------
 #
-# The reference below is the lift as it was before each window kept a transit
-# table: every crossing of a collapsed node re-runs the jump search and builds
-# its points, junctions and degenerate intervals afresh.
+# The references below are the route, the lift and ``compare`` as they were
+# before routes found their meeting node by jump pointers, before each window
+# kept a transit table (every crossing of a collapsed node re-runs the jump
+# search and builds its points, junctions and degenerate intervals afresh) and
+# before ``compare`` read prefix counts.
+
+_REF_PT = (("pt", 0), ("pt", 1))
+_UNROUTED = object()        # no route given: the reference routes the pair itself
+
+
+def reference_route(trunc, x, y):
+    """The route climbing one node at a time: the deeper end (x's on a tie)
+    takes its stored hop up, and a point inside an edge cell is a ("pt", k)
+    node that re-hangs its edge's child end below itself."""
+    if not x.is_vertex and not y.is_vertex and x.cell == y.cell:
+        (s, a), (t, b) = sorted(((x.t, _REF_PT[0]), (y.t, _REF_PT[1])))
+        ascending, descending = edge_hops(trunc.edge_index[x.cell], (s, t), a, b, None, None)
+        return [ascending if a == _REF_PT[0] else descending]
+    rooting, edges = trunc.rooting, trunc.graph_edges
+    moved = {}      # node -> (hop up, hop down) where a split edge re-hangs it
+    level = {}      # ("pt", k) -> doubled depth, between its edge's two ends
+    ends = []
+    for pt, point in zip(_REF_PT, (x, y)):
+        if point.is_vertex:
+            ends.append(trunc.vertex_node(point.cell))
+            continue
+        eid = trunc.edge_index[point.cell]
+        _, lo, hi, a_lo, a_hi = edges[eid]
+        low = edge_hops(eid, (Fraction(0), point.t), lo, pt, a_lo, None)
+        high = edge_hops(eid, (point.t, Fraction(1)), pt, hi, None, a_hi)
+        if rooting[lo][1] == eid:
+            moved[pt], moved[lo], parent = high, low, hi
+        else:
+            moved[pt], moved[hi], parent = low[::-1], high[::-1], lo
+        level[pt] = 2 * rooting[parent][2] + 1
+        ends.append(pt)
+    a, b = ends
+    route, tail = [], []
+    while a != b:
+        climb_a = (level[a] if a in level else 2 * rooting[a][2]) >= \
+            (level[b] if b in level else 2 * rooting[b][2])
+        node = a if climb_a else b
+        up, down = moved.get(node) or rooting[node][3:]
+        if up is None:
+            return None
+        if climb_a:
+            route.append(up)
+            a = up[3]
+        else:
+            tail.append(down)
+            b = up[3]
+    route.extend(reversed(tail))
+    return route
 
 
 def _reference_jump_chain(trunc, entry, exit_):
@@ -376,11 +446,12 @@ class _ReferenceBuilder:
             self.steps.append(("edge", payload[1], payload[2], lo_t, hi_t))
 
 
-def _reference_path(trunc, x, y):
+def _reference_path(trunc, x, y, route=_UNROUTED):
     if x == y:
         steps = (("vertex",) + x.cell,) if x.is_vertex else (("edge",) + x.cell + (x.t, x.t),)
         return Path((Interval(x, x, ASC, steps),), ())
-    route = paths_mod._route(trunc, x, y)
+    if route is _UNROUTED:
+        route = reference_route(trunc, x, y)
     if route is None:
         raise TruncatedError("no route")
     builder = _ReferenceBuilder(trunc, x)
@@ -402,7 +473,7 @@ def _reference_path(trunc, x, y):
     return Path(tuple(builder.intervals), tuple(builder.junctions))
 
 
-def reference_compare(trunc, x, y):
+def reference_compare(trunc, x, y, route=_UNROUTED):
     """compare as it was before each window kept jump pointers and prefix
     counts: the route walked hop by hop, the first jump making the points
     incomparable and a hop against the first hop's direction raising."""
@@ -411,7 +482,8 @@ def reference_compare(trunc, x, y):
     require_routable(trunc)
     if x == y:
         return Comparability.EQUAL
-    route = paths_mod._route(trunc, x, y)
+    if route is _UNROUTED:
+        route = reference_route(trunc, x, y)
     if route is None:
         return Comparability.TRUNCATED
     ascending = route[0][6] if route else None
@@ -454,16 +526,20 @@ def _fields(p):
 
 
 def _assert_table_matches_reference(trunc, pairs, key=repr):
-    """path equals the reference on every pair, lifted first on the table as
-    the earlier pairs left it (cold for every crossing met first here) and
-    again once the pair's crossings are all in it; a warm lift adds no
-    entry, and every entry pairs two anchors of one locus node.  The length
-    count (``paths._path_length``) equals the reference's length, or
-    raises its error, and ``compare`` answers as ``reference_compare``
-    does, or raises its error."""
+    """The route (``paths._route``) is the reference's hop for hop, or None
+    where it is.  path equals the reference on every pair, lifted first on
+    the table as the earlier pairs left it (cold for every crossing met
+    first here) and again once the pair's crossings are all in it; a warm
+    lift adds no entry, and every entry pairs two anchors of one locus
+    node.  The length count (``paths._path_length``) equals the reference's
+    length, or raises its error, and ``compare`` answers as
+    ``reference_compare`` does, or raises its error.  Both references lift
+    the pair's one reference route."""
     assert trunc.transits == {}
     for x, y in pairs:
-        ref = _outcome(_reference_path, trunc, x, y)
+        route = reference_route(trunc, x, y)
+        assert paths_mod._route(trunc, x, y) == route, (x, y)
+        ref = _outcome(_reference_path, trunc, x, y, route)
         want = key(ref) if isinstance(ref, Path) else ref.__name__
         assert _lifted(path, trunc, x, y, key) == want, (x, y)
         size = len(trunc.transits)
@@ -471,7 +547,8 @@ def _assert_table_matches_reference(trunc, pairs, key=repr):
         assert len(trunc.transits) == size
         length = ref.length if isinstance(ref, Path) else ref
         assert _outcome(paths_mod._path_length, trunc, x, y) == length, (x, y)
-        assert _outcome(compare, trunc, x, y) == _outcome(reference_compare, trunc, x, y), (x, y)
+        want = _outcome(reference_compare, trunc, x, y, route)
+        assert _outcome(compare, trunc, x, y) == want, (x, y)
     _assert_transits_bounded(trunc)
 
 
@@ -530,6 +607,34 @@ def test_transit_table_matches_reference_on_point_in_two_loci():
     assert trunc.transits
 
 
+def test_route_matches_reference_off_the_canonical_points():
+    # points at t = 1/3 and 2/3 of every edge cell against every canonical
+    # point and each other, in both orders: both ends in one edge, an end at
+    # or below the other end's edge (the route enters that edge downward),
+    # and ends in different components of a disconnected window
+    from test_action import _offset_line
+
+    windows = [expand(gallery(name).spec, depth) for name in GALLERY_NAMES for depth in range(3)]
+    windows += [expand(_two_loci_spec(), 0), expand(_offset_line(), 2)]
+    windows += [expand(random_spec(RandomParams(seed=seed)), 0) for seed in range(1, 16)]
+    seen = set()
+    for trunc in windows:
+        pts = trunc.canonical_points
+        pairs = []
+        for cell in trunc.edge_cells:
+            child = _child_end(trunc, cell)
+            inside = [Point(cell, Fraction(1, 3)), Point(cell, Fraction(2, 3))]
+            for x in inside:
+                for y in pts + tuple(inside):
+                    node = trunc.vertex_node(y.cell) if y.is_vertex else _child_end(trunc, y.cell)
+                    below = y.cell != cell and _at_or_below(trunc, node, child)
+                    routed = paths_mod._route(trunc, x, y) is not None
+                    seen.add(("same edge" if y.cell == cell else below, routed))
+                    pairs += [(x, y), (y, x)]
+        _assert_table_matches_reference(trunc, pairs, key=_fields)
+    assert {("same edge", True), (True, True), (False, True), (False, False)} <= seen
+
+
 def test_failed_transit_is_not_cached(monkeypatch):
     def broken(trunc, entry, exit_):
         raise InvalidModel("branch loci at a collapsed node are not jump-connected")
@@ -569,8 +674,8 @@ def test_add_drops_the_transit_table(zigzag):
 
 def _child_end(trunc, cell):
     """The end of an edge cell's graph edge that hangs below the other in
-    the rooted window forest (the one ``_route`` re-hangs below a point
-    inside the cell)."""
+    the rooted window forest (the one ``reference_route`` re-hangs below a
+    point inside the cell)."""
     eid = trunc.edge_index[cell]
     lo, hi = trunc.graph_edges[eid][1:3]
     return lo if trunc.rooting[lo][1] == eid else hi
