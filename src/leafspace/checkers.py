@@ -34,7 +34,6 @@ from .paths import (
     COMPARABLE,
     Comparability,
     _path_length,
-    _read,
     _relation_row,
     compare,
     path,
@@ -563,12 +562,12 @@ def _find_comparable_pair(trunc, elem, rows):
                 row = rows.get(i)
                 if row is None:
                     row = rows[i] = _relation_row(trunc, lam)
-            if _read(row, k) is not Comparability.LESS:
+            if row[k] is not Comparability.LESS:
                 continue
             w_mu = elem.point(mu)
             if not trunc.contains_point(w_mu):
                 continue
-            if _read(row, position[w_mu.cell]) is Comparability.LESS:
+            if row[position[w_mu.cell]] is Comparability.LESS:
                 return lam, mu
     return None
 

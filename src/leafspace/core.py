@@ -466,6 +466,12 @@ class ValidationReport:
     def valid(self):
         return not self.violations
 
+    @cached_property
+    def _routing_error(self):
+        """The message routing raises on this report, or None: every
+        violation but "disconnected" (see ``require_routable``)."""
+        return "; ".join(v.message for v in self.violations if v.code != "disconnected") or None
+
 
 class Truncation:
     """Depth-bounded window of a model: concrete cells plus an adjacency
@@ -486,10 +492,9 @@ class Truncation:
     count beside it).  An anchor is the frozenset of vertex cells that
     arriving at a node through one edge end can stand on, and ``rooting``
     stores each tree edge as the two hops a route reads.  ``ladder``,
-    filled in the same pass, gives each node a jump pointer and its counts
-    of jumps and of turns without a jump up to the root, from which
-    :func:`leafspace.paths.compare` answers in O(log depth) without
-    walking the route."""
+    filled in the same pass, gives each node a jump pointer and its count
+    of jumps up to the root, from which :func:`leafspace.paths.compare`
+    answers in O(log depth) without walking the route."""
 
     def __init__(self, spec, depth):
         self.spec = spec
@@ -700,25 +705,24 @@ class Truncation:
         # cyclic graph they span a forest whose roots still count the
         # components.  Each root is followed by the rest of its component.
         # The same pass reaches every parent before its children and fills
-        # ``ladder``: node -> (jump pointer, jumps from the root, turns
-        # without a jump from the root).  The jump pointer (Myers, 1983)
-        # skips to the parent's second jump when the parent's two jumps span
-        # equal depths, else to the parent, so any ancestor is O(log depth)
-        # jumps away.  The counts sum, over the proper ancestors but the
-        # root, the crossing from the child on the path into the ancestor's
-        # own parent edge: a jump at a locus node whose two anchors share no
-        # vertex, else a turn where the two hops climb in opposite directions.
+        # ``ladder``: node -> (jump pointer, jumps from the root).  The jump
+        # pointer (Myers, 1983) skips to the parent's second jump when the
+        # parent's two jumps span equal depths, else to the parent, so any
+        # ancestor is O(log depth) jumps away.  The count sums, over the
+        # proper ancestors but the root, the jumps made crossing from the
+        # child on the path into the ancestor's own parent edge: at a locus
+        # node whose two anchors share no vertex.
         rooting, ladder = {}, {}
         for root in sorted(adj):
             if root in rooting:
                 continue
             rooting[root] = (None, None, 0, None, None)
-            ladder[root] = (root, 0, 0)
+            ladder[root] = (root, 0)
             frontier = [root]
             while frontier:
                 node = frontier.pop()
                 _, _, depth, node_up, _ = rooting[node]
-                jump, jumps, turns = ladder[node]
+                jump, jumps = ladder[node]
                 far = ladder[jump][0]
                 equal = depth - rooting[jump][2] == rooting[jump][2] - rooting[far][2]
                 jump = far if equal else node
@@ -729,13 +733,9 @@ class Truncation:
                         ascending, descending = edge_hops(eid, None, lo, hi, a_lo, a_hi)
                         hops = (ascending, descending) if other == lo else (descending, ascending)
                         rooting[other] = (node, eid, depth) + hops
-                        up = hops[0]
-                        if node_up is None:
-                            ladder[other] = (jump, 0, 0)
-                        elif node[0] == "locus" and up[5].isdisjoint(node_up[4]):
-                            ladder[other] = (jump, jumps + 1, turns)
-                        else:
-                            ladder[other] = (jump, jumps, turns + (up[6] is not node_up[6]))
+                        jumped = (node_up is not None and node[0] == "locus"
+                                  and hops[0][5].isdisjoint(node_up[4]))
+                        ladder[other] = (jump, jumps + jumped)
                         frontier.append(other)
         self.rooting = rooting
         self.ladder = ladder
@@ -964,10 +964,9 @@ def require_routable(trunc):
     """Routing needs a sound acyclic window; a disconnected one is fine
     (the missing connections lie beyond the depth bound and route
     searches report Truncated instead)."""
-    report = cached_validation(trunc)
-    real = [v for v in report.violations if v.code != "disconnected"]
-    if real:
-        raise InvalidModel("; ".join(v.message for v in real))
+    error = cached_validation(trunc)._routing_error
+    if error:
+        raise InvalidModel(error)
     return trunc
 
 

@@ -16,17 +16,18 @@ the rooting stores each tree edge as its two hops, up and down: the edge,
 its ends, their anchors (the frozenset of vertex cells that arriving
 through that end can stand on) and whether the hop ascends.  The rooting
 pass also stores per node (``Truncation.ladder``) a jump pointer and the
-number of jumps (a crossing between anchors with no common vertex) and of
-turns (two hops in opposite directions without a jump) on its way up to
-the root.  Both queries find the meeting node of x and y by the jump
-pointers, in O(log depth) (``_meet``).  A route then climbs from each end
-straight to the meeting node and appends the stored hops, so it costs the
-length of the route, not the size of the window; only the split halves
-of an edge holding x or y are built per query.  ``compare`` builds no
-route: it reads the jumps and turns between x and y as differences of the
-ladder's counts, plus the crossings at the meeting node and at the two
-ends; only ``path`` turns hops into parameter spans.  Each crossing of a
-collapsed node is lifted once per window: the transit table
+number of jumps (a crossing between anchors with no common vertex) on its
+way up to the root.  Both queries find the meeting node of x and y by the
+jump pointers, in O(log depth) (``_meeting``).  A route then climbs from
+each end straight to the meeting node and appends the stored hops, so it
+costs the length of the route, not the size of the window; only the split
+halves of an edge holding x or y are built per query.  On a validated
+window (one germ on each side of every vertex, a tree graph) the hops
+between two jumps all run one way, so ``compare`` builds no route: it
+reads the jumps between x and y as differences of the ladder's counts,
+plus the crossings at the meeting node and at the two ends, and the first
+hop's direction; only ``path`` lifts hops into parameter spans.  Each
+crossing of a collapsed node is lifted once per window: the transit table
 (``Truncation.transits``) maps an (entry anchor, exit anchor) pair to the
 vertex steps, points, junctions and degenerate intervals it contributes,
 so a locus hop costs ``path`` a table lookup.
@@ -34,10 +35,9 @@ so a locus hop costs ``path`` a table lookup.
 Two private readers serve callers that need many answers, or only a
 path's length.  A relation row (``_relation_row``) holds ``compare(x, p)``
 for every canonical point p, from one walk of the window forest out of x
-that applies ``compare``'s rule hop by hop; a pair on which ``compare``
-would raise raises only when its entry is read (``_read``).  A length
-count (``_path_length``) is ``path(x, y).length`` read off the route: 1
-plus the junctions of each locus crossing, from the transit table.
+that applies ``compare``'s rule hop by hop.  A length count
+(``_path_length``) is ``path(x, y).length`` read off the route: 1 plus the
+junctions of each locus crossing, from the transit table.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from fractions import Fraction
 
 from .core import (
     BranchLocus,
-    InvalidModel,
     Point,
     Tri,
     TruncatedError,
@@ -159,7 +158,6 @@ class Path:
 
 _PT = (("pt", 0), ("pt", 1))       # the nodes of the two route ends inside edge cells
 _ZERO, _HALF, _ONE = Fraction(0), Fraction(1, 2), Fraction(1)
-_NOT_MONOTONE = "route lift is not monotone between junctions"
 
 
 def _route(trunc, x, y):
@@ -169,26 +167,20 @@ def _route(trunc, x, y):
     half of a cell edge runs to or from a ("pt", k) node, which has no
     anchor, and carries the (lo_t, hi_t) parameter span it covers.
 
-    The meeting node of the two ends is found by jump pointers, as
-    ``compare`` finds it (``_meet``, with the same re-hang of a point
-    inside an edge cell); then x's end climbs to it taking each node's
-    stored hop up, and y's end its hop down.  The whole-edge hop that
-    starts or ends the route on the edge of a point inside an edge cell is
-    replaced by the split half from or to the point."""
+    The meeting node of the two ends is found as ``compare`` finds it
+    (``_meeting``); then x's end climbs to it taking each node's stored
+    hop up, and y's end its hop down.  The whole-edge hop that starts or
+    ends the route on the edge of a point inside an edge cell is replaced
+    by the split half from or to the point."""
     if not x.is_vertex and not y.is_vertex and x.cell == y.cell:
         (s, a), (t, b) = sorted(((x.t, _PT[0]), (y.t, _PT[1])))
         ascending, descending = edge_hops(trunc.edge_index[x.cell], (s, t), a, b, None, None)
         return [ascending if a == _PT[0] else descending]
-    rooting = trunc.rooting
-    u, v = _tree_node(trunc, x), _tree_node(trunc, y)
-    meet = _meet(trunc, u, v)
+    meet = _meeting(trunc, x, y)
     if meet is None:
         return None
-    top = meet[0]
-    if top == u and not x.is_vertex:        # y hangs below x's edge: leave x down the edge
-        top = u = rooting[u][0]
-    elif top == v and not y.is_vertex:      # x hangs below y's edge: reach y up the edge
-        top = v = rooting[v][0]
+    rooting = trunc.rooting
+    top, u, v, _, _ = meet
     route, down = [], []
     while u != top:
         hop = rooting[u][3]
@@ -212,7 +204,8 @@ def _jump_chain(trunc, entry, exit_):
     """Minimal chain of locus members c0..cj inside one collapsed node, from
     a member the entry anchor holds to one the exit anchor holds, where
     consecutive members share a locus; j is the number of jumps (0 means
-    the node is crossed through a single vertex)."""
+    the node is crossed through a single vertex).  Both anchors lie in the
+    node's locus group, which its mates connect, so the search finds one."""
     shared = entry & exit_
     if shared:
         return [min(shared)]
@@ -229,8 +222,6 @@ def _jump_chain(trunc, entry, exit_):
                         hit = mate
                     nxt.append(mate)
         frontier = nxt
-    if hit is None:
-        raise InvalidModel("branch loci at a collapsed node are not jump-connected")
     chain = [hit]
     while parent[chain[-1]] is not None:
         chain.append(parent[chain[-1]])
@@ -255,8 +246,7 @@ def _lift_chain(trunc, chain):
 
 def _transit(trunc, entry, exit_):
     """The lifted crossing of a collapsed node from the entry anchor to the
-    exit anchor, computed once per window (``Truncation.transits``); a
-    crossing whose jump search fails is not stored."""
+    exit anchor, computed once per window (``Truncation.transits``)."""
     key = (entry, exit_)
     hit = trunc.transits.get(key)
     if hit is None:
@@ -305,8 +295,6 @@ def path(trunc, x, y):
             break
         if up is None:
             up = ascending
-        elif up is not ascending:
-            raise InvalidModel(_NOT_MONOTONE)
         payload = edges[eid][0]
         if payload[0] == "tail":
             steps.append(payload)
@@ -317,17 +305,6 @@ def path(trunc, x, y):
         pending = a_to
     intervals.append(_interval(start, y, DESC if up is False else ASC, tuple(steps)))
     return Path(tuple(intervals), tuple(junctions))
-
-
-def _tree_node(trunc, point):
-    """The node of the window forest that stands for a point: its vertex
-    node, or for a point inside an edge cell the edge's child end (the end
-    whose parent edge it is)."""
-    if point.is_vertex:
-        return trunc.vertex_node(point.cell)
-    eid = trunc.edge_index[point.cell]
-    lo, hi = trunc.graph_edges[eid][1:3]
-    return lo if trunc.rooting[lo][1] == eid else hi
 
 
 def _meet(trunc, u, v):
@@ -357,6 +334,33 @@ def _meet(trunc, u, v):
         u, v = (ju, jv) if ju != jv else (pu, pv)
 
 
+def _meeting(trunc, x, y):
+    """(top, u, v, cu, cv), or None where the window forest does not
+    connect x and y (in different cells): the route climbs from x's node u
+    to the meeting node top, then descends to y's node v; cu and cv are
+    top's children toward u and v, None where u or v is top.  A point
+    inside an edge cell stands on the edge's child end, or on its parent
+    end (then top) where the other point hangs below the child end."""
+    rooting, nodes = trunc.rooting, []
+    for point in (x, y):
+        if point.is_vertex:
+            nodes.append(trunc.vertex_node(point.cell))
+        else:
+            eid = trunc.edge_index[point.cell]
+            lo, hi = trunc.graph_edges[eid][1:3]
+            nodes.append(lo if rooting[lo][1] == eid else hi)
+    u, v = nodes
+    meet = _meet(trunc, u, v)
+    if meet is None:
+        return None
+    top, cu, cv = meet
+    if cu is None and not x.is_vertex:      # y hangs below x's edge: leave x down the edge
+        top, u, cv = rooting[u][0], rooting[u][0], u
+    elif cv is None and not y.is_vertex:    # x hangs below y's edge: reach y up the edge
+        top, v, cu = rooting[v][0], rooting[v][0], v
+    return top, u, v, cu, cv
+
+
 def compare(trunc, x, y):
     """Less iff an embedded monotone ascending arc runs from x to y;
     Truncated when the deciding arc leaves the depth window.
@@ -364,15 +368,11 @@ def compare(trunc, x, y):
     Read off the route without walking it: the points are incomparable
     when the route makes a jump (a crossing of a collapsed node between
     anchors with no common vertex), otherwise the first hop's direction
-    decides.  The jumps and the turns (consecutive hops in opposite
-    directions with no jump) come from the prefix counts of
-    ``Truncation.ladder`` below the meeting node of the two ends, plus the
+    decides.  The jumps come from the prefix counts of ``Truncation.ladder``
+    below the meeting node of the two ends (``_meeting``), plus the
     crossings at the ends and at the meeting node, so a query costs
-    O(log depth).  A route that turns before any jump raises InvalidModel;
-    only a window whose validation was waved through can have one, and
-    where such a route also jumps, its order is read by walking it
-    (``_walk_compare``).  A point inside an edge cell starts or ends the
-    route on the split half of its edge toward the other point."""
+    O(log depth).  A point inside an edge cell starts or ends the route on
+    the split half of its edge toward the other point."""
     trunc.require_point(x)
     trunc.require_point(y)
     require_routable(trunc)
@@ -380,83 +380,48 @@ def compare(trunc, x, y):
         return Comparability.EQUAL
     if not x.is_vertex and not y.is_vertex and x.cell == y.cell:
         return Comparability.LESS if x.t < y.t else Comparability.GREATER
-    u, v = _tree_node(trunc, x), _tree_node(trunc, y)
-    meet = _meet(trunc, u, v)
+    meet = _meeting(trunc, x, y)
     if meet is None:
         return Comparability.TRUNCATED
     rooting, ladder = trunc.rooting, trunc.ladder
-    top, cu, cv = meet
-    if cu is None and not x.is_vertex:      # y hangs below x's edge: enter it downward
-        top, cv = rooting[u][0], u
-    elif cv is None and not y.is_vertex:    # x hangs below y's edge
-        top, cu = rooting[v][0], v
-    jumps = turns = 0
+    top, u, v, cu, cv = meet
+    jumps = 0
     first = arrive = None                   # the first hop; the anchor last arrived through
     if cu is not None:
         first, arrive = rooting[u][3], rooting[cu][3][5]
         jumps += ladder[u][1] - ladder[cu][1]
-        turns += ladder[u][2] - ladder[cu][2]
     if cv is not None:
         leave = rooting[cv][4]              # hop down from top toward y
         jumps += ladder[v][1] - ladder[cv][1]
-        turns += ladder[v][2] - ladder[cv][2]
         if first is None:
             first = leave
         elif top[0] == "locus" and arrive.isdisjoint(leave[4]):
             jumps += 1
-        elif rooting[cu][3][6] is not leave[6]:
-            turns += 1
         arrive = rooting[v][4][5]
-    if first is None:                       # two members of one locus node
+    if (jumps or first is None                      # None: two members of one locus node
+            or x.is_vertex and u[0] == "locus" and x.cell not in first[4]
+            or y.is_vertex and v[0] == "locus" and y.cell not in arrive):
         return Comparability.INCOMPARABLE
-    if x.is_vertex and u[0] == "locus" and x.cell not in first[4]:
-        jumps += 1
-    if y.is_vertex and v[0] == "locus" and y.cell not in arrive:
-        jumps += 1
-    if not turns:
-        if jumps:
-            return Comparability.INCOMPARABLE
-        return Comparability.LESS if first[6] else Comparability.GREATER
-    if not jumps:
-        raise InvalidModel(_NOT_MONOTONE)
-    return _walk_compare(trunc, x, y)
-
-
-def _walk_compare(trunc, x, y):
-    """``compare`` read hop by hop off the walked route between connected
-    x and y: the first jump makes the points incomparable, a hop against
-    the first hop's direction before it raises InvalidModel."""
-    route = _route(trunc, x, y)
-    ascending = route[0][6]
-    pending = frozenset((x.cell,)) if x.is_vertex else None
-    for _, _, frm, _, a_frm, a_to, up in route:
-        if frm[0] == "locus" and pending.isdisjoint(a_frm):
-            return Comparability.INCOMPARABLE
-        if up is not ascending:
-            raise InvalidModel(_NOT_MONOTONE)
-        pending = a_to
-    if y.is_vertex and trunc.vertex_node(y.cell)[0] == "locus" and y.cell not in pending:
-        return Comparability.INCOMPARABLE
-    return Comparability.LESS if ascending else Comparability.GREATER
+    return Comparability.LESS if first[6] else Comparability.GREATER
 
 
 def _relation_row(trunc, x):
     """``compare(x, p)`` for every canonical point p of the window, in
     canonical order, from one walk of the window forest out of x.
 
-    The walk carries ``compare``'s state from node to node -- the first
+    The walk carries ``compare``'s state from node to node -- the arriving
     hop's direction, the anchor arrived through, and the answer once a
-    jump or a turn has fixed it -- and applies its rule hop by hop: the
-    jump check, then the direction, then at a vertex p the locus-member
-    check.  An edge midpoint reads the hop of its whole edge from the end
-    nearer x, which is where the route to it leaves the forest.  An entry
-    on which ``compare`` would raise holds ``_NOT_MONOTONE``, which
-    ``_read`` raises as InvalidModel."""
+    jump has fixed it -- and applies its rule hop by hop: the jump check,
+    then at a vertex p the locus-member check.  Until the first jump every
+    hop runs in the first hop's direction, so the arriving hop's direction
+    is ``compare``'s.  An edge midpoint reads the hop of its whole edge
+    from the end nearer x, which is where the route to it leaves the
+    forest."""
     trunc.require_point(x)
     require_routable(trunc)
     edges, adjacency = trunc.graph_edges, trunc.adjacency
     at_edge = {}        # graph edge id -> relation of its midpoint
-    stack = []          # (node, edge id arrived by, direction, anchor, fixed answer)
+    stack = []          # (node, edge id arrived by, whether it ascends, anchor, fixed answer)
     if x.is_vertex:
         stack.append((trunc.vertex_node(x.cell), None, None, frozenset((x.cell,)), None))
     else:
@@ -467,7 +432,7 @@ def _relation_row(trunc, x):
                         Comparability.LESS if x.t < _HALF else Comparability.GREATER)
     at_node = {}
     while stack:
-        node, via, ascending, pending, fixed = item = stack.pop()
+        node, via, _, pending, fixed = item = stack.pop()
         at_node[node] = item
         locus = node[0] == "locus"
         for eid, other in adjacency[node]:
@@ -476,15 +441,11 @@ def _relation_row(trunc, x):
             _, lo, _, a_lo, a_hi = edges[eid]
             up = node == lo
             a_frm, a_to = (a_lo, a_hi) if up else (a_hi, a_lo)
-            direction = up if ascending is None else ascending
             answer = fixed
-            if answer is None:
-                if locus and pending.isdisjoint(a_frm):
-                    answer = Comparability.INCOMPARABLE
-                elif up is not direction:
-                    answer = _NOT_MONOTONE
-            at_edge[eid] = answer or (Comparability.LESS if direction else Comparability.GREATER)
-            stack.append((other, eid, direction, a_to, answer))
+            if answer is None and locus and pending.isdisjoint(a_frm):
+                answer = Comparability.INCOMPARABLE
+            at_edge[eid] = answer or (Comparability.LESS if up else Comparability.GREATER)
+            stack.append((other, eid, up, a_to, answer))
     row = []
     for cell in trunc.vertex_cells:
         hit = at_node.get(trunc.vertex_node(cell))
@@ -503,18 +464,10 @@ def _relation_row(trunc, x):
     return tuple(row)
 
 
-def _read(row, k):
-    """Entry k of a ``_relation_row``, raising the error ``compare`` raises there."""
-    rel = row[k]
-    if rel is _NOT_MONOTONE:
-        raise InvalidModel(rel)
-    return rel
-
-
 def _path_length(trunc, x, y):
     """``path(trunc, x, y).length`` without lifting the path: 1 plus the
     junctions of each locus crossing on the route (``_transit``), with
-    ``path``'s monotonicity check between jumps and its errors."""
+    ``path``'s errors."""
     trunc.require_point(x)
     trunc.require_point(y)
     require_routable(trunc)
@@ -523,18 +476,11 @@ def _path_length(trunc, x, y):
     route = _route(trunc, x, y)
     if route is None:
         raise TruncatedError(f"no route from {x} to {y} inside the depth-{trunc.depth} window")
-    length, direction = 1, None
+    length = 1
     pending = frozenset((x.cell,)) if x.is_vertex else None
-    for _, _, frm, _, a_frm, a_to, up in route:
+    for _, _, frm, _, a_frm, a_to, _ in route:
         if frm[0] == "locus":
-            jumps = len(_transit(trunc, pending, a_frm)[2])
-            if jumps:
-                length += jumps
-                direction = None
-        if direction is None:
-            direction = up
-        elif direction is not up:
-            raise InvalidModel(_NOT_MONOTONE)
+            length += len(_transit(trunc, pending, a_frm)[2])
         pending = a_to
     if y.is_vertex and trunc.vertex_node(y.cell)[0] == "locus":
         length += len(_transit(trunc, pending, frozenset((y.cell,)))[2])

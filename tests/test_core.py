@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from leafspace.core import (
@@ -11,6 +13,7 @@ from leafspace.core import (
     expand,
     hausdorffify,
     open_end,
+    require_routable,
     to_limit,
     to_vertex,
     validate,
@@ -606,6 +609,22 @@ def reference_ladder_counts(trunc, node):
     return jumps, turns
 
 
+def _turns_somewhere(trunc):
+    """Whether some node of the window graph has two incident edges that
+    neither jump (at a locus node whose anchors of the two share no vertex)
+    nor keep the direction (both leave the node upward, or both downward,
+    so a route arriving by one and leaving by the other turns back)."""
+    ends = {}       # node -> (anchor, whether the edge leaves the node upward) per edge end
+    for _, lo, hi, a_lo, a_hi in trunc.graph_edges:
+        ends.setdefault(lo, []).append((a_lo, True))
+        ends.setdefault(hi, []).append((a_hi, False))
+    for node, incident in ends.items():
+        for (a, up_a), (b, up_b) in itertools.combinations(incident, 2):
+            if up_a == up_b and not (node[0] == "locus" and a.isdisjoint(b)):
+                return True
+    return False
+
+
 def _climbs(trunc, node, level):
     """Steps from node up to the given depth, by jump pointer where that
     does not overshoot, else by parent."""
@@ -619,22 +638,39 @@ def _climbs(trunc, node, level):
 
 
 def test_ladder_counts_crossings_and_climbs_in_log_depth(assorted_windows):
+    # The ladder counts jumps only: on a window that routing accepts no
+    # route turns, which ``compare`` relies on.  Some rejected window does.
     import math
     import random
 
     from leafspace.gallery import gallery
 
+    accepted = rejected_turning = 0
     for trunc in assorted_windows:
+        try:
+            require_routable(trunc)
+            routable = True
+        except InvalidModel:
+            routable = False
+        turning = _turns_somewhere(trunc)
+        if routable:
+            assert not turning
+            accepted += 1
+        else:
+            rejected_turning += turning
         rooting = trunc.rooting
         assert trunc.ladder.keys() == rooting.keys()
-        for node, (jump, jumps, turns) in trunc.ladder.items():
-            assert (jumps, turns) == reference_ladder_counts(trunc, node)
+        for node, (jump, jumps) in trunc.ladder.items():
+            ref_jumps, turns = reference_ladder_counts(trunc, node)
+            assert jumps == ref_jumps
+            assert not (routable and turns), node
             if rooting[node][0] is None:
                 assert jump == node
                 continue
             above = rooting[node][0]       # the jump pointer is a proper ancestor
             while above != jump:
                 above = rooting[above][0]
+    assert accepted > len(assorted_windows) // 2 and rejected_turning
     rng = random.Random(3)
     for name in ("SWAP", "ZIGZAG", "COMB"):
         trunc = expand(gallery(name).spec, 512)

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import pickle
 import random
+import weakref
 
 import pytest
 from fractions import Fraction
@@ -370,7 +371,20 @@ def reference_route(trunc, x, y):
     return route
 
 
+_REFERENCE_CHAINS = weakref.WeakKeyDictionary()     # window -> {(entry, exit): chain}
+
+
 def _reference_jump_chain(trunc, entry, exit_):
+    """The reference jump search, run once per window and anchor pair: its
+    chain depends on nothing else."""
+    chains = _REFERENCE_CHAINS.setdefault(trunc, {})
+    chain = chains.get((entry, exit_))
+    if chain is None:
+        chain = chains[entry, exit_] = _reference_jump_search(trunc, entry, exit_)
+    return chain
+
+
+def _reference_jump_search(trunc, entry, exit_):
     starts = sorted(entry)
     goals = set(exit_)
     shared = sorted(set(starts) & goals)
@@ -665,7 +679,7 @@ def test_add_drops_the_transit_table(zigzag):
 
 # -- compare from jump pointers and prefix counts ------------------------------------
 #
-# ``compare`` reads the jumps and turns of a route off ``Truncation.ladder``
+# ``compare`` reads the jumps of a route off ``Truncation.ladder``
 # at the meeting node of its ends; ``reference_compare`` walks the route.  The
 # transit-table tests above check the two on every pair they lift (gallery
 # d = 0-8, d = 64 samples, random specs, two loci), and the row tests check
@@ -747,53 +761,6 @@ def test_compare_across_components_is_truncated():
         assert rel is reference_compare(trunc, x, y), (x, y)
         apart = component[position[x.cell]] != component[position[y.cell]]
         assert (rel is Comparability.TRUNCATED) == apart, (x, y)
-
-
-def _edge_beside_locus():
-    """Edges p and q both leave b upward, p through the negative locus
-    {a, b}: b has two germs above it."""
-    spec = LeafSpaceSpec()
-    for v in ("a", "b"):
-        spec.add_vertex(v)
-    spec.add_edge("p", low=to_limit(("a", 0), ("b", 0)), high=open_end())
-    spec.add_edge("q", low=to_vertex("b"), high=open_end())
-    spec.add_edge("s", low=open_end(), high=to_limit(("a", 0), ("b", 0)))
-    return spec
-
-
-def _skewed_zigzag():
-    """ZIGZAG with E[n] running up to m2[n+2] instead of m1[n]: m2 has two
-    germs below it, m1 none, and windows fall apart."""
-    spec = LeafSpaceSpec()
-    for v in ("p1", "p2", "m1", "m2"):
-        spec.add_vertex(v, chain=True)
-    spec.add_edge("sg", low=open_end(), high=to_limit(("p1", 0), ("p2", 0)), chain=True)
-    spec.add_edge("tau", low=to_limit(("m1", 0), ("m2", 0)), high=open_end(), chain=True)
-    spec.add_edge("E", low=to_vertex("p2", 0), high=to_vertex("m2", 2), chain=True)
-    spec.add_edge("F", low=to_vertex("p1", 1), high=to_vertex("m2", 0), chain=True)
-    return spec
-
-
-def test_compare_on_turning_routes(monkeypatch):
-    # windows whose germ faults are waved through, so routes turn (at the
-    # meeting node, too); a route that turns and jumps is walked
-    from leafspace.core import ValidationReport
-
-    walked = []
-    walk = paths_mod._walk_compare
-    monkeypatch.setattr(paths_mod, "_walk_compare", lambda *args: walked.append(args) or walk(*args))
-    seen = set()
-    for spec in (_edge_beside_locus(), _skewed_zigzag()):
-        trunc = expand(spec, 2)
-        assert not validate(trunc).valid
-        trunc._validation = ValidationReport(())
-        pts = trunc.canonical_points + tuple(Point(c, Fraction(1, 3)) for c in trunc.edge_cells)
-        for x, y in itertools.product(pts, pts):
-            want = _outcome(reference_compare, trunc, x, y)
-            assert _outcome(compare, trunc, x, y) == want, (x, y)
-            seen.add(want)
-    assert InvalidModel in seen and Comparability.TRUNCATED in seen
-    assert walked
 
 
 @pytest.mark.parametrize("name", [n for n in GALLERY_NAMES if gallery(n).spec.generators])
@@ -898,7 +865,7 @@ def _assert_rows_and_counts(trunc, xs=None, ys=None, counts=True):
         for k in range(len(pts)) if ys is None else ys:
             y = pts[k]
             want = _outcome(compare, trunc, x, y)
-            got = row if row is InvalidModel else _outcome(paths_mod._read, row, k)
+            got = row if row is InvalidModel else row[k]
             assert got == want, (x, y)
             seen.add(want)
             if counts:
@@ -940,7 +907,6 @@ def test_rows_and_counts_match_off_the_canonical_points():
 def test_rows_and_counts_match_on_broken_windows(tripod, tripod_inconsistent, updown):
     # disconnected windows (Truncated, TruncatedError) and invalid ones
     # (InvalidModel), the models the orbit-sweep reference runs on
-    from leafspace.core import ValidationReport
     from test_action import _double_germ, _offset_line
     from test_checkers import _stem_to_branch, build_odd_involution
     from conftest import build_swap_k
@@ -951,12 +917,3 @@ def test_rows_and_counts_match_on_broken_windows(tripod, tripod_inconsistent, up
         updown, _stem_to_branch(), _offset_line(), _double_germ())]
     seen = set().union(*map(_assert_rows_and_counts, windows))
     assert {Comparability.TRUNCATED, TruncatedError, InvalidModel} <= seen
-    # a window whose germ fault is waved through: the route from p[0] up to
-    # v[0] and down q[0] turns, so only such pairs raise, each where it is read
-    trunc = expand(_double_germ(), 0)
-    trunc._validation = ValidationReport(())
-    assert InvalidModel in _assert_rows_and_counts(trunc)
-    row = paths_mod._relation_row(trunc, mid_point("p", 0))
-    position = trunc.sweep_cells[1]
-    assert row[position[("q", 0)]] is paths_mod._NOT_MONOTONE
-    assert paths_mod._read(row, position[("r", 0)]) is Comparability.LESS
