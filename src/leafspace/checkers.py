@@ -33,7 +33,6 @@ from .core import (
 from .paths import (
     COMPARABLE,
     Comparability,
-    _path_length,
     _relation_row,
     compare,
     path,
@@ -238,7 +237,7 @@ def check_odd_path(spec, word, lam, k_max, depth):
     if member is Tri.TRUNCATED:
         return CheckReport.make(name, TRUNCATED, depth=depth,
                                 notes=("membership of lam undecided",))
-    length = _path_length(trunc, lam, elem.point(lam))
+    length = path(trunc, lam, elem.point(lam)).length
     if length % 2 == 0:
         raise PreconditionFailed(f"path length {length} is even")
     power = elem
@@ -576,9 +575,9 @@ def discover_instances(spec, depth, word_len):
     """Deterministic suite instances: checker name -> list of kwargs.
     Each basic word's image relations and orbits come from the window's
     sweep, and every pick is the first in canonical order.  The parity of
-    a point's connection to its image is counted once per orbit
-    (``paths._path_length``): an automorphism carries the connection of p
-    to w.p onto that of w.p to w^2.p."""
+    a point's connection to its image comes from a path lifted once per
+    orbit (``path(...).length``): an automorphism carries the connection
+    of p to w.p onto that of w.p to w^2.p."""
     trunc = spec.window(depth)
     points = trunc.canonical_points
     loci = branch_loci(trunc)[:4]
@@ -611,7 +610,7 @@ def discover_instances(spec, depth, word_len):
                 continue
             if orbit not in parity:
                 try:
-                    parity[orbit] = _path_length(trunc, p, elem.point(p)) % 2
+                    parity[orbit] = path(trunc, p, elem.point(p)).length % 2
                 except LeafSpaceError:
                     parity[orbit] = None
             if parity[orbit] == 1 and odd_lam is None:

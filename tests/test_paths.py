@@ -545,10 +545,8 @@ def _assert_table_matches_reference(trunc, pairs, key=repr):
     the table as the earlier pairs left it (cold for every crossing met
     first here) and again once the pair's crossings are all in it; a warm
     lift adds no entry, and every entry pairs two anchors of one locus
-    node.  The length count (``paths._path_length``) equals the reference's
-    length, or raises its error, and ``compare`` answers as
-    ``reference_compare`` does, or raises its error.  Both references lift
-    the pair's one reference route."""
+    node.  ``compare`` answers as ``reference_compare`` does, or raises its
+    error.  Both references lift the pair's one reference route."""
     assert trunc.transits == {}
     for x, y in pairs:
         route = reference_route(trunc, x, y)
@@ -559,8 +557,6 @@ def _assert_table_matches_reference(trunc, pairs, key=repr):
         size = len(trunc.transits)
         assert _lifted(path, trunc, x, y, key) == want, (x, y)
         assert len(trunc.transits) == size
-        length = ref.length if isinstance(ref, Path) else ref
-        assert _outcome(paths_mod._path_length, trunc, x, y) == length, (x, y)
         want = _outcome(reference_compare, trunc, x, y, route)
         assert _outcome(compare, trunc, x, y) == want, (x, y)
     _assert_transits_bounded(trunc)
@@ -649,22 +645,25 @@ def test_route_matches_reference_off_the_canonical_points():
     assert {("same edge", True), (True, True), (False, True), (False, False)} <= seen
 
 
-def test_failed_transit_is_not_cached(monkeypatch):
-    def broken(trunc, entry, exit_):
-        raise InvalidModel("branch loci at a collapsed node are not jump-connected")
-
-    monkeypatch.setattr(paths_mod, "_jump_chain", broken)
-    cases = [(gallery("YPLUS").spec, mid_point("p"), mid_point("q")),
-             (gallery("ZIGZAG").spec, mid_point("E", 0), mid_point("E", 1)),
-             (_two_loci_spec(), mid_point("s"), mid_point("t"))]
-    for spec, x, y in cases:
-        trunc = expand(spec, 2)
-        for _ in range(3):
-            with pytest.raises(InvalidModel):
-                path(trunc, x, y)
-            with pytest.raises(InvalidModel):
-                path(trunc, y, x)
-        assert trunc.transits == {}
+def test_jump_chain_joins_every_anchor_pair():
+    # the jump search crosses every locus node between any two of its
+    # anchors, through members that pairwise share a locus, in as few
+    # jumps as the reference search
+    windows = [expand(gallery(name).spec, depth) for name in GALLERY_NAMES for depth in range(5)]
+    windows.append(expand(_two_loci_spec(), 0))
+    windows += [expand(random_spec(RandomParams(seed=seed, symmetric=symmetric)), 0)
+                for seed in range(1, 101) for symmetric in (False, True)]
+    crossings = 0
+    for trunc in windows:
+        for anchors in _locus_anchors(trunc).values():
+            for entry, exit_ in itertools.product(anchors, anchors):
+                chain = paths_mod._jump_chain(trunc, entry, exit_)
+                assert chain[0] in entry and chain[-1] in exit_, (entry, exit_)
+                assert all(trunc.common_locus(a, b) is not None
+                           for a, b in zip(chain, chain[1:])), chain
+                assert len(chain) == len(_reference_jump_chain(trunc, entry, exit_)), chain
+                crossings += len(chain) > 1
+    assert crossings
 
 
 def test_add_drops_the_transit_table(zigzag):
@@ -844,20 +843,17 @@ def test_sample_points_matches_reference():
                 assert sample_points(p) == _reference_sample_points(p)
 
 
-# -- relation rows and length counts ----------------------------------------------
+# -- relation rows ----------------------------------------------------------------
 #
 # ``_relation_row`` must read ``compare`` off one walk of the window, entry by
-# entry, and ``_path_length`` must count ``path(...).length`` without lifting
-# it; both raise where the walked versions raise.  The transit-table tests
-# above check the count on the gallery, at depth 64 and on plain random specs.
+# entry, and raise where ``compare`` raises.
 
 
-def _assert_rows_and_counts(trunc, xs=None, ys=None, counts=True):
+def _assert_rows(trunc, xs=None, ys=None):
     """For every x of ``xs`` (default: the canonical points) and every
     canonical position of ``ys`` (default: all): the row entry equals
-    ``compare`` and, with ``counts``, the count equals the lifted length,
-    or each raises the walked version's error type.  Returns the outcomes
-    of ``compare`` and of the lift."""
+    ``compare``, or the row raises ``compare``'s error type.  Returns the
+    outcomes of ``compare``."""
     pts = trunc.canonical_points
     seen = set()
     for x in pts if xs is None else xs:
@@ -868,17 +864,13 @@ def _assert_rows_and_counts(trunc, xs=None, ys=None, counts=True):
             got = row if row is InvalidModel else row[k]
             assert got == want, (x, y)
             seen.add(want)
-            if counts:
-                length = _outcome(lambda: path(trunc, x, y).length)
-                assert _outcome(paths_mod._path_length, trunc, x, y) == length, (x, y)
-                seen.add(length)
     return seen
 
 
 def test_rows_match_on_gallery():
     for name in GALLERY_NAMES:
         for depth in range(9):
-            _assert_rows_and_counts(expand(gallery(name).spec, depth), counts=False)
+            _assert_rows(expand(gallery(name).spec, depth))
 
 
 def test_rows_match_at_depth_64():
@@ -887,26 +879,25 @@ def test_rows_match_at_depth_64():
         trunc = expand(gallery(name).spec, 64)
         pts = trunc.canonical_points
         ys = rng.sample(range(len(pts)), min(40, len(pts)))
-        _assert_rows_and_counts(trunc, [pts[0], pts[-1], rng.choice(pts)], ys, counts=False)
+        _assert_rows(trunc, [pts[0], pts[-1], rng.choice(pts)], ys)
 
 
-def test_rows_and_counts_match_on_random_specs():
+def test_rows_match_on_random_specs():
     for seed in range(100):
         for symmetric in (False, True):
-            _assert_rows_and_counts(
-                expand(random_spec(RandomParams(seed=seed, symmetric=symmetric)), 0))
+            _assert_rows(expand(random_spec(RandomParams(seed=seed, symmetric=symmetric)), 0))
 
 
-def test_rows_and_counts_match_off_the_canonical_points():
+def test_rows_match_off_the_canonical_points():
     # rows from points inside edge cells, away from the midpoint
     trunc = expand(_two_loci_spec(), 0)
-    _assert_rows_and_counts(trunc, [Point(c, Fraction(k, 3)) for c in trunc.edge_cells
-                                    for k in (1, 2)])
+    _assert_rows(trunc, [Point(c, Fraction(k, 3)) for c in trunc.edge_cells for k in (1, 2)])
 
 
-def test_rows_and_counts_match_on_broken_windows(tripod, tripod_inconsistent, updown):
-    # disconnected windows (Truncated, TruncatedError) and invalid ones
-    # (InvalidModel), the models the orbit-sweep reference runs on
+def test_rows_match_on_broken_windows(tripod, tripod_inconsistent, updown):
+    # disconnected windows (Truncated, and TruncatedError from path) and
+    # invalid ones (InvalidModel), the models the orbit-sweep reference
+    # runs on
     from test_action import _double_germ, _offset_line
     from test_checkers import _stem_to_branch, build_odd_involution
     from conftest import build_swap_k
@@ -915,5 +906,9 @@ def test_rows_and_counts_match_on_broken_windows(tripod, tripod_inconsistent, up
                expand(build_odd_involution(), 0), expand(build_swap_k(), 4)]
     windows += [expand(spec, depth) for depth in range(4) for spec in (
         updown, _stem_to_branch(), _offset_line(), _double_germ())]
-    seen = set().union(*map(_assert_rows_and_counts, windows))
+    seen = set()
+    for trunc in windows:
+        seen |= _assert_rows(trunc)
+        pts = trunc.canonical_points
+        seen.update(_outcome(lambda: path(trunc, x, y).length) for x in pts for y in pts)
     assert {Comparability.TRUNCATED, TruncatedError, InvalidModel} <= seen
