@@ -33,7 +33,7 @@ from .core import (
 from .paths import (
     COMPARABLE,
     Comparability,
-    _relation_row,
+    _above,
     compare,
     path,
     sample_points,
@@ -228,6 +228,8 @@ def check_odd_path(spec, word, lam, k_max, depth):
     name = "check_odd_path"
     if k_max < 1:
         raise PreconditionFailed("k_max must be at least 1")
+    if k_max > K_MAX_LIMIT:
+        raise ValueError(f"k_max must be at most {K_MAX_LIMIT}, got {k_max}")
     trunc = spec.window(depth)
     trunc.require_point(lam)
     elem = word_map(spec, word)
@@ -350,7 +352,7 @@ class StabilizerBall:
 
 
 def stabilizer_ball(spec, locus, radius, depth):
-    members = locus.members if hasattr(locus, "members") else tuple(sorted(locus))
+    members = locus.members
     require_valid(spec.window(depth))
     fixing = {}                 # element -> (word, member images)
     for elem, word in element_ball(spec, radius)[0].items():
@@ -540,34 +542,29 @@ def _basic_words(spec):
 
 
 PAIR_SEARCH_LIMIT = 400        # ordered point pairs tried per word
+K_MAX_LIMIT = 1024             # powers check_odd_path sweeps at most (each sweep is kept)
 
 
-def _find_comparable_pair(trunc, elem, rows):
-    """First (lam, mu) with lam < mu and lam < w(mu), both certified.  Both
-    tests read lam's relation row (``paths._relation_row``), made at
-    lam's first tried pair and kept in ``rows`` (position -> row)."""
+def _find_comparable_pair(trunc, elem, cones):
+    """First (lam, mu) with lam < mu and lam < w(mu), both certified: mu
+    and w(mu) lie in lam's up-cone (``paths._above``), kept in ``cones``
+    (position -> up-cone)."""
     pts = trunc.canonical_points
-    position = trunc.sweep_cells[1]
     tried = 0
     for i, lam in enumerate(pts):
-        row = None
+        above = cones.get(i)
+        if above is None:
+            above = cones[i] = _above(trunc, lam)
         for k, mu in enumerate(pts):
             if k == i:
                 continue
             tried += 1
             if tried > PAIR_SEARCH_LIMIT:
                 return None
-            if row is None:
-                row = rows.get(i)
-                if row is None:
-                    row = rows[i] = _relation_row(trunc, lam)
-            if row[k] is not Comparability.LESS:
-                continue
-            w_mu = elem.point(mu)
-            if not trunc.contains_point(w_mu):
-                continue
-            if row[position[w_mu.cell]] is Comparability.LESS:
-                return lam, mu
+            if mu.cell in above:
+                w_mu = elem.point(mu)
+                if trunc.contains_point(w_mu) and w_mu.cell in above:
+                    return lam, mu
     return None
 
 
@@ -577,19 +574,21 @@ def discover_instances(spec, depth, word_len):
     sweep, and every pick is the first in canonical order.  The parity of
     a point's connection to its image comes from a path lifted once per
     orbit (``path(...).length``): an automorphism carries the connection
-    of p to w.p onto that of w.p to w^2.p."""
+    of p to w.p onto that of w.p to w^2.p.  The ``check_lower_bound`` pair
+    search reads each point's up-cone (``paths._above``), walked once and
+    shared across the words."""
     trunc = spec.window(depth)
     points = trunc.canonical_points
     loci = branch_loci(trunc)[:4]
     one_sided_positive = branching_type(spec, depth).value == "one_sided_positive"
     instances = {name: [] for name in CHECKERS}
-    rows = {}
+    cones = {}
 
     for word in _basic_words(spec):
         instances["check_connected_open"].append({"word": word})
         elem = word_map(spec, word)
 
-        pair = _find_comparable_pair(trunc, elem, rows) if one_sided_positive else None
+        pair = _find_comparable_pair(trunc, elem, cones) if one_sided_positive else None
         if pair is not None:
             instances["check_lower_bound"].append(
                 {"word": word, "lam": pair[0], "mu": pair[1]})

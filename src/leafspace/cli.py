@@ -34,7 +34,7 @@ from .formats import ParseError, SemanticError, emit, parse
 from .gallery import GALLERY_NAMES, gallery
 from .randspec import RandomParams, random_spec
 
-POINT_RE = re.compile(r"^([A-Za-z_]\w*)\[(-?\d+)\](?::(\d+/\d+|\d+))?$")
+POINT_RE = re.compile(r"^([A-Za-z_]\w*)\[(-?\d+)\](?::(\d+/0*[1-9]\d*|\d+))?$")
 
 
 class SystemExit2(Exception):

@@ -423,9 +423,6 @@ class BranchLocus:
     sign: str                # "positive" | "negative"
     stem: tuple              # ("cell_end", fam, index, end) | ("chain_end", fam, side)
 
-    def key(self):
-        return self.members
-
 
 def edge_hops(eid, span, lo, hi, a_lo, a_hi):
     """The two hops across graph edge ``eid``, or across a split half of
@@ -984,9 +981,6 @@ class HausdorffTree:
     edges: tuple         # (payload, lo_node, hi_node)
     vertex_projection: dict
     edge_projection: dict
-
-    def degree(self, node):
-        return sum(1 for _, lo, hi in self.edges for n in (lo, hi) if n == node)
 
 
 def hausdorffify(trunc):

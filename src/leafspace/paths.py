@@ -32,10 +32,10 @@ crossing of a collapsed node is lifted once per window: the transit table
 vertex steps, points, junctions and degenerate intervals it contributes,
 so a locus hop costs ``path`` a table lookup.
 
-A private reader serves callers that need many answers: a relation row
-(``_relation_row``) holds ``compare(x, p)`` for every canonical point p,
-from one walk of the window forest out of x that applies ``compare``'s
-rule hop by hop.
+A private reader serves callers that need many answers: the up-cone of
+x (``_above``) holds every cell whose canonical point p has
+``compare(x, p)`` Less, from one walk up the window forest out of x that
+stops at the first jump on each branch.
 """
 
 from __future__ import annotations
@@ -403,65 +403,45 @@ def compare(trunc, x, y):
     return Comparability.LESS if first[6] else Comparability.GREATER
 
 
-def _relation_row(trunc, x):
-    """``compare(x, p)`` for every canonical point p of the window, in
-    canonical order, from one walk of the window forest out of x.
+def _above(trunc, x):
+    """The up-cone of x: the window cells whose canonical point p has
+    ``compare(x, p)`` Less, from one walk up the window forest out of x.
 
-    The walk carries ``compare``'s state from node to node -- the arriving
-    hop's direction, the anchor arrived through, and the answer once a
-    jump has fixed it -- and applies its rule hop by hop: the jump check,
-    then at a vertex p the locus-member check.  Until the first jump every
-    hop runs in the first hop's direction, so the arriving hop's direction
-    is ``compare``'s.  An edge midpoint reads the hop of its whole edge
-    from the end nearer x, which is where the route to it leaves the
-    forest.  The row stays beside ``compare`` because it is cheaper than
-    one ``compare`` per point: answering rows that way made the perfbench
+    On a validated window a Less route ascends on every hop and makes no
+    jump (a crossing of a collapsed node between anchors with no common
+    vertex), so the walk takes ascending hops only, stops at a jump and
+    carries just the anchor it arrived through: at a collapsed node, x
+    is below the members that anchor holds.  The walk stays beside
+    ``compare`` because one ``compare`` per pair made the perfbench
     suite's ``work_s`` 11% slower (0.0455 -> 0.0506 s on 2 shared cores)."""
     trunc.require_point(x)
     require_routable(trunc)
     edges, adjacency = trunc.graph_edges, trunc.adjacency
-    at_edge = {}        # graph edge id -> relation of its midpoint
-    stack = []          # (node, edge id arrived by, whether it ascends, anchor, fixed answer)
+    above = set()
     if x.is_vertex:
-        stack.append((trunc.vertex_node(x.cell), None, None, frozenset((x.cell,)), None))
+        stack = [(trunc.vertex_node(x.cell), frozenset((x.cell,)))]
     else:
-        eid = trunc.edge_index[x.cell]
-        _, lo, hi, a_lo, a_hi = edges[eid]
-        stack += [(lo, eid, False, a_lo, None), (hi, eid, True, a_hi, None)]
-        at_edge[eid] = (Comparability.EQUAL if x.t == _HALF else
-                        Comparability.LESS if x.t < _HALF else Comparability.GREATER)
-    at_node = {}
+        _, _, hi, _, a_hi = edges[trunc.edge_index[x.cell]]
+        stack = [(hi, a_hi)]
+        if x.t < _HALF:
+            above.add(x.cell)
     while stack:
-        node, via, _, pending, fixed = item = stack.pop()
-        at_node[node] = item
+        node, arrived = stack.pop()
         locus = node[0] == "locus"
+        if locus:
+            above |= arrived
+        elif node[0] == "vertex":
+            above.add(node[1:])
         for eid, other in adjacency[node]:
-            if eid == via:
+            payload, lo, _, a_lo, a_hi = edges[eid]
+            if node != lo or locus and arrived.isdisjoint(a_lo):
                 continue
-            _, lo, _, a_lo, a_hi = edges[eid]
-            up = node == lo
-            a_frm, a_to = (a_lo, a_hi) if up else (a_hi, a_lo)
-            answer = fixed
-            if answer is None and locus and pending.isdisjoint(a_frm):
-                answer = Comparability.INCOMPARABLE
-            at_edge[eid] = answer or (Comparability.LESS if up else Comparability.GREATER)
-            stack.append((other, eid, up, a_to, answer))
-    row = []
-    for cell in trunc.vertex_cells:
-        hit = at_node.get(trunc.vertex_node(cell))
-        if hit is None:
-            row.append(Comparability.TRUNCATED)
-        elif cell == x.cell and x.is_vertex:
-            row.append(Comparability.EQUAL)
-        elif hit[4] is not None:
-            row.append(hit[4])
-        elif hit[0][0] == "locus" and cell not in hit[3]:
-            row.append(Comparability.INCOMPARABLE)
-        else:
-            row.append(Comparability.LESS if hit[2] else Comparability.GREATER)
-    index = trunc.edge_index
-    row += (at_edge.get(index[cell], Comparability.TRUNCATED) for cell in trunc.edge_cells)
-    return tuple(row)
+            if payload[0] == "cell":
+                above.add(payload[1:])
+            stack.append((other, a_hi))
+    if x.is_vertex:
+        above.discard(x.cell)       # the walk's first node adds x itself
+    return above
 
 
 def interval_contains(trunc, interval, z):

@@ -735,7 +735,7 @@ def test_screen_truncated(swap_k):
 
 
 def _reference_find_comparable_pair(trunc, elem):
-    """The pair search as it was before relation rows: one ``compare`` per test."""
+    """The pair search as it was before up-cone walks: one ``compare`` per test."""
     from leafspace.checkers import PAIR_SEARCH_LIMIT
     from leafspace.paths import Comparability, compare
 
@@ -759,7 +759,7 @@ def _reference_find_comparable_pair(trunc, elem):
 
 
 def reference_discover_instances(spec, depth, word_len):
-    """discover_instances as it was before relation rows and length counts:
+    """discover_instances as it was before up-cone walks and length counts:
     the parity search lifts a path from each incomparable point to its
     image until it has seen an odd and an even length."""
     from leafspace.action import _member, sweep

@@ -75,6 +75,10 @@ def test_negative_bounds_are_refused(capsys):
                     "--point", "E[0]:1/2", "--k-max", "-2")
     assert code == 0
     assert out == "PRECONDITION-FAILED check_odd_path\n           note: k_max must be at least 1\n"
+    code, out = run("check", "check_odd_path", "--gallery", "ZIGZAG", "--word", "h",
+                    "--point", "E[0]:1/2", "--k-max", "1025")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: k_max must be at most 1024, got 1025\n"
     # the suite gives check_odd_path k_max = min(4, word-len): skipped at word-len 0
     code, out = run("suite", "--gallery", "ZIGZAG", "--word-len", "0")
     assert code == 0 and "PRECONDITION-FAILED check_odd_path" in out
@@ -106,13 +110,17 @@ def test_random_document_deterministic():
     parse(out_a)
 
 
-def test_usage_errors_exit_two():
+def test_usage_errors_exit_two(capsys):
     code, _ = run("compare", "--x", "a[0]", "--y", "b[0]")          # no model
     assert code == 2
     code, _ = run("path", "--gallery", "YPLUS", "--from", "wat", "--to", "q[0]:1/2")
     assert code == 2
     code, _ = run("check", "nonsense", "--gallery", "SWAP")
     assert code == 2
+    capsys.readouterr()
+    code, _ = run("compare", "--gallery", "SWAP", "--x", "ra[0]:1/0", "--y", "rb[0]:1/2")
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: cannot parse point 'ra[0]:1/0'")
 
 
 def test_one_parser_answers_like_fresh_ones(capsys):

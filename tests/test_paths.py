@@ -843,26 +843,28 @@ def test_sample_points_matches_reference():
                 assert sample_points(p) == _reference_sample_points(p)
 
 
-# -- relation rows ----------------------------------------------------------------
+# -- up-cones ----------------------------------------------------------------------
 #
-# ``_relation_row`` must read ``compare`` off one walk of the window, entry by
-# entry, and raise where ``compare`` raises.
+# ``_above`` must hold exactly the cells whose canonical point ``compare``
+# puts above x, and raise where ``compare`` raises.
 
 
 def _assert_rows(trunc, xs=None, ys=None):
     """For every x of ``xs`` (default: the canonical points) and every
-    canonical position of ``ys`` (default: all): the row entry equals
-    ``compare``, or the row raises ``compare``'s error type.  Returns the
-    outcomes of ``compare``."""
+    canonical position of ``ys`` (default: all): the cell is in x's
+    up-cone exactly when ``compare`` says Less, or the up-cone raises
+    ``compare``'s error type.  Returns the outcomes of ``compare``."""
     pts = trunc.canonical_points
     seen = set()
     for x in pts if xs is None else xs:
-        row = _outcome(paths_mod._relation_row, trunc, x)
+        above = _outcome(paths_mod._above, trunc, x)
         for k in range(len(pts)) if ys is None else ys:
             y = pts[k]
             want = _outcome(compare, trunc, x, y)
-            got = row if row is InvalidModel else row[k]
-            assert got == want, (x, y)
+            if isinstance(above, type) or isinstance(want, type):     # an error type
+                assert above is want, (x, y)
+            else:
+                assert (y.cell in above) == (want is Comparability.LESS), (x, y, want)
             seen.add(want)
     return seen
 
