@@ -11,14 +11,16 @@ image under one element.  Each window sweeps an element once: ``sweep``
 keeps the relations on the window (``Truncation.sweeps``), keyed by the
 element, and every full sweep -- ``classify_element``,
 ``comparable_sample`` and the suite's checkers -- reads them from there.
-An automorphism preserves order, so a point relates to its image as the
-image relates to its own: a sweep costs one ``compare`` per orbit of the
-element in the window, plus a lookup per cell.  The window keeps each
-cell's orbit beside the relations, for callers that can likewise answer
-once per orbit (the suite's instance discovery counts one path length per
-orbit).  An element that is no automorphism (a generator added with
-``check=False``) is swept cell by cell, one ``compare`` per in-window
-image, and each of its cells is an orbit of its own.
+An automorphism w preserves order, so p relates to w.p as c.p relates to
+w.c.p for each automorphism c that commutes with w.  A sweep of w costs
+one ``compare`` per class of cells that w and those generators join in
+the window, none when the window keeps the sweep of w^-1 (it is mirrored),
+and slice operations per family for the rest.  The window keeps each
+cell's class beside the relations, for callers that can likewise answer
+once per class (instance discovery lifts one path per class).  An
+element that is no automorphism (a generator added with ``check=False``)
+is swept cell by cell, one ``compare`` per in-window image, and each of
+its cells is a class of its own.
 
 Window sweeps answer in Tri: a Yes always comes with a witness; a No is
 certified only when the sweep closed without touching a truncated end,
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import cycle, islice
 
 from .core import (
     Element,
@@ -237,59 +240,95 @@ def sweep(trunc, elem):
 
 def _swept(trunc, elem):
     """(``sweep``, orbits) of an element on the window, kept on it.  The
-    orbits give, per canonical position, the position naming the orbit
-    whose one ``compare`` answered the cell.  A cell answered otherwise --
-    its image beyond the window or in another component, or any cell under
-    an element that is no automorphism -- names itself."""
+    orbits give, per canonical position, a position naming the cell's
+    class: the cells whose in-component pairs share one ``compare``
+    (``_sweep_table``).  Under an element that is no automorphism every
+    cell names itself."""
     hit = trunc.sweeps.get(elem)
     if hit is None:
         hit = trunc.sweeps[elem] = _sweep_table(trunc, elem)
     return hit
 
 
+def _runs(blocks, elem):
+    """Per family run of ``Truncation.sweep_cells``: the positions a..b
+    whose images under the element lie in the window, and the offset from
+    each to its image's."""
+    for fam, (start, lo, hi) in blocks.items():
+        img, shift = elem.maps[fam]
+        to, tlo, thi = blocks.get(img, (0, 0, -1))
+        a, b = max(lo, tlo - shift), min(hi, thi - shift) + 1
+        yield start - lo + a, start - lo + max(a, b), to - tlo + shift - start + lo
+
+
+_MIRROR = {None: None, **{rel: rel for rel in Comparability},    # rel(q, p) from rel(p, q)
+           Comparability.LESS: Comparability.GREATER, Comparability.GREATER: Comparability.LESS}
+
+
 def _sweep_table(trunc, elem):
-    """``_swept`` computed afresh.  Along an orbit of an automorphism w the
-    relation of p with w.p is that of w.p with w^2.p, so one ``compare``
-    answers every cell of the orbit whose image lies in the window, in the
-    same component (``compare`` is Truncated exactly across components).
-    An image beyond the window gets ``_same_glued_chain_relation``."""
+    """``_swept`` computed afresh.  For an automorphism w, one ``compare``
+    answers each class of ``_classes`` at a pair in one component (across
+    components ``compare`` is Truncated), or the kept sweep of w^-1 answers
+    them all, mirrored; images beyond the window get one
+    ``_same_glued_chain_relation`` per family."""
     spec, points = trunc.spec, trunc.canonical_points
     if automorphism_problems(spec, elem):       # no orbit rule: cell by cell
         return (tuple(image_relation(spec, trunc, p, elem.point(p)) for p in points),
                 tuple(range(len(points))))
-    cells, position, component = trunc.sweep_cells
-    maps = elem.maps
-    images = []
-    for fam, i in cells:
-        img, shift = maps[fam]
-        images.append(position.get((img, i + shift)))
-    if any(j is not None for j in images):      # where a per-cell compare would check
+    blocks, _, component = trunc.sweep_cells
+    runs, rels = list(_runs(blocks, elem)), []
+    for start, lo, hi in blocks.values():   # one answer per family beyond the window
+        p = points[start]
+        rels += [_same_glued_chain_relation(spec, p, elem.point(p))] * (hi - lo + 1)
+    inverse = elem.inverse()
+    kept = trunc.sweeps.get(inverse)
+    if kept is not None:
+        for a, b, offset in runs:
+            rels[a:b] = map(_MIRROR.__getitem__, kept[0][a + offset:b + offset])
+        return tuple(rels), kept[1]
+    if any(a < b for a, b, _ in runs):      # where a per-cell compare would check
         require_routable(trunc)
-    orbit = list(range(len(cells)))     # union-find over the in-window pairs
+    orbits = _classes(blocks, [elem] + [c for c in trunc.automorphisms
+                                        if c not in (elem, inverse) and c * elem == elem * c])
+    relation = {None: None}     # class -> its relation; None keys a pair across components
+    for a, b, offset in runs:
+        keys = orbits[a:b]
+        if trunc.components > 1:
+            keys = [r if c == d else None for r, c, d in
+                    zip(keys, component[a:b], component[a + offset:b + offset])]
+        for root, k in dict(zip(keys, range(a, b))).items():
+            if root not in relation:
+                rel = compare(trunc, points[k], points[k + offset])
+                relation[root] = None if rel is Comparability.TRUNCATED else rel
+        rels[a:b] = map(relation.__getitem__, keys)
+    return tuple(rels), orbits
+
+
+def _classes(blocks, moves):
+    """Per canonical position, a position naming its class: the cells the
+    moves join, both ends in the window (``blocks``: the family runs of
+    ``Truncation.sweep_cells``).  A move that maps a family onto itself
+    with shift b joins its cells b apart, so the union-find runs over
+    residues modulo the least such |b|."""
+    node = []           # per position, the first position of its residue
+    for fam, (start, lo, hi) in blocks.items():
+        m = min([hi - lo + 1] + [abs(x.maps[fam][1]) for x in moves
+                                 if x.maps[fam][0] == fam and x.maps[fam][1]])
+        node += islice(cycle(range(start, start + m)), hi - lo + 1)
+    parent = list(range(len(node)))
 
     def find(k):
-        while orbit[k] != k:
-            orbit[k] = orbit[orbit[k]]
-            k = orbit[k]
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
         return k
 
-    for k, j in enumerate(images):
-        if j is not None:
-            orbit[find(k)] = find(j)
-    relation = {}       # orbit root -> the relation of its connected pairs
-    rels, roots = [], list(range(len(cells)))
-    for k, j in enumerate(images):
-        if j is None:
-            rels.append(_same_glued_chain_relation(spec, points[k], elem.point(points[k])))
-        elif component[k] != component[j]:
-            rels.append(None)
-        else:
-            root = roots[k] = find(k)
-            if root not in relation:
-                rel = compare(trunc, points[k], points[j])
-                relation[root] = None if rel is Comparability.TRUNCATED else rel
-            rels.append(relation[root])
-    return tuple(rels), tuple(roots)
+    for x in moves:
+        for a, b, offset in _runs(blocks, x):
+            for j, k in set(zip(node[a:b], node[a + offset:b + offset])):
+                parent[find(j)] = find(k)
+    root = {k: find(k) for k in set(node)}
+    return tuple(map(root.__getitem__, node))
 
 
 def _membership(rel):
@@ -396,15 +435,10 @@ def _classify(trunc, word, elem):
     for cell in fixed:
         tan_witness = (vertex_point(*cell) if trunc.has_vertex(cell) else mid_point(*cell))
         break
-    pos_witness = neg_witness = None
-    tainted = trunc.has_truncation
-    for p, rel in zip(trunc.canonical_points, sweep(trunc, elem)):
-        if rel is None:
-            tainted = True
-        elif rel is Comparability.LESS and pos_witness is None:
-            pos_witness = p
-        elif rel is Comparability.GREATER and neg_witness is None:
-            neg_witness = p
+    points, rels = trunc.canonical_points, sweep(trunc, elem)
+    tainted = trunc.has_truncation or None in rels
+    pos_witness, neg_witness = (points[rels.index(rel)] if rel in rels else None
+                                for rel in (Comparability.LESS, Comparability.GREATER))
     return ElementProfile(
         word, trunc.depth,
         tangentiable=_entry(tan_witness, tainted),

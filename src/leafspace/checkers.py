@@ -27,7 +27,6 @@ from .core import (
     Tri,
     TruncatedError,
     branch_loci,
-    mid_point,
     require_valid,
 )
 from .paths import (
@@ -42,6 +41,7 @@ from .action import (
     Word,
     _classify,
     _member,
+    _membership,
     _swept,
     branching_type,
     comparable_sample,
@@ -309,7 +309,8 @@ def _stem_cells_outward(trunc, locus):
 
 def check_invariant_locus_stem(spec, word, locus, depth):
     """A word fixing a locus setwise keeps a whole stem suffix (the
-    stem cells nearest the locus) inside its comparable set."""
+    stem cells nearest the locus) inside its comparable set, read from
+    the window's sweep of the word."""
     name = "check_invariant_locus_stem"
     elem = word_map(spec, word)
     if tuple(sorted(map(elem.cell, locus.members))) != locus.members:
@@ -319,9 +320,9 @@ def check_invariant_locus_stem(spec, word, locus, depth):
     if not cells:
         return CheckReport.make(name, TRUNCATED, depth=depth,
                                 notes=("stem does not meet the window",))
-    run = 0
-    for cell in cells:
-        member = _member(trunc, elem, mid_point(*cell))
+    run, rels, position = 0, sweep(trunc, elem), trunc.sweep_cells[1]
+    for cell in cells:          # an edge cell: its canonical point is the midpoint
+        member = _membership(rels[position[cell]])
         if member is Tri.YES:
             run += 1
         elif member is Tri.TRUNCATED and run == 0:
@@ -570,13 +571,14 @@ def _find_comparable_pair(trunc, elem, cones):
 
 def discover_instances(spec, depth, word_len):
     """Deterministic suite instances: checker name -> list of kwargs.
-    Each basic word's image relations and orbits come from the window's
+    Each basic word's image relations and classes come from the window's
     sweep, and every pick is the first in canonical order.  The parity of
     a point's connection to its image comes from a path lifted once per
-    orbit (``path(...).length``): an automorphism carries the connection
-    of p to w.p onto that of w.p to w^2.p.  The ``check_lower_bound`` pair
-    search reads each point's up-cone (``paths._above``), walked once and
-    shared across the words."""
+    class (``path(...).length``): w carries the connection of p to w.p
+    onto that of w.p to w^2.p, and each commuting automorphism c onto that
+    of c.p to w.c.p.  The ``check_lower_bound`` pair search reads each
+    point's up-cone (``paths._above``), walked once and shared across the
+    words."""
     trunc = spec.window(depth)
     points = trunc.canonical_points
     loci = branch_loci(trunc)[:4]
@@ -603,7 +605,7 @@ def discover_instances(spec, depth, word_len):
                     {"word": word, "lam": lam, "mu": mu})
 
         odd_lam = even_lam = None
-        parity = {}         # orbit -> parity of the length, None when it fails
+        parity = {}         # class -> parity of the length, None when it fails
         for (p, rel), orbit in zip(rels, orbits):
             if rel is not Comparability.INCOMPARABLE:
                 continue

@@ -240,8 +240,11 @@ def vertex_point(family, index=0):
     return Point((family, index))
 
 
+_HALF = Fraction(1, 2)
+
+
 def mid_point(family, index=0):
-    return Point((family, index), Fraction(1, 2))
+    return Point((family, index), _HALF)
 
 
 class LeafSpaceSpec:
@@ -480,13 +483,14 @@ class Truncation:
     of the germ on each side of each vertex, read by ``germ_providers`` and,
     as cell adjacency, by ``vertex_sides``), its membership sweeps
     (``sweeps``: group element -> the image relation of every canonical
-    point and, per cell, the orbit whose one ``compare`` answered it,
+    point and, per cell, the class whose one ``compare`` answered it,
     filled by :func:`leafspace.action.sweep`), the cell table those sweeps
-    follow orbits on (``sweep_cells``: each cell's position and component,
-    built by the first sweep) and its transit table (``transits``: (entry
-    anchor, exit anchor) at a collapsed locus node -> what a path gains
-    crossing it, filled by :func:`leafspace.paths.path` and the length
-    count beside it).  An anchor is the frozenset of vertex cells that
+    read (``sweep_cells``: the run of positions each family's cells fill,
+    each cell's position and component, built by the first sweep), the
+    generators that are automorphisms and its transit table (``transits``:
+    (entry anchor, exit anchor) at a collapsed locus node -> what a path
+    gains crossing it, filled by :func:`leafspace.paths.path` and the
+    length count beside it).  An anchor is the frozenset of vertex cells that
     arriving at a node through one edge end can stand on, and ``rooting``
     stores each tree edge as the two hops a route reads.  ``ladder``,
     filled in the same pass, gives each node a jump pointer and its count
@@ -740,7 +744,8 @@ class Truncation:
 
     @cached_property
     def sweep_cells(self):
-        """The window cells in canonical order, cell -> position, and per
+        """Per family, the run of canonical positions its cells fill, as
+        (first position, first index, last index); cell -> position; and per
         position the component of the window forest holding the cell,
         numbered in the order of the roots in ``rooting``."""
         component, count = {}, -1
@@ -752,7 +757,15 @@ class Truncation:
         nodes = ([self.vertex_node(c) for c in self.vertex_cells]
                  + [edges[edge_index[c]][1] for c in self.edge_cells])
         cells = self.vertex_cells + self.edge_cells
-        return cells, {c: k for k, c in enumerate(cells)}, [component[n] for n in nodes]
+        position, first = {c: k for k, c in enumerate(cells)}, dict(reversed(cells))
+        blocks = {fam: (position[fam, first[fam]], first[fam], last)
+                  for fam, last in dict(cells).items()}
+        return blocks, position, [component[n] for n in nodes]
+
+    @cached_property
+    def automorphisms(self):
+        """The generators that are automorphisms of the model, checked once per window."""
+        return [g for g in self.spec.generators.values() if not automorphism_problems(self.spec, g)]
 
     # -- truncated ends ------------------------------------------------------
 

@@ -514,20 +514,42 @@ def _double_germ():
     return spec
 
 
+def _two_lines():
+    """Two lines along the shift t: e[i] runs up from v[i] to v[i+1], d[i]
+    runs down from x[i] to x[i+1].  f (check=False) exchanges the lines;
+    it commutes with t but maps no end rule onto its image, so it is no
+    automorphism, and a class it joined would mix Less with Greater."""
+    from leafspace.core import to_vertex
+
+    spec = LeafSpaceSpec()
+    spec.add_vertex("v", chain=True)
+    spec.add_vertex("x", chain=True)
+    spec.add_edge("e", low=to_vertex("v", 0), high=to_vertex("v", 1), chain=True)
+    spec.add_edge("d", low=to_vertex("x", 1), high=to_vertex("x", 0), chain=True)
+    spec.add_generator("t", {fam: (fam, 1) for fam in "vxed"})
+    spec.add_generator("f", {"v": ("x", 0), "x": ("v", 0), "e": ("d", 0), "d": ("e", 0)},
+                       check=False)
+    return spec
+
+
 def _assert_sweeps_match_reference(label, spec, depth, radius):
     """Every element of the radius ball sweeps as the reference does on a
-    fresh window, or raises the reference's error and stores nothing."""
-    trunc = expand(spec, depth)
-    ball = element_ball(spec, radius)[0]
-    for elem, word in ball.items():
-        try:
-            want = _reference_sweep(trunc, elem)
-        except Exception as exc:        # the same error must come back
-            with pytest.raises(type(exc), match=re.escape(str(exc))):
-                sweep(trunc, elem)
-            assert elem not in trunc.sweeps
-            continue
-        assert sweep(trunc, elem) == want, (label, depth, str(word))
+    fresh window, or raises the reference's error and stores nothing.  The
+    ball is swept in shortlex order and, on a second fresh window, in
+    reverse, so each of an element and its inverse is once swept afresh
+    and once read from the other's kept sweep."""
+    ball = list(element_ball(spec, radius)[0].items())
+    for order in (ball, ball[::-1]):
+        trunc = expand(spec, depth)
+        for elem, word in order:
+            try:
+                want = _reference_sweep(trunc, elem)
+            except Exception as exc:        # the same error must come back
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    sweep(trunc, elem)
+                assert elem not in trunc.sweeps
+                continue
+            assert sweep(trunc, elem) == want, (label, depth, str(word))
 
 
 def test_sweep_matches_reference_on_gallery():
@@ -538,6 +560,9 @@ def test_sweep_matches_reference_on_gallery():
         for depth in (0, 1, 2, 3, 4, 8, 16, 32):
             _assert_sweeps_match_reference(name, spec, depth, 3)
         _assert_sweeps_match_reference(name, spec, 64, 2)
+        _assert_sweeps_match_reference(name, spec, 256, 2)
+    for depth in range(9):      # two commuting generators join the classes
+        _assert_sweeps_match_reference("swap+k", build_swap_k(), depth, 3)
 
 
 def test_sweep_matches_reference_on_random_specs():
@@ -549,13 +574,16 @@ def test_sweep_matches_reference_on_random_specs():
 
 def test_sweep_matches_reference_off_the_orbit_rule(tripod, tripod_inconsistent, updown):
     # unchecked generators (no orbit rule), disconnected and invalid windows
+    from leafspace.action import _swept
+    from leafspace.core import automorphism_problems
     from test_checkers import _random_generator_set, _stem_to_branch, build_odd_involution
 
     models = [("tripod", tripod, 2), ("tripod-inconsistent", tripod_inconsistent, 2),
               ("odd involution", build_odd_involution(), 0), ("swap+k", build_swap_k(), 4)]
     models += [(label, spec, depth) for depth in range(4) for label, spec in (
         ("updown", updown), ("stem to branch", _stem_to_branch()),
-        ("offset line", _offset_line()), ("double germ", _double_germ()))]
+        ("offset line", _offset_line()), ("double germ", _double_germ()),
+        ("two lines", _two_lines()))]
     for label, spec, depth in models:
         _assert_sweeps_match_reference(label, spec, depth, 3)
     for seed in range(100):
@@ -573,6 +601,57 @@ def test_sweep_matches_reference_off_the_orbit_rule(tripod, tripod_inconsistent,
     assert set(sweep(expand(spec, 0), word_map(spec, Word.generator("t")))) == {None}
     with pytest.raises(InvalidModel, match="2 germs"):
         sweep(expand(spec, 0), word_map(spec, Word.generator("u")))
+    # t joins each family's cells into one class of t^2; f commutes with t
+    # but is no automorphism, and joins none
+    spec = _two_lines()
+    t, f = spec.generators["t"], spec.generators["f"]
+    trunc = expand(spec, 2)
+    classes = {}
+    for p, orbit in zip(trunc.canonical_points, _swept(trunc, t * t)[1]):
+        classes.setdefault(orbit, set()).add(p.cell[0])
+    assert t * f == f * t and automorphism_problems(spec, f)
+    assert sorted(map(sorted, classes.values())) == [["d"], ["e"], ["v"], ["x"]]
+
+
+def _observe_compares(monkeypatch):
+    """The (x, y) of every ``compare`` that ``leafspace.action`` makes,
+    recorded by a wrapper that calls the real function."""
+    from leafspace import action
+
+    calls, real = [], action.compare
+
+    def observed(trunc, x, y):
+        calls.append((x, y))
+        return real(trunc, x, y)
+
+    monkeypatch.setattr(action, "compare", observed)
+    return calls
+
+
+def test_an_inverse_sweep_reads_the_kept_sweep(monkeypatch):
+    from leafspace.gallery import gallery
+
+    spec = gallery("ZIGZAG").spec
+    trunc = expand(spec, 8)
+    calls = _observe_compares(monkeypatch)
+    h = word_map(spec, Word.generator("h"))
+    sweep(trunc, h)
+    made = len(calls)
+    assert made
+    rels = sweep(trunc, h.inverse())
+    assert len(calls) == made
+    assert rels == _reference_sweep(trunc, h.inverse())
+
+
+def test_the_suite_compares_at_most_half_as_often(monkeypatch):
+    import io
+
+    from leafspace import cli
+
+    calls = _observe_compares(monkeypatch)
+    assert cli.main(["suite", "--gallery", "ZIGZAG", "--depth", "4"], stream=io.StringIO()) == 0
+    # comparing each orbit of each element afresh takes 281 calls
+    assert len(calls) <= 281 // 2
 
 
 def reference_classify_element(spec, word, depth):

@@ -879,14 +879,15 @@ def test_discovery_matches_reference_with_unchecked_generators(tripod, tripod_in
 
 def test_orbit_cells_share_their_lifted_length():
     # the equivariance the parity search relies on: every incomparable cell
-    # of one orbit is as far from its image as the others
+    # of one class (an orbit, joined across the commuting automorphisms) is
+    # as far from its image as the others
     from leafspace.action import _swept
     from leafspace.checkers import _basic_words
     from leafspace.paths import Comparability
 
     shared = 0          # orbits with more than one incomparable cell
-    for name in GALLERY_NAMES:
-        spec = gallery(name).spec
+    models = [(name, gallery(name).spec) for name in GALLERY_NAMES]
+    for name, spec in models + [("SWAP+k", build_swap_k())]:
         for depth in (4, 8, 16, 32, 64):
             trunc = expand(spec, depth)
             for word in _basic_words(spec):
