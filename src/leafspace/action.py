@@ -20,7 +20,8 @@ cell's class beside the relations, for callers that can likewise answer
 once per class (instance discovery lifts one path per class).  An
 element that is no automorphism (a generator added with ``check=False``)
 is swept cell by cell, one ``compare`` per in-window image, and each of
-its cells is a class of its own.
+its cells is a class of its own; it too is mirrored from a kept sweep of
+its inverse, as rel(p, w.p) mirrors rel(w.p, p) under any family map.
 
 Window sweeps answer in Tri: a Yes always comes with a witness; a No is
 certified only when the sweep closed without touching a truncated end,
@@ -45,6 +46,9 @@ from .core import (
     vertex_point,
 )
 from .paths import COMPARABLE, Comparability, compare
+
+
+WORD_LETTER_LIMIT = 4096       # letters ``Word.parse`` builds at most
 
 
 @dataclass(frozen=True)
@@ -80,18 +84,22 @@ class Word:
 
     @staticmethod
     def parse(text):
-        """Parse e.g. "g", "g^3", "g^-1*h", "g g h^-2"."""
-        letters = []
+        """Parse e.g. "g", "g^3", "g^-1*h", "g g h^-2".  A word of more than
+        ``WORD_LETTER_LIMIT`` letters as written raises ValueError before
+        any letter is built."""
+        powers = []
         for token in re.split(r"[\s*]+", text.strip()):
             if not token or token == "1":
                 continue
             m = re.fullmatch(r"([A-Za-z_]\w*)(?:\^(-?\d+))?", token)
             if m is None:
                 raise ValueError(f"cannot parse word token {token!r}")
-            name, power = m.group(1), int(m.group(2) or 1)
-            exp = 1 if power > 0 else -1
-            letters.extend([(name, exp)] * abs(power))
-        return Word.of(letters)
+            powers.append((m.group(1), int(m.group(2) or 1)))
+        count = sum(abs(power) for _, power in powers)
+        if count > WORD_LETTER_LIMIT:
+            raise ValueError(f"word of {count} letters exceeds the limit of {WORD_LETTER_LIMIT}")
+        return Word.of([(name, 1 if power > 0 else -1)
+                        for name, power in powers for _ in range(abs(power))])
 
     @property
     def is_identity(self):
@@ -147,21 +155,22 @@ def shortlex(word):
 
 def element_ball(spec, radius):
     """Every group element within ``radius`` letters of the identity, by one
-    breadth-first walk of the Cayley graph, as ``(ball, relators)``.
+    breadth-first walk of the Cayley graph, as ``(ball, closings)``.
 
     ``ball`` maps each element to its shortlex-least word, in shortlex
     order (``shortlex``), so the identity comes first.  The walk composes
     an element with each letter that does not cancel its word's last
     letter, once.  A product the ball already names closes a non-tree
-    edge: ``relators`` holds its word ``u*x*v^-1``, with u and v the named
-    words of the two ends, which is reduced and acts as the identity.
-    A negative radius raises ValueError."""
+    edge: ``closings`` holds it as (u, x, v), the named words u and v of
+    its two ends and the letter x; u*x*v^-1 is reduced and acts as the
+    identity (``checkers.check_faithfulness`` builds it).  A negative
+    radius raises ValueError."""
     if radius < 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
     alphabet = [(n, e) for n in sorted(spec.generators) for e in (1, -1)]
     steps = {let: _letter(spec, *let) for let in alphabet}
     ball = {word_map(spec, Word.identity()): Word.identity()}
-    relators = []
+    closings = []
     frontier = list(ball.items())
     for _ in range(radius):
         grow = []
@@ -170,15 +179,14 @@ def element_ball(spec, radius):
                 if word.letters and word.letters[-1] == (let[0], -let[1]):
                     continue
                 image = elem * steps[let]
-                letters = word.letters + (let,)
                 named = ball.get(image)
                 if named is None:
-                    ball[image] = Word(letters)
-                    grow.append((image, ball[image]))
+                    ball[image] = named = Word(word.letters + (let,))
+                    grow.append((image, named))
                 else:
-                    relators.append(Word(letters + named.inverse().letters))
+                    closings.append((word, let, named))
         frontier = grow
-    return ball, relators
+    return ball, closings
 
 
 def fingerprint(spec, word):
@@ -266,13 +274,16 @@ _MIRROR = {None: None, **{rel: rel for rel in Comparability},    # rel(q, p) fro
 
 
 def _sweep_table(trunc, elem):
-    """``_swept`` computed afresh.  For an automorphism w, one ``compare``
-    answers each class of ``_classes`` at a pair in one component (across
-    components ``compare`` is Truncated), or the kept sweep of w^-1 answers
-    them all, mirrored; images beyond the window get one
-    ``_same_glued_chain_relation`` per family."""
+    """``_swept`` computed afresh.  The kept sweep of w^-1 answers every
+    in-window image, mirrored, and is looked up first; else, for an
+    automorphism w, one ``compare`` answers each class of ``_classes`` at a
+    pair in one component (across components ``compare`` is Truncated).
+    Images beyond the window get one ``_same_glued_chain_relation`` per
+    family."""
     spec, points = trunc.spec, trunc.canonical_points
-    if automorphism_problems(spec, elem):       # no orbit rule: cell by cell
+    inverse = elem.inverse()
+    kept = trunc.sweeps.get(inverse)
+    if kept is None and automorphism_problems(spec, elem):     # no orbit rule: cell by cell
         return (tuple(image_relation(spec, trunc, p, elem.point(p)) for p in points),
                 tuple(range(len(points))))
     blocks, _, component = trunc.sweep_cells
@@ -280,8 +291,6 @@ def _sweep_table(trunc, elem):
     for start, lo, hi in blocks.values():   # one answer per family beyond the window
         p = points[start]
         rels += [_same_glued_chain_relation(spec, p, elem.point(p))] * (hi - lo + 1)
-    inverse = elem.inverse()
-    kept = trunc.sweeps.get(inverse)
     if kept is not None:
         for a, b, offset in runs:
             rels[a:b] = map(_MIRROR.__getitem__, kept[0][a + offset:b + offset])

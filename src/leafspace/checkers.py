@@ -352,25 +352,36 @@ class StabilizerBall:
     acts_nontrivially: bool
 
 
-def stabilizer_ball(spec, locus, radius, depth):
+def _fixing(spec, locus, radius, depth):
+    """Element -> (word, member images) for each element of the ball that
+    fixes the locus setwise, in shortlex order of the words."""
     members = locus.members
     require_valid(spec.window(depth))
-    fixing = {}                 # element -> (word, member images)
+    fixing = {}
     for elem, word in element_ball(spec, radius)[0].items():
         images = tuple(map(elem.cell, members))
         if tuple(sorted(images)) == members:
             fixing[elem] = word, images
+    return fixing
+
+
+def stabilizer_ball(spec, locus, radius, depth):
+    members = locus.members
+    fixing = _fixing(spec, locus, radius, depth)
     table = tuple(fixing.values())
     nontrivial = any(images != members for _, images in table)
 
     # Walk each direction until a power leaves the nontrivial members,
-    # reaches the identity (which comes first) or repeats.
+    # reaches the identity (which comes first) or repeats.  c and c^-1
+    # walk the same powers, so a candidate whose inverse failed is skipped.
     candidates = list(fixing)[1:]
     have = set(candidates)
-    cyclic, generator = not have, None
+    cyclic, generator, failed = not have, None, set()
     for cand in candidates:
-        powers = set()
-        for base in (cand, cand.inverse()):
+        if cand in failed:
+            continue
+        powers, inverse = set(), cand.inverse()
+        for base in (cand, inverse):
             power = base
             while power in have and power not in powers:
                 powers.add(power)
@@ -378,6 +389,7 @@ def stabilizer_ball(spec, locus, radius, depth):
         if powers == have:
             cyclic, generator = True, fixing[cand][0]
             break
+        failed.add(inverse)
     return StabilizerBall(members, radius, tuple(w for w, _ in table), table, cyclic,
                           generator, nontrivial)
 
@@ -386,16 +398,23 @@ def check_fix_propagation(spec, locus, radius, depth):
     """Any stabilizer element fixing one member of a finite locus must fix
     them all; a partial fix flags the model as non-realizable."""
     name = "check_fix_propagation"
-    ball = stabilizer_ball(spec, locus, radius, depth)
-    for word, images in ball.action_table:
-        fixed = tuple(m for m, img in zip(ball.locus, images) if m == img)
-        if fixed and len(fixed) < len(ball.locus):
+    members = locus.members
+    fixing = _fixing(spec, locus, radius, depth)
+    for word, images in fixing.values():
+        fixed = tuple(m for m, img in zip(members, images) if m == img)
+        if fixed and len(fixed) < len(members):
             return CheckReport.make(name, VIOLATION, depth=depth, word_bound=radius, witness={
                 "word": word,
                 "fixes": ",".join(f"{f}[{i}]" for f, i in fixed),
-                "locus_size": len(ball.locus)})
+                "locus_size": len(members)})
     return CheckReport.make(name, PASS, depth=depth, word_bound=radius,
-                            witness={"ball_size": len(ball.members)})
+                            witness={"ball_size": len(fixing)})
+
+
+def _relator(closing):
+    """The word u*x*v^-1 of a closing edge (u, x, v) of ``element_ball``."""
+    u, letter, v = closing
+    return Word(u.letters + (letter,) + v.inverse().letters)
 
 
 def check_faithfulness(spec, max_word_len, depth):
@@ -411,7 +430,7 @@ def check_faithfulness(spec, max_word_len, depth):
         raise PreconditionFailed(
             "model shows no branching in the window; a fibration-like model "
             "may act unfaithfully, so the check does not apply")
-    _, relators = element_ball(spec, (max_word_len + 1) // 2)
+    relators = map(_relator, element_ball(spec, (max_word_len + 1) // 2)[1])
     short = [w for r in relators if len(r) <= max_word_len for w in (r, r.inverse())]
     if short:
         return CheckReport.make(name, VIOLATION, depth=depth, word_bound=max_word_len,

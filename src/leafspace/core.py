@@ -185,21 +185,22 @@ class Element:
 
     ``maps[f] = (f', b)`` sends cell f[n] to f'[n+b], for every family f in
     the spec's order, preserving edge orientation and interior coordinates.
-    Elements are equal exactly when they act identically, and hash alike,
-    so an element is its own key; do not mutate ``maps``.  ``a * b`` applies
-    b, then a."""
+    Elements are equal exactly when they act identically, and hash alike
+    (the hash is taken once, at construction), so an element is its own
+    key; do not mutate ``maps``.  ``a * b`` applies b, then a."""
 
-    __slots__ = ("maps", "_key")
+    __slots__ = ("maps", "_key", "_hash")
 
     def __init__(self, maps):
         self.maps = maps
         self._key = tuple(maps.values())
+        self._hash = hash(self._key)
 
     def __eq__(self, other):
         return isinstance(other, Element) and self._key == other._key
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
 
     def __mul__(self, other):
         mine = self.maps

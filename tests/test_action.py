@@ -43,6 +43,24 @@ def test_word_reduction_and_parse():
     assert (w ** 4).letters == (("g", 1),) + (("h", 1),) * 4 + (("g", -1),)
 
 
+def test_word_parse_refuses_overlong_words_before_building_them():
+    import tracemalloc
+
+    from leafspace.action import WORD_LETTER_LIMIT
+
+    limit = "g^%d" % WORD_LETTER_LIMIT
+    assert len(Word.parse(limit)) == WORD_LETTER_LIMIT
+    tracemalloc.start()
+    try:
+        for text in ("g^" + "9" * 30, "g^-" + "9" * 30, limit + " h", "g^2 " * 2049):
+            with pytest.raises(ValueError, match="letters"):
+                Word.parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000       # far below one pointer per requested letter
+
+
 def test_act_examples(line, swap):
     t = Word.generator("t")
     assert act_cell(line.spec, t, ("v", 0)) == ("v", 1)
@@ -338,9 +356,13 @@ def test_word_walk_names_each_element_once(swap, zigzag, tripod, swap_k):
 
 
 def test_element_ball_relators_are_reduced_identity_words(swap, zigzag, tripod, swap_k):
+    # the walk keeps each closing edge as a tuple; check_faithfulness builds its word
+    from leafspace.checkers import _relator
+
     for spec in (swap.spec, zigzag.spec, tripod, swap_k):
         for radius in range(6):
-            ball, relators = element_ball(spec, radius)
+            ball, closings = element_ball(spec, radius)
+            relators = list(map(_relator, closings))
             for r in relators:
                 assert Word.of(r.letters) == r and not r.is_identity, str(r)
                 assert is_identity_action(spec, r), str(r)

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 from collections import Counter
 
 import pytest
@@ -7,7 +8,8 @@ import pytest
 from leafspace.core import Element, PreconditionFailed, Tri, expand, mid_point, vertex_point
 from leafspace.core import branch_loci
 from leafspace.action import (
-    Word, act, act_locus, branching_type, fingerprint, in_comparable_set, word_map)
+    Word, act, act_locus, branching_type, element_ball, fingerprint, in_comparable_set,
+    word_map)
 from leafspace.checkers import (
     PASS,
     TRUNCATED,
@@ -27,6 +29,7 @@ from leafspace.checkers import (
 )
 from leafspace.gallery import GALLERY_NAMES, gallery
 from leafspace.paths import path
+from leafspace.randspec import RandomParams, random_spec
 
 from conftest import act_cell, build_swap_k, build_tripod, build_updown, reduced_words
 
@@ -403,11 +406,31 @@ def reference_stabilizer_ball(spec, locus, radius):
     return StabilizerBall(members, radius, tuple(ball), table, cyclic, generator, nontrivial)
 
 
+def _with_wing_transposition(spec):
+    """A ``random_spec(symmetric=True)`` model plus tau, which swaps wings 0
+    and 1: with the rotation rho it generates the symmetric group on the
+    wings, a finite stabilizer that is not cyclic."""
+    def swap(fam):
+        m = re.fullmatch(r"([mcw])([01])(_.*)?", fam)
+        return fam if m is None else f"{m[1]}{1 - int(m[2])}{m[3] or ''}"
+
+    spec.add_generator("tau", {fam: (swap(fam), 0) for fam in spec.families})
+    return spec
+
+
 def test_stabilizer_ball_matches_reference(tripod, swap_k):
     two_gen = build_tripod()
     two_gen.add_generator("u", dict(two_gen.generators["w"].maps))
     cases = [(gallery(name).spec, 4, range(7)) for name in GALLERY_NAMES]
     cases += [(tripod, 2, range(7)), (two_gen, 2, range(6)), (swap_k, 4, range(5))]
+    # wing rotations of order 3 (seeds 0, 7) and 4 (seeds 5, 10), alone and
+    # with a wing transposition, so the certificate also fails under torsion
+    for seed in (0, 5, 7, 10):
+        rotation = random_spec(RandomParams(seed=seed, symmetric=True))
+        assert len(branch_loci(expand(rotation, 1))[0].members) in (3, 4)
+        cases += [(rotation, 1, range(7)),
+                  (_with_wing_transposition(random_spec(RandomParams(seed=seed, symmetric=True))),
+                   1, range(7))]
     checked = 0
     for spec, depth, radii in cases:
         for locus in branch_loci(expand(spec, depth)):
@@ -430,6 +453,31 @@ def test_cyclic_size_bound_edges(swap, swap_k):
         assert len(ball.members) - 1 > 2 * radius
         assert not ball.cyclic_at_radius and ball.cyclic_generator is None
         assert ball == reference_stabilizer_ball(swap_k, locus, radius)
+
+
+def test_stabilizer_walks_count_their_products(swap_k, monkeypatch):
+    # at radius 8 the walk alone makes 340 products; fix propagation reads
+    # only its fixing table, and the certificate, which tries each inverse
+    # pair once, made 448 products on top of the walk before it did
+    locus = branch_loci(expand(swap_k, 4))[0]
+    products = []
+    multiply = Element.__mul__
+
+    def counted(self, other):
+        products.append(1)
+        return multiply(self, other)
+
+    monkeypatch.setattr(Element, "__mul__", counted)
+
+    def count(run):
+        products.clear()
+        run()
+        return len(products)
+
+    walk = count(lambda: element_ball(swap_k, 8))
+    assert count(lambda: check_fix_propagation(swap_k, locus, 8, 4)) <= walk
+    certificate = count(lambda: stabilizer_ball(swap_k, locus, 8, 4)) - walk
+    assert certificate <= 0.6 * 448
 
 
 def test_swap_k_radius_8(swap_k):
