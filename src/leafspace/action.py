@@ -19,9 +19,9 @@ and slice operations per family for the rest.  The window keeps each
 cell's class beside the relations, for callers that can likewise answer
 once per class (instance discovery lifts one path per class).  An
 element that is no automorphism (a generator added with ``check=False``)
-is swept cell by cell, one ``compare`` per in-window image, and each of
-its cells is a class of its own; it too is mirrored from a kept sweep of
-its inverse, as rel(p, w.p) mirrors rel(w.p, p) under any family map.
+joins no cells: each is a class of its own, one ``compare`` per in-window
+image in its own component.  It too is mirrored from a kept sweep of its
+inverse, as rel(p, w.p) mirrors rel(w.p, p) under any family map.
 
 Window sweeps answer in Tri: a Yes always comes with a witness; a No is
 certified only when the sweep closed without touching a truncated end,
@@ -48,7 +48,12 @@ from .core import (
 from .paths import COMPARABLE, Comparability, compare
 
 
-WORD_LETTER_LIMIT = 4096       # letters ``Word.parse`` builds at most
+WORD_LETTER_LIMIT = 4096       # letters a word's parse or power builds at most
+
+
+def _require_letters(count):
+    if count > WORD_LETTER_LIMIT:
+        raise ValueError(f"word of {count} letters exceeds the limit of {WORD_LETTER_LIMIT}")
 
 
 @dataclass(frozen=True)
@@ -79,8 +84,7 @@ class Word:
 
     @staticmethod
     def generator(name, power=1):
-        exp = 1 if power > 0 else -1
-        return Word.of([(name, exp)] * abs(power))
+        return Word(((name, 1),)) ** power
 
     @staticmethod
     def parse(text):
@@ -95,9 +99,7 @@ class Word:
             if m is None:
                 raise ValueError(f"cannot parse word token {token!r}")
             powers.append((m.group(1), int(m.group(2) or 1)))
-        count = sum(abs(power) for _, power in powers)
-        if count > WORD_LETTER_LIMIT:
-            raise ValueError(f"word of {count} letters exceeds the limit of {WORD_LETTER_LIMIT}")
+        _require_letters(sum(abs(power) for _, power in powers))
         return Word.of([(name, 1 if power > 0 else -1)
                         for name, power in powers for _ in range(abs(power))])
 
@@ -115,9 +117,12 @@ class Word:
         return Word(tuple((name, -exp) for name, exp in reversed(self.letters)))
 
     def __pow__(self, k):
+        """The k-th power; a power of more than ``WORD_LETTER_LIMIT``
+        letters before reduction raises ValueError before any is built."""
         if k < 0:
             return self.inverse() ** (-k)
-        return Word.of(self.letters * k)
+        _require_letters(len(self.letters) * k)
+        return Word.of(self.letters * k) if self.letters else self
 
     def __str__(self):
         if not self.letters:
@@ -224,8 +229,6 @@ def _same_glued_chain_relation(spec, point, image):
     a, b = (point.cell[1], point.t), (image.cell[1], image.t)
     if a == b:
         return Comparability.EQUAL
-    if a[0] == b[0]:
-        return Comparability.LESS if a[1] < b[1] else Comparability.GREATER
     ascending = a[0] < b[0] if f.glue == 1 else a[0] > b[0]
     return Comparability.LESS if ascending else Comparability.GREATER
 
@@ -250,8 +253,8 @@ def _swept(trunc, elem):
     """(``sweep``, orbits) of an element on the window, kept on it.  The
     orbits give, per canonical position, a position naming the cell's
     class: the cells whose in-component pairs share one ``compare``
-    (``_sweep_table``).  Under an element that is no automorphism every
-    cell names itself."""
+    (``_sweep_table``); an element that is no automorphism joins none, so
+    every cell names itself."""
     hit = trunc.sweeps.get(elem)
     if hit is None:
         hit = trunc.sweeps[elem] = _sweep_table(trunc, elem)
@@ -274,18 +277,15 @@ _MIRROR = {None: None, **{rel: rel for rel in Comparability},    # rel(q, p) fro
 
 
 def _sweep_table(trunc, elem):
-    """``_swept`` computed afresh.  The kept sweep of w^-1 answers every
-    in-window image, mirrored, and is looked up first; else, for an
-    automorphism w, one ``compare`` answers each class of ``_classes`` at a
-    pair in one component (across components ``compare`` is Truncated).
+    """``_swept`` computed afresh: the kept sweep of w^-1, mirrored, is
+    looked up first; else one ``image_relation`` answers each class of
+    ``_classes`` (the cells w and its commuting automorphism generators
+    join; single cells if w is no automorphism) at a pair in one component.
     Images beyond the window get one ``_same_glued_chain_relation`` per
     family."""
     spec, points = trunc.spec, trunc.canonical_points
     inverse = elem.inverse()
     kept = trunc.sweeps.get(inverse)
-    if kept is None and automorphism_problems(spec, elem):     # no orbit rule: cell by cell
-        return (tuple(image_relation(spec, trunc, p, elem.point(p)) for p in points),
-                tuple(range(len(points))))
     blocks, _, component = trunc.sweep_cells
     runs, rels = list(_runs(blocks, elem)), []
     for start, lo, hi in blocks.values():   # one answer per family beyond the window
@@ -295,10 +295,10 @@ def _sweep_table(trunc, elem):
         for a, b, offset in runs:
             rels[a:b] = map(_MIRROR.__getitem__, kept[0][a + offset:b + offset])
         return tuple(rels), kept[1]
-    if any(a < b for a, b, _ in runs):      # where a per-cell compare would check
+    if any(a < b for a, b, _ in runs):      # where an in-window image needs a compare
         require_routable(trunc)
-    orbits = _classes(blocks, [elem] + [c for c in trunc.automorphisms
-                                        if c not in (elem, inverse) and c * elem == elem * c])
+    orbits = _classes(blocks, [] if automorphism_problems(spec, elem) else [elem] + [
+        c for c in trunc.automorphisms if c not in (elem, inverse) and c * elem == elem * c])
     relation = {None: None}     # class -> its relation; None keys a pair across components
     for a, b, offset in runs:
         keys = orbits[a:b]
@@ -307,8 +307,7 @@ def _sweep_table(trunc, elem):
                     zip(keys, component[a:b], component[a + offset:b + offset])]
         for root, k in dict(zip(keys, range(a, b))).items():
             if root not in relation:
-                rel = compare(trunc, points[k], points[k + offset])
-                relation[root] = None if rel is Comparability.TRUNCATED else rel
+                relation[root] = image_relation(spec, trunc, points[k], elem.point(points[k]))
         rels[a:b] = map(relation.__getitem__, keys)
     return tuple(rels), orbits
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
-    LeafSpaceError,
     PointOutOfRange,
     PreconditionFailed,
     Tri,
@@ -624,15 +623,12 @@ def discover_instances(spec, depth, word_len):
                     {"word": word, "lam": lam, "mu": mu})
 
         odd_lam = even_lam = None
-        parity = {}         # class -> parity of the length, None when it fails
+        parity = {}         # class -> parity of the length
         for (p, rel), orbit in zip(rels, orbits):
             if rel is not Comparability.INCOMPARABLE:
                 continue
             if orbit not in parity:
-                try:
-                    parity[orbit] = path(trunc, p, elem.point(p)).length % 2
-                except LeafSpaceError:
-                    parity[orbit] = None
+                parity[orbit] = path(trunc, p, elem.point(p)).length % 2
             if parity[orbit] == 1 and odd_lam is None:
                 odd_lam = p
             if parity[orbit] == 0 and even_lam is None:

@@ -33,6 +33,15 @@ def reference_word_map(spec, word):
     return total
 
 
+def reference_sweep(trunc, elem):
+    """The sweep point by point: one image relation per canonical point,
+    each in-window image decided by its own ``compare``."""
+    from leafspace.action import image_relation
+
+    return tuple(image_relation(trunc.spec, trunc, p, elem.point(p))
+                 for p in trunc.canonical_points)
+
+
 def act_cell(spec, word, cell):
     """Image of a cell under a word."""
     return act(spec, word, Point(cell)).cell

@@ -21,7 +21,7 @@ from leafspace.action import (
     sweep,
     word_map,
 )
-from conftest import act_cell, build_swap_k, reduced_words, reference_word_map
+from conftest import act_cell, build_swap_k, reduced_words, reference_sweep, reference_word_map
 from leafspace.paths import Comparability, compare
 from leafspace.core import branch_loci
 from leafspace.randspec import RandomParams, random_spec
@@ -45,16 +45,24 @@ def test_word_reduction_and_parse():
 
 def test_word_parse_refuses_overlong_words_before_building_them():
     import tracemalloc
+    from functools import partial
 
     from leafspace.action import WORD_LETTER_LIMIT
 
     limit = "g^%d" % WORD_LETTER_LIMIT
     assert len(Word.parse(limit)) == WORD_LETTER_LIMIT
+    assert Word.generator("g", WORD_LETTER_LIMIT) == Word.generator("g") ** WORD_LETTER_LIMIT
+    assert (Word.identity() ** 10**30).is_identity
+    g = Word.generator("g")
+    builds = [partial(Word.parse, text)
+              for text in ("g^" + "9" * 30, "g^-" + "9" * 30, limit + " h", "g^2 " * 2049)]
+    builds += [partial(Word.generator, "g", 10**30), partial(Word.generator, "g", -10**30),
+               partial(pow, g, 10**30), partial(pow, g, -10**30)]
     tracemalloc.start()
     try:
-        for text in ("g^" + "9" * 30, "g^-" + "9" * 30, limit + " h", "g^2 " * 2049):
+        for build in builds:
             with pytest.raises(ValueError, match="letters"):
-                Word.parse(text)
+                build()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -475,8 +483,6 @@ def _sweep_models():
 
 
 def test_sweep_table_matches_fresh_relations():
-    from leafspace.action import image_relation, sweep
-
     for label, spec, depth in _sweep_models():
         trunc = expand(spec, depth)
         pts = canonical_points(trunc)
@@ -487,21 +493,10 @@ def test_sweep_table_matches_fresh_relations():
             first_use = elem not in elements
             assert (elem not in trunc.sweeps) == first_use, (label, w)
             rels = sweep(trunc, elem)
-            fresh = [image_relation(spec, trunc, p, image)
-                     for p, image in zip(pts, map(word_map(spec, w).point, pts))]
-            assert list(rels) == fresh, (label, depth, str(w))
+            assert rels == reference_sweep(trunc, word_map(spec, w)), (label, depth, str(w))
             assert sweep(trunc, elem) is rels
             elements.add(elem)
         assert set(trunc.sweeps) == elements
-
-
-def _reference_sweep(trunc, elem):
-    """The sweep as it was before orbits: one image relation per canonical
-    point, each in-window image decided by its own ``compare``."""
-    from leafspace.action import image_relation
-
-    return tuple(image_relation(trunc.spec, trunc, p, elem.point(p))
-                 for p in trunc.canonical_points)
 
 
 def _offset_line():
@@ -565,7 +560,7 @@ def _assert_sweeps_match_reference(label, spec, depth, radius):
         trunc = expand(spec, depth)
         for elem, word in order:
             try:
-                want = _reference_sweep(trunc, elem)
+                want = reference_sweep(trunc, elem)
             except Exception as exc:        # the same error must come back
                 with pytest.raises(type(exc), match=re.escape(str(exc))):
                     sweep(trunc, elem)
@@ -594,7 +589,8 @@ def test_sweep_matches_reference_on_random_specs():
             _assert_sweeps_match_reference(f"seed {seed} {symmetric}", spec, 0, 3)
 
 
-def test_sweep_matches_reference_off_the_orbit_rule(tripod, tripod_inconsistent, updown):
+def test_sweep_matches_reference_off_the_orbit_rule(tripod, tripod_inconsistent, updown,
+                                                    monkeypatch):
     # unchecked generators (no orbit rule), disconnected and invalid windows
     from leafspace.action import _swept
     from leafspace.core import automorphism_problems
@@ -611,6 +607,23 @@ def test_sweep_matches_reference_off_the_orbit_rule(tripod, tripod_inconsistent,
     for seed in range(100):
         _assert_sweeps_match_reference(f"generators {seed}", _random_generator_set(seed),
                                        seed % 2, 2)
+    # an unchecked generator on a disconnected window: its cells join no
+    # class, and no compare runs across the two components
+    spec = _offset_line()
+    spec.add_generator("s", {"v": ("v", 0), "e": ("e", 1)}, check=False)
+    assert automorphism_problems(spec, spec.generators["s"])
+    for depth in range(4):
+        _assert_sweeps_match_reference("offset line + s", spec, depth, 3)
+        _, position, component = expand(spec, depth).sweep_cells
+        calls = _observe_compares(monkeypatch)
+        ball = list(element_ball(spec, 3)[0])
+        for order in (ball, ball[::-1]):
+            trunc = expand(spec, depth)
+            for elem in order:
+                sweep(trunc, elem)
+        monkeypatch.undo()
+        assert calls and all(component[position[x.cell]] == component[position[y.cell]]
+                             for x, y in calls), depth
     # the branches the models above stand for: images in the other
     # component, and an invalid window
     spec = _offset_line()
@@ -662,7 +675,7 @@ def test_an_inverse_sweep_reads_the_kept_sweep(monkeypatch):
     assert made
     rels = sweep(trunc, h.inverse())
     assert len(calls) == made
-    assert rels == _reference_sweep(trunc, h.inverse())
+    assert rels == reference_sweep(trunc, h.inverse())
 
 
 def test_the_suite_compares_at_most_half_as_often(monkeypatch):
@@ -678,8 +691,8 @@ def test_the_suite_compares_at_most_half_as_often(monkeypatch):
 
 def reference_classify_element(spec, word, depth):
     """classify_element as it was before the sweep table: one image
-    relation per canonical point, computed in the loop."""
-    from leafspace.action import ElementProfile, _entry, _fixed_cells, image_relation
+    relation per canonical point (``reference_sweep``), scanned in a loop."""
+    from leafspace.action import ElementProfile, _entry, _fixed_cells
     from leafspace.core import require_valid
 
     trunc = spec.window(depth)
@@ -692,8 +705,7 @@ def reference_classify_element(spec, word, depth):
         break
     pos_witness = neg_witness = None
     tainted = trunc.has_truncation
-    for p in canonical_points(trunc):
-        rel = image_relation(spec, trunc, p, elem.point(p))
+    for p, rel in zip(canonical_points(trunc), reference_sweep(trunc, elem)):
         if rel is None:
             tainted = True
         elif rel is Comparability.LESS and pos_witness is None:
@@ -709,8 +721,6 @@ def reference_classify_element(spec, word, depth):
 
 
 def test_classify_element_matches_reference(tripod, updown):
-    from leafspace.action import image_relation
-
     models = list(_sweep_models()) + [("tripod", tripod, 2), ("updown", updown, 3)]
     for label, spec, depth in models:
         for w in reduced_words(spec.generators, 4):
@@ -724,8 +734,7 @@ def test_classify_element_matches_reference(tripod, updown):
             trunc = spec.window(depth)
             sample = comparable_sample(spec, w, depth)
             assert [p for p, _ in sample.answers] == canonical_points(trunc)
-            for p, answer in sample.answers:
-                rel = image_relation(spec, trunc, p, act(spec, w, p))
+            for (p, answer), rel in zip(sample.answers, reference_sweep(trunc, word_map(spec, w))):
                 assert answer is (Tri.TRUNCATED if rel is None else
                                   Tri.YES if rel in (Comparability.EQUAL, Comparability.LESS,
                                                      Comparability.GREATER) else Tri.NO)
