@@ -9,8 +9,8 @@ so an element is its own exact key for deduplication and identity tests.
 A membership sweep relates every canonical point of a window to its
 image under one element.  Each window sweeps an element once: ``sweep``
 keeps the relations on the window (``Truncation.sweeps``), keyed by the
-element, and every full sweep -- ``classify_element``,
-``comparable_sample`` and the suite's checkers -- reads them from there.
+element, and every membership question reads them from there, for all
+points (``classify_element``, ``comparable_sample``) or one (``_relation``).
 An automorphism w preserves order, so p relates to w.p as c.p relates to
 w.c.p for each automorphism c that commutes with w.  A sweep of w costs
 one ``compare`` per class of cells that w and those generators join in
@@ -280,9 +280,9 @@ def _sweep_table(trunc, elem):
     """``_swept`` computed afresh: the kept sweep of w^-1, mirrored, is
     looked up first; else one ``image_relation`` answers each class of
     ``_classes`` (the cells w and its commuting automorphism generators
-    join; single cells if w is no automorphism) at a pair in one component.
-    Images beyond the window get one ``_same_glued_chain_relation`` per
-    family."""
+    join; single cells if w is no automorphism, tested only when a
+    generator is none) at a pair in one component.  Images beyond the
+    window get one ``_same_glued_chain_relation`` per family."""
     spec, points = trunc.spec, trunc.canonical_points
     inverse = elem.inverse()
     kept = trunc.sweeps.get(inverse)
@@ -297,7 +297,8 @@ def _sweep_table(trunc, elem):
         return tuple(rels), kept[1]
     if any(a < b for a, b, _ in runs):      # where an in-window image needs a compare
         require_routable(trunc)
-    orbits = _classes(blocks, [] if automorphism_problems(spec, elem) else [elem] + [
+    unchecked = len(trunc.automorphisms) < len(spec.generators)
+    orbits = _classes(blocks, [] if unchecked and automorphism_problems(spec, elem) else [elem] + [
         c for c in trunc.automorphisms if c not in (elem, inverse) and c * elem == elem * c])
     relation = {None: None}     # class -> its relation; None keys a pair across components
     for a, b, offset in runs:
@@ -345,16 +346,19 @@ def _membership(rel):
     return Tri.YES if rel in COMPARABLE else Tri.NO
 
 
-def _member(trunc, elem, point):
-    """Membership of a window point, for an element composed by the caller."""
-    return _membership(image_relation(trunc.spec, trunc, point, elem.point(point)))
+def _relation(trunc, elem, point):
+    """Image relation of a window point: the element's kept sweep at the
+    point's cell, constant on the cell's interior (images keep t, a route
+    between two edge cells does not depend on t, a fixed cell is fixed
+    pointwise)."""
+    return _swept(trunc, elem)[0][trunc.sweep_cells[1][point.cell]]
 
 
 def in_comparable_set(spec, word, point, depth):
     """Whether the point is comparable with its image, on the given window."""
     trunc = spec.window(depth)
     trunc.require_point(point)
-    return _member(trunc, word_map(spec, word), point)
+    return _membership(_relation(trunc, word_map(spec, word), point))
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,9 @@ hypothesis does not hold for the given arguments.  Violation witnesses
 replay: re-running the cited primitive operations on the witness
 reproduces the violation.
 
+Every checker and instance discovery read whether a point is comparable
+with its image from the window's kept sweep (``action._relation``).
+
 The checkers named in :data:`SCREENS` (fix propagation, faithfulness,
 the infinite-locus screen) test necessary conditions for a model to arise
 from a leafwise hyperbolic taut foliation: a Violation there means the
@@ -39,13 +42,12 @@ from .paths import (
 from .action import (
     Word,
     _classify,
-    _member,
     _membership,
+    _relation,
     _swept,
     branching_type,
     comparable_sample,
     element_ball,
-    image_relation,
     shortlex,
     sweep,
     word_map,
@@ -86,18 +88,6 @@ class CheckReport:
         }
 
 
-def _certified(trunc, elem, point, want, label):
-    """Require a certified comparison between a point and its image under
-    an element composed by the caller."""
-    trunc.require_point(point)
-    rel = image_relation(trunc.spec, trunc, point, elem.point(point))
-    if rel is None:
-        return None
-    if rel is not want:
-        raise PreconditionFailed(f"{label}: expected {want.value}, got {rel.value}")
-    return rel
-
-
 def check_lower_bound(spec, word, lam, mu, depth):
     """On a one-sided-positively-branching model, a common lower bound of
     a point and its image is itself comparable with its own image."""
@@ -116,7 +106,7 @@ def check_lower_bound(spec, word, lam, mu, depth):
         rel = compare(trunc, lam, b)     # a valid window is connected: never TRUNCATED
         if rel is not Comparability.LESS:
             raise PreconditionFailed(f"{label} fails: {rel.value}")
-    member = _member(trunc, elem, lam)
+    member = _membership(_relation(trunc, elem, lam))
     if member is Tri.YES:
         return CheckReport.make("check_lower_bound", PASS, depth=depth,
                                 witness={"word": word, "lam": lam})
@@ -135,7 +125,7 @@ def check_path_in_comparable_set(spec, word, lam, mu, depth):
     elem = word_map(spec, word)
     for pt, label in ((lam, "lam"), (mu, "mu")):
         trunc.require_point(pt)
-        member = _member(trunc, elem, pt)
+        member = _membership(_relation(trunc, elem, pt))
         if member is Tri.NO:
             raise PreconditionFailed(f"{label} is not comparable with its image")
         if member is Tri.TRUNCATED:
@@ -153,7 +143,7 @@ def check_path_in_comparable_set(spec, word, lam, mu, depth):
                 return CheckReport.make(name, VIOLATION, depth=depth, witness={
                     "word": word, "junction": j, "point": pt, role: image})
     for pt in sample_points(gamma):
-        member = _member(trunc, elem, pt)
+        member = _membership(_relation(trunc, elem, pt))
         if member is Tri.NO:
             return CheckReport.make(name, VIOLATION, depth=depth,
                                     witness={"word": word, "point": pt})
@@ -232,7 +222,7 @@ def check_odd_path(spec, word, lam, k_max, depth):
     trunc = spec.window(depth)
     trunc.require_point(lam)
     elem = word_map(spec, word)
-    member = _member(trunc, elem, lam)
+    member = _membership(_relation(trunc, elem, lam))
     if member is Tri.YES:
         raise PreconditionFailed("lam is comparable with its image")
     if member is Tri.TRUNCATED:
@@ -241,13 +231,11 @@ def check_odd_path(spec, word, lam, k_max, depth):
     length = path(trunc, lam, elem.point(lam)).length
     if length % 2 == 0:
         raise PreconditionFailed(f"path length {length} is even")
-    power = elem
     for k in range(1, k_max + 1):
-        for x, rel in zip(trunc.canonical_points, sweep(trunc, power)):
+        for x, rel in zip(trunc.canonical_points, sweep(trunc, elem ** k)):
             if rel in COMPARABLE:
                 return CheckReport.make(name, VIOLATION, depth=depth, witness={
                     "word": word, "k": k, "point": x})
-        power = power * elem
     return CheckReport.make(name, PASS, depth=depth, witness={
         "word": word, "path_length": length, "k_max": k_max})
 
@@ -263,13 +251,13 @@ def check_return(spec, word, lam, k, depth):
     trunc = spec.window(depth)
     trunc.require_point(lam)
     elem = word_map(spec, word)
-    member = _member(trunc, elem, lam)
+    member = _membership(_relation(trunc, elem, lam))
     if member is Tri.YES:
         raise PreconditionFailed("lam is comparable with its image")
     if member is Tri.TRUNCATED:
         return CheckReport.make(name, TRUNCATED, depth=depth)
     power = elem ** k
-    member_k = _member(trunc, power, lam)
+    member_k = _membership(_relation(trunc, power, lam))
     if member_k is Tri.NO:
         raise PreconditionFailed(f"lam is not comparable with its image under the {k}-th power")
     if member_k is Tri.TRUNCATED:
@@ -444,10 +432,14 @@ def check_intermediate_fixed(spec, word, x_pos, x_neg, depth):
     trunc = spec.window(depth)
     trunc.require_point(x_pos)      # an out-of-window point is reported before an unknown generator
     elem = word_map(spec, word)
-    if _certified(trunc, elem, x_pos, Comparability.LESS, "x_pos") is None:
-        return CheckReport.make(name, TRUNCATED, depth=depth)
-    if _certified(trunc, elem, x_neg, Comparability.GREATER, "x_neg") is None:
-        return CheckReport.make(name, TRUNCATED, depth=depth)
+    for pt, want, label in ((x_pos, Comparability.LESS, "x_pos"),
+                            (x_neg, Comparability.GREATER, "x_neg")):
+        trunc.require_point(pt)
+        rel = _relation(trunc, elem, pt)
+        if rel is None:
+            return CheckReport.make(name, TRUNCATED, depth=depth)
+        if rel is not want:
+            raise PreconditionFailed(f"{label}: expected {want.value}, got {rel.value}")
     try:
         gamma = path(trunc, x_pos, x_neg)
     except TruncatedError:
@@ -639,10 +631,8 @@ def discover_instances(spec, depth, word_len):
             instances["check_odd_path"].append(
                 {"word": word, "lam": odd_lam, "k_max": min(4, word_len)})
         if even_lam is not None:
-            power = elem
             for k in range(2, max(3, word_len // 2) + 1):
-                power = power * elem
-                if _member(trunc, power, even_lam) is Tri.YES:
+                if _relation(trunc, elem ** k, even_lam) in COMPARABLE:
                     instances["check_return"].append(
                         {"word": word, "lam": even_lam, "k": k})
                     break

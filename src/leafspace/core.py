@@ -292,8 +292,8 @@ class LeafSpaceSpec:
 
     def add_generator(self, name, maps, check=True):
         """Store a generator as the Element it is.  Whatever ``check`` says,
-        the map must be a bijection of the families with integer shifts
-        (else UnresolvedName, or BadOffset for a shift); ``check`` also
+        the map must be a kind-keeping bijection of the families with integer
+        shifts (else UnresolvedName, or BadOffset for a shift); ``check`` also
         requires resolvable declarations and a map that preserves every
         rule (``automorphism_problems``).  A rejected map changes nothing."""
         if check:
@@ -303,6 +303,8 @@ class LeafSpaceSpec:
             problems = ["cell map must cover every family exactly once"]
         elif sorted(img for img, _ in maps.values()) != fams:
             problems = ["family map is not a bijection"]
+        elif any(self.families[f].kind != self.families[g].kind for f, (g, _) in maps.items()):
+            problems = ["family map exchanges vertex and edge families"]
         else:
             for _, shift in maps.values():
                 if not isinstance(shift, int):

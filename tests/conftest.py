@@ -33,13 +33,18 @@ def reference_word_map(spec, word):
     return total
 
 
-def reference_sweep(trunc, elem):
-    """The sweep point by point: one image relation per canonical point,
-    each in-window image decided by its own ``compare``."""
+def reference_relation(trunc, elem, point):
+    """The per-point rule: the image relation of one window point, decided
+    by its own ``compare`` when the image lies in the window."""
     from leafspace.action import image_relation
 
-    return tuple(image_relation(trunc.spec, trunc, p, elem.point(p))
-                 for p in trunc.canonical_points)
+    return image_relation(trunc.spec, trunc, point, elem.point(point))
+
+
+def reference_sweep(trunc, elem):
+    """The sweep point by point: ``reference_relation`` at every canonical
+    point."""
+    return tuple(reference_relation(trunc, elem, p) for p in trunc.canonical_points)
 
 
 def act_cell(spec, word, cell):

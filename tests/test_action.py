@@ -21,7 +21,9 @@ from leafspace.action import (
     sweep,
     word_map,
 )
-from conftest import act_cell, build_swap_k, reduced_words, reference_sweep, reference_word_map
+from conftest import (
+    act_cell, build_swap_k, build_tripod, build_updown, reduced_words, reference_relation,
+    reference_sweep, reference_word_map)
 from leafspace.paths import Comparability, compare
 from leafspace.core import branch_loci
 from leafspace.randspec import RandomParams, random_spec
@@ -417,6 +419,10 @@ def test_bad_generator_map_is_rejected_at_add():
                       "generator 'h' shift 1.0 is not an integer"))
         cases.append((lambda: gallery("LINE").spec, {"v": ("v", 1.0), "e": ("e", 1.0)}, check,
                       BadOffset, "generator 'h' shift 1.0 is not an integer"))
+        # a vertex's image would be an edge cell with no interior coordinate
+        cases.append((lambda: gallery("YPLUS").spec, {"a": ("s", 0), "s": ("a", 0), "b": ("b", 0),
+                                                      "p": ("p", 0), "q": ("q", 0)}, check,
+                      UnresolvedName, "family map exchanges vertex and edge families"))
     for build, maps, check, error, message in cases:
         spec = build()
         window, generators = spec.window(1), dict(spec.generators)
@@ -646,6 +652,70 @@ def test_sweep_matches_reference_off_the_orbit_rule(tripod, tripod_inconsistent,
         classes.setdefault(orbit, set()).add(p.cell[0])
     assert t * f == f * t and automorphism_problems(spec, f)
     assert sorted(map(sorted, classes.values())) == [["d"], ["e"], ["v"], ["x"]]
+
+
+def _membership_models():
+    """The models whose membership reads are checked against the per-point
+    rule, as (label, spec, depth)."""
+    from leafspace.gallery import GALLERY_NAMES, gallery
+    from test_checkers import _stem_to_branch, build_odd_involution
+
+    for name in GALLERY_NAMES:
+        for depth in list(range(9)) + [64]:
+            yield name, gallery(name).spec, depth
+    for depth in range(5):
+        yield "swap+k", build_swap_k(), depth
+    for seed in range(100):
+        for symmetric in (False, True):
+            yield (f"seed {seed} {symmetric}",
+                   random_spec(RandomParams(seed=seed, symmetric=symmetric)), seed % 3)
+    unchecked = [("tripod", build_tripod()), ("tripod-inconsistent", build_tripod(False, True)),
+                 ("updown", build_updown()), ("two lines", _two_lines()),
+                 ("stem to branch", _stem_to_branch()), ("odd involution", build_odd_involution())]
+    for depth in range(4):
+        for label, spec in unchecked:
+            yield label, spec, depth
+
+
+def test_membership_reads_match_the_per_point_rule():
+    """The kept sweep read at a point's cell equals the per-point rule at
+    every canonical point and at every sample point of the paths from
+    (every few) canonical points to their images and to the last one, for
+    each element of the radius-2 ball; a raise must be the rule's own."""
+    from leafspace.action import _relation
+    from leafspace.core import LeafSpaceError
+    from leafspace.paths import path, sample_points
+    from test_checkers import _outcome
+
+    off_canonical = 0
+    for label, spec, depth in _membership_models():
+        trunc = expand(spec, depth)
+        pts = trunc.canonical_points
+        for elem, word in element_ball(spec, 2)[0].items():
+            points = dict.fromkeys(pts)
+            for p in pts[::max(1, len(pts) // 16)]:
+                for q in (elem.point(p), pts[-1]):
+                    try:
+                        points.update(dict.fromkeys(sample_points(path(trunc, p, q))))
+                    except LeafSpaceError:      # out of the window, truncated or unroutable
+                        pass
+            off_canonical += len(points) - len(pts)
+            for x in points:
+                want = _outcome(reference_relation, trunc, elem, x)
+                assert _outcome(_relation, trunc, elem, x) == want, (label, depth, str(word), str(x))
+    assert off_canonical > 1000
+
+
+def test_membership_on_an_unroutable_window_raises_for_any_in_window_image():
+    # t sends p[1] beyond the depth-1 window, which fails routing; the
+    # per-point rule leaves that one image undecided, but the read sweeps
+    # the window and routes the images that stay inside it
+    spec, t = _double_germ(), Word.generator("t")
+    trunc = expand(spec, 1)
+    assert reference_relation(trunc, word_map(spec, t), mid_point("p", 1)) is None
+    for p in (mid_point("p", 1), mid_point("p", 0)):
+        with pytest.raises(InvalidModel, match="2 germs"):
+            in_comparable_set(spec, t, p, 1)
 
 
 def _observe_compares(monkeypatch):

@@ -31,7 +31,8 @@ from leafspace.gallery import GALLERY_NAMES, gallery
 from leafspace.paths import path
 from leafspace.randspec import RandomParams, random_spec
 
-from conftest import act_cell, build_swap_k, build_tripod, build_updown, reduced_words
+from conftest import (
+    act_cell, build_swap_k, build_tripod, build_updown, reduced_words, reference_relation)
 
 
 def swap_locus(swap, depth=4):
@@ -55,6 +56,21 @@ def test_lower_bound_all_low_points(comb):
                 vertex_point("a", -2), mid_point("sp", -2)):
         rep = check_lower_bound(comb.spec, u, lam, vertex_point("a", -1), 3)
         assert rep.verdict == PASS
+
+
+def test_lower_bound_flags_inconsistent_action(tripod_inconsistent):
+    # f fixes pa but claims to swap a and b: a lies below pa and below
+    # f(pa) = pa, yet a is incomparable with its image b (the brute-force
+    # oracle agrees), so the lemma's conclusion fails
+    from bruteforce import Oracle
+
+    spec, f = tripod_inconsistent, Word.generator("f")
+    lam, mu = vertex_point("a"), mid_point("pa")
+    assert Oracle(spec).compare(lam, act(spec, f, lam)) == "incomparable"
+    for depth in (0, 2):
+        rep = check_lower_bound(spec, f, lam, mu, depth)
+        assert rep.verdict == VIOLATION
+        assert dict(rep.witness) == {"lam": "a[0]", "membership": "no", "word": "f"}
 
 
 def test_lower_bound_guards(swap, zigzag):
@@ -98,6 +114,21 @@ def test_c2_flags_inconsistent_action(tripod_inconsistent):
     assert witness["point"] == "a[0]"
     # the violation replays on the primitive operation
     assert act(spec, f, vertex_point("a")) == vertex_point("b")
+
+
+def test_c2_flags_a_moved_point_inside_a_monotone_path(tripod_inconsistent):
+    # the path from s up to pa has no junction, and both ends are fixed,
+    # but f sends the vertex a it passes to b, incomparable with a
+    from bruteforce import Oracle
+
+    spec, f = tripod_inconsistent, Word.generator("f")
+    a = vertex_point("a")
+    assert Oracle(spec).compare(a, act(spec, f, a)) == "incomparable"
+    for depth in (0, 2):
+        assert path(spec.window(depth), mid_point("s"), mid_point("pa")).junctions == ()
+        rep = check_path_in_comparable_set(spec, f, mid_point("s"), mid_point("pa"), depth)
+        assert rep.verdict == VIOLATION
+        assert dict(rep.witness) == {"point": "a[0]", "word": "f"}
 
 
 def test_c2_guard(swap):
@@ -588,18 +619,19 @@ def test_faithfulness_matches_reference():
 def reference_check_odd_path(spec, word, lam, k_max, depth):
     """check_odd_path as it was before the sweep table: each power's sweep
     runs in the loop and stops at the first comparable point."""
-    from leafspace.action import canonical_points, image_relation
+    from leafspace.action import _membership, canonical_points, image_relation
     from leafspace.checkers import TRUNCATED, CheckReport
     from leafspace.paths import COMPARABLE
 
     name = "check_odd_path"
-    member = in_comparable_set(spec, word, lam, depth)
+    trunc = spec.window(depth)
+    trunc.require_point(lam)
+    member = _membership(reference_relation(trunc, word_map(spec, word), lam))
     if member is Tri.YES:
         raise PreconditionFailed("lam is comparable with its image")
     if member is Tri.TRUNCATED:
         return CheckReport.make(name, TRUNCATED, depth=depth,
                                 notes=("membership of lam undecided",))
-    trunc = spec.window(depth)
     gamma = path(trunc, lam, act(spec, word, lam))
     if gamma.length % 2 == 0:
         raise PreconditionFailed(f"path length {gamma.length} is even")
@@ -810,7 +842,7 @@ def reference_discover_instances(spec, depth, word_len):
     """discover_instances as it was before up-cone walks and length counts:
     the parity search lifts a path from each incomparable point to its
     image until it has seen an odd and an even length."""
-    from leafspace.action import _member, sweep
+    from leafspace.action import sweep
     from leafspace.checkers import CHECKERS, _basic_words
     from leafspace.core import LeafSpaceError
     from leafspace.paths import COMPARABLE, Comparability
@@ -860,7 +892,7 @@ def reference_discover_instances(spec, depth, word_len):
             power = elem
             for k in range(2, max(3, word_len // 2) + 1):
                 power = power * elem
-                if _member(trunc, power, even_lam) is Tri.YES:
+                if reference_relation(trunc, power, even_lam) in COMPARABLE:
                     instances["check_return"].append(
                         {"word": word, "lam": even_lam, "k": k})
                     break
