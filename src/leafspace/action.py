@@ -233,19 +233,12 @@ def _same_glued_chain_relation(spec, point, image):
     return Comparability.LESS if ascending else Comparability.GREATER
 
 
-def image_relation(spec, trunc, point, image):
-    """Comparability of a point with its image, or None when the window
-    cannot decide it."""
-    if trunc.contains_point(image):
-        rel = compare(trunc, point, image)
-        return None if rel is Comparability.TRUNCATED else rel
-    return _same_glued_chain_relation(spec, point, image)
-
-
 def sweep(trunc, elem):
     """Image relation of every canonical point of the window under one
-    element, in canonical order (``image_relation``: None where the
-    window cannot decide).  Computed once per window and element."""
+    element, in canonical order: its ``compare`` with its image, or the
+    order of a glued chain holding both for an image beyond the window;
+    None where the window cannot decide.  Computed once per window and
+    element."""
     return _swept(trunc, elem)[0]
 
 
@@ -278,11 +271,12 @@ _MIRROR = {None: None, **{rel: rel for rel in Comparability},    # rel(q, p) fro
 
 def _sweep_table(trunc, elem):
     """``_swept`` computed afresh: the kept sweep of w^-1, mirrored, is
-    looked up first; else one ``image_relation`` answers each class of
+    looked up first; else one ``compare`` answers each class of
     ``_classes`` (the cells w and its commuting automorphism generators
     join; single cells if w is no automorphism, tested only when a
-    generator is none) at a pair in one component.  Images beyond the
-    window get one ``_same_glued_chain_relation`` per family."""
+    generator is none) at a pair in one component, Truncated read as
+    None.  Images beyond the window get one ``_same_glued_chain_relation``
+    per family."""
     spec, points = trunc.spec, trunc.canonical_points
     inverse = elem.inverse()
     kept = trunc.sweeps.get(inverse)
@@ -308,7 +302,8 @@ def _sweep_table(trunc, elem):
                     zip(keys, component[a:b], component[a + offset:b + offset])]
         for root, k in dict(zip(keys, range(a, b))).items():
             if root not in relation:
-                relation[root] = image_relation(spec, trunc, points[k], elem.point(points[k]))
+                rel = compare(trunc, points[k], elem.point(points[k]))
+                relation[root] = None if rel is Comparability.TRUNCATED else rel
         rels[a:b] = map(relation.__getitem__, keys)
     return tuple(rels), orbits
 

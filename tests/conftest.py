@@ -1,50 +1,8 @@
 import pytest
 
-from leafspace.action import Word, act
+from leafspace.action import act
 from leafspace.core import LeafSpaceSpec, ChainEndRule, Point, open_end, to_limit, to_vertex
 from leafspace.gallery import gallery
-
-
-def reduced_words(names, max_len, include_identity=True):
-    """Reference enumeration: every reduced word of length <= max_len
-    over ``names`` in shortlex order (shorter first, generators by name,
-    each letter before its inverse), built layer by layer without maps."""
-    alphabet = [(n, e) for n in sorted(names) for e in (1, -1)]
-    words = [Word.identity()] if include_identity else []
-    layer = [()]
-    for _ in range(max_len):
-        layer = [letters + (let,) for letters in layer for let in alphabet
-                 if not letters or letters[-1] != (let[0], -let[1])]
-        words.extend(Word(letters) for letters in layer)
-    return words
-
-
-def reference_word_map(spec, word):
-    """Reference composition: a word's action as a dict family -> (image
-    family, shift), built one letter at a time from the generator maps
-    (letters apply right to left), with each inverse read off the map
-    itself rather than from ``Element.inverse``."""
-    total = {fam: (fam, 0) for fam in spec.families}
-    for name, exp in reversed(word.letters):
-        maps = spec.generators[name].maps
-        step = maps if exp == 1 else {img: (fam, -shift) for fam, (img, shift) in maps.items()}
-        total = {fam: (step[img][0], shift + step[img][1])
-                 for fam, (img, shift) in total.items()}
-    return total
-
-
-def reference_relation(trunc, elem, point):
-    """The per-point rule: the image relation of one window point, decided
-    by its own ``compare`` when the image lies in the window."""
-    from leafspace.action import image_relation
-
-    return image_relation(trunc.spec, trunc, point, elem.point(point))
-
-
-def reference_sweep(trunc, elem):
-    """The sweep point by point: ``reference_relation`` at every canonical
-    point."""
-    return tuple(reference_relation(trunc, elem, p) for p in trunc.canonical_points)
 
 
 def act_cell(spec, word, cell):

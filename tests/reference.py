@@ -1,0 +1,761 @@
+"""The kept references: each an older or plainer computation of what the
+library computes, that a test checks the library against.
+
+Each reference is the algorithm as it was before the library's faster
+form replaced it (or a direct scan where the library reads a table), so
+it shares no table with the code under test.  What a reference computes
+per window but not per pair (the jump chains and the transit pieces of
+the reference lift) is kept per window in ``_KEPT``.
+
+``tests/bruteforce.py`` is the other independent check: an oracle that
+enumerates arcs on unit-only models, also used by perfbench.
+"""
+
+import weakref
+from fractions import Fraction
+
+from leafspace import paths as paths_mod
+from leafspace.action import (
+    ElementProfile,
+    Word,
+    _entry,
+    _fixed_cells,
+    _membership,
+    _same_glued_chain_relation,
+    act,
+    act_locus,
+    branching_type,
+    canonical_points,
+    sweep,
+    word_map,
+)
+from leafspace.checkers import (
+    CHECKERS,
+    PAIR_SEARCH_LIMIT,
+    PASS,
+    TRUNCATED,
+    VIOLATION,
+    CheckReport,
+    StabilizerBall,
+    _basic_words,
+)
+from leafspace.core import (
+    HIGH,
+    LOW,
+    InvalidModel,
+    LeafSpaceError,
+    Point,
+    PreconditionFailed,
+    Tri,
+    TruncatedError,
+    branch_loci,
+    chain_end_ascends,
+    edge_hops,
+    expand,
+    mid_point,
+    require_routable,
+    require_valid,
+    validate,
+    vertex_point,
+)
+from leafspace.formats import SemanticError
+from leafspace.paths import (
+    ASC,
+    COMPARABLE,
+    Comparability,
+    Interval,
+    Path,
+    PathJunction,
+    compare,
+    path,
+)
+
+from conftest import act_cell
+
+
+_KEPT = weakref.WeakKeyDictionary()     # window -> {key: what a reference keeps for it}
+
+
+# -- words and their actions ----------------------------------------------------
+
+
+def reduced_words(names, max_len, include_identity=True):
+    """Reference enumeration: every reduced word of length <= max_len
+    over ``names`` in shortlex order (shorter first, generators by name,
+    each letter before its inverse), built layer by layer without maps."""
+    alphabet = [(n, e) for n in sorted(names) for e in (1, -1)]
+    words = [Word.identity()] if include_identity else []
+    layer = [()]
+    for _ in range(max_len):
+        layer = [letters + (let,) for letters in layer for let in alphabet
+                 if not letters or letters[-1] != (let[0], -let[1])]
+        words.extend(Word(letters) for letters in layer)
+    return words
+
+
+def reference_word_map(spec, word):
+    """Reference composition: a word's action as a dict family -> (image
+    family, shift), built one letter at a time from the generator maps
+    (letters apply right to left), with each inverse read off the map
+    itself rather than from ``Element.inverse``."""
+    total = {fam: (fam, 0) for fam in spec.families}
+    for name, exp in reversed(word.letters):
+        maps = spec.generators[name].maps
+        step = maps if exp == 1 else {img: (fam, -shift) for fam, (img, shift) in maps.items()}
+        total = {fam: (step[img][0], shift + step[img][1])
+                 for fam, (img, shift) in total.items()}
+    return total
+
+
+# -- membership, point by point ----------------------------------------------------
+
+
+def image_relation(spec, trunc, point, image):
+    """Comparability of a point with its image, or None when the window
+    cannot decide it: ``compare`` when the image lies in the window, else
+    the order of a glued chain holding both."""
+    if trunc.contains_point(image):
+        rel = compare(trunc, point, image)
+        return None if rel is Comparability.TRUNCATED else rel
+    return _same_glued_chain_relation(spec, point, image)
+
+
+def reference_relation(trunc, elem, point):
+    """The per-point rule: the image relation of one window point, decided
+    by its own ``compare`` when the image lies in the window."""
+    return image_relation(trunc.spec, trunc, point, elem.point(point))
+
+
+def reference_sweep(trunc, elem):
+    """The sweep point by point: ``reference_relation`` at every canonical
+    point."""
+    return tuple(reference_relation(trunc, elem, p) for p in trunc.canonical_points)
+
+
+def reference_classify_element(spec, word, depth):
+    """classify_element as it was before the sweep table: one image
+    relation per canonical point (``reference_sweep``), scanned in a loop."""
+    trunc = spec.window(depth)
+    require_valid(trunc)
+    elem = word_map(spec, word)
+    fixed = _fixed_cells(trunc, elem)
+    tan_witness = None
+    for cell in fixed:
+        tan_witness = (vertex_point(*cell) if trunc.has_vertex(cell) else mid_point(*cell))
+        break
+    pos_witness = neg_witness = None
+    tainted = trunc.has_truncation
+    for p, rel in zip(canonical_points(trunc), reference_sweep(trunc, elem)):
+        if rel is None:
+            tainted = True
+        elif rel is Comparability.LESS and pos_witness is None:
+            pos_witness = p
+        elif rel is Comparability.GREATER and neg_witness is None:
+            neg_witness = p
+    return ElementProfile(
+        word, depth,
+        tangentiable=_entry(tan_witness, tainted),
+        pos_transversable=_entry(pos_witness, tainted),
+        neg_transversable=_entry(neg_witness, tainted),
+    )
+
+
+# -- routes, lifts and compare ---------------------------------------------------------
+#
+# The route, the lift and ``compare`` as they were before routes found their
+# meeting node by jump pointers, before each window kept a transit table
+# (every crossing of a collapsed node re-runs the jump search and builds its
+# points, junctions and degenerate intervals afresh) and before ``compare``
+# read prefix counts.  The reference keeps each crossing's pieces per window
+# and anchor pair instead: they depend on nothing else.
+
+_REF_PT = (("pt", 0), ("pt", 1))
+_UNROUTED = object()        # no route given: the reference routes the pair itself
+
+
+def reference_route(trunc, x, y):
+    """The route climbing one node at a time: the deeper end (x's on a tie)
+    takes its stored hop up, and a point inside an edge cell is a ("pt", k)
+    node that re-hangs its edge's child end below itself."""
+    if not x.is_vertex and not y.is_vertex and x.cell == y.cell:
+        (s, a), (t, b) = sorted(((x.t, _REF_PT[0]), (y.t, _REF_PT[1])))
+        ascending, descending = edge_hops(trunc.edge_index[x.cell], (s, t), a, b, None, None)
+        return [ascending if a == _REF_PT[0] else descending]
+    rooting, edges = trunc.rooting, trunc.graph_edges
+    moved = {}      # node -> (hop up, hop down) where a split edge re-hangs it
+    level = {}      # ("pt", k) -> doubled depth, between its edge's two ends
+    ends = []
+    for pt, point in zip(_REF_PT, (x, y)):
+        if point.is_vertex:
+            ends.append(trunc.vertex_node(point.cell))
+            continue
+        eid = trunc.edge_index[point.cell]
+        _, lo, hi, a_lo, a_hi = edges[eid]
+        low = edge_hops(eid, (Fraction(0), point.t), lo, pt, a_lo, None)
+        high = edge_hops(eid, (point.t, Fraction(1)), pt, hi, None, a_hi)
+        if rooting[lo][1] == eid:
+            moved[pt], moved[lo], parent = high, low, hi
+        else:
+            moved[pt], moved[hi], parent = low[::-1], high[::-1], lo
+        level[pt] = 2 * rooting[parent][2] + 1
+        ends.append(pt)
+    a, b = ends
+    route, tail = [], []
+    while a != b:
+        climb_a = (level[a] if a in level else 2 * rooting[a][2]) >= \
+            (level[b] if b in level else 2 * rooting[b][2])
+        node = a if climb_a else b
+        up, down = moved.get(node) or rooting[node][3:]
+        if up is None:
+            return None
+        if climb_a:
+            route.append(up)
+            a = up[3]
+        else:
+            tail.append(down)
+            b = up[3]
+    route.extend(reversed(tail))
+    return route
+
+
+def _reference_jump_chain(trunc, entry, exit_):
+    """The reference jump search, run once per window and anchor pair: its
+    chain depends on nothing else."""
+    kept = _KEPT.setdefault(trunc, {})
+    key = ("chain", entry, exit_)
+    if key not in kept:
+        kept[key] = _reference_jump_search(trunc, entry, exit_)
+    return kept[key]
+
+
+def _reference_jump_search(trunc, entry, exit_):
+    starts = sorted(entry)
+    goals = set(exit_)
+    shared = sorted(set(starts) & goals)
+    if shared:
+        return [shared[0]]
+    parent = {c: None for c in starts}
+    frontier = list(starts)
+    hit = None
+    while frontier and hit is None:
+        nxt = []
+        for c in frontier:
+            for mate, _li in trunc._mates.get(c, ()):
+                if mate not in parent:
+                    parent[mate] = c
+                    if mate in goals and hit is None:
+                        hit = mate
+                    nxt.append(mate)
+        frontier = nxt
+    if hit is None:
+        raise InvalidModel("branch loci at a collapsed node are not jump-connected")
+    chain = [hit]
+    while parent[chain[-1]] is not None:
+        chain.append(parent[chain[-1]])
+    chain.reverse()
+    return chain
+
+
+def _reference_transit(trunc, entry, exit_):
+    """The pieces of one crossing, built from its jump chain: the first
+    point, the junctions between consecutive members, a degenerate interval
+    at each member strictly inside the chain, and the last point."""
+    chain = _reference_jump_chain(trunc, entry, exit_)
+    junctions = tuple(PathJunction(Point(a), Point(b), trunc.loci[trunc.common_locus(a, b)])
+                      for a, b in zip(chain, chain[1:]))
+    between = tuple(Interval(Point(b), Point(b), ASC, (("vertex",) + b,)) for b in chain[1:-1])
+    return Point(chain[0]), junctions, between, Point(chain[-1])
+
+
+class _ReferenceBuilder:
+    def __init__(self, trunc, start):
+        self.trunc = trunc
+        self.intervals = []
+        self.junctions = []
+        self.steps = [("vertex",) + start.cell] if start.is_vertex else []
+        self.start = start
+        self.direction = None
+        self.kept = _KEPT.setdefault(trunc, {})
+
+    def vertex_step(self, cell):
+        step = ("vertex",) + cell
+        if not self.steps or self.steps[-1] != step:
+            self.steps.append(step)
+
+    def close(self, end):
+        self.intervals.append(Interval(
+            self.start, end, self.direction or ASC, tuple(self.steps)))
+
+    def transit(self, entry, exit_):
+        key = ("transit", entry, exit_)
+        pieces = self.kept.get(key)
+        if pieces is None:
+            pieces = self.kept[key] = _reference_transit(self.trunc, entry, exit_)
+        first, junctions, between, last = pieces
+        self.vertex_step(first.cell)
+        if not junctions:
+            return
+        self.close(first)
+        self.junctions += junctions
+        self.intervals += between
+        self.start = last
+        self.steps = [("vertex",) + last.cell]
+        self.direction = None
+
+    def traverse(self, eid, span, ascending):
+        direction = ASC if ascending else "descending"
+        if self.direction is None:
+            self.direction = direction
+        elif self.direction != direction:
+            raise InvalidModel("route lift is not monotone between junctions")
+        payload = self.trunc.graph_edges[eid][0]
+        if payload[0] == "tail":
+            self.steps.append(payload)
+        else:
+            lo_t, hi_t = span or (paths_mod._ZERO, paths_mod._ONE)
+            self.steps.append(("edge", payload[1], payload[2], lo_t, hi_t))
+
+
+def _reference_path(trunc, x, y, route=_UNROUTED):
+    if x == y:
+        steps = (("vertex",) + x.cell,) if x.is_vertex else (("edge",) + x.cell + (x.t, x.t),)
+        return Path((Interval(x, x, ASC, steps),), ())
+    if route is _UNROUTED:
+        route = reference_route(trunc, x, y)
+    if route is None:
+        raise TruncatedError("no route")
+    builder = _ReferenceBuilder(trunc, x)
+    pending = frozenset((x.cell,)) if x.is_vertex else None
+    for eid, span, frm, _, a_frm, a_to, ascending in route:
+        if frm[0] == "locus":
+            builder.transit(pending, a_frm)
+        elif frm[0] == "vertex":
+            builder.vertex_step(frm[1:])
+        builder.traverse(eid, span, ascending)
+        pending = a_to
+    final = ("pt", 1) if not y.is_vertex else trunc.vertex_node(y.cell)
+    if final[0] == "locus":
+        builder.transit(pending, frozenset((y.cell,)))
+        builder.vertex_step(y.cell)
+    elif final[0] == "vertex":
+        builder.vertex_step(y.cell)
+    builder.close(y)
+    return Path(tuple(builder.intervals), tuple(builder.junctions))
+
+
+def reference_compare(trunc, x, y, route=_UNROUTED):
+    """compare as it was before each window kept jump pointers and prefix
+    counts: the route walked hop by hop, the first jump making the points
+    incomparable and a hop against the first hop's direction raising."""
+    trunc.require_point(x)
+    trunc.require_point(y)
+    require_routable(trunc)
+    if x == y:
+        return Comparability.EQUAL
+    if route is _UNROUTED:
+        route = reference_route(trunc, x, y)
+    if route is None:
+        return Comparability.TRUNCATED
+    ascending = route[0][6] if route else None
+    pending = frozenset((x.cell,)) if x.is_vertex else None
+    for _, _, frm, _, a_frm, a_to, up in route:
+        if frm[0] == "locus" and pending.isdisjoint(a_frm):
+            return Comparability.INCOMPARABLE
+        if up is not ascending:
+            raise InvalidModel("route lift is not monotone between junctions")
+        pending = a_to
+    if y.is_vertex and trunc.vertex_node(y.cell)[0] == "locus" and y.cell not in pending:
+        return Comparability.INCOMPARABLE
+    return Comparability.LESS if ascending else Comparability.GREATER
+
+
+def _reference_sample_points(p):
+    """sample_points as it was, deduplicating over a list."""
+    seen = []
+
+    def add(pt):
+        if pt not in seen:
+            seen.append(pt)
+
+    for iv in p.intervals:
+        add(iv.start)
+        for step in iv.steps:
+            if step[0] == "vertex":
+                add(Point(step[1:3]))
+            elif step[0] == "edge":
+                lo, hi = step[3], step[4]
+                t = (lo + hi) / 2
+                if 0 < t < 1:
+                    add(Point(step[1:3], t))
+        add(iv.end)
+    return seen
+
+
+# -- window tables -------------------------------------------------------------------
+
+
+def reference_germ_providers(trunc, vcell, side):
+    """The providers of one germ found by scanning every end rule of the
+    spec, as before the germ table."""
+    spec = trunc.spec
+    vfam, j = vcell
+    vchain = spec.families[vfam].chain
+    want_end = HIGH if side == LOW else LOW
+    out = []
+    for (efam, end), rule in sorted(spec.ends.items()):
+        if end != want_end or rule.kind == "open":
+            continue
+        for tfam, off in rule.targets:
+            if tfam != vfam:
+                continue
+            ef = spec.families[efam]
+            if ef.chain and vchain:
+                i = j - off
+                out.append((("cell", efam, i), abs(i) <= trunc.depth and trunc.has_edge((efam, i))))
+            elif ef.chain and not vchain:
+                out.append((("cell-every", efam), False))
+            elif vchain:
+                if off == j:
+                    out.append((("cell", efam, 0), trunc.has_edge((efam, 0))))
+            else:
+                out.append((("cell", efam, 0), trunc.has_edge((efam, 0))))
+    for (efam, cside), rule in sorted(spec.chain_ends.items()):
+        if rule.kind != "limit" or vfam not in rule.targets:
+            continue
+        provides = LOW if chain_end_ascends(spec.families[efam].glue, cside) else HIGH
+        if provides == side:
+            out.append((("chain", efam, cside), True))
+    return out
+
+
+def reference_reject_overfull(spec):
+    """Reference for the overfull-side check: validate the depth-1 window
+    and keep its germ-count faults other than a missing germ, then count
+    the germs of the far chain vertex cells that unit edges name by
+    scanning the rules."""
+    try:
+        spec.check_wellformed()
+        trunc = expand(spec, 1)
+    except LeafSpaceError as exc:
+        raise SemanticError("model", str(exc)) from None
+    for violation in validate(trunc).violations:
+        if violation.code == "germ-count" and "has 0 germs" not in violation.message:
+            raise SemanticError("model", violation.message)
+    fams = spec.families
+    far = sorted({(vfam, off) for (efam, _), rule in spec.ends.items() if not fams[efam].chain
+                  for vfam, off in rule.targets
+                  if fams[vfam].kind == "vertex" and fams[vfam].chain})
+    for vfam, j in far:
+        for side in (LOW, HIGH):
+            germs = len(reference_germ_providers(trunc, (vfam, j), side))
+            if germs > 1:
+                raise SemanticError("model", f"{vfam}[{j}] has {germs} germs on its {side} side")
+
+
+def reference_vertex_neighbors(trunc, vcell):
+    """The cells incident to a window vertex read off the anchors of the
+    graph edges at the vertex's node, as before the germ table drove
+    ``cell_neighbors``: an edge anchored at the vertex itself or at the
+    stem of a locus holding it; a chain tail counts as its last window
+    cell."""
+    out = set()
+    for eid, _ in trunc.adjacency[trunc.vertex_node(vcell)]:
+        payload, _, _, a_lo, a_hi = trunc.graph_edges[eid]
+        for anchor in (a_lo, a_hi):
+            if anchor is not None and vcell in anchor:
+                if payload[0] == "cell":
+                    out.add(payload[1:3])
+                else:
+                    fam, side = payload[1:3]
+                    out.add((fam, -trunc.depth if side == "neg" else trunc.depth))
+    out.discard(vcell)
+    return sorted(out)
+
+
+def reference_edge_neighbors(trunc, cell):
+    """The cells incident to a window edge cell read off the anchors and
+    nodes of its graph edge, as before the germ table drove
+    ``cell_neighbors``: an anchored vertex, the members of an anchored
+    stem's locus, the cell across a glue junction, and the limit targets
+    past a chain's cut."""
+    out = set()
+    _, lo, hi, a_lo, a_hi = trunc.graph_edges[trunc.edge_index[cell]]
+    for anchor, node in ((a_lo, lo), (a_hi, hi)):
+        if anchor is not None:
+            out.update(anchor)
+        elif node[0] == "glue":
+            fam, n = node[1], node[2]
+            other = (fam, n) if (fam, n) != cell else (fam, n + 1)
+            if trunc.has_edge(other):
+                out.add(other)
+        elif node[0] == "cut":
+            rule = trunc.spec.chain_ends.get((node[1], node[2]))
+            if rule is not None and rule.kind == "limit":
+                out.update((v, 0) for v in rule.targets)
+    out.discard(cell)
+    return sorted(out)
+
+
+def reference_components(trunc, cells):
+    """The connected components of a set of window cells, by a plain
+    breadth-first search over ``reference_vertex_neighbors`` and
+    ``reference_edge_neighbors``: each a sorted list, ordered by least
+    cell."""
+    cells, comps = set(cells), []
+    for seed in sorted(cells):
+        if any(seed in comp for comp in comps):
+            continue
+        comp, frontier = {seed}, [seed]
+        while frontier:
+            grow = []
+            for cell in frontier:
+                neighbors = (reference_vertex_neighbors if trunc.has_vertex(cell)
+                             else reference_edge_neighbors)
+                for nbr in neighbors(trunc, cell):
+                    if nbr in cells and nbr not in comp:
+                        comp.add(nbr)
+                        grow.append(nbr)
+            frontier = grow
+        comps.append(sorted(comp))
+    return comps
+
+
+def reference_locus_groups(trunc):
+    """Vertex cell -> group id by union-find over the loci that share a
+    member, each group named by its smallest locus index, as before the
+    mate graph named them."""
+    parent = list(range(len(trunc.loci)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    owner = {}
+    for idx, locus in enumerate(trunc.loci):
+        for m in locus.members:
+            if m in owner:
+                parent[find(idx)] = find(owner[m])
+            else:
+                owner[m] = idx
+    groups = {}
+    for idx in range(len(trunc.loci)):
+        groups.setdefault(find(idx), []).append(idx)
+    return {m: min(idxs) for idxs in groups.values()
+            for li in idxs for m in trunc.loci[li].members}
+
+
+def reference_rooting(trunc):
+    """The rooting walked over neighbour lists sorted by edge payload."""
+    adj = {node: sorted(nbrs, key=lambda pair: (trunc.graph_edges[pair[0]][0], pair[1]))
+           for node, nbrs in trunc.adjacency.items()}
+    rooting = {}
+    for root in sorted(adj):
+        if root in rooting:
+            continue
+        rooting[root] = (None, None, 0)
+        frontier = [root]
+        while frontier:
+            node = frontier.pop()
+            for eid, other in adj[node]:
+                if other not in rooting:
+                    rooting[other] = (node, eid, rooting[node][2] + 1)
+                    frontier.append(other)
+    return rooting
+
+
+def reference_ladder_counts(trunc, node):
+    """(jumps, turns) of the crossings of node's proper ancestors but the
+    root, walked up parent by parent: a jump where the ancestor is a locus
+    node and the anchors arriving from below and leaving upward share no
+    vertex, else a turn where the two hops climb in opposite directions."""
+    rooting = trunc.rooting
+    jumps = turns = 0
+    up = rooting[node][3]
+    while up is not None:
+        above = rooting[up[3]][3]
+        if above is None:
+            break
+        if up[3][0] == "locus" and not up[5] & above[4]:
+            jumps += 1
+        elif up[6] != above[6]:
+            turns += 1
+        up = above
+    return jumps, turns
+
+
+# -- checkers and instance discovery ---------------------------------------------
+
+
+def reference_stabilizer_ball(spec, locus, radius):
+    """The ball from every reduced word: keep the first word of each
+    element (by ``word_map``) that fixes the locus setwise, then try each
+    nontrivial member's powers, composed letter by letter, as elements."""
+    members = locus.members
+    first = {}
+    for w in reduced_words(spec.generators, radius):
+        first.setdefault(word_map(spec, w), w)
+    ball = [w for w in first.values() if act_locus(spec, w, members) == members]
+    table = tuple((w, tuple(act_cell(spec, w, m) for m in members)) for w in ball)
+    nontrivial = any(images != members for _, images in table)
+    have = {word_map(spec, w) for w in ball if not w.is_identity}
+    cyclic, generator = not have, None
+    for cand in ball[1:]:
+        powers = set()
+        for base in (cand, cand.inverse()):
+            k = 1
+            while (power := word_map(spec, base ** k)) in have and power not in powers:
+                powers.add(power)
+                k += 1
+        if powers == have:
+            cyclic, generator = True, cand
+            break
+    return StabilizerBall(members, radius, tuple(ball), table, cyclic, generator, nontrivial)
+
+
+def reference_check_faithfulness(spec, max_word_len, depth):
+    """check_faithfulness as a loop over every reduced word in shortlex
+    order, each composed from its prefix's element: the first nontrivial
+    word that acts as the identity is the witness."""
+    name = "check_faithfulness"
+    if branching_type(spec, depth).value == "none":
+        raise PreconditionFailed(
+            "model shows no branching in the window; a fibration-like model "
+            "may act unfaithfully, so the check does not apply")
+    steps = {(n, e): word_map(spec, Word(((n, e),)))
+             for n in sorted(spec.generators) for e in (1, -1)}
+    identity = word_map(spec, Word.identity())
+    layer = [((), identity)]
+    for _ in range(max_word_len):
+        grow = []
+        for letters, elem in layer:
+            for let, step in steps.items():
+                if letters and letters[-1] == (let[0], -let[1]):
+                    continue
+                image = elem * step
+                if image == identity:
+                    return CheckReport.make(name, VIOLATION, depth=depth,
+                                            word_bound=max_word_len,
+                                            witness={"word": Word(letters + (let,))})
+                grow.append((letters + (let,), image))
+        layer = grow
+    return CheckReport.make(name, PASS, depth=depth, word_bound=max_word_len)
+
+
+def reference_check_odd_path(spec, word, lam, k_max, depth):
+    """check_odd_path as it was before the sweep table: each power's sweep
+    runs in the loop and stops at the first comparable point."""
+    name = "check_odd_path"
+    trunc = spec.window(depth)
+    trunc.require_point(lam)
+    member = _membership(reference_relation(trunc, word_map(spec, word), lam))
+    if member is Tri.YES:
+        raise PreconditionFailed("lam is comparable with its image")
+    if member is Tri.TRUNCATED:
+        return CheckReport.make(name, TRUNCATED, depth=depth,
+                                notes=("membership of lam undecided",))
+    gamma = path(trunc, lam, act(spec, word, lam))
+    if gamma.length % 2 == 0:
+        raise PreconditionFailed(f"path length {gamma.length} is even")
+    points = canonical_points(trunc)
+    for k in range(1, k_max + 1):
+        for x, image in zip(points, map(word_map(spec, word ** k).point, points)):
+            if image_relation(spec, trunc, x, image) in COMPARABLE:
+                return CheckReport.make(name, VIOLATION, depth=depth, witness={
+                    "word": word, "k": k, "point": x})
+    return CheckReport.make(name, PASS, depth=depth, witness={
+        "word": word, "path_length": gamma.length, "k_max": k_max})
+
+
+def _reference_find_comparable_pair(trunc, elem):
+    """The pair search as it was before up-cone walks: one ``compare`` per test."""
+    pts = trunc.canonical_points
+    tried = 0
+    for lam in pts:
+        for mu in pts:
+            if lam == mu:
+                continue
+            tried += 1
+            if tried > PAIR_SEARCH_LIMIT:
+                return None
+            if compare(trunc, lam, mu) is not Comparability.LESS:
+                continue
+            w_mu = elem.point(mu)
+            if not trunc.contains_point(w_mu):
+                continue
+            if compare(trunc, lam, w_mu) is Comparability.LESS:
+                return lam, mu
+    return None
+
+
+def reference_discover_instances(spec, depth, word_len):
+    """discover_instances as it was before up-cone walks and length counts:
+    the parity search lifts a path from each incomparable point to its
+    image until it has seen an odd and an even length."""
+    trunc = spec.window(depth)
+    points = trunc.canonical_points
+    loci = branch_loci(trunc)[:4]
+    one_sided_positive = branching_type(spec, depth).value == "one_sided_positive"
+    instances = {name: [] for name in CHECKERS}
+
+    for word in _basic_words(spec):
+        instances["check_connected_open"].append({"word": word})
+        elem = word_map(spec, word)
+
+        pair = _reference_find_comparable_pair(trunc, elem) if one_sided_positive else None
+        if pair is not None:
+            instances["check_lower_bound"].append(
+                {"word": word, "lam": pair[0], "mu": pair[1]})
+
+        images = [elem.point(p) for p in points]
+        rels = list(zip(points, sweep(trunc, elem)))
+
+        yes_points = [p for p, rel in rels if rel in COMPARABLE][:3]
+        for i, lam in enumerate(yes_points):
+            for mu in yes_points[i + 1:]:
+                instances["check_path_in_comparable_set"].append(
+                    {"word": word, "lam": lam, "mu": mu})
+
+        odd_lam = even_lam = None
+        for (p, rel), image in zip(rels, images):
+            if rel is not Comparability.INCOMPARABLE:
+                continue
+            try:
+                gamma = path(trunc, p, image)
+            except LeafSpaceError:
+                continue
+            if gamma.length % 2 == 1 and odd_lam is None:
+                odd_lam = p
+            if gamma.length % 2 == 0 and even_lam is None:
+                even_lam = p
+            if odd_lam is not None and even_lam is not None:
+                break
+        if odd_lam is not None:
+            instances["check_odd_path"].append(
+                {"word": word, "lam": odd_lam, "k_max": min(4, word_len)})
+        if even_lam is not None:
+            power = elem
+            for k in range(2, max(3, word_len // 2) + 1):
+                power = power * elem
+                if reference_relation(trunc, power, even_lam) in COMPARABLE:
+                    instances["check_return"].append(
+                        {"word": word, "lam": even_lam, "k": k})
+                    break
+
+        pos = next((p for p, rel in rels if rel is Comparability.LESS), None)
+        neg = next((p for p, rel in rels if rel is Comparability.GREATER), None)
+        if pos is not None and neg is not None:
+            instances["check_intermediate_fixed"].append(
+                {"word": word, "x_pos": pos, "x_neg": neg})
+
+        for locus in loci:
+            if tuple(sorted(map(elem.cell, locus.members))) == locus.members:
+                instances["check_invariant_locus_stem"].append(
+                    {"word": word, "locus": locus})
+
+    for locus in loci:
+        instances["check_fix_propagation"].append({"locus": locus, "radius": word_len})
+    instances["check_faithfulness"].append({"max_word_len": word_len})
+    instances["screen_infinite_locus"].append({"max_word_len": word_len})
+    return instances

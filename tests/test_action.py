@@ -21,8 +21,9 @@ from leafspace.action import (
     sweep,
     word_map,
 )
-from conftest import (
-    act_cell, build_swap_k, build_tripod, build_updown, reduced_words, reference_relation,
+from conftest import act_cell, build_swap_k, build_tripod, build_updown
+from reference import (
+    image_relation, reduced_words, reference_classify_element, reference_relation,
     reference_sweep, reference_word_map)
 from leafspace.paths import Comparability, compare
 from leafspace.core import branch_loci
@@ -43,6 +44,8 @@ def test_word_reduction_and_parse():
     assert w ** 3 == w * w * w and w ** -2 == w.inverse() * w.inverse()
     w = Word.parse("g*h*g^-1")
     assert (w ** 4).letters == (("g", 1),) + (("h", 1),) * 4 + (("g", -1),)
+    with pytest.raises(ValueError, match=r"^letter exponent must be \+1 or -1$"):
+        Word.of([("g", 2)])
 
 
 def test_word_parse_refuses_overlong_words_before_building_them():
@@ -270,7 +273,7 @@ def _noncommuting_spec():
     return spec
 
 
-def _reference_models(swap_k):
+def _word_map_models(swap_k):
     from leafspace.gallery import GALLERY_NAMES, gallery
 
     for name in GALLERY_NAMES:
@@ -282,7 +285,7 @@ def _reference_models(swap_k):
 
 
 def test_element_equality_matches_reference_maps(swap_k):
-    for label, spec, _ in _reference_models(swap_k):
+    for label, spec, _ in _word_map_models(swap_k):
         words = reduced_words(spec.generators, 4)
         elements = [word_map(spec, w) for w in words]
         maps = [reference_word_map(spec, w) for w in words]
@@ -295,7 +298,7 @@ def test_element_equality_matches_reference_maps(swap_k):
 
 
 def test_act_matches_reference_maps(swap_k):
-    for label, spec, depth in _reference_models(swap_k):
+    for label, spec, depth in _word_map_models(swap_k):
         trunc = expand(spec, depth)
         loci = [locus.members for locus in trunc.loci]
         for w in reduced_words(spec.generators, 4):
@@ -319,8 +322,6 @@ def test_membership_yes_is_depth_monotone(swap, comb):
 
 def test_profile_witnesses_verify(swap, line):
     # every Yes entry carries a witness that replays under the primitives
-    from leafspace.action import image_relation
-
     for spec, word in ((swap.spec, Word.generator("g") ** 2),
                        (line.spec, Word.generator("t"))):
         trunc = expand(spec, 3)
@@ -757,37 +758,6 @@ def test_the_suite_compares_at_most_half_as_often(monkeypatch):
     assert cli.main(["suite", "--gallery", "ZIGZAG", "--depth", "4"], stream=io.StringIO()) == 0
     # comparing each orbit of each element afresh takes 281 calls
     assert len(calls) <= 281 // 2
-
-
-def reference_classify_element(spec, word, depth):
-    """classify_element as it was before the sweep table: one image
-    relation per canonical point (``reference_sweep``), scanned in a loop."""
-    from leafspace.action import ElementProfile, _entry, _fixed_cells
-    from leafspace.core import require_valid
-
-    trunc = spec.window(depth)
-    require_valid(trunc)
-    elem = word_map(spec, word)
-    fixed = _fixed_cells(trunc, elem)
-    tan_witness = None
-    for cell in fixed:
-        tan_witness = (vertex_point(*cell) if trunc.has_vertex(cell) else mid_point(*cell))
-        break
-    pos_witness = neg_witness = None
-    tainted = trunc.has_truncation
-    for p, rel in zip(canonical_points(trunc), reference_sweep(trunc, elem)):
-        if rel is None:
-            tainted = True
-        elif rel is Comparability.LESS and pos_witness is None:
-            pos_witness = p
-        elif rel is Comparability.GREATER and neg_witness is None:
-            neg_witness = p
-    return ElementProfile(
-        word, depth,
-        tangentiable=_entry(tan_witness, tainted),
-        pos_transversable=_entry(pos_witness, tainted),
-        neg_transversable=_entry(neg_witness, tainted),
-    )
 
 
 def test_classify_element_matches_reference(tripod, updown):

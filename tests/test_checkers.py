@@ -5,16 +5,16 @@ from collections import Counter
 
 import pytest
 
-from leafspace.core import Element, PreconditionFailed, Tri, expand, mid_point, vertex_point
+from leafspace.core import (
+    HIGH, Element, LeafSpaceSpec, PreconditionFailed, Tri, TruncatedError, expand, mid_point,
+    to_vertex, vertex_point)
 from leafspace.core import branch_loci
 from leafspace.action import (
-    Word, act, act_locus, branching_type, element_ball, fingerprint, in_comparable_set,
-    word_map)
+    Word, act, element_ball, fingerprint, in_comparable_set, word_map)
 from leafspace.checkers import (
     PASS,
     TRUNCATED,
     VIOLATION,
-    StabilizerBall,
     check_connected_open,
     check_faithfulness,
     check_fix_propagation,
@@ -28,11 +28,15 @@ from leafspace.checkers import (
     stabilizer_ball,
 )
 from leafspace.gallery import GALLERY_NAMES, gallery
-from leafspace.paths import path
+from leafspace.paths import COMPARABLE, Comparability, path
 from leafspace.randspec import RandomParams, random_spec
 
-from conftest import (
-    act_cell, build_swap_k, build_tripod, build_updown, reduced_words, reference_relation)
+from conftest import act_cell, build_swap_k, build_tripod, build_updown
+from reference import (
+    _reference_path, _reference_sample_points, reduced_words, reference_check_faithfulness,
+    reference_check_odd_path, reference_components, reference_discover_instances,
+    reference_germ_providers, reference_relation, reference_route, reference_stabilizer_ball,
+    reference_sweep, reference_vertex_neighbors)
 
 
 def swap_locus(swap, depth=4):
@@ -411,32 +415,6 @@ def test_ball_with_two_generators_acting_alike_is_cyclic():
 # -- stabilizer balls against the word-set reference --------------------------
 
 
-def reference_stabilizer_ball(spec, locus, radius):
-    """The ball from every reduced word: keep the first word of each
-    element (by ``word_map``) that fixes the locus setwise, then try each
-    nontrivial member's powers, composed letter by letter, as elements."""
-    members = locus.members
-    first = {}
-    for w in reduced_words(spec.generators, radius):
-        first.setdefault(word_map(spec, w), w)
-    ball = [w for w in first.values() if act_locus(spec, w, members) == members]
-    table = tuple((w, tuple(act_cell(spec, w, m) for m in members)) for w in ball)
-    nontrivial = any(images != members for _, images in table)
-    have = {word_map(spec, w) for w in ball if not w.is_identity}
-    cyclic, generator = not have, None
-    for cand in ball[1:]:
-        powers = set()
-        for base in (cand, cand.inverse()):
-            k = 1
-            while (power := word_map(spec, base ** k)) in have and power not in powers:
-                powers.add(power)
-                k += 1
-        if powers == have:
-            cyclic, generator = True, cand
-            break
-    return StabilizerBall(members, radius, tuple(ball), table, cyclic, generator, nontrivial)
-
-
 def _with_wing_transposition(spec):
     """A ``random_spec(symmetric=True)`` model plus tau, which swaps wings 0
     and 1: with the rotation rho it generates the symmetric group on the
@@ -531,37 +509,6 @@ def test_swap_k_radius_8(swap_k):
 # -- faithfulness against the loop over reduced words ---------------------------
 
 
-def reference_check_faithfulness(spec, max_word_len, depth):
-    """check_faithfulness as a loop over every reduced word in shortlex
-    order, each composed from its prefix's element: the first nontrivial
-    word that acts as the identity is the witness."""
-    from leafspace.checkers import CheckReport
-
-    name = "check_faithfulness"
-    if branching_type(spec, depth).value == "none":
-        raise PreconditionFailed(
-            "model shows no branching in the window; a fibration-like model "
-            "may act unfaithfully, so the check does not apply")
-    steps = {(n, e): word_map(spec, Word(((n, e),)))
-             for n in sorted(spec.generators) for e in (1, -1)}
-    identity = word_map(spec, Word.identity())
-    layer = [((), identity)]
-    for _ in range(max_word_len):
-        grow = []
-        for letters, elem in layer:
-            for let, step in steps.items():
-                if letters and letters[-1] == (let[0], -let[1]):
-                    continue
-                image = elem * step
-                if image == identity:
-                    return CheckReport.make(name, VIOLATION, depth=depth,
-                                            word_bound=max_word_len,
-                                            witness={"word": Word(letters + (let,))})
-                grow.append((letters + (let,), image))
-        layer = grow
-    return CheckReport.make(name, PASS, depth=depth, word_bound=max_word_len)
-
-
 def _random_generator_set(seed):
     """The tripod's families under 2-4 random generators (check=False):
     each permutes the vertices and the branches, here and there with a
@@ -614,35 +561,6 @@ def test_faithfulness_matches_reference():
 
 
 # -- membership sweeps shared across the suite ---------------------------------
-
-
-def reference_check_odd_path(spec, word, lam, k_max, depth):
-    """check_odd_path as it was before the sweep table: each power's sweep
-    runs in the loop and stops at the first comparable point."""
-    from leafspace.action import _membership, canonical_points, image_relation
-    from leafspace.checkers import TRUNCATED, CheckReport
-    from leafspace.paths import COMPARABLE
-
-    name = "check_odd_path"
-    trunc = spec.window(depth)
-    trunc.require_point(lam)
-    member = _membership(reference_relation(trunc, word_map(spec, word), lam))
-    if member is Tri.YES:
-        raise PreconditionFailed("lam is comparable with its image")
-    if member is Tri.TRUNCATED:
-        return CheckReport.make(name, TRUNCATED, depth=depth,
-                                notes=("membership of lam undecided",))
-    gamma = path(trunc, lam, act(spec, word, lam))
-    if gamma.length % 2 == 0:
-        raise PreconditionFailed(f"path length {gamma.length} is even")
-    points = canonical_points(trunc)
-    for k in range(1, k_max + 1):
-        for x, image in zip(points, map(word_map(spec, word ** k).point, points)):
-            if image_relation(spec, trunc, x, image) in COMPARABLE:
-                return CheckReport.make(name, VIOLATION, depth=depth, witness={
-                    "word": word, "k": k, "point": x})
-    return CheckReport.make(name, PASS, depth=depth, witness={
-        "word": word, "path_length": gamma.length, "k_max": k_max})
 
 
 def _outcome(fn, *args):
@@ -811,108 +729,201 @@ def test_screen_truncated(swap_k):
     assert (rep.verdict, rep.notes) == (TRUNCATED, ())
 
 
+# -- violations -------------------------------------------------------------------
+#
+# The Violation returns that the models above leave unreached, each on a
+# small model plus a generator added with check=False, which breaks the
+# paper's claim.  Each NO is certified from ``tests/reference.py``.
+
+
+def _gallery_with(name, maps):
+    """A gallery model plus the generator f (check=False); a family mapped
+    to a bare name keeps its index."""
+    spec = gallery(name).spec
+    spec.add_generator("f", {fam: (img, 0) if isinstance(img, str) else img
+                             for fam, img in maps.items()}, check=False)
+    return spec
+
+
+def _swap_f():
+    """SWAP plus f, which fixes a and b and moves the chains onto each other."""
+    return _gallery_with("SWAP", {"a": "a", "b": "b", "ra": ("s", 2), "rb": ("ra", 1),
+                                  "s": ("rb", 0)})
+
+
+def _yplus_f():
+    """YPLUS plus f, which exchanges a and b and cycles the edges s, q, p."""
+    return _gallery_with("YPLUS", {"a": "b", "b": "a", "p": "s", "q": "p", "s": "q"})
+
+
+def _long_edges():
+    """The line of ``test_core.py::test_disconnected_window_reported``:
+    e[i] joins v[i] to v[i+3], so each window falls into three components,
+    {v[i] : i = j mod 3} and the edges between them.  t shifts by 3."""
+    spec = LeafSpaceSpec()
+    spec.add_vertex("v", chain=True)
+    spec.add_edge("e", low=to_vertex("v", 0), high=to_vertex("v", 3), chain=True)
+    spec.add_generator("t", {"v": ("v", 3), "e": ("e", 3)})
+    return spec
+
+
+def test_connected_open_flags_split_components():
+    # h exchanges a and b and fixes every chain: the three chains are
+    # comparable with their images, a and b are not, and no undecided cell
+    # joins the chains
+    spec = _gallery_with("SWAP", {"a": "b", "b": "a", "s": "s", "ra": "ra", "rb": "rb"})
+    for depth in (2, 4):
+        trunc = expand(spec, depth)
+        rels = list(zip(trunc.canonical_points, reference_sweep(trunc, spec.generators["f"])))
+        yes = [p.cell for p, rel in rels if rel in COMPARABLE]
+        undecided = [p.cell for p, rel in rels if rel is None]
+        comps = reference_components(trunc, yes)
+        assert len(comps) == len(reference_components(trunc, yes + undecided)) == 3
+        rep = check_connected_open(spec, Word.generator("f"), depth)
+        assert rep.verdict == VIOLATION
+        assert dict(rep.witness) == {"word": "f", "components": "3",
+                                     "cells": " | ".join(str(comp[0]) for comp in comps)}
+
+
+def test_connected_open_flags_a_closed_side():
+    # b[0] is fixed, so comparable with its image, and joined to the other
+    # comparable cells below it; but the only germ above it is the rb
+    # chain's, whose nearest window cell is incomparable with its image
+    spec = _swap_f()
+    trunc = expand(spec, 2)
+    rels = dict(zip(trunc.canonical_points, reference_sweep(trunc, spec.generators["f"])))
+    assert len(reference_components(trunc, [p.cell for p, rel in rels.items()
+                                            if rel in COMPARABLE])) == 1
+    assert rels[vertex_point("b", 0)] is Comparability.EQUAL
+    assert reference_germ_providers(trunc, ("b", 0), HIGH) == [(("chain", "rb", "neg"), True)]
+    assert ("rb", -2) in reference_vertex_neighbors(trunc, ("b", 0))
+    assert rels[mid_point("rb", -2)] is Comparability.INCOMPARABLE
+    rep = check_connected_open(spec, Word.generator("f"), 2)
+    assert rep.verdict == VIOLATION
+    assert dict(rep.witness) == {"word": "f", "cell": "b[0]",
+                                 "reason": "closed side at a sampled vertex"}
+
+
+def test_invariant_stem_flags_a_stem_cell_outside_the_comparable_set():
+    # f exchanges a with b and the spine sp with the rays r: it fixes each
+    # locus {a[n], b[n]} setwise, but sends the stem cell sp[n-1] onto the
+    # ray r[n-1], which hangs from the other member of {a[n-1], b[n-1]}
+    spec = _gallery_with("COMB", {"a": "b", "b": "a", "r": "sp", "sp": "r"})
+    trunc = expand(spec, 2)
+    locus = next(loc for loc in branch_loci(trunc) if loc.members == (("a", -1), ("b", -1)))
+    assert locus.stem == ("cell_end", "sp", -2, "high")
+    rel = reference_relation(trunc, spec.generators["f"], mid_point("sp", -2))
+    assert rel is Comparability.INCOMPARABLE
+    rep = check_invariant_locus_stem(spec, Word.generator("f"), locus, 2)
+    assert rep.verdict == VIOLATION
+    assert dict(rep.witness) == {"word": "f", "stem_cell": "sp[-2]"}
+
+
+def _return_junction(trunc, elem, lam, k):
+    """The middle junction of the reference connection from lam to its
+    image, once lam is certified incomparable with its image and
+    comparable with its k-th image."""
+    assert reference_relation(trunc, elem, lam) is Comparability.INCOMPARABLE
+    assert reference_relation(trunc, elem ** k, lam) in COMPARABLE
+    gamma = _reference_path(trunc, lam, elem.point(lam))
+    return gamma.junctions[gamma.length // 2 - 1]
+
+
+def test_return_flags_a_junction_the_word_does_not_carry():
+    # the connection from rb[-2] to its image crosses from b[0] to a[0],
+    # but f fixes b[0]
+    spec = _swap_f()
+    trunc, f = expand(spec, 2), spec.generators["f"]
+    lam = mid_point("rb", -2)
+    junction = _return_junction(trunc, f, lam, 2)
+    assert f.point(junction.arrive) != junction.depart
+    rep = check_return(spec, Word.generator("f"), lam, 2, 2)
+    assert rep.verdict == VIOLATION
+    assert dict(rep.witness) == {
+        "word": "f", "m": "1", "arrive": str(junction.arrive),
+        "image": str(f.point(junction.arrive)), "expected": str(junction.depart)}
+
+
+def test_return_flags_a_power_that_moves_the_arrival_point():
+    # f carries the junction of q[0]'s connection (b[0] to a[0]), but f^3,
+    # which makes q[0] comparable with its image, sends b[0] to a[0]
+    spec = _yplus_f()
+    trunc, f = expand(spec, 2), spec.generators["f"]
+    lam = mid_point("q", 0)
+    junction = _return_junction(trunc, f, lam, 3)
+    assert f.point(junction.arrive) == junction.depart
+    image = (f ** 3).point(junction.arrive)
+    assert image != junction.arrive
+    rep = check_return(spec, Word.generator("f"), lam, 3, 2)
+    assert rep.verdict == VIOLATION
+    assert dict(rep.witness) == {"word": "f", "k": "3", "m": "1",
+                                 "arrive": str(junction.arrive), "image": str(image)}
+
+
+def _fixed_samples(trunc, elem, x_pos, x_neg):
+    """The reference connection from x_pos to x_neg and its sample points
+    that the element fixes, once x_pos is certified below its image and
+    x_neg above its own."""
+    assert reference_relation(trunc, elem, x_pos) is Comparability.LESS
+    assert reference_relation(trunc, elem, x_neg) is Comparability.GREATER
+    gamma = _reference_path(trunc, x_pos, x_neg)
+    return gamma, [pt for pt in _reference_sample_points(gamma) if elem.point(pt) == pt]
+
+
+def test_intermediate_fixed_flags_a_missing_fixed_point():
+    # f moves s[0] up and p[0] down, but the connection between them is one
+    # edge of the closed window and f fixes none of its points
+    spec = _yplus_f()
+    trunc = expand(spec, 2)
+    gamma, fixed = _fixed_samples(trunc, spec.generators["f"], mid_point("s", 0),
+                                  mid_point("p", 0))
+    assert fixed == [] and not trunc.has_truncation
+    rep = check_intermediate_fixed(spec, Word.generator("f"), mid_point("s", 0),
+                                   mid_point("p", 0), 2)
+    assert rep.verdict == VIOLATION
+    assert dict(rep.witness) == {"word": "f", "path_length": str(gamma.length)}
+
+
+def test_intermediate_fixed_flags_a_witness_outside_the_loci():
+    # the connection from sg[-1] to m1[0] has a junction, and the first
+    # point on it that f fixes is inside the edge E[-1]
+    spec = _gallery_with("ZIGZAG", {"m1": ("p2", 0), "m2": ("m1", -2), "p1": ("m2", 1),
+                                    "p2": ("p1", 2), "E": ("E", 0), "F": ("F", -1),
+                                    "sg": ("tau", -1), "tau": ("sg", 1)})
+    trunc = expand(spec, 2)
+    x_pos, x_neg = mid_point("sg", -1), vertex_point("m1", 0)
+    gamma, fixed = _fixed_samples(trunc, spec.generators["f"], x_pos, x_neg)
+    assert gamma.junctions and fixed[0] == mid_point("E", -1)
+    rep = check_intermediate_fixed(spec, Word.generator("f"), x_pos, x_neg, 2)
+    assert rep.verdict == VIOLATION
+    assert dict(rep.witness) == {"word": "f", "witness": "E[-1]:1/2",
+                                 "reason": "incomparable endpoints but witness not in a locus"}
+
+
+def test_path_checkers_are_truncated_between_components():
+    # both points are certified members, but they lie in two components of
+    # the window, so no path joins them
+    spec = _long_edges()
+    trunc, t = expand(spec, 2), spec.generators["t"]
+    lam, mu = vertex_point("v", -2), vertex_point("v", -1)
+    assert [reference_relation(trunc, t, p) for p in (lam, mu)] == [Comparability.LESS] * 2
+    assert reference_route(trunc, lam, mu) is None
+    with pytest.raises(TruncatedError):
+        _reference_path(trunc, lam, mu)
+    rep = check_path_in_comparable_set(spec, Word.generator("t"), lam, mu, 2)
+    assert (rep.verdict, rep.notes) == (TRUNCATED, ("path leaves the window",))
+    # f (check=False) moves v up and e down: v[-2] lies below its image and
+    # e[0] above its own, in another component
+    spec.add_generator("f", {"v": ("v", 3), "e": ("e", -3)}, check=False)
+    trunc = expand(spec, 3)
+    x_pos, x_neg = vertex_point("v", -2), mid_point("e", 0)
+    with pytest.raises(TruncatedError):
+        _fixed_samples(trunc, spec.generators["f"], x_pos, x_neg)
+    rep = check_intermediate_fixed(spec, Word.generator("f"), x_pos, x_neg, 3)
+    assert (rep.verdict, rep.notes) == (TRUNCATED, ())
+
+
 # -- suite instance discovery ------------------------------------------------------
-
-
-def _reference_find_comparable_pair(trunc, elem):
-    """The pair search as it was before up-cone walks: one ``compare`` per test."""
-    from leafspace.checkers import PAIR_SEARCH_LIMIT
-    from leafspace.paths import Comparability, compare
-
-    pts = trunc.canonical_points
-    tried = 0
-    for lam in pts:
-        for mu in pts:
-            if lam == mu:
-                continue
-            tried += 1
-            if tried > PAIR_SEARCH_LIMIT:
-                return None
-            if compare(trunc, lam, mu) is not Comparability.LESS:
-                continue
-            w_mu = elem.point(mu)
-            if not trunc.contains_point(w_mu):
-                continue
-            if compare(trunc, lam, w_mu) is Comparability.LESS:
-                return lam, mu
-    return None
-
-
-def reference_discover_instances(spec, depth, word_len):
-    """discover_instances as it was before up-cone walks and length counts:
-    the parity search lifts a path from each incomparable point to its
-    image until it has seen an odd and an even length."""
-    from leafspace.action import sweep
-    from leafspace.checkers import CHECKERS, _basic_words
-    from leafspace.core import LeafSpaceError
-    from leafspace.paths import COMPARABLE, Comparability
-
-    trunc = spec.window(depth)
-    points = trunc.canonical_points
-    loci = branch_loci(trunc)[:4]
-    one_sided_positive = branching_type(spec, depth).value == "one_sided_positive"
-    instances = {name: [] for name in CHECKERS}
-
-    for word in _basic_words(spec):
-        instances["check_connected_open"].append({"word": word})
-        elem = word_map(spec, word)
-
-        pair = _reference_find_comparable_pair(trunc, elem) if one_sided_positive else None
-        if pair is not None:
-            instances["check_lower_bound"].append(
-                {"word": word, "lam": pair[0], "mu": pair[1]})
-
-        images = [elem.point(p) for p in points]
-        rels = list(zip(points, sweep(trunc, elem)))
-
-        yes_points = [p for p, rel in rels if rel in COMPARABLE][:3]
-        for i, lam in enumerate(yes_points):
-            for mu in yes_points[i + 1:]:
-                instances["check_path_in_comparable_set"].append(
-                    {"word": word, "lam": lam, "mu": mu})
-
-        odd_lam = even_lam = None
-        for (p, rel), image in zip(rels, images):
-            if rel is not Comparability.INCOMPARABLE:
-                continue
-            try:
-                gamma = path(trunc, p, image)
-            except LeafSpaceError:
-                continue
-            if gamma.length % 2 == 1 and odd_lam is None:
-                odd_lam = p
-            if gamma.length % 2 == 0 and even_lam is None:
-                even_lam = p
-            if odd_lam is not None and even_lam is not None:
-                break
-        if odd_lam is not None:
-            instances["check_odd_path"].append(
-                {"word": word, "lam": odd_lam, "k_max": min(4, word_len)})
-        if even_lam is not None:
-            power = elem
-            for k in range(2, max(3, word_len // 2) + 1):
-                power = power * elem
-                if reference_relation(trunc, power, even_lam) in COMPARABLE:
-                    instances["check_return"].append(
-                        {"word": word, "lam": even_lam, "k": k})
-                    break
-
-        pos = next((p for p, rel in rels if rel is Comparability.LESS), None)
-        neg = next((p for p, rel in rels if rel is Comparability.GREATER), None)
-        if pos is not None and neg is not None:
-            instances["check_intermediate_fixed"].append(
-                {"word": word, "x_pos": pos, "x_neg": neg})
-
-        for locus in loci:
-            if tuple(sorted(map(elem.cell, locus.members))) == locus.members:
-                instances["check_invariant_locus_stem"].append(
-                    {"word": word, "locus": locus})
-
-    for locus in loci:
-        instances["check_fix_propagation"].append({"locus": locus, "radius": word_len})
-    instances["check_faithfulness"].append({"max_word_len": word_len})
-    instances["screen_infinite_locus"].append({"max_word_len": word_len})
-    return instances
 
 
 def _assert_discovery_matches_reference(spec, depth, word_lens=(0, 6, 12)):
@@ -963,7 +974,6 @@ def test_orbit_cells_share_their_lifted_length():
     # as far from its image as the others
     from leafspace.action import _swept
     from leafspace.checkers import _basic_words
-    from leafspace.paths import Comparability
 
     shared = 0          # orbits with more than one incomparable cell
     models = [(name, gallery(name).spec) for name in GALLERY_NAMES]

@@ -121,6 +121,9 @@ def test_usage_errors_exit_two(capsys):
     code, _ = run("compare", "--gallery", "SWAP", "--x", "ra[0]:1/0", "--y", "rb[0]:1/2")
     assert code == 2
     assert capsys.readouterr().err.startswith("error: cannot parse point 'ra[0]:1/0'")
+    code, out = run("check", "check_connected_open", "--gallery", "SWAP", "--word", "g^")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: cannot parse word token 'g^'\n"
     code, out = run("check", "check_connected_open", "--gallery", "SWAP",
                     "--word", "g^" + "1" * 30)          # refused before any letter is built
     assert code == 2 and out == ""

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -8,6 +9,7 @@ from leafspace.core import (
     EndRule,
     InvalidModel,
     LeafSpaceSpec,
+    Point,
     UnresolvedName,
     branch_loci,
     expand,
@@ -22,6 +24,10 @@ from leafspace.core import (
 from leafspace.formats import ParseError, parse
 from leafspace.paths import Comparability, compare, path
 from leafspace.core import mid_point
+
+from reference import (
+    reference_edge_neighbors, reference_germ_providers, reference_ladder_counts,
+    reference_locus_groups, reference_rooting, reference_vertex_neighbors)
 
 
 def test_expand_line_counts(line):
@@ -258,6 +264,44 @@ def test_hausdorff_fibers_are_exactly_loci(swap, zigzag, comb):
         assert fat == loci_members
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda spec: spec.add_glued_chain("r", 2, ChainEndRule("open"), ChainEndRule("open")),
+     BadOffset, "glue direction must be +1 or -1, got 2"),
+    (lambda spec: spec.add_vertex("v"), UnresolvedName, "duplicate family 'v'"),
+    (lambda spec: Point(("e", 0), Fraction(3, 2)), ValueError,
+     "interior coordinate must be in (0,1)"),
+], ids=["glue", "duplicate-family", "point-coordinate"])
+def test_malformed_construction_is_a_typed_error(build, error, message):
+    spec = _line_families()
+    families = dict(spec.families)
+    with pytest.raises(error) as caught:
+        build(spec)
+    assert type(caught.value) is error and str(caught.value) == message
+    assert spec.families == families
+
+
+@pytest.mark.parametrize("name, write, violation", [
+    ("LINE", lambda spec: spec.ends.__setitem__(("v", "low"), open_end()),
+     ("shape", "vertex family v has an end rule")),
+    ("SWAP", lambda spec: spec.ends.__setitem__(("s", "high"), open_end()),
+     ("shape", "glued chain s has a per-cell end rule")),
+    ("LINE", lambda spec: spec.chain_ends.__setitem__(("e", "pos"), ChainEndRule("open")),
+     ("shape", "unglued family e has a chain-end rule")),
+    ("LINE", lambda spec: spec.add_mark("ghost", vertex_point("ghost", 0)),
+     ("mark", "mark ghost references unknown family ghost")),
+], ids=["end-on-vertex-family", "end-on-glued-chain", "chainend-on-unglued-family",
+        "mark-on-unknown-family"])
+def test_validate_reports_a_rule_the_builders_cannot_write(name, write, violation):
+    # direct writes to the rule tables, which add_* never make, and a mark
+    # (add_mark takes any point)
+    from leafspace.gallery import gallery
+
+    spec = gallery(name).spec
+    write(spec)
+    report = validate(expand(spec, 1))
+    assert [(v.code, v.message) for v in report.violations] == [violation]
+
+
 def test_malformed_glue_reported_not_crashed():
     from leafspace.core import Family, LeafSpaceSpec
 
@@ -330,42 +374,6 @@ def test_validate_records_its_report(swap):
     assert cached_validation(trunc) is report
 
 
-def reference_germ_providers(trunc, vcell, side):
-    """The providers of one germ found by scanning every end rule of the
-    spec, as before the germ table."""
-    from leafspace.core import HIGH, LOW, chain_end_ascends
-
-    spec = trunc.spec
-    vfam, j = vcell
-    vchain = spec.families[vfam].chain
-    want_end = HIGH if side == LOW else LOW
-    out = []
-    for (efam, end), rule in sorted(spec.ends.items()):
-        if end != want_end or rule.kind == "open":
-            continue
-        for tfam, off in rule.targets:
-            if tfam != vfam:
-                continue
-            ef = spec.families[efam]
-            if ef.chain and vchain:
-                i = j - off
-                out.append((("cell", efam, i), abs(i) <= trunc.depth and trunc.has_edge((efam, i))))
-            elif ef.chain and not vchain:
-                out.append((("cell-every", efam), False))
-            elif vchain:
-                if off == j:
-                    out.append((("cell", efam, 0), trunc.has_edge((efam, 0))))
-            else:
-                out.append((("cell", efam, 0), trunc.has_edge((efam, 0))))
-    for (efam, cside), rule in sorted(spec.chain_ends.items()):
-        if rule.kind != "limit" or vfam not in rule.targets:
-            continue
-        provides = LOW if chain_end_ascends(spec.families[efam].glue, cside) else HIGH
-        if provides == side:
-            out.append((("chain", efam, cside), True))
-    return out
-
-
 def odd_germs_spec():
     """Germ corner cases: a chain edge ending on a unit vertex (one germ
     per index), a unit edge ending on one cell of a vertex chain, and a
@@ -402,26 +410,6 @@ def test_germ_table_matches_rule_scan(tripod, updown, swap_k):
     assert kinds == {"cell", "cell-every", "chain"}
 
 
-def reference_vertex_neighbors(trunc, vcell):
-    """The cells incident to a window vertex read off the anchors of the
-    graph edges at the vertex's node, as before the germ table drove
-    ``cell_neighbors``: an edge anchored at the vertex itself or at the
-    stem of a locus holding it; a chain tail counts as its last window
-    cell."""
-    out = set()
-    for eid, _ in trunc.adjacency[trunc.vertex_node(vcell)]:
-        payload, _, _, a_lo, a_hi = trunc.graph_edges[eid]
-        for anchor in (a_lo, a_hi):
-            if anchor is not None and vcell in anchor:
-                if payload[0] == "cell":
-                    out.add(payload[1:3])
-                else:
-                    fam, side = payload[1:3]
-                    out.add((fam, -trunc.depth if side == "neg" else trunc.depth))
-    out.discard(vcell)
-    return sorted(out)
-
-
 def test_vertex_neighbors_match_graph_anchors(swap_k):
     from leafspace.gallery import GALLERY_NAMES, gallery
     from leafspace.randspec import RandomParams, random_spec
@@ -444,30 +432,6 @@ def test_vertex_neighbors_match_graph_anchors(swap_k):
     assert checked > 1000
 
 
-def reference_edge_neighbors(trunc, cell):
-    """The cells incident to a window edge cell read off the anchors and
-    nodes of its graph edge, as before the germ table drove
-    ``cell_neighbors``: an anchored vertex, the members of an anchored
-    stem's locus, the cell across a glue junction, and the limit targets
-    past a chain's cut."""
-    out = set()
-    _, lo, hi, a_lo, a_hi = trunc.graph_edges[trunc.edge_index[cell]]
-    for anchor, node in ((a_lo, lo), (a_hi, hi)):
-        if anchor is not None:
-            out.update(anchor)
-        elif node[0] == "glue":
-            fam, n = node[1], node[2]
-            other = (fam, n) if (fam, n) != cell else (fam, n + 1)
-            if trunc.has_edge(other):
-                out.add(other)
-        elif node[0] == "cut":
-            rule = trunc.spec.chain_ends.get((node[1], node[2]))
-            if rule is not None and rule.kind == "limit":
-                out.update((v, 0) for v in rule.targets)
-    out.discard(cell)
-    return sorted(out)
-
-
 def test_edge_neighbors_match_graph_anchors(swap_k):
     # the windows of test_vertex_neighbors_match_graph_anchors, invalid ones included
     from leafspace.gallery import GALLERY_NAMES, gallery
@@ -484,51 +448,6 @@ def test_edge_neighbors_match_graph_anchors(swap_k):
             assert trunc.cell_neighbors(cell) == reference_edge_neighbors(trunc, cell)
             checked += 1
     assert checked > 1000
-
-
-def reference_locus_groups(trunc):
-    """Vertex cell -> group id by union-find over the loci that share a
-    member, each group named by its smallest locus index, as before the
-    mate graph named them."""
-    parent = list(range(len(trunc.loci)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    owner = {}
-    for idx, locus in enumerate(trunc.loci):
-        for m in locus.members:
-            if m in owner:
-                parent[find(idx)] = find(owner[m])
-            else:
-                owner[m] = idx
-    groups = {}
-    for idx in range(len(trunc.loci)):
-        groups.setdefault(find(idx), []).append(idx)
-    return {m: min(idxs) for idxs in groups.values()
-            for li in idxs for m in trunc.loci[li].members}
-
-
-def reference_rooting(trunc):
-    """The rooting walked over neighbour lists sorted by edge payload."""
-    adj = {node: sorted(nbrs, key=lambda pair: (trunc.graph_edges[pair[0]][0], pair[1]))
-           for node, nbrs in trunc.adjacency.items()}
-    rooting = {}
-    for root in sorted(adj):
-        if root in rooting:
-            continue
-        rooting[root] = (None, None, 0)
-        frontier = [root]
-        while frontier:
-            node = frontier.pop()
-            for eid, other in adj[node]:
-                if other not in rooting:
-                    rooting[other] = (node, eid, rooting[node][2] + 1)
-                    frontier.append(other)
-    return rooting
 
 
 @pytest.fixture(scope="module")
@@ -591,26 +510,6 @@ def test_rooting_matches_sorted_neighbours(assorted_windows):
                 assert down == (eid, None, parent, node, anchor[parent], anchor[node], node == hi)
             routable += 1
     assert routable > len(assorted_windows) // 2
-
-
-def reference_ladder_counts(trunc, node):
-    """(jumps, turns) of the crossings of node's proper ancestors but the
-    root, walked up parent by parent: a jump where the ancestor is a locus
-    node and the anchors arriving from below and leaving upward share no
-    vertex, else a turn where the two hops climb in opposite directions."""
-    rooting = trunc.rooting
-    jumps = turns = 0
-    up = rooting[node][3]
-    while up is not None:
-        above = rooting[up[3]][3]
-        if above is None:
-            break
-        if up[3][0] == "locus" and not up[5] & above[4]:
-            jumps += 1
-        elif up[6] != above[6]:
-            turns += 1
-        up = above
-    return jumps, turns
 
 
 def _turns_somewhere(trunc):

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leafspace.core import HIGH, LOW, LeafSpaceError, Truncation, expand, validate
+from leafspace.core import LeafSpaceError, Truncation, expand, validate
 from leafspace.formats import ParseError, SemanticError, emit, parse
 from leafspace.gallery import GALLERY_NAMES, gallery
 from leafspace.randspec import RandomParams, random_spec
-from test_core import reference_germ_providers
+from reference import reference_reject_overfull
 from test_fuzz import _corrupt, _mutate
 
 
@@ -85,6 +85,24 @@ def test_parse_errors_are_line_anchored():
     with pytest.raises(ParseError, match="offset"):
         parse("leafspace/1\nfamily v vertex unit\nfamily e edge unit\n"
               "end e low vertex v x\nend e high open\n")
+
+
+@pytest.mark.parametrize("body, error, message", [
+    ("family e edge chain glue +2\n", ParseError, "line 2: glue direction must be +1 or -1"),
+    ("family v vertex unit\nfamily e edge unit\nend e low vertex v 0 v 1\nend e high open\n",
+     ParseError, "line 4: a vertex end takes exactly one target"),
+    ("family e edge unit\nmark m e 0 3/2\n", ParseError,
+     "line 3: interior coordinate must be in (0,1)"),
+    ("family s edge chain glue +1\nend s low open\n", SemanticError,
+     "s: glued chains carry chainend rules, not end rules"),
+    ("family e edge chain\nchainend e neg open\n", SemanticError,
+     "e: chainend rules need a glued chain"),
+], ids=["glue", "vertex-end-targets", "mark-coordinate", "end-on-glued-chain",
+        "chainend-on-unglued-family"])
+def test_malformed_declaration_is_a_typed_error(body, error, message):
+    with pytest.raises(error) as caught:
+        parse("leafspace/1\n" + body)
+    assert type(caught.value) is error and str(caught.value) == message
 
 
 def test_unknown_family_is_semantic_error():
@@ -205,30 +223,6 @@ def test_unknown_target_beside_a_generator_is_semantic_error(doc, where):
         parse(doc)
 
 
-def window_reject_overfull(spec):
-    """Reference for the overfull-side check: validate the depth-1 window
-    and keep its germ-count faults other than a missing germ, then count
-    the germs of the far chain vertex cells that unit edges name by
-    scanning the rules."""
-    try:
-        spec.check_wellformed()
-        trunc = expand(spec, 1)
-    except LeafSpaceError as exc:
-        raise SemanticError("model", str(exc)) from None
-    for violation in validate(trunc).violations:
-        if violation.code == "germ-count" and "has 0 germs" not in violation.message:
-            raise SemanticError("model", violation.message)
-    fams = spec.families
-    far = sorted({(vfam, off) for (efam, _), rule in spec.ends.items() if not fams[efam].chain
-                  for vfam, off in rule.targets
-                  if fams[vfam].kind == "vertex" and fams[vfam].chain})
-    for vfam, j in far:
-        for side in (LOW, HIGH):
-            germs = len(reference_germ_providers(trunc, (vfam, j), side))
-            if germs > 1:
-                raise SemanticError("model", f"{vfam}[{j}] has {germs} germs on its {side} side")
-
-
 def _outcome(doc):
     try:
         return "ok", emit(parse(doc))
@@ -256,7 +250,7 @@ def test_parse_counts_germs_as_the_window_did(monkeypatch):
             + [_two_unit_edges_at(i) for i in (1, 5, -5, 10 ** 9)]
             + [GHOST_CHAIN_END, GHOST_END])
     got = [_outcome(doc) for doc in docs]
-    monkeypatch.setattr(formats, "_reject_overfull", window_reject_overfull)
+    monkeypatch.setattr(formats, "_reject_overfull", reference_reject_overfull)
     assert got == [_outcome(doc) for doc in docs]
     kinds = {kind for kind, _ in got}
     assert {"ok", "ParseError", "SemanticError"} <= kinds

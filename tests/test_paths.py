@@ -2,7 +2,6 @@ import dataclasses
 import itertools
 import pickle
 import random
-import weakref
 
 import pytest
 from fractions import Fraction
@@ -15,11 +14,9 @@ from leafspace.core import (
     Point,
     Tri,
     TruncatedError,
-    edge_hops,
     expand,
     mid_point,
     open_end,
-    require_routable,
     to_limit,
     to_vertex,
     validate,
@@ -31,7 +28,6 @@ from leafspace.paths import (
     Comparability,
     Interval,
     Path,
-    PathJunction,
     compare,
     interval_contains,
     path,
@@ -41,6 +37,9 @@ from leafspace.randspec import RandomParams, random_spec
 from leafspace.action import canonical_points
 
 from bruteforce import Oracle
+from reference import (
+    _reference_jump_chain, _reference_path, _reference_sample_points, reference_compare,
+    reference_route)
 
 
 def test_compare_yplus_examples(yplus):
@@ -316,201 +315,10 @@ def test_reversal_through_elided_tails(swap, zigzag):
 
 # -- the transit table ---------------------------------------------------------
 #
-# The references below are the route, the lift and ``compare`` as they were
-# before routes found their meeting node by jump pointers, before each window
-# kept a transit table (every crossing of a collapsed node re-runs the jump
-# search and builds its points, junctions and degenerate intervals afresh) and
-# before ``compare`` read prefix counts.
-
-_REF_PT = (("pt", 0), ("pt", 1))
-_UNROUTED = object()        # no route given: the reference routes the pair itself
-
-
-def reference_route(trunc, x, y):
-    """The route climbing one node at a time: the deeper end (x's on a tie)
-    takes its stored hop up, and a point inside an edge cell is a ("pt", k)
-    node that re-hangs its edge's child end below itself."""
-    if not x.is_vertex and not y.is_vertex and x.cell == y.cell:
-        (s, a), (t, b) = sorted(((x.t, _REF_PT[0]), (y.t, _REF_PT[1])))
-        ascending, descending = edge_hops(trunc.edge_index[x.cell], (s, t), a, b, None, None)
-        return [ascending if a == _REF_PT[0] else descending]
-    rooting, edges = trunc.rooting, trunc.graph_edges
-    moved = {}      # node -> (hop up, hop down) where a split edge re-hangs it
-    level = {}      # ("pt", k) -> doubled depth, between its edge's two ends
-    ends = []
-    for pt, point in zip(_REF_PT, (x, y)):
-        if point.is_vertex:
-            ends.append(trunc.vertex_node(point.cell))
-            continue
-        eid = trunc.edge_index[point.cell]
-        _, lo, hi, a_lo, a_hi = edges[eid]
-        low = edge_hops(eid, (Fraction(0), point.t), lo, pt, a_lo, None)
-        high = edge_hops(eid, (point.t, Fraction(1)), pt, hi, None, a_hi)
-        if rooting[lo][1] == eid:
-            moved[pt], moved[lo], parent = high, low, hi
-        else:
-            moved[pt], moved[hi], parent = low[::-1], high[::-1], lo
-        level[pt] = 2 * rooting[parent][2] + 1
-        ends.append(pt)
-    a, b = ends
-    route, tail = [], []
-    while a != b:
-        climb_a = (level[a] if a in level else 2 * rooting[a][2]) >= \
-            (level[b] if b in level else 2 * rooting[b][2])
-        node = a if climb_a else b
-        up, down = moved.get(node) or rooting[node][3:]
-        if up is None:
-            return None
-        if climb_a:
-            route.append(up)
-            a = up[3]
-        else:
-            tail.append(down)
-            b = up[3]
-    route.extend(reversed(tail))
-    return route
-
-
-_REFERENCE_CHAINS = weakref.WeakKeyDictionary()     # window -> {(entry, exit): chain}
-
-
-def _reference_jump_chain(trunc, entry, exit_):
-    """The reference jump search, run once per window and anchor pair: its
-    chain depends on nothing else."""
-    chains = _REFERENCE_CHAINS.setdefault(trunc, {})
-    chain = chains.get((entry, exit_))
-    if chain is None:
-        chain = chains[entry, exit_] = _reference_jump_search(trunc, entry, exit_)
-    return chain
-
-
-def _reference_jump_search(trunc, entry, exit_):
-    starts = sorted(entry)
-    goals = set(exit_)
-    shared = sorted(set(starts) & goals)
-    if shared:
-        return [shared[0]]
-    parent = {c: None for c in starts}
-    frontier = list(starts)
-    hit = None
-    while frontier and hit is None:
-        nxt = []
-        for c in frontier:
-            for mate, _li in trunc._mates.get(c, ()):
-                if mate not in parent:
-                    parent[mate] = c
-                    if mate in goals and hit is None:
-                        hit = mate
-                    nxt.append(mate)
-        frontier = nxt
-    if hit is None:
-        raise InvalidModel("branch loci at a collapsed node are not jump-connected")
-    chain = [hit]
-    while parent[chain[-1]] is not None:
-        chain.append(parent[chain[-1]])
-    chain.reverse()
-    return chain
-
-
-class _ReferenceBuilder:
-    def __init__(self, trunc, start):
-        self.trunc = trunc
-        self.intervals = []
-        self.junctions = []
-        self.steps = [("vertex",) + start.cell] if start.is_vertex else []
-        self.start = start
-        self.direction = None
-
-    def vertex_step(self, cell):
-        step = ("vertex",) + cell
-        if not self.steps or self.steps[-1] != step:
-            self.steps.append(step)
-
-    def close(self, end):
-        self.intervals.append(Interval(
-            self.start, end, self.direction or ASC, tuple(self.steps)))
-
-    def transit(self, entry, exit_):
-        chain = _reference_jump_chain(self.trunc, entry, exit_)
-        if len(chain) == 1:
-            self.vertex_step(chain[0])
-            return
-        self.vertex_step(chain[0])
-        self.close(Point(chain[0]))
-        for k, (a, b) in enumerate(zip(chain, chain[1:])):
-            li = self.trunc.common_locus(a, b)
-            self.junctions.append(PathJunction(Point(a), Point(b), self.trunc.loci[li]))
-            if k < len(chain) - 2:
-                self.intervals.append(Interval(Point(b), Point(b), ASC, (("vertex",) + b,)))
-        self.start = Point(chain[-1])
-        self.steps = [("vertex",) + chain[-1]]
-        self.direction = None
-
-    def traverse(self, eid, span, ascending):
-        direction = ASC if ascending else "descending"
-        if self.direction is None:
-            self.direction = direction
-        elif self.direction != direction:
-            raise InvalidModel("route lift is not monotone between junctions")
-        payload = self.trunc.graph_edges[eid][0]
-        if payload[0] == "tail":
-            self.steps.append(payload)
-        else:
-            lo_t, hi_t = span or (paths_mod._ZERO, paths_mod._ONE)
-            self.steps.append(("edge", payload[1], payload[2], lo_t, hi_t))
-
-
-def _reference_path(trunc, x, y, route=_UNROUTED):
-    if x == y:
-        steps = (("vertex",) + x.cell,) if x.is_vertex else (("edge",) + x.cell + (x.t, x.t),)
-        return Path((Interval(x, x, ASC, steps),), ())
-    if route is _UNROUTED:
-        route = reference_route(trunc, x, y)
-    if route is None:
-        raise TruncatedError("no route")
-    builder = _ReferenceBuilder(trunc, x)
-    pending = frozenset((x.cell,)) if x.is_vertex else None
-    for eid, span, frm, _, a_frm, a_to, ascending in route:
-        if frm[0] == "locus":
-            builder.transit(pending, a_frm)
-        elif frm[0] == "vertex":
-            builder.vertex_step(frm[1:])
-        builder.traverse(eid, span, ascending)
-        pending = a_to
-    final = ("pt", 1) if not y.is_vertex else trunc.vertex_node(y.cell)
-    if final[0] == "locus":
-        builder.transit(pending, frozenset((y.cell,)))
-        builder.vertex_step(y.cell)
-    elif final[0] == "vertex":
-        builder.vertex_step(y.cell)
-    builder.close(y)
-    return Path(tuple(builder.intervals), tuple(builder.junctions))
-
-
-def reference_compare(trunc, x, y, route=_UNROUTED):
-    """compare as it was before each window kept jump pointers and prefix
-    counts: the route walked hop by hop, the first jump making the points
-    incomparable and a hop against the first hop's direction raising."""
-    trunc.require_point(x)
-    trunc.require_point(y)
-    require_routable(trunc)
-    if x == y:
-        return Comparability.EQUAL
-    if route is _UNROUTED:
-        route = reference_route(trunc, x, y)
-    if route is None:
-        return Comparability.TRUNCATED
-    ascending = route[0][6] if route else None
-    pending = frozenset((x.cell,)) if x.is_vertex else None
-    for _, _, frm, _, a_frm, a_to, up in route:
-        if frm[0] == "locus" and pending.isdisjoint(a_frm):
-            return Comparability.INCOMPARABLE
-        if up is not ascending:
-            raise InvalidModel("route lift is not monotone between junctions")
-        pending = a_to
-    if y.is_vertex and trunc.vertex_node(y.cell)[0] == "locus" and y.cell not in pending:
-        return Comparability.INCOMPARABLE
-    return Comparability.LESS if ascending else Comparability.GREATER
+# The references (``tests/reference.py``) are the route, the lift and
+# ``compare`` as they were before routes found their meeting node by jump
+# pointers, before each window kept a transit table and before ``compare``
+# read prefix counts.
 
 
 def _outcome(fn, *args):
@@ -802,28 +610,6 @@ def test_compare_is_depth_monotone(name):
 
 
 # -- sample_points -----------------------------------------------------------------
-
-
-def _reference_sample_points(p):
-    """sample_points as it was, deduplicating over a list."""
-    seen = []
-
-    def add(pt):
-        if pt not in seen:
-            seen.append(pt)
-
-    for iv in p.intervals:
-        add(iv.start)
-        for step in iv.steps:
-            if step[0] == "vertex":
-                add(Point(step[1:3]))
-            elif step[0] == "edge":
-                lo, hi = step[3], step[4]
-                t = (lo + hi) / 2
-                if 0 < t < 1:
-                    add(Point(step[1:3], t))
-        add(iv.end)
-    return seen
 
 
 def test_sample_points_matches_reference():
