@@ -32,8 +32,8 @@ was at least absent from the window).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import cycle, islice
+from typing import NamedTuple
 
 from .core import (
     Element,
@@ -56,13 +56,13 @@ def _require_letters(count):
         raise ValueError(f"word of {count} letters exceeds the limit of {WORD_LETTER_LIMIT}")
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(NamedTuple):
     """A reduced word over the model's generators.
 
     ``letters`` is a sequence of (generator name, exponent) with exponent
     +1 or -1; construction cancels adjacent inverse pairs (free reduction
-    only -- the acting group is treated as free on the generators)."""
+    only -- the acting group is treated as free on the generators).
+    ``len`` counts letters, so ``_make`` and ``_replace`` do not apply."""
 
     letters: tuple
 
@@ -356,8 +356,7 @@ def in_comparable_set(spec, word, point, depth):
     return _membership(_relation(trunc, word_map(spec, word), point))
 
 
-@dataclass(frozen=True)
-class ComparableSample:
+class ComparableSample(NamedTuple):
     """A recorded membership sweep for one word at one depth."""
 
     word: Word
@@ -389,8 +388,7 @@ def _fixed_cells(trunc, elem):
                   if c[0] in fixed_families)
 
 
-@dataclass(frozen=True)
-class ProfileEntry:
+class ProfileEntry(NamedTuple):
     """One classification answer: Yes with a witness, a certified No (the
     sweep closed), or Truncated (no witness in the window, not certified)."""
 
@@ -403,8 +401,7 @@ class ProfileEntry:
         return "no" if self.value is Tri.NO else "no within window (truncated)"
 
 
-@dataclass(frozen=True)
-class ElementProfile:
+class ElementProfile(NamedTuple):
     word: Word
     depth: int
     tangentiable: ProfileEntry
@@ -454,8 +451,7 @@ def _classify(trunc, word, elem):
     )
 
 
-@dataclass(frozen=True)
-class BranchingType:
+class BranchingType(NamedTuple):
     value: str                 # "none" | "one_sided_positive" | "one_sided_negative" | "two_sided"
     truncated_caveat: bool     # deeper windows could reveal more loci
 

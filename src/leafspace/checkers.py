@@ -21,7 +21,7 @@ checker's arguments, and :func:`discover_instances` picks the instances
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     PointOutOfRange,
@@ -60,8 +60,7 @@ SCREEN_DISCLAIMER = (
     "space of a leafwise hyperbolic taut foliation, not that a theorem failed")
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     name: str
     verdict: str
     witness: tuple = ()         # sorted (key, value-str) pairs
@@ -323,8 +322,7 @@ def check_invariant_locus_stem(spec, word, locus, depth):
         "word": word, "suffix_cells": run})
 
 
-@dataclass(frozen=True)
-class StabilizerBall:
+class StabilizerBall(NamedTuple):
     """The group elements within a radius that fix a locus setwise, each
     named by its shortlex-least word.  The cyclic certificate compares
     element sets: some member's powers must be exactly the nontrivial

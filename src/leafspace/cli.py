@@ -15,7 +15,6 @@ import functools
 import json
 import re
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 from .core import (
@@ -299,7 +298,7 @@ def cmd_suite(args, out):
             truncations += 1
         elif worst.verdict == "precondition-failed":
             skips += 1
-        render_report(out, replace(worst, notes=worst.notes + (f"instances={len(reps)}",)))
+        render_report(out, worst._replace(notes=worst.notes + (f"instances={len(reps)}",)))
         payload_reports.append(dict(worst.to_dict(), instances=len(reps)))
     out.line("")
     out.line(f"suite: {len(ck.CHECKERS)} checkers, "

@@ -41,9 +41,10 @@ among them) are per-family maps composed with integer index shifts; see
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 
 class Tri(enum.Enum):
@@ -102,40 +103,48 @@ class UnknownName(LeafSpaceError):
 # spec data
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     name: str
     kind: str                 # "edge" | "vertex"
     chain: bool = False       # integer chain vs single cell
     glue: int | None = None   # edge chains only: +1 / -1 links consecutive cells
 
 
-@dataclass(frozen=True)
-class EndRule:
+class _Checked:
+    """Base of a named tuple whose ``__new__`` checks or sorts its fields:
+    ``_make``, and so ``_replace``, go through ``__new__`` too."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+
+class EndRule(_Checked, namedtuple("EndRule", "kind targets")):
     """Attachment rule for one end of an unlinked edge family.
 
-    ``targets`` holds (vertex family, offset) pairs: one for ``vertex``,
-    one or more for ``limit``, none for ``open``.  For a chain edge the
-    offset is added to the cell index; for a unit edge it is the absolute
-    index into a chain target (and must be 0 for a unit target).
+    ``kind`` is "open", "vertex" or "limit".  ``targets`` holds (vertex
+    family, offset) pairs, sorted: one for ``vertex``, one or more for
+    ``limit``, none for ``open``.  For a chain edge the offset is added to
+    the cell index; for a unit edge it is the absolute index into a chain
+    target (and must be 0 for a unit target).
     """
 
-    kind: str                                  # "open" | "vertex" | "limit"
-    targets: tuple[tuple[str, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "targets", tuple(sorted(self.targets)))
+    def __new__(cls, kind, targets=()):
+        return tuple.__new__(cls, (kind, tuple(sorted(targets))))
 
 
-@dataclass(frozen=True)
-class ChainEndRule:
-    """Rule for a glued chain's end at infinity; targets are unit vertex families."""
+class ChainEndRule(_Checked, namedtuple("ChainEndRule", "kind targets")):
+    """Rule for a glued chain's end at infinity: ``kind`` is "open" or
+    "limit", ``targets`` the sorted unit vertex families."""
 
-    kind: str                                  # "open" | "limit"
-    targets: tuple[str, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "targets", tuple(sorted(self.targets)))
+    def __new__(cls, kind, targets=()):
+        return tuple.__new__(cls, (kind, tuple(sorted(targets))))
 
 
 def open_end():
@@ -150,25 +159,23 @@ def to_limit(*targets):
     return EndRule("limit", tuple(targets))
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(_Checked, namedtuple("Point", "cell t")):
     """A position: a vertex cell, or an interior point of an edge cell.
 
-    ``t`` is None for a vertex, else an exact rational strictly between
-    0 and 1 measured from the low end of the edge.
+    ``cell`` is (family, index), index 0 for unit families.  ``t`` is None
+    for a vertex, else an exact rational strictly between 0 and 1
+    measured from the low end of the edge.
     """
 
-    cell: tuple      # (family, index); index 0 for unit families
-    t: Fraction | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        t = self.t
+    def __new__(cls, cell, t=None):
         if t is not None:
             if type(t) is not Fraction:     # images of points pass their Fraction on
                 t = Fraction(t)
-                object.__setattr__(self, "t", t)
             if not 0 < t.numerator < t.denominator:     # 0 < t < 1, on integers
                 raise ValueError("interior coordinate must be in (0,1)")
+        return tuple.__new__(cls, (cell, t))
 
     @property
     def is_vertex(self):
@@ -420,8 +427,7 @@ def automorphism_problems(spec, gen):
 # branch loci
 
 
-@dataclass(frozen=True)
-class BranchLocus:
+class BranchLocus(NamedTuple):
     """A set of >= 2 mutually non-separated vertices with the edge end
     (stem) whose limit set they are."""
 
@@ -447,33 +453,25 @@ def chain_end_ascends(glue, side):
 # truncation
 
 
-@dataclass(frozen=True)
-class TruncatedEnd:
+class TruncatedEnd(NamedTuple):
     """A cut made by the depth bound, tagged with its symbolic continuation."""
 
     at: tuple          # (cell, side) for a vertex side, or ("chain", fam, side)
     continuation: str
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     code: str          # "germ-count" | "limit-set" | "not-a-tree" | "shape" | "mark"
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple
+    routing_error: str | None   # what routing raises: every violation but "disconnected"
 
     @property
     def valid(self):
         return not self.violations
-
-    @cached_property
-    def _routing_error(self):
-        """The message routing raises on this report, or None: every
-        violation but "disconnected" (see ``require_routable``)."""
-        return "; ".join(v.message for v in self.violations if v.code != "disconnected") or None
 
 
 class Truncation:
@@ -957,7 +955,8 @@ def validate(trunc):
         elif (fam.kind == "vertex") != mark.is_vertex:
             bad("mark", f"mark {name} kind does not match family {mark.cell[0]}")
 
-    trunc._validation = ValidationReport(tuple(violations))
+    routing_error = "; ".join(v.message for v in violations if v.code != "disconnected")
+    trunc._validation = ValidationReport(tuple(violations), routing_error or None)
     return trunc._validation
 
 
@@ -977,7 +976,7 @@ def require_routable(trunc):
     """Routing needs a sound acyclic window; a disconnected one is fine
     (the missing connections lie beyond the depth bound and route
     searches report Truncated instead)."""
-    error = cached_validation(trunc)._routing_error
+    error = cached_validation(trunc).routing_error
     if error:
         raise InvalidModel(error)
     return trunc
@@ -989,8 +988,7 @@ def branch_loci(trunc):
     return list(trunc.loci)
 
 
-@dataclass(frozen=True)
-class HausdorffTree:
+class HausdorffTree(NamedTuple):
     """The window graph with each branch locus collapsed to one node."""
 
     nodes: tuple

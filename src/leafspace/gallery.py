@@ -7,7 +7,7 @@ between marks, element classifications) and is executed as a test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     ChainEndRule,
@@ -21,8 +21,7 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class GalleryEntry:
+class GalleryEntry(NamedTuple):
     name: str
     spec: LeafSpaceSpec
     notes: str

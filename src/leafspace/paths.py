@@ -41,8 +41,8 @@ stops at the first jump on each branch.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import (
     BranchLocus,
@@ -68,11 +68,9 @@ class Comparability(enum.Enum):
 COMPARABLE = (Comparability.EQUAL, Comparability.LESS, Comparability.GREATER)
 
 ASC, DESC = "ascending", "descending"
-_new, _setattr = object.__new__, object.__setattr__
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple):
     """A maximal monotone arc of a path.
 
     ``steps`` lists the traversal in order: ("vertex", fam, i) entries for
@@ -111,21 +109,7 @@ class Interval:
         return f"[{self.start} {arrow} {self.end}]"
 
 
-def _interval(start, end, direction, steps):
-    """``Interval(start, end, direction, steps)``, made as the frozen
-    dataclass's ``__init__`` makes it (one ``object.__setattr__`` per
-    field, in field order) without the cost of calling it; ``path``
-    builds one per jump."""
-    iv = _new(Interval)
-    _setattr(iv, "start", start)
-    _setattr(iv, "end", end)
-    _setattr(iv, "direction", direction)
-    _setattr(iv, "steps", steps)
-    return iv
-
-
-@dataclass(frozen=True)
-class PathJunction:
+class PathJunction(NamedTuple):
     arrive: Point
     depart: Point
     locus: BranchLocus
@@ -137,8 +121,7 @@ class PathJunction:
         return f"({self.arrive} ~ {self.depart})"
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(NamedTuple):
     intervals: tuple
     junctions: tuple
 
@@ -283,7 +266,7 @@ def path(trunc, x, y):
                 transits.get((pending, a_frm)) or _transit(trunc, pending, a_frm))
             steps.append(first_step)
             if jumps:
-                intervals.append(_interval(start, first, DESC if up is False else ASC, tuple(steps)))
+                intervals.append(Interval(start, first, DESC if up is False else ASC, tuple(steps)))
                 intervals += between
                 junctions += jumps
                 start, up, steps = last, None, [last_step]
@@ -301,7 +284,7 @@ def path(trunc, x, y):
         else:
             steps.append(("edge", payload[1], payload[2]) + span)
         pending = a_to
-    intervals.append(_interval(start, y, DESC if up is False else ASC, tuple(steps)))
+    intervals.append(Interval(start, y, DESC if up is False else ASC, tuple(steps)))
     return Path(tuple(intervals), tuple(junctions))
 
 

@@ -17,7 +17,7 @@ symmetry to act with).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     EndRule,
@@ -31,8 +31,7 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class RandomParams:
+class RandomParams(NamedTuple):
     seed: int
     locus_count: tuple = (1, 3)
     locus_size: tuple = (2, 4)

@@ -15,6 +15,7 @@ from leafspace.checkers import (
     PASS,
     TRUNCATED,
     VIOLATION,
+    CheckReport,
     check_connected_open,
     check_faithfulness,
     check_fix_propagation,
@@ -216,6 +217,9 @@ def test_return_guards(swap):
         check_return(swap.spec, g, mid_point("s", 0), 2, 4)      # lam in C_g
     with pytest.raises(PreconditionFailed):
         check_return(swap.spec, g, mid_point("ra", 0), 3, 4)     # g^3 keeps sides apart
+    for k in (1, 0, -2):
+        with pytest.raises(PreconditionFailed, match="k must exceed 1"):
+            check_return(swap.spec, g, mid_point("ra", 0), k, 4)
 
 
 def test_return_power_takes_logarithmic_products(swap, monkeypatch):
@@ -556,7 +560,7 @@ def test_faithfulness_matches_reference():
     for label, spec, radius, depth in _faithfulness_cases():
         want = _outcome(reference_check_faithfulness, spec, radius, depth)
         assert _outcome(check_faithfulness, spec, radius, depth) == want, (label, radius)
-        verdicts[want[0] if isinstance(want, tuple) else want.verdict] += 1
+        verdicts[want.verdict if isinstance(want, CheckReport) else want[0]] += 1
     assert verdicts[PASS] and verdicts[VIOLATION] > 100 and verdicts["PreconditionFailed"]
 
 
@@ -605,7 +609,7 @@ def test_check_odd_path_matches_reference(tripod, updown):
                 for k_max in (1, 3):
                     want = _outcome(reference_check_odd_path, spec, word, lam, k_max, depth)
                     assert _outcome(check_odd_path, spec, word, lam, k_max, depth) == want
-                    verdicts[want[0] if isinstance(want, tuple) else want.verdict] += 1
+                    verdicts[want.verdict if isinstance(want, CheckReport) else want[0]] += 1
     assert verdicts[PASS] and verdicts[VIOLATION] and verdicts["PreconditionFailed"]
 
 
@@ -858,6 +862,20 @@ def test_return_flags_a_power_that_moves_the_arrival_point():
     assert rep.verdict == VIOLATION
     assert dict(rep.witness) == {"word": "f", "k": "3", "m": "1",
                                  "arrive": str(junction.arrive), "image": str(image)}
+
+
+def test_return_refuses_an_odd_connection_under_a_non_automorphism():
+    # f (built with check=False) exchanges a and c, which a length-3
+    # connection joins: a is incomparable with f(a) = c yet equal to
+    # f^2(a), which the return lemma rules out for an automorphism
+    spec = build_odd_involution()
+    trunc, f = expand(spec, 0), spec.generators["f"]
+    lam = vertex_point("a")
+    assert reference_relation(trunc, f, lam) is Comparability.INCOMPARABLE
+    assert reference_relation(trunc, f ** 2, lam) is Comparability.EQUAL
+    assert _reference_path(trunc, lam, f.point(lam)).length == 3
+    with pytest.raises(PreconditionFailed, match="path length 3 is odd"):
+        check_return(spec, Word.generator("f"), lam, 2, 0)
 
 
 def _fixed_samples(trunc, elem, x_pos, x_neg):

@@ -88,6 +88,34 @@ def test_negative_bounds_are_refused(capsys):
 def test_check_precondition_warns_but_exits_zero():
     code, out = run("check", "check_faithfulness", "--gallery", "LINE")
     assert code == 0 and "PRECONDITION-FAILED" in out
+    code, out = run("check", "check_return", "--gallery", "SWAP", "--word", "g",
+                    "--point", "ra[0]:1/2", "--k", "1")
+    assert code == 0
+    assert out == "PRECONDITION-FAILED check_return\n           note: k must exceed 1\n"
+
+
+def test_suite_counts_a_truncated_row(monkeypatch):
+    # no gallery window makes a checker's worst verdict Truncated, so one
+    # registered checker is wrapped to answer Truncated on the word g
+    real = ck.check_connected_open
+
+    def truncated_on_g(spec, word, depth):
+        report = real(spec, word, depth)
+        return report._replace(verdict=ck.TRUNCATED) if str(word) == "g" else report
+
+    monkeypatch.setattr(ck, "check_connected_open", truncated_on_g)
+    argv = ("suite", "--gallery", "SWAP", "--depth", "4", "--word-len", "6")
+    code, out = run(*argv)
+    assert code == 0
+    assert ("\nTRUNCATED  check_connected_open  word=g yes_cells=9\n"
+            "           note: sweep touched truncated ends\n"
+            "           note: instances=2\n") in out
+    assert out.endswith("\nsuite: 10 checkers, 8 pass, 0 violations, 1 truncated, 1 skipped\n")
+    code, out = run(*argv, "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["violations"] == 0 and payload["warnings"] == 2
+    row = next(r for r in payload["reports"] if r["check"] == "check_connected_open")
+    assert row["verdict"] == "truncated" and row["instances"] == 2
 
 
 def test_suite_exit_codes():

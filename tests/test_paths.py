@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import pickle
 import random
@@ -110,8 +109,8 @@ def test_path_degenerate_cases(yplus):
 
 
 def test_lifted_intervals_are_dataclass_intervals(zigzag):
-    # path builds its intervals without Interval.__init__; each must be
-    # indistinguishable from one built by it from the same fields
+    # each interval path lifts must be indistinguishable from one built by
+    # Interval(...) from the same fields
     trunc = expand(zigzag.spec, 3)
     p = path(trunc, mid_point("E", -2), mid_point("E", 2))
     assert {iv.direction for iv in p.intervals} == {ASC, "descending"}
@@ -119,10 +118,10 @@ def test_lifted_intervals_are_dataclass_intervals(zigzag):
         built = Interval(iv.start, iv.end, iv.direction, iv.steps)
         assert iv == built and built == iv and hash(iv) == hash(built)
         assert repr(iv) == repr(built) and str(iv) == str(built)
-        assert list(vars(iv).items()) == list(vars(built).items())
-        assert list(vars(iv)) == [f.name for f in dataclasses.fields(Interval)]
-        assert pickle.loads(pickle.dumps(iv)) == iv and dataclasses.replace(iv) == iv
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        assert list(iv._asdict().items()) == list(built._asdict().items())
+        assert list(iv._asdict()) == list(Interval._fields) == ["start", "end", "direction", "steps"]
+        assert pickle.loads(pickle.dumps(iv)) == iv and iv._replace() == iv
+        with pytest.raises(AttributeError):
             iv.direction = ASC
 
 
@@ -337,16 +336,6 @@ def _lifted(lift, trunc, x, y, key):
         return type(exc).__name__
 
 
-def _fields(p):
-    """Every field of a path as nested plain tuples: equal exactly when the
-    paths are, and compared in C (dataclass equality and repr cost several
-    times a lift on long paths)."""
-    return (tuple((iv.start.cell, iv.start.t, iv.end.cell, iv.end.t, iv.direction, iv.steps)
-                  for iv in p.intervals),
-            tuple((j.arrive.cell, j.arrive.t, j.depart.cell, j.depart.t, j.locus)
-                  for j in p.junctions))
-
-
 def _assert_table_matches_reference(trunc, pairs, key=repr):
     """The route (``paths._route``) is the reference's hop for hop, or None
     where it is.  path equals the reference on every pair, lifted first on
@@ -354,7 +343,10 @@ def _assert_table_matches_reference(trunc, pairs, key=repr):
     first here) and again once the pair's crossings are all in it; a warm
     lift adds no entry, and every entry pairs two anchors of one locus
     node.  ``compare`` answers as ``reference_compare`` does, or raises its
-    error.  Both references lift the pair's one reference route."""
+    error.  Both references lift the pair's one reference route.  ``key``
+    is what is compared of a path: ``tuple`` compares every field as
+    nested tuples, where a repr, built in Python, costs several times a
+    lift on long paths."""
     assert trunc.transits == {}
     for x, y in pairs:
         route = reference_route(trunc, x, y)
@@ -399,7 +391,7 @@ def test_transit_table_matches_reference_on_gallery(name):
         trunc = expand(gallery(name).spec, depth)
         pts = trunc.canonical_points
         _assert_table_matches_reference(trunc, list(itertools.product(pts, pts)),
-                                        key=repr if depth <= 2 else _fields)
+                                        key=repr if depth <= 2 else tuple)
 
 
 def test_transit_table_matches_reference_at_depth_64():
@@ -449,7 +441,7 @@ def test_route_matches_reference_off_the_canonical_points():
                     routed = paths_mod._route(trunc, x, y) is not None
                     seen.add(("same edge" if y.cell == cell else below, routed))
                     pairs += [(x, y), (y, x)]
-        _assert_table_matches_reference(trunc, pairs, key=_fields)
+        _assert_table_matches_reference(trunc, pairs, key=tuple)
     assert {("same edge", True), (True, True), (False, True), (False, False)} <= seen
 
 
