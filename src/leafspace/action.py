@@ -40,10 +40,8 @@ from .core import (
     Tri,
     UndefinedGenerator,
     automorphism_problems,
-    mid_point,
     require_routable,
     require_valid,
-    vertex_point,
 )
 from .paths import COMPARABLE, Comparability, compare
 
@@ -254,13 +252,13 @@ def _swept(trunc, elem):
     return hit
 
 
-def _runs(blocks, elem):
-    """Per family run of ``Truncation.sweep_cells``: the positions a..b
+def _runs(cell_runs, elem):
+    """Per family run of ``Truncation.cell_runs``: the positions a..b
     whose images under the element lie in the window, and the offset from
     each to its image's."""
-    for fam, (start, lo, hi) in blocks.items():
+    for fam, (start, lo, hi) in cell_runs.items():
         img, shift = elem.maps[fam]
-        to, tlo, thi = blocks.get(img, (0, 0, -1))
+        to, tlo, thi = cell_runs.get(img, (0, 0, -1))
         a, b = max(lo, tlo - shift), min(hi, thi - shift) + 1
         yield start - lo + a, start - lo + max(a, b), to - tlo + shift - start + lo
 
@@ -280,9 +278,9 @@ def _sweep_table(trunc, elem):
     spec, points = trunc.spec, trunc.canonical_points
     inverse = elem.inverse()
     kept = trunc.sweeps.get(inverse)
-    blocks, _, component = trunc.sweep_cells
-    runs, rels = list(_runs(blocks, elem)), []
-    for start, lo, hi in blocks.values():   # one answer per family beyond the window
+    cell_runs = trunc.cell_runs
+    runs, rels = list(_runs(cell_runs, elem)), []
+    for start, lo, hi in cell_runs.values():    # one answer per family beyond the window
         p = points[start]
         rels += [_same_glued_chain_relation(spec, p, elem.point(p))] * (hi - lo + 1)
     if kept is not None:
@@ -292,12 +290,13 @@ def _sweep_table(trunc, elem):
     if any(a < b for a, b, _ in runs):      # where an in-window image needs a compare
         require_routable(trunc)
     unchecked = len(trunc.automorphisms) < len(spec.generators)
-    orbits = _classes(blocks, [] if unchecked and automorphism_problems(spec, elem) else [elem] + [
+    orbits = _classes(cell_runs, [] if unchecked and automorphism_problems(spec, elem) else [elem] + [
         c for c in trunc.automorphisms if c not in (elem, inverse) and c * elem == elem * c])
     relation = {None: None}     # class -> its relation; None keys a pair across components
     for a, b, offset in runs:
         keys = orbits[a:b]
         if trunc.components > 1:
+            component = trunc.cell_components
             keys = [r if c == d else None for r, c, d in
                     zip(keys, component[a:b], component[a + offset:b + offset])]
         for root, k in dict(zip(keys, range(a, b))).items():
@@ -308,14 +307,13 @@ def _sweep_table(trunc, elem):
     return tuple(rels), orbits
 
 
-def _classes(blocks, moves):
+def _classes(cell_runs, moves):
     """Per canonical position, a position naming its class: the cells the
-    moves join, both ends in the window (``blocks``: the family runs of
-    ``Truncation.sweep_cells``).  A move that maps a family onto itself
-    with shift b joins its cells b apart, so the union-find runs over
-    residues modulo the least such |b|."""
+    moves join, both ends in the window (``Truncation.cell_runs``).  A
+    move that maps a family onto itself with shift b joins its cells b
+    apart, so the union-find runs over residues modulo the least such |b|."""
     node = []           # per position, the first position of its residue
-    for fam, (start, lo, hi) in blocks.items():
+    for fam, (start, lo, hi) in cell_runs.items():
         m = min([hi - lo + 1] + [abs(x.maps[fam][1]) for x in moves
                                  if x.maps[fam][0] == fam and x.maps[fam][1]])
         node += islice(cycle(range(start, start + m)), hi - lo + 1)
@@ -328,7 +326,7 @@ def _classes(blocks, moves):
         return k
 
     for x in moves:
-        for a, b, offset in _runs(blocks, x):
+        for a, b, offset in _runs(cell_runs, x):
             for j, k in set(zip(node[a:b], node[a + offset:b + offset])):
                 parent[find(j)] = find(k)
     root = {k: find(k) for k in set(node)}
@@ -346,7 +344,7 @@ def _relation(trunc, elem, point):
     point's cell, constant on the cell's interior (images keep t, a route
     between two edge cells does not depend on t, a fixed cell is fixed
     pointwise)."""
-    return _swept(trunc, elem)[0][trunc.sweep_cells[1][point.cell]]
+    return _swept(trunc, elem)[0][trunc.position[point.cell]]
 
 
 def in_comparable_set(spec, word, point, depth):
@@ -383,9 +381,9 @@ def fixed_cells(spec, word, depth):
 
 
 def _fixed_cells(trunc, elem):
-    fixed_families = {fam for fam, (img, shift) in elem.maps.items() if img == fam and shift == 0}
-    return sorted(c for c in trunc.vertex_cells + trunc.edge_cells
-                  if c[0] in fixed_families)
+    runs = trunc.cell_runs
+    return [(fam, i) for fam in sorted(runs) if elem.maps[fam] == (fam, 0)
+            for i in range(runs[fam][1], runs[fam][2] + 1)]
 
 
 class ProfileEntry(NamedTuple):
@@ -435,11 +433,8 @@ def classify_element(spec, word, depth):
 def _classify(trunc, word, elem):
     """``classify_element`` on a valid window, for an element composed by the caller."""
     fixed = _fixed_cells(trunc, elem)
-    tan_witness = None
-    for cell in fixed:
-        tan_witness = (vertex_point(*cell) if trunc.has_vertex(cell) else mid_point(*cell))
-        break
     points, rels = trunc.canonical_points, sweep(trunc, elem)
+    tan_witness = points[trunc.position[fixed[0]]] if fixed else None
     tainted = trunc.has_truncation or None in rels
     pos_witness, neg_witness = (points[rels.index(rel)] if rel in rels else None
                                 for rel in (Comparability.LESS, Comparability.GREATER))

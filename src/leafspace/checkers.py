@@ -2,9 +2,9 @@
 
 Each checker returns a :class:`CheckReport` with verdict pass /
 violation / truncated, or raises :class:`PreconditionFailed` when its
-hypothesis does not hold for the given arguments.  Violation witnesses
-replay: re-running the cited primitive operations on the witness
-reproduces the violation.
+hypothesis does not hold for the given arguments.  A witness names the
+words and points a verdict rests on, as the strings ``CheckReport.make``
+renders; nothing replays them.
 
 Every checker and instance discovery read whether a point is comparable
 with its image from the window's kept sweep (``action._relation``).
@@ -306,7 +306,7 @@ def check_invariant_locus_stem(spec, word, locus, depth):
     if not cells:
         return CheckReport.make(name, TRUNCATED, depth=depth,
                                 notes=("stem does not meet the window",))
-    run, rels, position = 0, sweep(trunc, elem), trunc.sweep_cells[1]
+    run, rels, position = 0, sweep(trunc, elem), trunc.position
     for cell in cells:          # an edge cell: its canonical point is the midpoint
         member = _membership(rels[position[cell]])
         if member is Tri.YES:
@@ -454,7 +454,7 @@ def check_intermediate_fixed(spec, word, x_pos, x_neg, depth):
         return CheckReport.make(name, VIOLATION, depth=depth,
                                 witness={"word": word, "path_length": gamma.length})
     incomparable = bool(gamma.junctions)
-    in_locus = witness.is_vertex and trunc.locus_group_of(witness.cell) is not None
+    in_locus = witness.is_vertex and trunc.vertex_node(witness.cell)[0] == "locus"
     if incomparable and not in_locus:
         return CheckReport.make(name, VIOLATION, depth=depth, witness={
             "word": word, "witness": witness,

@@ -58,6 +58,8 @@ class Tri(enum.Enum):
         return self.value
 
 
+DEPTH_LIMIT = 4096      # deepest window ``expand`` builds
+
 LOW, HIGH = "low", "high"
 NEG, POS = "neg", "pos"          # chain side: index -> -inf / +inf
 POSITIVE, NEGATIVE = "positive", "negative"
@@ -388,7 +390,8 @@ class LeafSpaceSpec:
         return out
 
     def window(self, depth):
-        """Cached truncation at the given depth."""
+        """Cached truncation at the given depth; the cache keeps every depth
+        it was asked for, and nothing for one that ``expand`` refuses."""
         if depth not in self._windows:
             self._windows[depth] = expand(self, depth)
         return self._windows[depth]
@@ -485,9 +488,8 @@ class Truncation:
     as cell adjacency, by ``vertex_sides``), its membership sweeps
     (``sweeps``: group element -> the image relation of every canonical
     point and, per cell, the class whose one ``compare`` answered it,
-    filled by :func:`leafspace.action.sweep`), the cell table those sweeps
-    read (``sweep_cells``: the run of positions each family's cells fill,
-    each cell's position and component, built by the first sweep), the
+    filled by :func:`leafspace.action.sweep`, which reads each family's
+    run of cells, ``cell_runs``, and each cell's ``cell_components``), the
     generators that are automorphisms and its transit table (``transits``:
     (entry anchor, exit anchor) at a collapsed locus node -> what a path
     gains crossing it, filled by :func:`leafspace.paths.path` and the
@@ -511,46 +513,47 @@ class Truncation:
 
     # -- cells -----------------------------------------------------------
 
-    def _indices(self, fam):
-        return range(-self.depth, self.depth + 1) if fam.chain else (0,)
-
     def _target_index(self, efam, i, vfam, off):
         """Concrete index of a per-cell attachment target."""
         if not self.spec.families[vfam].chain:
             return 0
         return i + off if self.spec.families[efam].chain else off
 
-    def _target_in_range(self, efam, i, vfam, off):
-        j = self._target_index(efam, i, vfam, off)
-        return not self.spec.families[vfam].chain or abs(j) <= self.depth
-
     def _build_cells(self):
-        spec = self.spec
-        self.vertex_cells = []
-        self.edge_cells = []
-        for name in sorted(spec.families):
-            fam = spec.families[name]
-            cells = [(name, i) for i in self._indices(fam)]
-            if fam.kind == "vertex":
-                self.vertex_cells.extend(cells)
-            elif fam.glue is not None:
-                self.edge_cells.extend(cells)
-            else:
-                for cell in cells:
-                    ok = True
-                    for end in (LOW, HIGH):
-                        rule = spec.ends.get((name, end))
-                        if rule is None:
-                            continue
-                        for vfam, off in rule.targets:
-                            if not self._target_in_range(name, cell[1], vfam, off):
-                                ok = False
-                    if ok:
-                        self.edge_cells.append(cell)
-        self.vertex_cells.sort()
-        self.edge_cells.sort()
+        """Each family's window cells form one run of indices i: all of
+        [-depth, depth] for a chain, 0 for a unit, cut for an unlinked edge
+        family to where each chain target i + off lies in the window.  The
+        cell lists and ``cell_runs`` are laid out from the runs, vertex
+        families first and each kind by name: ``cell_runs`` maps each family
+        with cells to (first canonical position, first i, last i)."""
+        spec, d = self.spec, self.depth
+        families, ends = spec.families, spec.ends
+        runs = ([], [])         # (name, lo, hi) of vertex families, then of edge families
+        for name in sorted(families):
+            fam = families[name]
+            lo, hi = (-d, d) if fam.chain else (0, 0)
+            edge = fam.kind != "vertex"
+            if edge and fam.glue is None:
+                for end in (LOW, HIGH):
+                    rule = ends.get((name, end))
+                    for vfam, off in rule.targets if rule else ():
+                        if families[vfam].chain:
+                            lo, hi = max(lo, -d - off), min(hi, d - off)
+            if lo <= hi:
+                runs[edge].append((name, lo, hi))
+        self.vertex_cells, self.edge_cells = (
+            [(name, i) for name, lo, hi in kind for i in range(lo, hi + 1)] for kind in runs)
+        self.cell_runs, start = {}, 0
+        for name, lo, hi in runs[0] + runs[1]:
+            self.cell_runs[name] = start, lo, hi
+            start += hi - lo + 1
         self._edge_set = set(self.edge_cells)
         self._vertex_set = set(self.vertex_cells)
+
+    @cached_property
+    def position(self):
+        """Window cell -> its canonical position."""
+        return {c: k for k, c in enumerate(self.vertex_cells + self.edge_cells)}
 
     def has_vertex(self, cell):
         return cell in self._vertex_set
@@ -627,9 +630,6 @@ class Truncation:
                 if m not in self._locus_group:
                     self._locus_group[m] = li
                     frontier.extend(mate for mate, _ in self._mates.get(m, ()))
-
-    def locus_group_of(self, vcell):
-        return self._locus_group.get(vcell)
 
     def common_locus(self, m1, m2):
         """Smallest locus index containing both vertices, else None."""
@@ -744,24 +744,17 @@ class Truncation:
         self.components = sum(1 for r in rooting.values() if r[0] is None)
 
     @cached_property
-    def sweep_cells(self):
-        """Per family, the run of canonical positions its cells fill, as
-        (first position, first index, last index); cell -> position; and per
-        position the component of the window forest holding the cell,
-        numbered in the order of the roots in ``rooting``."""
+    def cell_components(self):
+        """Per canonical position, the component of the window forest
+        holding the cell, numbered in the order of the roots in ``rooting``."""
         component, count = {}, -1
         for node, hops in self.rooting.items():
             if hops[0] is None:
                 count += 1
             component[node] = count
         edges, edge_index = self.graph_edges, self.edge_index
-        nodes = ([self.vertex_node(c) for c in self.vertex_cells]
-                 + [edges[edge_index[c]][1] for c in self.edge_cells])
-        cells = self.vertex_cells + self.edge_cells
-        position, first = {c: k for k, c in enumerate(cells)}, dict(reversed(cells))
-        blocks = {fam: (position[fam, first[fam]], first[fam], last)
-                  for fam, last in dict(cells).items()}
-        return blocks, position, [component[n] for n in nodes]
+        return ([component[self.vertex_node(c)] for c in self.vertex_cells]
+                + [component[edges[edge_index[c]][1]] for c in self.edge_cells])
 
     @cached_property
     def automorphisms(self):
@@ -852,9 +845,12 @@ class Truncation:
 
 def expand(spec, depth):
     """Instantiate the depth-bounded window.  Monotone: every cell and
-    attachment present at depth d appears unchanged at depth d+1."""
+    attachment present at depth d appears unchanged at depth d+1.  A depth
+    outside [0, ``DEPTH_LIMIT``] raises BadOffset before any cell is built."""
     if depth < 0:
         raise BadOffset("depth must be non-negative")
+    if depth > DEPTH_LIMIT:
+        raise BadOffset(f"depth {depth} exceeds the limit of {DEPTH_LIMIT}")
     spec.check_wellformed()
     return Truncation(spec, depth)
 

@@ -394,6 +394,44 @@ def _reference_sample_points(p):
 # -- window tables -------------------------------------------------------------------
 
 
+def reference_cells(trunc):
+    """The window's cells found one cell at a time, as before the family
+    runs: each end-rule target of each unlinked edge cell is tested for the
+    window, and both lists are sorted.  The per-family runs and the
+    positions are then read back off the flat lists, as the first sweep of
+    a window once did.  Returns (vertex cells, edge cells, runs, position)."""
+    spec, depth = trunc.spec, trunc.depth
+    vertex_cells, edge_cells = [], []
+    for name in sorted(spec.families):
+        fam = spec.families[name]
+        cells = [(name, i) for i in (range(-depth, depth + 1) if fam.chain else (0,))]
+        if fam.kind == "vertex":
+            vertex_cells.extend(cells)
+        elif fam.glue is not None:
+            edge_cells.extend(cells)
+        else:
+            for cell in cells:
+                ok = True
+                for end in (LOW, HIGH):
+                    rule = spec.ends.get((name, end))
+                    if rule is None:
+                        continue
+                    for vfam, off in rule.targets:
+                        if spec.families[vfam].chain:
+                            j = cell[1] + off if fam.chain else off
+                            if abs(j) > depth:
+                                ok = False
+                if ok:
+                    edge_cells.append(cell)
+    vertex_cells.sort()
+    edge_cells.sort()
+    cells = vertex_cells + edge_cells
+    position, first = {c: k for k, c in enumerate(cells)}, dict(reversed(cells))
+    runs = {fam: (position[fam, first[fam]], first[fam], last)
+            for fam, last in dict(cells).items()}
+    return vertex_cells, edge_cells, runs, position
+
+
 def reference_germ_providers(trunc, vcell, side):
     """The providers of one germ found by scanning every end rule of the
     spec, as before the germ table."""

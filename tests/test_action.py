@@ -621,7 +621,8 @@ def test_sweep_matches_reference_off_the_orbit_rule(tripod, tripod_inconsistent,
     assert automorphism_problems(spec, spec.generators["s"])
     for depth in range(4):
         _assert_sweeps_match_reference("offset line + s", spec, depth, 3)
-        _, position, component = expand(spec, depth).sweep_cells
+        window = expand(spec, depth)
+        position, component = window.position, window.cell_components
         calls = _observe_compares(monkeypatch)
         ball = list(element_ball(spec, 3)[0])
         for order in (ball, ball[::-1]):

@@ -9,6 +9,7 @@ import pytest
 
 from leafspace import checkers as ck
 from leafspace.cli import build_parser, main
+from leafspace.core import DEPTH_LIMIT
 from leafspace.formats import parse
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -31,12 +32,18 @@ def test_expand_counts():
     assert code == 0
     assert "vertex cells: 2" in out and "edge cells:   9" in out
     assert "truncated ends: 6" in out
+    code, out = run("expand", "--gallery", "LINE", "--depth", str(DEPTH_LIMIT))
+    assert code == 0
+    assert out.splitlines()[1:4] == [f"vertex cells: {2 * DEPTH_LIMIT + 1}",
+                                     f"edge cells:   {2 * DEPTH_LIMIT}", "truncated ends: 2"]
 
 
 def test_loci_listing():
     code, out = run("loci", "--gallery", "ZIGZAG", "--depth", "1")
     assert code == 0
     assert out.count("positive") >= 3 and out.count("negative") == 3
+    assert run("loci", "--gallery", "LINE", "--depth", "2") == (
+        0, "loci LINE depth=2  branching=none*\n  (none)\n")
 
 
 def test_compare_and_path():
@@ -50,6 +57,8 @@ def test_compare_and_path():
 def test_classify_words():
     code, out = run("classify", "--gallery", "ZIGZAG", "--word", "h", "--depth", "3")
     assert code == 0 and "neither-candidate" in out
+    code, out = run("classify", "--gallery", "SWAP", "--word", "g", "--depth", "4")
+    assert code == 0 and "  pos transversable:   yes (s[-4]:1/2)" in out.splitlines()
 
 
 def test_stab_ball():
@@ -156,6 +165,11 @@ def test_usage_errors_exit_two(capsys):
                     "--word", "g^" + "1" * 30)          # refused before any letter is built
     assert code == 2 and out == ""
     assert "letters exceeds the limit" in capsys.readouterr().err
+    for depth in (DEPTH_LIMIT + 1, 10 ** 8):           # refused before any cell is built
+        code, out = run("expand", "--gallery", "LINE", "--depth", str(depth))
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == (
+            f"error: depth {depth} exceeds the limit of {DEPTH_LIMIT}\n")
 
 
 def test_one_parser_answers_like_fresh_ones(capsys):

@@ -26,7 +26,7 @@ from leafspace.paths import Comparability, compare, path
 from leafspace.core import mid_point
 
 from reference import (
-    reference_edge_neighbors, reference_germ_providers, reference_ladder_counts,
+    reference_cells, reference_edge_neighbors, reference_germ_providers, reference_ladder_counts,
     reference_locus_groups, reference_rooting, reference_vertex_neighbors)
 
 
@@ -97,7 +97,9 @@ def test_limit_rule_without_target_is_unresolved():
               "chainend s neg limit\n")
 
 
-def test_expand_bad_offset():
+def test_expand_bad_offset(monkeypatch):
+    from leafspace.core import DEPTH_LIMIT, Truncation
+
     spec = LeafSpaceSpec()
     spec.add_vertex("a")
     spec.add_edge("e", low=to_vertex("a", offset="x"), high=open_end())
@@ -105,6 +107,19 @@ def test_expand_bad_offset():
         expand(spec, 1)
     with pytest.raises(BadOffset):
         expand(LeafSpaceSpec(), -1)
+    # a depth above the cap is refused before well-formedness, and no
+    # window is built or cached
+    spec = LeafSpaceSpec()
+    spec.add_edge("e", low=to_vertex("ghost"), high=open_end())
+    monkeypatch.setattr(Truncation, "__init__", lambda *args: pytest.fail("window built"))
+    for depth in (DEPTH_LIMIT + 1, 10 ** 12):
+        with pytest.raises(BadOffset, match=f"depth {depth} exceeds the limit of {DEPTH_LIMIT}"):
+            expand(spec, depth)
+        with pytest.raises(BadOffset, match="exceeds the limit"):
+            spec.window(depth)
+        assert not spec._windows
+    with pytest.raises(UnresolvedName):
+        expand(spec, DEPTH_LIMIT)
 
 
 def test_validate_line_clean(line):
@@ -408,6 +423,79 @@ def test_germ_table_matches_rule_scan(tripod, updown, swap_k):
                 assert providers == reference_germ_providers(trunc, vcell, side)
                 kinds.update(p[0][0] for p in providers)
     assert kinds == {"cell", "cell-every", "chain"}
+
+
+def _odd_cell_specs():
+    """Specs whose cells the builder finds despite a rule the builders
+    cannot write or that validation rejects, one quirk each."""
+    from leafspace.core import HIGH, LOW, Family
+
+    def model(*quirks):
+        spec = LeafSpaceSpec()
+        spec.add_vertex("v", chain=True)
+        spec.add_vertex("a")
+        for quirk in quirks:
+            quirk(spec)
+        return spec
+
+    return [
+        # a unit edge with a glue direction
+        model(lambda s: s._add_family(Family("g", "edge", False, 1))),
+        # an edge family with no rules
+        model(lambda s: s._add_family(Family("n", "edge", True))),
+        # a glued chain given a per-cell end rule
+        model(lambda s: s.add_glued_chain("r", 1, ChainEndRule("open"), ChainEndRule("open")),
+              lambda s: s.ends.update({("r", HIGH): to_vertex("v", 4)})),
+        # a vertex family given an end rule
+        model(lambda s: s.ends.update({("v", LOW): to_vertex("v", 9)})),
+        # an edge family as a target, unit and chain, from a chain and a unit edge
+        model(lambda s: s.add_edge("c", to_vertex("v", -2), open_end(), chain=True),
+              lambda s: s.add_edge("e", to_vertex("c", 3), to_vertex("a"), chain=True),
+              lambda s: s.add_edge("u", to_vertex("c", -4), open_end()),
+              lambda s: s.add_edge("w", to_limit(("e", 0), ("u", 0)), open_end(), chain=True)),
+        # a unit edge into a far chain vertex
+        model(lambda s: s.add_edge("u", to_vertex("v", 5), to_vertex("v", -7))),
+        # a chain edge into a unit vertex with offsets, and into the chain
+        model(lambda s: s.add_edge("e", to_vertex("a", 3), to_limit(("v", -2), ("v", 6)),
+                                   chain=True)),
+    ]
+
+
+def test_cell_runs_match_cell_by_cell_builder(tripod, updown, swap_k):
+    import random
+
+    from leafspace.core import LeafSpaceError
+    from leafspace.gallery import GALLERY_NAMES, gallery
+    from leafspace.randspec import RandomParams, random_spec
+    from test_fuzz import _mutate
+
+    cases = [(gallery(name).spec, depth) for name in GALLERY_NAMES
+             for depth in list(range(9)) + [64, 512]]
+    cases += [(random_spec(RandomParams(seed=seed, symmetric=symmetric)), seed % 3)
+              for seed in range(200) for symmetric in (False, True)]
+    cases += [(spec, depth) for spec in [tripod, updown, swap_k] + _odd_cell_specs()
+              for depth in range(9)]
+    rng = random.Random(3)
+    for _ in range(1000):
+        base = gallery(rng.choice(GALLERY_NAMES)).spec if rng.random() < 0.5 \
+            else random_spec(RandomParams(seed=rng.randint(1, 500), symmetric=rng.random() < 0.3))
+        spec = _mutate(base, rng)
+        cases += [(spec, depth) for depth in (0, 1, 2, 3, 8)]
+    windows = shortened = dropped = 0
+    for spec, depth in cases:
+        try:
+            trunc = expand(spec, depth)
+        except LeafSpaceError:
+            continue
+        vertex_cells, edge_cells, runs, position = reference_cells(trunc)
+        assert trunc.vertex_cells == vertex_cells and trunc.edge_cells == edge_cells
+        assert list(trunc.cell_runs.items()) == list(runs.items())
+        assert trunc.position == position
+        windows += 1
+        shortened += any(spec.families[fam].chain and hi - lo < 2 * depth
+                         for fam, (_, lo, hi) in runs.items())
+        dropped += len(runs) < len(spec.families)
+    assert windows > 5000 and shortened > 100 and dropped > 100
 
 
 def test_vertex_neighbors_match_graph_anchors(swap_k):

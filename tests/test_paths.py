@@ -86,6 +86,8 @@ def test_path_zigzag(zigzag):
     assert ends[2] == (vertex_point("p2", 1), mid_point("E", 1))
     assert [j.locus.members for j in p.junctions] == [
         (("m1", 0), ("m2", 0)), (("p1", 1), ("p2", 1))]
+    p = path(expand(zigzag.spec, 3), mid_point("E", 0), mid_point("E", 1))
+    assert str(p) == "[E[0]:1/2 ^ m1[0]] [m2[0] v p1[1]] [p2[1] ^ E[1]:1/2]"
 
 
 def test_path_same_cell(line):
@@ -511,7 +513,7 @@ def test_compare_matches_reference_on_deep_windows(depth):
         trunc = expand(gallery(name).spec, depth)
         pts = trunc.canonical_points
         pairs = [(pts[0], pts[-1])] + [(rng.choice(pts), rng.choice(pts)) for _ in range(100)]
-        _, position, _ = trunc.sweep_cells
+        position = trunc.position
         for x in rng.sample(pts, 50):
             pairs.append((x, pts[position[rng.choice(trunc.cell_neighbors(x.cell))]]))
         seen = set()
@@ -553,7 +555,7 @@ def test_compare_across_components_is_truncated():
 
     trunc = expand(_offset_line(), 2)
     assert trunc.components == 2
-    _, position, component = trunc.sweep_cells
+    position, component = trunc.position, trunc.cell_components
     pts = trunc.canonical_points + tuple(Point(c, Fraction(1, 3)) for c in trunc.edge_cells)
     for x, y in itertools.product(pts, pts):
         rel = compare(trunc, x, y)
