@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -449,7 +450,11 @@ def main(argv=None, stream=None):
     except (ValueError, LeafSpaceError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    out.emit(stream)
+    try:
+        out.emit(stream)
+        stream.flush()
+    except BrokenPipeError:     # the reader left early (``| head``): the exit flush must not raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

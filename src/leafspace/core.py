@@ -44,6 +44,7 @@ import enum
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple
 
 
@@ -369,26 +370,6 @@ class LeafSpaceSpec:
                 sources.setdefault((vfam, side), []).append(("chain", efam, cside))
         return sources
 
-    def germ_providers(self, sources, vcell, side, edges):
-        """(provider, in window) pairs for one side of a vertex cell: a glued
-        chain's tail ("chain", edge family, chain side) is in every window, an
-        edge cell ("cell", family, index) when among ``edges``, and ("cell-every",
-        family), a germ from every cell of a chain, in none."""
-        vfam, j = vcell
-        vchain = self.families[vfam].chain
-        out = []
-        for kind, efam, arg in sources.get((vfam, side), ()):
-            if kind == "chain":
-                out.append((("chain", efam, arg), True))
-            elif not self.families[efam].chain:
-                if not vchain or arg == j:
-                    out.append((("cell", efam, 0), (efam, 0) in edges))
-            elif vchain:
-                out.append((("cell", efam, j - arg), (efam, j - arg) in edges))
-            else:
-                out.append((("cell-every", efam), False))
-        return out
-
     def window(self, depth):
         """Cached truncation at the given depth; the cache keeps every depth
         it was asked for, and nothing for one that ``expand`` refuses."""
@@ -480,7 +461,11 @@ class ValidationReport(NamedTuple):
 class Truncation:
     """Depth-bounded window of a model: concrete cells plus an adjacency
     graph whose nodes collapse branch loci (the Hausdorffification of the
-    window), with elided glued-chain tails kept as explicit edges.
+    window), with elided glued-chain tails kept as explicit edges.  Each
+    family's cells form one run of indices (``cell_runs``); the loci, graph
+    edges, germ table and truncated ends are built per run, each end rule
+    looked up once, and the germ-count faults that ``validate`` reports
+    are recorded as the germ table fills.
 
     Besides its structure a window keeps what queries on it reuse: its
     validation report, its canonical points, its germ table (the providers
@@ -488,13 +473,13 @@ class Truncation:
     as cell adjacency, by ``vertex_sides``), its membership sweeps
     (``sweeps``: group element -> the image relation of every canonical
     point and, per cell, the class whose one ``compare`` answered it,
-    filled by :func:`leafspace.action.sweep`, which reads each family's
-    run of cells, ``cell_runs``, and each cell's ``cell_components``), the
-    generators that are automorphisms and its transit table (``transits``:
-    (entry anchor, exit anchor) at a collapsed locus node -> what a path
-    gains crossing it, filled by :func:`leafspace.paths.path` and the
-    length count beside it).  An anchor is the frozenset of vertex cells that
-    arriving at a node through one edge end can stand on, and ``rooting``
+    filled by :func:`leafspace.action.sweep` from ``cell_runs`` and
+    ``cell_components``), the generators that are automorphisms and its
+    transit table (``transits``: (entry anchor, exit anchor) at a collapsed
+    locus node -> what a path gains crossing it, filled by
+    :func:`leafspace.paths.path` and the length count beside it).  An anchor
+    is the frozenset of vertex cells that arriving at a node through one
+    edge end can stand on, and ``rooting``
     stores each tree edge as the two hops a route reads.  ``ladder``,
     filled in the same pass, gives each node a jump pointer and its count
     of jumps up to the root, from which :func:`leafspace.paths.compare`
@@ -506,18 +491,10 @@ class Truncation:
         self._build_cells()
         self._collect_loci()
         self._build_graph()
-        self._scan_truncated_ends()
-        self._validation = None
-        self.sweeps = {}
-        self.transits = {}
+        self._fill_germs()
+        self._validation, self.sweeps, self.transits = None, {}, {}
 
     # -- cells -----------------------------------------------------------
-
-    def _target_index(self, efam, i, vfam, off):
-        """Concrete index of a per-cell attachment target."""
-        if not self.spec.families[vfam].chain:
-            return 0
-        return i + off if self.spec.families[efam].chain else off
 
     def _build_cells(self):
         """Each family's window cells form one run of indices i: all of
@@ -582,32 +559,33 @@ class Truncation:
         # A locus is present once all its members are in the window; its
         # stem edge may lie beyond the cut (the members are non-separated
         # regardless, and collapsing them is what keeps boundary windows
-        # connected).
-        spec = self.spec
+        # connected).  A limit rule's stems i form one run, cut to where each
+        # chain member i + off is in the window; each run comes sorted, and
+        # the one sort merges them.
+        spec, d, families = self.spec, self.depth, self.spec.families
         loci = []
-        for (fam, end), rule in sorted(spec.ends.items()):
+        for (fam, end), rule in spec.ends.items():
             if rule.kind != "limit" or len(rule.targets) < 2:
                 continue
             offsets = [off for _, off in rule.targets]
-            if spec.families[fam].chain:
-                stem_indices = range(-self.depth - max(offsets),
-                                     self.depth - min(offsets) + 1)
-            else:
-                stem_indices = (0,)
-            for i in stem_indices:
-                members = tuple(sorted(
-                    (v, self._target_index(fam, i, v, off)) for v, off in rule.targets))
-                if all(m in self._vertex_set for m in members):
-                    sign = POSITIVE if end == HIGH else NEGATIVE
-                    loci.append(BranchLocus(members, sign, ("cell_end", fam, i, end)))
-        for (fam, side), rule in sorted(spec.chain_ends.items()):
+            lo, hi = (-d - max(offsets), d - min(offsets)) if families[fam].chain else (0, 0)
+            for v, off in rule.targets:
+                if families[v].kind != "vertex":
+                    lo = hi + 1
+                elif families[v].chain:
+                    lo, hi = max(lo, -d - off), min(hi, d - off)
+            idx, sign = range(lo, hi + 1), POSITIVE if end == HIGH else NEGATIVE
+            members = zip(*[[(v, i + off) for i in idx] if families[v].chain
+                            else [(v, 0)] * len(idx) for v, off in rule.targets])
+            loci += map(BranchLocus, members, [sign] * len(idx),
+                        [("cell_end", fam, i, end) for i in idx])
+        for (fam, side), rule in spec.chain_ends.items():
             if rule.kind != "limit" or len(rule.targets) < 2:
                 continue
             members = tuple(sorted((v, 0) for v in rule.targets))
-            glue = spec.families[fam].glue
-            sign = POSITIVE if chain_end_ascends(glue, side) else NEGATIVE
+            sign = POSITIVE if chain_end_ascends(families[fam].glue, side) else NEGATIVE
             loci.append(BranchLocus(members, sign, ("chain_end", fam, side)))
-        loci.sort(key=lambda b: (b.members, b.stem))
+        loci.sort(key=itemgetter(0, 2))     # by (members, stem)
         self.loci = tuple(loci)
 
         # The mate graph: member -> sorted [(mate, locus index)].  Loci that
@@ -644,61 +622,57 @@ class Truncation:
         gid = self._locus_group.get(vcell)
         return ("locus", gid) if gid is not None else ("vertex",) + vcell
 
-    def _resolve_cell_end(self, cell, end):
-        """(node, anchor) for one end of an in-window edge cell.
-
-        The anchor is the frozenset of vertex cells that arriving at the
-        node through this end can stand on: the glued vertex, or every
-        member of the limit set (a locus stem reaches any member); None
-        for structural nodes (glue junctions, cuts, open leaves).
-        """
-        fam, i = cell
-        f = self.spec.families[fam]
-        if f.glue is not None:
-            up_is_next = f.glue == 1
-            if (end == HIGH) == up_is_next:
-                nbr = i + 1
-                junction = ("glue", fam, i)
-            else:
-                nbr = i - 1
-                junction = ("glue", fam, i - 1)
-            if abs(nbr) <= self.depth:
-                return junction, None
-            side = POS if nbr > 0 else NEG
-            return ("cut", fam, side), None
-        rule = self.spec.ends.get((fam, end))
-        if rule is None or rule.kind == "open":
-            return ("open", fam, i, end), None
-        cells = [(v, self._target_index(fam, i, v, off)) for v, off in rule.targets]
-        return self.vertex_node(cells[0]), frozenset(cells[:1] if rule.kind == "vertex" else cells)
-
     def _build_graph(self):
+        # One edge per window edge cell, in cell order, from its low end's
+        # node to its high end's, then one per limit chain end.  An end's
+        # anchor is the frozenset of vertex cells that arriving at the node
+        # through it can stand on: the glued vertex, or every member of the
+        # limit set; None for glue junctions, cuts and open leaves.
+        spec, d, group, families = self.spec, self.depth, self._locus_group, self.spec.families
         edges = []      # (payload, lo_node, hi_node, anchor_lo, anchor_hi)
-        for cell in self.edge_cells:
-            lo_node, lo_anchor = self._resolve_cell_end(cell, LOW)
-            hi_node, hi_anchor = self._resolve_cell_end(cell, HIGH)
-            edges.append((("cell",) + cell, lo_node, hi_node, lo_anchor, hi_anchor))
-        for (fam, side), rule in sorted(self.spec.chain_ends.items()):
+        for fam, (_, lo, hi) in self.cell_runs.items():
+            f = families[fam]
+            if f.kind == "vertex":
+                continue
+            if f.glue is not None:      # cell i meets cell i + 1 at ("glue", fam, i), or at a cut
+                for i in range(lo, hi + 1):
+                    below = ("glue", fam, i - 1) if i > -d else ("cut", fam, NEG)
+                    above = ("glue", fam, i) if i < d else ("cut", fam, POS)
+                    edges.append((("cell", fam, i), below, above, None, None) if f.glue == 1
+                                 else (("cell", fam, i), above, below, None, None))
+                continue
+            rules = ((1, LOW, spec.ends.get((fam, LOW))), (2, HIGH, spec.ends.get((fam, HIGH))))
+            for i in range(lo, hi + 1):
+                edge = [("cell", fam, i), None, None, None, None]
+                for k, end, rule in rules:
+                    if rule is None or rule.kind == "open":
+                        edge[k] = ("open", fam, i, end)
+                        continue
+                    cells = [(v, i + off) if families[v].chain else (v, 0)
+                             for v, off in rule.targets]
+                    c = cells[0]
+                    edge[k] = ("locus", group[c]) if c in group else ("vertex",) + c
+                    edge[k + 2] = frozenset(cells[:1] if rule.kind == "vertex" else cells)
+                edges.append(tuple(edge))
+        for (fam, side), rule in sorted(spec.chain_ends.items()):
             if rule.kind != "limit":
                 continue
-            glue = self.spec.families[fam].glue
             cut = ("cut", fam, side)
             cells = [(v, 0) for v in rule.targets]
             target, anchor = self.vertex_node(cells[0]), frozenset(cells)
-            if chain_end_ascends(glue, side):
+            if chain_end_ascends(families[fam].glue, side):
                 edges.append((("tail", fam, side), cut, target, None, anchor))
             else:
                 edges.append((("tail", fam, side), target, cut, anchor, None))
-        edges.sort(key=lambda e: e[0])
         self.graph_edges = tuple(edges)
         # edge cell -> id of its graph edge
-        self.edge_index = {e[0][1:]: eid for eid, e in enumerate(edges) if e[0][0] == "cell"}
+        self.edge_index = dict(zip(self.edge_cells, range(len(self.edge_cells))))
         adj = {}
         for eid, (payload, lo, hi, _, _) in enumerate(edges):
             adj.setdefault(lo, []).append((eid, hi))
             adj.setdefault(hi, []).append((eid, lo))
         for vcell in self.vertex_cells:
-            adj.setdefault(self.vertex_node(vcell), [])
+            adj.setdefault(("locus", group[vcell]) if vcell in group else ("vertex",) + vcell, [])
         self.adjacency = adj
         # Root every component at its smallest node: node -> (parent node,
         # id of the edge to the parent, depth, hop up to the parent, hop
@@ -714,10 +688,17 @@ class Truncation:
         # proper ancestors but the root, the jumps made crossing from the
         # child on the path into the ancestor's own parent edge: at a locus
         # node whose two anchors share no vertex.
-        rooting, ladder = {}, {}
-        for root in sorted(adj):
+        rooting, ladder, self.components = {}, {}, 0
+
+        def roots():    # the least node, then the nodes left unrooted, sorted
+            if adj:
+                yield min(adj)
+            if len(rooting) < len(adj):
+                yield from sorted(node for node in adj if node not in rooting)
+        for root in roots():
             if root in rooting:
                 continue
+            self.components += 1
             rooting[root] = (None, None, 0, None, None)
             ladder[root] = (root, 0)
             frontier = [root]
@@ -741,7 +722,6 @@ class Truncation:
                         frontier.append(other)
         self.rooting = rooting
         self.ladder = ladder
-        self.components = sum(1 for r in rooting.values() if r[0] is None)
 
     @cached_property
     def cell_components(self):
@@ -768,29 +748,46 @@ class Truncation:
         the germ below it), computed once per window."""
         return self._germs[(vcell, side)]
 
-    def _scan_truncated_ends(self):
-        spec = self.spec
-        sources = spec.germ_sources()
-        self._germs = {(vcell, side): spec.germ_providers(sources, vcell, side, self._edge_set)
-                       for vcell in self.vertex_cells for side in (LOW, HIGH)}
-        ends = []
-        for (vcell, side), providers in self._germs.items():
-            for provider, in_window in providers:
-                if not in_window and provider[0] == "cell":
-                    ends.append(TruncatedEnd(
-                        (vcell, side), f"edge {provider[1]}[{provider[2]}]"))
-        for name in sorted(self.spec.families):
-            fam = self.spec.families[name]
-            if fam.glue is None:
-                continue
-            for side in (NEG, POS):
+    def _fill_germs(self):
+        """The germ table, per vertex family run with the sources of each
+        side looked up once: (provider, in window) pairs, a provider being a
+        glued chain's tail ("chain", family, chain side), an edge cell
+        ("cell", family, index; a unit edge provides only the chain cell it
+        names) or ("cell-every", family), a germ from every cell of a chain,
+        in no window.  The germ-count faults and truncated ends come too."""
+        families, edge_set, table = self.spec.families, self._edge_set, {}
+        sources = self.spec.germ_sources()
+        self._germs, self._germ_faults, ends, vfam = table, [], [], None
+        for vcell in self.vertex_cells:
+            if vcell[0] != vfam:        # the next family's run
+                vfam, vchain = vcell[0], families[vcell[0]].chain
+                found = ((LOW, sources.get((vfam, LOW), ())), (HIGH, sources.get((vfam, HIGH), ())))
+            for side, side_sources in found:
+                germs, every = [], False
+                for kind, efam, arg in side_sources:
+                    echain = kind == "chain" or families[efam].chain
+                    if kind == "chain":
+                        germs.append((("chain", efam, arg), True))
+                    elif echain and not vchain:
+                        germs.append((("cell-every", efam), False))
+                        every = True
+                    elif echain or not vchain or arg == vcell[1]:
+                        i = vcell[1] - arg if echain else 0
+                        inside = (efam, i) in edge_set
+                        germs.append((("cell", efam, i), inside))
+                        if not inside:
+                            ends.append(TruncatedEnd((vcell, side), f"edge {efam}[{i}]"))
+                table[vcell, side] = germs
+                if every or len(germs) != 1:
+                    self._germ_faults.append(_germ_fault(vcell, side, len(germs), every))
+        ends.sort()     # vertex sides, by cell, high before low
+        for name in self.cell_runs:     # glued chains, by name
+            for side in (NEG, POS) if families[name].glue is not None else ():
                 # a missing rule is a shape violation validate() reports
                 rule = self.spec.chain_ends.get((name, side), ChainEndRule("open"))
                 nxt = -self.depth - 1 if side == NEG else self.depth + 1
                 tail = "open" if rule.kind == "open" else "limit {%s}" % ",".join(rule.targets)
-                ends.append(TruncatedEnd(
-                    ("chain", name, side), f"{name}[{nxt}] ... then {tail}"))
-        ends.sort(key=lambda te: (te.at[0] == "chain", te.at, te.continuation))   # vertex sides first
+                ends.append(TruncatedEnd(("chain", name, side), f"{name}[{nxt}] ... then {tail}"))
         self.truncated_ends = tuple(ends)
         self.has_truncation = bool(self.truncated_ends)
 
@@ -855,13 +852,12 @@ def expand(spec, depth):
     return Truncation(spec, depth)
 
 
-def _germ_count_problem(vcell, side, kinds):
-    """The germ-count fault of a vertex side with providers of these kinds, or None."""
-    if "cell-every" in kinds:
+def _germ_fault(vcell, side, count, every):
+    """The fault of a vertex side with ``count`` germs but one, or with a
+    germ from every cell of a chain (``every``)."""
+    if every:
         return f"{vcell[0]}[{vcell[1]}] {side} side receives one germ per chain index"
-    if len(kinds) != 1:
-        return f"{vcell[0]}[{vcell[1]}] has {len(kinds)} germs on its {side} side"
-    return None
+    return f"{vcell[0]}[{vcell[1]}] has {count} germs on its {side} side"
 
 
 def validate(trunc):
@@ -920,13 +916,8 @@ def validate(trunc):
                 bad("limit-set",
                     f"{fam} chain end {side} must target unit vertex families, got {v}")
 
-    # (a) germ counts, schematic over the window
-    for vcell in trunc.vertex_cells:
-        for side in (LOW, HIGH):
-            kinds = [p[0] for p, _ in trunc.germ_providers(vcell, side)]
-            problem = _germ_count_problem(vcell, side, kinds)
-            if problem:
-                bad("germ-count", problem)
+    # (a) germ counts, schematic over the window, recorded as its germ table filled
+    violations += [Violation("germ-count", problem) for problem in trunc._germ_faults]
 
     # (c) tree check on the window graph
     n_nodes = len(trunc.adjacency)

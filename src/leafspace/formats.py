@@ -26,11 +26,10 @@ from .core import (
     EndRule,
     Family,
     HIGH,
-    LOW,
     LeafSpaceError,
     LeafSpaceSpec,
     Point,
-    _germ_count_problem,
+    _germ_fault,
 )
 
 HEADER = "leafspace/1"
@@ -218,22 +217,26 @@ def parse(text):
 def _reject_overfull(spec):
     """A point of a 1-manifold has exactly two local directions; reject
     documents that give some vertex two germs on one side outright.  Germs
-    are counted from the rules, with no window: on the vertex cells of a
-    depth-1 window, then on far chain vertex cells that unit edges name."""
+    are counted from each vertex family side's sources, with no window (a
+    chain cell gets none from a unit edge naming another cell), and the
+    first fault in the depth-1 window's vertex cells, then in the far chain
+    cells that unit edges name, is raised."""
     try:
         spec.check_wellformed()
     except LeafSpaceError as exc:
         raise SemanticError("model", str(exc)) from None
     fams = spec.families
-    near = [(name, i) for name, fam in sorted(fams.items()) if fam.kind == "vertex"
-            for i in ((-1, 0, 1) if fam.chain else (0,))]
-    far = sorted({(vfam, off) for (efam, _), rule in spec.ends.items() if not fams[efam].chain
-                  for vfam, off in rule.targets
-                  if fams[vfam].kind == "vertex" and fams[vfam].chain})
-    sources = spec.germ_sources()
-    for vcell in near + far:
-        for side in (LOW, HIGH):
-            kinds = [p[0] for p, _ in spec.germ_providers(sources, vcell, side, ())]
-            problem = kinds and _germ_count_problem(vcell, side, kinds)
-            if problem:
-                raise SemanticError("model", problem)
+    faults = []     # (far, vertex cell, high side, side, germs, from every chain cell)
+    for (vfam, side), found in spec.germ_sources().items():
+        if fams[vfam].kind == "vertex" and fams[vfam].chain:
+            named = [arg for kind, efam, arg in found if kind == "end" and not fams[efam].chain]
+            faults += [(j not in (-1, 0, 1), (vfam, j), side == HIGH, side, count, False)
+                       for j in {-1, 0, 1, *named}
+                       if (count := len(found) - len(named) + named.count(j)) > 1]
+        elif fams[vfam].kind == "vertex" and (
+                len(found) > 1 or found[0][0] == "end" and fams[found[0][1]].chain):
+            every = any(kind == "end" and fams[efam].chain for kind, efam, _ in found)
+            faults.append((False, (vfam, 0), side == HIGH, side, len(found), every))
+    if faults:
+        _, vcell, _, side, count, every = min(faults)
+        raise SemanticError("model", _germ_fault(vcell, side, count, every))

@@ -42,12 +42,21 @@ from leafspace.checkers import (
 from leafspace.core import (
     HIGH,
     LOW,
+    NEG,
+    NEGATIVE,
+    POS,
+    POSITIVE,
+    BranchLocus,
+    ChainEndRule,
     InvalidModel,
     LeafSpaceError,
     Point,
     PreconditionFailed,
     Tri,
+    TruncatedEnd,
     TruncatedError,
+    ValidationReport,
+    Violation,
     branch_loci,
     chain_end_ascends,
     edge_hops,
@@ -430,6 +439,340 @@ def reference_cells(trunc):
     runs = {fam: (position[fam, first[fam]], first[fam], last)
             for fam, last in dict(cells).items()}
     return vertex_cells, edge_cells, runs, position
+
+
+# -- window construction, as before the family runs ----------------------------
+
+
+def _reference_spec_germ_providers(spec, sources, vcell, side, edges):
+    """``LeafSpaceSpec.germ_providers`` as it was: (provider, in window)
+    pairs for one side of a vertex cell."""
+    vfam, j = vcell
+    vchain = spec.families[vfam].chain
+    out = []
+    for kind, efam, arg in sources.get((vfam, side), ()):
+        if kind == "chain":
+            out.append((("chain", efam, arg), True))
+        elif not spec.families[efam].chain:
+            if not vchain or arg == j:
+                out.append((("cell", efam, 0), (efam, 0) in edges))
+        elif vchain:
+            out.append((("cell", efam, j - arg), (efam, j - arg) in edges))
+        else:
+            out.append((("cell-every", efam), False))
+    return out
+
+
+class _ReferenceWindow:
+    """The graph, loci, germ table and truncated ends of a window built as
+    ``Truncation`` built them before the family runs: one end of one edge
+    cell at a time, loci per stem index and sorted, and a rescan of every
+    vertex side.  Reads only the window's cells."""
+
+    def __init__(self, trunc):
+        self.spec = trunc.spec
+        self.depth = trunc.depth
+        self.vertex_cells, self.edge_cells = trunc.vertex_cells, trunc.edge_cells
+        self._vertex_set, self._edge_set = set(trunc.vertex_cells), set(trunc.edge_cells)
+        self._collect_loci()
+        self._build_graph()
+        self._scan_truncated_ends()
+
+    def _target_index(self, efam, i, vfam, off):
+        """Concrete index of a per-cell attachment target."""
+        if not self.spec.families[vfam].chain:
+            return 0
+        return i + off if self.spec.families[efam].chain else off
+
+    def _collect_loci(self):
+        # A locus is present once all its members are in the window; its
+        # stem edge may lie beyond the cut (the members are non-separated
+        # regardless, and collapsing them is what keeps boundary windows
+        # connected).
+        spec = self.spec
+        loci = []
+        for (fam, end), rule in sorted(spec.ends.items()):
+            if rule.kind != "limit" or len(rule.targets) < 2:
+                continue
+            offsets = [off for _, off in rule.targets]
+            if spec.families[fam].chain:
+                stem_indices = range(-self.depth - max(offsets),
+                                     self.depth - min(offsets) + 1)
+            else:
+                stem_indices = (0,)
+            for i in stem_indices:
+                members = tuple(sorted(
+                    (v, self._target_index(fam, i, v, off)) for v, off in rule.targets))
+                if all(m in self._vertex_set for m in members):
+                    sign = POSITIVE if end == HIGH else NEGATIVE
+                    loci.append(BranchLocus(members, sign, ("cell_end", fam, i, end)))
+        for (fam, side), rule in sorted(spec.chain_ends.items()):
+            if rule.kind != "limit" or len(rule.targets) < 2:
+                continue
+            members = tuple(sorted((v, 0) for v in rule.targets))
+            glue = spec.families[fam].glue
+            sign = POSITIVE if chain_end_ascends(glue, side) else NEGATIVE
+            loci.append(BranchLocus(members, sign, ("chain_end", fam, side)))
+        loci.sort(key=lambda b: (b.members, b.stem))
+        self.loci = tuple(loci)
+
+        # The mate graph: member -> sorted [(mate, locus index)].  Loci that
+        # share a member (a vertex may sit in a positive and a negative locus
+        # on its two sides) are one node of the Hausdorffification, named by
+        # the first, hence smallest, locus index whose walk reaches it.
+        self._mates = {}
+        for li, locus in enumerate(loci):
+            for m in locus.members:
+                for m2 in locus.members:
+                    if m2 != m:
+                        self._mates.setdefault(m, []).append((m2, li))
+        for m in self._mates:
+            self._mates[m].sort()
+        self._locus_group = {}        # vertex cell -> group id (min locus index)
+        for li, locus in enumerate(loci):
+            frontier = list(locus.members)
+            while frontier:
+                m = frontier.pop()
+                if m not in self._locus_group:
+                    self._locus_group[m] = li
+                    frontier.extend(mate for mate, _ in self._mates.get(m, ()))
+
+    def vertex_node(self, vcell):
+        gid = self._locus_group.get(vcell)
+        return ("locus", gid) if gid is not None else ("vertex",) + vcell
+
+    def _resolve_cell_end(self, cell, end):
+        """(node, anchor) for one end of an in-window edge cell.
+
+        The anchor is the frozenset of vertex cells that arriving at the
+        node through this end can stand on: the glued vertex, or every
+        member of the limit set (a locus stem reaches any member); None
+        for structural nodes (glue junctions, cuts, open leaves).
+        """
+        fam, i = cell
+        f = self.spec.families[fam]
+        if f.glue is not None:
+            up_is_next = f.glue == 1
+            if (end == HIGH) == up_is_next:
+                nbr = i + 1
+                junction = ("glue", fam, i)
+            else:
+                nbr = i - 1
+                junction = ("glue", fam, i - 1)
+            if abs(nbr) <= self.depth:
+                return junction, None
+            side = POS if nbr > 0 else NEG
+            return ("cut", fam, side), None
+        rule = self.spec.ends.get((fam, end))
+        if rule is None or rule.kind == "open":
+            return ("open", fam, i, end), None
+        cells = [(v, self._target_index(fam, i, v, off)) for v, off in rule.targets]
+        return self.vertex_node(cells[0]), frozenset(cells[:1] if rule.kind == "vertex" else cells)
+
+    def _build_graph(self):
+        edges = []      # (payload, lo_node, hi_node, anchor_lo, anchor_hi)
+        for cell in self.edge_cells:
+            lo_node, lo_anchor = self._resolve_cell_end(cell, LOW)
+            hi_node, hi_anchor = self._resolve_cell_end(cell, HIGH)
+            edges.append((("cell",) + cell, lo_node, hi_node, lo_anchor, hi_anchor))
+        for (fam, side), rule in sorted(self.spec.chain_ends.items()):
+            if rule.kind != "limit":
+                continue
+            glue = self.spec.families[fam].glue
+            cut = ("cut", fam, side)
+            cells = [(v, 0) for v in rule.targets]
+            target, anchor = self.vertex_node(cells[0]), frozenset(cells)
+            if chain_end_ascends(glue, side):
+                edges.append((("tail", fam, side), cut, target, None, anchor))
+            else:
+                edges.append((("tail", fam, side), target, cut, anchor, None))
+        edges.sort(key=lambda e: e[0])
+        self.graph_edges = tuple(edges)
+        # edge cell -> id of its graph edge
+        self.edge_index = {e[0][1:]: eid for eid, e in enumerate(edges) if e[0][0] == "cell"}
+        adj = {}
+        for eid, (payload, lo, hi, _, _) in enumerate(edges):
+            adj.setdefault(lo, []).append((eid, hi))
+            adj.setdefault(hi, []).append((eid, lo))
+        for vcell in self.vertex_cells:
+            adj.setdefault(self.vertex_node(vcell), [])
+        self.adjacency = adj
+        # Root every component at its smallest node: node -> (parent node,
+        # id of the edge to the parent, depth, hop up to the parent, hop
+        # down from it), with (None, None, 0, None, None) at a root.  On a
+        # tree each route appends these hops up to the meeting node; on a
+        # cyclic graph they span a forest whose roots still count the
+        # components.  Each root is followed by the rest of its component.
+        # The same pass reaches every parent before its children and fills
+        # ``ladder``: node -> (jump pointer, jumps from the root).  The jump
+        # pointer (Myers, 1983) skips to the parent's second jump when the
+        # parent's two jumps span equal depths, else to the parent, so any
+        # ancestor is O(log depth) jumps away.  The count sums, over the
+        # proper ancestors but the root, the jumps made crossing from the
+        # child on the path into the ancestor's own parent edge: at a locus
+        # node whose two anchors share no vertex.
+        rooting, ladder = {}, {}
+        for root in sorted(adj):
+            if root in rooting:
+                continue
+            rooting[root] = (None, None, 0, None, None)
+            ladder[root] = (root, 0)
+            frontier = [root]
+            while frontier:
+                node = frontier.pop()
+                _, _, depth, node_up, _ = rooting[node]
+                jump, jumps = ladder[node]
+                far = ladder[jump][0]
+                equal = depth - rooting[jump][2] == rooting[jump][2] - rooting[far][2]
+                jump = far if equal else node
+                depth += 1
+                for eid, other in adj[node]:
+                    if other not in rooting:
+                        _, lo, hi, a_lo, a_hi = edges[eid]
+                        ascending, descending = edge_hops(eid, None, lo, hi, a_lo, a_hi)
+                        hops = (ascending, descending) if other == lo else (descending, ascending)
+                        rooting[other] = (node, eid, depth) + hops
+                        jumped = (node_up is not None and node[0] == "locus"
+                                  and hops[0][5].isdisjoint(node_up[4]))
+                        ladder[other] = (jump, jumps + jumped)
+                        frontier.append(other)
+        self.rooting = rooting
+        self.ladder = ladder
+        self.components = sum(1 for r in rooting.values() if r[0] is None)
+
+    def _scan_truncated_ends(self):
+        spec = self.spec
+        sources = spec.germ_sources()
+        self._germs = {(vcell, side): _reference_spec_germ_providers(
+            spec, sources, vcell, side, self._edge_set)
+                       for vcell in self.vertex_cells for side in (LOW, HIGH)}
+        ends = []
+        for (vcell, side), providers in self._germs.items():
+            for provider, in_window in providers:
+                if not in_window and provider[0] == "cell":
+                    ends.append(TruncatedEnd(
+                        (vcell, side), f"edge {provider[1]}[{provider[2]}]"))
+        for name in sorted(self.spec.families):
+            fam = self.spec.families[name]
+            if fam.glue is None:
+                continue
+            for side in (NEG, POS):
+                # a missing rule is a shape violation validate() reports
+                rule = self.spec.chain_ends.get((name, side), ChainEndRule("open"))
+                nxt = -self.depth - 1 if side == NEG else self.depth + 1
+                tail = "open" if rule.kind == "open" else "limit {%s}" % ",".join(rule.targets)
+                ends.append(TruncatedEnd(
+                    ("chain", name, side), f"{name}[{nxt}] ... then {tail}"))
+        ends.sort(key=lambda te: (te.at[0] == "chain", te.at, te.continuation))   # vertex sides first
+        self.truncated_ends = tuple(ends)
+        self.has_truncation = bool(self.truncated_ends)
+
+
+def reference_window(trunc):
+    """The window's construction as it was, for comparing every field."""
+    return _ReferenceWindow(trunc)
+
+
+def _germ_count_problem(vcell, side, kinds):
+    """The germ-count fault of a vertex side with providers of these kinds, or None."""
+    if "cell-every" in kinds:
+        return f"{vcell[0]}[{vcell[1]}] {side} side receives one germ per chain index"
+    if len(kinds) != 1:
+        return f"{vcell[0]}[{vcell[1]}] has {len(kinds)} germs on its {side} side"
+    return None
+
+
+def reference_validate(trunc):
+    """``validate`` as it was, with no cached report: every vertex side
+    has its germs counted again.  Report violations of the 1-manifold
+    contract; never raises.
+
+    Checks: (a) every vertex has exactly one germ on each side, (b) limit
+    sets are sane (no duplicates, chain-end limits target unit vertices),
+    (c) the Hausdorffification of the window is a tree, (d) family and
+    rule shapes are orientation-consistent.
+    """
+    spec = trunc.spec
+    violations = []
+
+    def bad(code, msg):
+        violations.append(Violation(code, msg))
+
+    # (d) shape checks
+    for name in sorted(spec.families):
+        fam = spec.families[name]
+        if fam.kind == "vertex":
+            for end in (LOW, HIGH):
+                if (name, end) in spec.ends:
+                    bad("shape", f"vertex family {name} has an end rule")
+        elif fam.glue is not None:
+            if not fam.chain:
+                bad("shape", f"unit edge family {name} declares a glue direction")
+            for end in (LOW, HIGH):
+                if (name, end) in spec.ends:
+                    bad("shape", f"glued chain {name} has a per-cell end rule")
+            for side in (NEG, POS):
+                if (name, side) not in spec.chain_ends:
+                    bad("shape", f"glued chain {name} misses its {side} chain-end rule")
+        else:
+            for end in (LOW, HIGH):
+                if (name, end) not in spec.ends:
+                    bad("shape", f"edge family {name} misses its {end} rule")
+            for side in (NEG, POS):
+                if (name, side) in spec.chain_ends:
+                    bad("shape", f"unglued family {name} has a chain-end rule")
+
+    # (b) limit-set sanity
+    for (fam, end), rule in sorted(spec.ends.items()):
+        if rule.kind == "limit" and len(set(rule.targets)) != len(rule.targets):
+            bad("limit-set", f"{fam}.{end} limit set repeats a vertex")
+        for v, off in rule.targets:
+            if spec.families.get(v) and spec.families[v].kind != "vertex":
+                bad("limit-set", f"{fam}.{end} targets non-vertex family {v}")
+            if spec.families.get(v) and not spec.families[v].chain and off != 0:
+                bad("limit-set", f"{fam}.{end} uses nonzero offset into unit family {v}")
+    for (fam, side), rule in sorted(spec.chain_ends.items()):
+        if len(set(rule.targets)) != len(rule.targets):
+            bad("limit-set", f"{fam} chain end {side} repeats a vertex")
+        for v in rule.targets:
+            f = spec.families.get(v)
+            if f and (f.kind != "vertex" or f.chain):
+                bad("limit-set",
+                    f"{fam} chain end {side} must target unit vertex families, got {v}")
+
+    # (a) germ counts, schematic over the window
+    for vcell in trunc.vertex_cells:
+        for side in (LOW, HIGH):
+            kinds = [p[0] for p, _ in trunc.germ_providers(vcell, side)]
+            problem = _germ_count_problem(vcell, side, kinds)
+            if problem:
+                bad("germ-count", problem)
+
+    # (c) tree check on the window graph
+    n_nodes = len(trunc.adjacency)
+    n_edges = len(trunc.graph_edges)
+    components = trunc.components
+    if n_nodes:
+        for payload, lo, hi, _, _ in trunc.graph_edges:
+            if lo == hi:
+                bad("not-a-tree", f"edge {payload} closes a loop at {lo}")
+        if components > 1:
+            bad("disconnected",
+                f"window graph falls into {components} components")
+        if n_edges != n_nodes - components:
+            bad("not-a-tree",
+                f"window graph has {n_edges} edges on {n_nodes} nodes "
+                f"in {components} components")
+
+    for name, mark in sorted(spec.marks.items()):
+        fam = spec.families.get(mark.cell[0])
+        if fam is None:
+            bad("mark", f"mark {name} references unknown family {mark.cell[0]}")
+        elif (fam.kind == "vertex") != mark.is_vertex:
+            bad("mark", f"mark {name} kind does not match family {mark.cell[0]}")
+
+    routing_error = "; ".join(v.message for v in violations if v.code != "disconnected")
+    return ValidationReport(tuple(violations), routing_error or None)
 
 
 def reference_germ_providers(trunc, vcell, side):

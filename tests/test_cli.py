@@ -1,8 +1,11 @@
 import inspect
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,22 @@ def run(*argv):
     stream = io.StringIO()
     code = main(list(argv), stream=stream)
     return code, stream.getvalue()
+
+
+def test_reader_closing_the_pipe_early_is_no_error():
+    # like `leafspace loci ... | head -2`: far more output than a pipe buffers
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")))))
+    for extra in ((), ("--json",)):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "leafspace.cli", "loci", "--gallery", "COMB",
+             "--depth", "2048", *extra],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        head = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+        assert err == b"" and head[0].startswith((b"loci COMB", b"{"))
 
 
 def test_validate_ok():

@@ -27,7 +27,8 @@ from leafspace.core import mid_point
 
 from reference import (
     reference_cells, reference_edge_neighbors, reference_germ_providers, reference_ladder_counts,
-    reference_locus_groups, reference_rooting, reference_vertex_neighbors)
+    reference_locus_groups, reference_rooting, reference_validate, reference_vertex_neighbors,
+    reference_window)
 
 
 def test_expand_line_counts(line):
@@ -461,7 +462,10 @@ def _odd_cell_specs():
     ]
 
 
-def test_cell_runs_match_cell_by_cell_builder(tripod, updown, swap_k):
+def _builder_windows(tripod, updown, swap_k):
+    """The windows both builder gates check: the gallery at d = 0-8, 64
+    and 512, random specs plain and symmetric, the fixtures and the odd
+    cell specs at d = 0-8, and 1,000 fuzz-mutated specs at five depths."""
     import random
 
     from leafspace.core import LeafSpaceError
@@ -481,12 +485,17 @@ def test_cell_runs_match_cell_by_cell_builder(tripod, updown, swap_k):
             else random_spec(RandomParams(seed=rng.randint(1, 500), symmetric=rng.random() < 0.3))
         spec = _mutate(base, rng)
         cases += [(spec, depth) for depth in (0, 1, 2, 3, 8)]
-    windows = shortened = dropped = 0
     for spec, depth in cases:
         try:
-            trunc = expand(spec, depth)
+            yield expand(spec, depth)
         except LeafSpaceError:
             continue
+
+
+def test_cell_runs_match_cell_by_cell_builder(tripod, updown, swap_k):
+    windows = shortened = dropped = 0
+    for trunc in _builder_windows(tripod, updown, swap_k):
+        spec, depth = trunc.spec, trunc.depth
         vertex_cells, edge_cells, runs, position = reference_cells(trunc)
         assert trunc.vertex_cells == vertex_cells and trunc.edge_cells == edge_cells
         assert list(trunc.cell_runs.items()) == list(runs.items())
@@ -496,6 +505,33 @@ def test_cell_runs_match_cell_by_cell_builder(tripod, updown, swap_k):
                          for fam, (_, lo, hi) in runs.items())
         dropped += len(runs) < len(spec.families)
     assert windows > 5000 and shortened > 100 and dropped > 100
+
+
+WINDOW_TABLES = ("loci", "_mates", "_locus_group", "graph_edges", "edge_index", "adjacency",
+                 "rooting", "ladder", "components", "_germs", "truncated_ends", "has_truncation")
+
+
+def test_window_tables_match_reference(tripod, updown, swap_k):
+    # every table in dict and list order, neighbour lists included
+    def ordered(value):
+        if isinstance(value, dict):
+            return list(value.items())
+        return list(value) if isinstance(value, tuple) else value
+
+    windows = shared = faults = several = 0
+    for trunc in _builder_windows(tripod, updown, swap_k):
+        ref = reference_window(trunc)
+        for name in WINDOW_TABLES:
+            assert ordered(getattr(trunc, name)) == ordered(getattr(ref, name)), name
+        # the germ faults recorded while the table filled, as a rescan finds them
+        assert trunc._germ_faults == [v.message for v in reference_validate(trunc).violations
+                                      if v.code == "germ-count"]
+        windows += 1
+        members = [m for locus in trunc.loci for m in locus.members]
+        shared += len(set(members)) < len(members)
+        faults += bool(trunc._germ_faults)
+        several += trunc.components > 1
+    assert windows > 5000 and shared > 100 and faults > 1000 and several > 100
 
 
 def test_vertex_neighbors_match_graph_anchors(swap_k):
@@ -568,6 +604,39 @@ def assorted_windows(tripod, updown, swap_k):
         except LeafSpaceError:
             pass
     return windows
+
+
+def _germ_fault_specs():
+    """One germ-count fault each: a unit vertex and a chain vertex with two
+    germs on a side, a chain edge ending on a unit vertex, a vertex with
+    no germ at all, and a vertex chain that one unit edge names."""
+    two = LeafSpaceSpec()
+    two.add_vertex("v")
+    two.add_vertex("V", chain=True)
+    for name in ("e", "f"):
+        two.add_edge(name, low=to_vertex("v"), high=open_end())
+        two.add_edge(name + "c", low=to_vertex("V", 1), high=open_end(), chain=True)
+    every = LeafSpaceSpec()
+    every.add_vertex("a")
+    every.add_edge("e", low=to_vertex("a"), high=open_end(), chain=True)
+    bare = LeafSpaceSpec()
+    bare.add_vertex("v")
+    named = LeafSpaceSpec()
+    named.add_vertex("V", chain=True)
+    named.add_edge("d", low=to_vertex("V", -1), high=open_end())
+    return [two, every, bare, named]
+
+
+def test_validate_matches_reference(assorted_windows):
+    windows = assorted_windows + [expand(spec, depth) for spec in _germ_fault_specs()
+                                  for depth in range(4)]
+    messages = []
+    for trunc in windows:
+        report = validate(trunc)
+        assert report == reference_validate(trunc)
+        messages += [v.message for v in report.violations if v.code == "germ-count"]
+    for fault in ("has 2 germs", "one germ per chain index", "has 0 germs"):
+        assert sum(fault in m for m in messages) > 5, fault
 
 
 def test_vertex_nodes_match_union_find(assorted_windows):
