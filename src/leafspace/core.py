@@ -334,22 +334,19 @@ class LeafSpaceSpec:
     # -- well-formedness -------------------------------------------------
 
     def check_wellformed(self):
-        """Raise UnresolvedName/BadOffset for unresolvable end and chain-end
-        rules; generator maps are checked when added."""
-        for (fam, end), rule in list(self.ends.items()) + list(self.chain_ends.items()):
-            if fam not in self.families:
-                raise UnresolvedName(f"end rule on unknown family {fam!r}")
-            if rule.kind != "open" and not rule.targets:
-                raise UnresolvedName(f"{rule.kind} rule on {fam}.{end} names no target")
-            for tgt in rule.targets:
-                if isinstance(tgt, tuple):
-                    vfam, off = tgt
-                    if not isinstance(off, int):
-                        raise BadOffset(f"offset {off!r} on {fam}.{end} is not an integer shift")
-                else:
-                    vfam = tgt
-                if vfam not in self.families:
-                    raise UnresolvedName(f"{fam}.{end} targets unknown family {vfam!r}")
+        """Raise UnresolvedName/BadOffset for unresolvable end rules, whose
+        targets are (family, int) pairs, and chain-end rules, whose targets
+        are family names; generator maps are checked when added."""
+        for table, target_family in ((self.ends, _pair_family), (self.chain_ends, _name_family)):
+            for (fam, end), rule in table.items():
+                if fam not in self.families:
+                    raise UnresolvedName(f"end rule on unknown family {fam!r}")
+                if rule.kind != "open" and not rule.targets:
+                    raise UnresolvedName(f"{rule.kind} rule on {fam}.{end} names no target")
+                for tgt in rule.targets:
+                    vfam = target_family(tgt, fam, end)
+                    if vfam not in self.families:
+                        raise UnresolvedName(f"{fam}.{end} targets unknown family {vfam!r}")
 
     def germ_sources(self):
         """(vertex family, side) -> the rules that can supply that germ, in
@@ -372,10 +369,27 @@ class LeafSpaceSpec:
 
     def window(self, depth):
         """Cached truncation at the given depth; the cache keeps every depth
-        it was asked for, and nothing for one that ``expand`` refuses."""
-        if depth not in self._windows:
+        it was asked for, and nothing for one that ``expand`` refuses (a
+        float or bool equal to a cached depth included)."""
+        if type(depth) is not int or depth not in self._windows:
             self._windows[depth] = expand(self, depth)
         return self._windows[depth]
+
+
+def _pair_family(tgt, fam, end):
+    """The family of an end-rule target, which must be a (family, int) pair."""
+    if not (isinstance(tgt, tuple) and len(tgt) == 2 and isinstance(tgt[0], str)):
+        raise UnresolvedName(f"{fam}.{end} target {tgt!r} is not a (family, offset) pair")
+    if not isinstance(tgt[1], int):
+        raise BadOffset(f"offset {tgt[1]!r} on {fam}.{end} is not an integer shift")
+    return tgt[0]
+
+
+def _name_family(tgt, fam, end):
+    """The family of a chain-end target, which must be a family name."""
+    if not isinstance(tgt, str):
+        raise UnresolvedName(f"{fam}.{end} target {tgt!r} is not a family name")
+    return tgt
 
 
 def automorphism_problems(spec, gen):
@@ -467,10 +481,15 @@ class Truncation:
     looked up once, and the germ-count faults that ``validate`` reports
     are recorded as the germ table fills.
 
+    ``position`` is the window's one cell index (cell -> canonical position,
+    the vertex cells below ``len(vertex_cells)``); the graph has one edge per
+    edge cell, in cell order, so an edge cell's graph edge id is its position
+    minus ``len(vertex_cells)``.
+
     Besides its structure a window keeps what queries on it reuse: its
-    validation report, its canonical points, its germ table (the providers
-    of the germ on each side of each vertex, read by ``germ_providers`` and,
-    as cell adjacency, by ``vertex_sides``), its membership sweeps
+    validation report, its canonical points, its germ table (per side of
+    each vertex, the window cells that supply the germ and whether the
+    side is cut, read through ``vertex_sides``), its membership sweeps
     (``sweeps``: group element -> the image relation of every canonical
     point and, per cell, the class whose one ``compare`` answered it,
     filled by :func:`leafspace.action.sweep` from ``cell_runs`` and
@@ -502,12 +521,12 @@ class Truncation:
         family to where each chain target i + off lies in the window.  The
         cell lists and ``cell_runs`` are laid out from the runs, vertex
         families first and each kind by name: ``cell_runs`` maps each family
-        with cells to (first canonical position, first i, last i)."""
+        with cells to (first canonical position, first i, last i), and
+        ``position`` each cell to its canonical position."""
         spec, d = self.spec, self.depth
         families, ends = spec.families, spec.ends
         runs = ([], [])         # (name, lo, hi) of vertex families, then of edge families
-        for name in sorted(families):
-            fam = families[name]
+        for name, fam in sorted(families.items()):
             lo, hi = (-d, d) if fam.chain else (0, 0)
             edge = fam.kind != "vertex"
             if edge and fam.glue is None:
@@ -524,22 +543,17 @@ class Truncation:
         for name, lo, hi in runs[0] + runs[1]:
             self.cell_runs[name] = start, lo, hi
             start += hi - lo + 1
-        self._edge_set = set(self.edge_cells)
-        self._vertex_set = set(self.vertex_cells)
-
-    @cached_property
-    def position(self):
-        """Window cell -> its canonical position."""
-        return {c: k for k, c in enumerate(self.vertex_cells + self.edge_cells)}
+        self.position = dict(zip(self.vertex_cells + self.edge_cells, range(start)))
 
     def has_vertex(self, cell):
-        return cell in self._vertex_set
+        return 0 <= self.position.get(cell, -1) < len(self.vertex_cells)
 
     def has_edge(self, cell):
-        return cell in self._edge_set
+        return self.position.get(cell, -1) >= len(self.vertex_cells)
 
     def contains_point(self, p):
-        return p.cell in self._vertex_set if p.is_vertex else p.cell in self._edge_set
+        k = self.position.get(p.cell, -1)
+        return k >= len(self.vertex_cells) if p.t is not None else 0 <= k < len(self.vertex_cells)
 
     @cached_property
     def canonical_points(self):
@@ -665,8 +679,6 @@ class Truncation:
             else:
                 edges.append((("tail", fam, side), target, cut, anchor, None))
         self.graph_edges = tuple(edges)
-        # edge cell -> id of its graph edge
-        self.edge_index = dict(zip(self.edge_cells, range(len(self.edge_cells))))
         adj = {}
         for eid, (payload, lo, hi, _, _) in enumerate(edges):
             adj.setdefault(lo, []).append((eid, hi))
@@ -732,54 +744,48 @@ class Truncation:
             if hops[0] is None:
                 count += 1
             component[node] = count
-        edges, edge_index = self.graph_edges, self.edge_index
         return ([component[self.vertex_node(c)] for c in self.vertex_cells]
-                + [component[edges[edge_index[c]][1]] for c in self.edge_cells])
+                + [component[edge[1]] for edge in self.graph_edges[:len(self.edge_cells)]])
 
     @cached_property
     def automorphisms(self):
         """The generators that are automorphisms of the model, checked once per window."""
         return [g for g in self.spec.generators.values() if not automorphism_problems(self.spec, g)]
 
-    # -- truncated ends ------------------------------------------------------
-
-    def germ_providers(self, vcell, side):
-        """Providers of the germ on one side of a window vertex (LOW means
-        the germ below it), computed once per window."""
-        return self._germs[(vcell, side)]
+    # -- germs and truncated ends --------------------------------------------
 
     def _fill_germs(self):
         """The germ table, per vertex family run with the sources of each
-        side looked up once: (provider, in window) pairs, a provider being a
-        glued chain's tail ("chain", family, chain side), an edge cell
-        ("cell", family, index; a unit edge provides only the chain cell it
-        names) or ("cell-every", family), a germ from every cell of a chain,
-        in no window.  The germ-count faults and truncated ends come too."""
-        families, edge_set, table = self.spec.families, self._edge_set, {}
-        sources = self.spec.germ_sources()
+        side looked up once: (vertex cell, side) -> (the window cells that
+        supply the germ, cut), as ``vertex_sides`` returns it; a glued
+        chain's tail supplies its last window cell.  Every source, in the
+        window or not, counts toward the germ-count faults, and each edge
+        cell beyond the window is a truncated end."""
+        families, at, nv = self.spec.families, self.position.get, len(self.vertex_cells)
+        d, sources, table = self.depth, self.spec.germ_sources(), {}
         self._germs, self._germ_faults, ends, vfam = table, [], [], None
         for vcell in self.vertex_cells:
             if vcell[0] != vfam:        # the next family's run
                 vfam, vchain = vcell[0], families[vcell[0]].chain
                 found = ((LOW, sources.get((vfam, LOW), ())), (HIGH, sources.get((vfam, HIGH), ())))
             for side, side_sources in found:
-                germs, every = [], False
+                nbrs, beyond, every = (), 0, False
                 for kind, efam, arg in side_sources:
                     echain = kind == "chain" or families[efam].chain
                     if kind == "chain":
-                        germs.append((("chain", efam, arg), True))
+                        nbrs += ((efam, -d if arg == NEG else d),)
                     elif echain and not vchain:
-                        germs.append((("cell-every", efam), False))
-                        every = True
+                        beyond, every = beyond + 1, True
                     elif echain or not vchain or arg == vcell[1]:
-                        i = vcell[1] - arg if echain else 0
-                        inside = (efam, i) in edge_set
-                        germs.append((("cell", efam, i), inside))
-                        if not inside:
-                            ends.append(TruncatedEnd((vcell, side), f"edge {efam}[{i}]"))
-                table[vcell, side] = germs
-                if every or len(germs) != 1:
-                    self._germ_faults.append(_germ_fault(vcell, side, len(germs), every))
+                        cell = (efam, vcell[1] - arg if echain else 0)
+                        if at(cell, -1) >= nv:
+                            nbrs += (cell,)
+                        else:
+                            beyond += 1
+                            ends.append(TruncatedEnd((vcell, side), f"edge {efam}[{cell[1]}]"))
+                table[vcell, side] = nbrs, beyond > 0 or not nbrs
+                if every or len(nbrs) + beyond != 1:
+                    self._germ_faults.append(_germ_fault(vcell, side, len(nbrs) + beyond, every))
         ends.sort()     # vertex sides, by cell, high before low
         for name in self.cell_runs:     # glued chains, by name
             for side in (NEG, POS) if families[name].glue is not None else ():
@@ -796,22 +802,8 @@ class Truncation:
     def vertex_sides(self, vcell):
         """Per side of a window vertex, low then high: (the window cells
         whose germ it is, cut), where cut says that a germ of that side lies
-        beyond the window, or that none is supplied.  The one place that
-        reads germ providers as cell neighbors."""
-        sides = []
-        for side in (LOW, HIGH):
-            nbrs = []
-            cut = False
-            for provider, in_window in self._germs[(vcell, side)]:
-                if provider[0] == "cell" and in_window:
-                    nbrs.append(provider[1:3])
-                elif provider[0] == "chain":    # the tail's last window cell
-                    fam, cside = provider[1], provider[2]
-                    nbrs.append((fam, -self.depth if cside == NEG else self.depth))
-                else:
-                    cut = True
-            sides.append((tuple(nbrs), cut or not nbrs))
-        return sides
+        beyond the window, or that none is supplied."""
+        return self._germs[vcell, LOW], self._germs[vcell, HIGH]
 
     @cached_property
     def _edge_vertices(self):
@@ -832,7 +824,7 @@ class Truncation:
         out = set(self._edge_vertices.get(cell, ()))
         fam, i = cell
         if self.spec.families[fam].glue is not None:
-            out.update(c for c in ((fam, i - 1), (fam, i + 1)) if c in self._edge_set)
+            out.update(c for c in ((fam, i - 1), (fam, i + 1)) if self.has_edge(c))
         return sorted(out)
 
 
@@ -843,7 +835,10 @@ class Truncation:
 def expand(spec, depth):
     """Instantiate the depth-bounded window.  Monotone: every cell and
     attachment present at depth d appears unchanged at depth d+1.  A depth
-    outside [0, ``DEPTH_LIMIT``] raises BadOffset before any cell is built."""
+    that is not an int in [0, ``DEPTH_LIMIT``] raises BadOffset before any
+    cell is built."""
+    if type(depth) is not int:
+        raise BadOffset(f"depth {depth!r} is not an integer")
     if depth < 0:
         raise BadOffset("depth must be non-negative")
     if depth > DEPTH_LIMIT:

@@ -155,7 +155,8 @@ def _route(trunc, x, y):
     by the split half from or to the point."""
     if not x.is_vertex and not y.is_vertex and x.cell == y.cell:
         (s, a), (t, b) = sorted(((x.t, _PT[0]), (y.t, _PT[1])))
-        ascending, descending = edge_hops(trunc.edge_index[x.cell], (s, t), a, b, None, None)
+        eid = trunc.position[x.cell] - len(trunc.vertex_cells)
+        ascending, descending = edge_hops(eid, (s, t), a, b, None, None)
         return [ascending if a == _PT[0] else descending]
     meet = _meeting(trunc, x, y)
     if meet is None:
@@ -327,7 +328,7 @@ def _meeting(trunc, x, y):
         if point.is_vertex:
             nodes.append(trunc.vertex_node(point.cell))
         else:
-            eid = trunc.edge_index[point.cell]
+            eid = trunc.position[point.cell] - len(trunc.vertex_cells)
             lo, hi = trunc.graph_edges[eid][1:3]
             nodes.append(lo if rooting[lo][1] == eid else hi)
     u, v = nodes
@@ -404,7 +405,7 @@ def _above(trunc, x):
     if x.is_vertex:
         stack = [(trunc.vertex_node(x.cell), frozenset((x.cell,)))]
     else:
-        _, _, hi, _, a_hi = edges[trunc.edge_index[x.cell]]
+        _, _, hi, _, a_hi = edges[trunc.position[x.cell] - len(trunc.vertex_cells)]
         stack = [(hi, a_hi)]
         if x.t < _HALF:
             above.add(x.cell)

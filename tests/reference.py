@@ -188,7 +188,8 @@ def reference_route(trunc, x, y):
     node that re-hangs its edge's child end below itself."""
     if not x.is_vertex and not y.is_vertex and x.cell == y.cell:
         (s, a), (t, b) = sorted(((x.t, _REF_PT[0]), (y.t, _REF_PT[1])))
-        ascending, descending = edge_hops(trunc.edge_index[x.cell], (s, t), a, b, None, None)
+        eid = trunc.position[x.cell] - len(trunc.vertex_cells)
+        ascending, descending = edge_hops(eid, (s, t), a, b, None, None)
         return [ascending if a == _REF_PT[0] else descending]
     rooting, edges = trunc.rooting, trunc.graph_edges
     moved = {}      # node -> (hop up, hop down) where a split edge re-hangs it
@@ -198,7 +199,7 @@ def reference_route(trunc, x, y):
         if point.is_vertex:
             ends.append(trunc.vertex_node(point.cell))
             continue
-        eid = trunc.edge_index[point.cell]
+        eid = trunc.position[point.cell] - len(trunc.vertex_cells)
         _, lo, hi, a_lo, a_hi = edges[eid]
         low = edge_hops(eid, (Fraction(0), point.t), lo, pt, a_lo, None)
         high = edge_hops(eid, (point.t, Fraction(1)), pt, hi, None, a_hi)
@@ -673,6 +674,27 @@ def reference_window(trunc):
     return _ReferenceWindow(trunc)
 
 
+def reference_vertex_sides(germs, vcell, depth):
+    """``Truncation.vertex_sides`` as it was, reading a table of (provider,
+    in window) pairs: per side of a window vertex, low then high, (the
+    window cells whose germ it is, cut), where cut says that a germ of that
+    side lies beyond the window, or that none is supplied."""
+    sides = []
+    for side in (LOW, HIGH):
+        nbrs = []
+        cut = False
+        for provider, in_window in germs[(vcell, side)]:
+            if provider[0] == "cell" and in_window:
+                nbrs.append(provider[1:3])
+            elif provider[0] == "chain":    # the tail's last window cell
+                fam, cside = provider[1], provider[2]
+                nbrs.append((fam, -depth if cside == NEG else depth))
+            else:
+                cut = True
+        sides.append((tuple(nbrs), cut or not nbrs))
+    return sides
+
+
 def _germ_count_problem(vcell, side, kinds):
     """The germ-count fault of a vertex side with providers of these kinds, or None."""
     if "cell-every" in kinds:
@@ -741,9 +763,10 @@ def reference_validate(trunc):
                     f"{fam} chain end {side} must target unit vertex families, got {v}")
 
     # (a) germ counts, schematic over the window
+    germs = reference_window(trunc)._germs
     for vcell in trunc.vertex_cells:
         for side in (LOW, HIGH):
-            kinds = [p[0] for p, _ in trunc.germ_providers(vcell, side)]
+            kinds = [p[0] for p, _ in germs[vcell, side]]
             problem = _germ_count_problem(vcell, side, kinds)
             if problem:
                 bad("germ-count", problem)
@@ -860,7 +883,7 @@ def reference_edge_neighbors(trunc, cell):
     stem's locus, the cell across a glue junction, and the limit targets
     past a chain's cut."""
     out = set()
-    _, lo, hi, a_lo, a_hi = trunc.graph_edges[trunc.edge_index[cell]]
+    _, lo, hi, a_lo, a_hi = trunc.graph_edges[trunc.position[cell] - len(trunc.vertex_cells)]
     for anchor, node in ((a_lo, lo), (a_hi, hi)):
         if anchor is not None:
             out.update(anchor)

@@ -279,6 +279,29 @@ def test_checker_registry():
         assert listed == list(ck.CHECKERS), golden.name
 
 
+def test_nonrealizable_fix_propagation_golden(monkeypatch):
+    # f fixes a[0] and exchanges b[0] and c[0], members of one finite locus:
+    # a partial fix no realizable model has, certified here without the checker
+    from leafspace.core import vertex_point
+
+    here = GOLDEN / "nonrealizable"
+    spec = parse((here / "fix_propagation.leafspace").read_text(encoding="utf-8"))
+    f = spec.generators["f"]
+    assert f.point(vertex_point("a")) == vertex_point("a")
+    assert f.point(vertex_point("b")) == vertex_point("c")
+    assert [locus.members for locus in spec.window(4).loci] == [(("a", 0), ("b", 0), ("c", 0))]
+    monkeypatch.chdir(here)
+    argv = ("suite", "--spec", "fix_propagation.leafspace", "--depth", "4")
+    assert run("validate", *argv[1:]) == (0, "validate fix_propagation.leafspace depth=4\n"
+                                              "valid: yes (0 violations)\n")
+    for extra, suffix in (((), "txt"), (("--json",), "json")):
+        golden = (here / f"fix_propagation.{suffix}").read_text(encoding="utf-8")
+        assert run(*argv, *extra) == (1, golden), suffix
+    text = (here / "fix_propagation.txt").read_text(encoding="utf-8")
+    assert "VIOLATION  check_fix_propagation  fixes=a[0] locus_size=3 word=f\n" in text
+    assert text.endswith("suite: 10 checkers, 8 pass, 1 violations, 0 truncated, 1 skipped\n")
+
+
 def test_check_from_to_options():
     code, out = run("check", "check_path_in_comparable_set", "--gallery", "COMB",
                     "--word", "u", "--from", "a[-4]", "--to", "a[-2]")

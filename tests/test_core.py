@@ -28,7 +28,7 @@ from leafspace.core import mid_point
 from reference import (
     reference_cells, reference_edge_neighbors, reference_germ_providers, reference_ladder_counts,
     reference_locus_groups, reference_rooting, reference_validate, reference_vertex_neighbors,
-    reference_window)
+    reference_vertex_sides, reference_window)
 
 
 def test_expand_line_counts(line):
@@ -67,6 +67,21 @@ def test_expand_unresolved_name():
     spec.add_vertex("a")
     spec.add_edge("e", low=to_vertex("nope"), high=open_end())
     with pytest.raises(UnresolvedName):
+        expand(spec, 1)
+    # hand-built rules of the wrong shape: each table's targets are read in
+    # their own shape, (family, offset) pairs per cell, names per chain end
+    for rule, message in ((EndRule("vertex", ("v",)), r"e.low target 'v' is not a \(family"),
+                          (EndRule("vertex", (("v", 0, 1),)), r"\('v', 0, 1\) is not a \(family")):
+        spec = LeafSpaceSpec()
+        spec.add_vertex("v", chain=True)
+        spec.add_edge("e", low=rule, high=open_end(), chain=True)
+        with pytest.raises(UnresolvedName, match=message):
+            expand(spec, 1)
+    spec = LeafSpaceSpec()
+    spec.add_vertex("a")
+    spec.add_vertex("b")
+    spec.add_glued_chain("r", 1, ChainEndRule("limit", (("a", 0), ("b", 0))), ChainEndRule("open"))
+    with pytest.raises(UnresolvedName, match=r"r.neg target \('a', 0\) is not a family name"):
         expand(spec, 1)
 
 
@@ -108,6 +123,19 @@ def test_expand_bad_offset(monkeypatch):
         expand(spec, 1)
     with pytest.raises(BadOffset):
         expand(LeafSpaceSpec(), -1)
+    # a depth that is not an int is refused before any cell is built, also
+    # when it equals a depth the spec has cached
+    spec = LeafSpaceSpec()
+    spec.add_vertex("a")
+    cached = spec.window(1)
+    monkeypatch.setattr(Truncation, "__init__", lambda *args: pytest.fail("window built"))
+    for depth in (2.5, "3", None, 1.0, True):
+        with pytest.raises(BadOffset, match="is not an integer"):
+            expand(spec, depth)
+        with pytest.raises(BadOffset, match="is not an integer"):
+            spec.window(depth)
+        assert spec._windows == {1: cached}
+    monkeypatch.undo()
     # a depth above the cap is refused before well-formedness, and no
     # window is built or cached
     spec = LeafSpaceSpec()
@@ -419,10 +447,10 @@ def test_germ_table_matches_rule_scan(tripod, updown, swap_k):
     for spec, depth in cases:
         trunc = expand(spec, depth)
         for vcell in trunc.vertex_cells:
-            for side in (LOW, HIGH):
-                providers = trunc.germ_providers(vcell, side)
-                assert providers == reference_germ_providers(trunc, vcell, side)
-                kinds.update(p[0][0] for p in providers)
+            providers = {(vcell, side): reference_germ_providers(trunc, vcell, side)
+                         for side in (LOW, HIGH)}
+            assert list(trunc.vertex_sides(vcell)) == reference_vertex_sides(providers, vcell, depth)
+            kinds.update(p[0][0] for found in providers.values() for p in found)
     assert kinds == {"cell", "cell-every", "chain"}
 
 
@@ -507,11 +535,34 @@ def test_cell_runs_match_cell_by_cell_builder(tripod, updown, swap_k):
     assert windows > 5000 and shortened > 100 and dropped > 100
 
 
-WINDOW_TABLES = ("loci", "_mates", "_locus_group", "graph_edges", "edge_index", "adjacency",
-                 "rooting", "ladder", "components", "_germs", "truncated_ends", "has_truncation")
+def test_membership_reads_the_position_split(tripod, updown, swap_k):
+    # vertex cells hold the positions below len(vertex_cells), edge cells the
+    # rest; a cell of either kind, the wrong kind or beyond the window
+    from leafspace.gallery import GALLERY_NAMES, gallery
+
+    specs = [gallery(name).spec for name in GALLERY_NAMES] + [tripod, updown, swap_k]
+    checked = 0
+    for spec in specs + _odd_cell_specs():
+        for depth in range(4):
+            trunc = expand(spec, depth)
+            vertices, edges = set(trunc.vertex_cells), set(trunc.edge_cells)
+            far = [(fam, i) for fam in spec.families for i in (-depth - 1, 0, depth + 1)]
+            for cell in trunc.vertex_cells + trunc.edge_cells + far:
+                assert trunc.has_vertex(cell) == (cell in vertices)
+                assert trunc.has_edge(cell) == (cell in edges)
+                assert trunc.contains_point(vertex_point(*cell)) == (cell in vertices)
+                assert trunc.contains_point(mid_point(*cell)) == (cell in edges)
+                checked += 1
+    assert checked > 1000
+
+
+WINDOW_TABLES = ("loci", "_mates", "_locus_group", "graph_edges", "adjacency",
+                 "rooting", "ladder", "components", "truncated_ends", "has_truncation")
 
 
 def test_window_tables_match_reference(tripod, updown, swap_k):
+    from leafspace.core import HIGH, LOW
+
     # every table in dict and list order, neighbour lists included
     def ordered(value):
         if isinstance(value, dict):
@@ -523,6 +574,13 @@ def test_window_tables_match_reference(tripod, updown, swap_k):
         ref = reference_window(trunc)
         for name in WINDOW_TABLES:
             assert ordered(getattr(trunc, name)) == ordered(getattr(ref, name)), name
+        # an edge cell's graph edge id is its position past the vertex cells
+        nv = len(trunc.vertex_cells)
+        assert ordered(ref.edge_index) == [(c, trunc.position[c] - nv) for c in trunc.edge_cells]
+        # the stored sides, as the reference providers read side by side
+        assert ordered(trunc._germs) == [
+            ((vcell, side), pair) for vcell in trunc.vertex_cells
+            for side, pair in zip((LOW, HIGH), reference_vertex_sides(ref._germs, vcell, ref.depth))]
         # the germ faults recorded while the table filled, as a rescan finds them
         assert trunc._germ_faults == [v.message for v in reference_validate(trunc).violations
                                       if v.code == "germ-count"]

@@ -491,7 +491,7 @@ def _child_end(trunc, cell):
     """The end of an edge cell's graph edge that hangs below the other in
     the rooted window forest (the one ``reference_route`` re-hangs below a
     point inside the cell)."""
-    eid = trunc.edge_index[cell]
+    eid = trunc.position[cell] - len(trunc.vertex_cells)
     lo, hi = trunc.graph_edges[eid][1:3]
     return lo if trunc.rooting[lo][1] == eid else hi
 
