@@ -272,9 +272,9 @@ def _sweep_table(trunc, elem):
     looked up first; else one ``compare`` answers each class of
     ``_classes`` (the cells w and its commuting automorphism generators
     join; single cells if w is no automorphism, tested only when a
-    generator is none) at a pair in one component, Truncated read as
-    None.  Images beyond the window get one ``_same_glued_chain_relation``
-    per family."""
+    generator is none) at a pair in one component, where the window
+    forest always meets, so no answer is Truncated.  Images beyond the
+    window get one ``_same_glued_chain_relation`` per family."""
     spec, points = trunc.spec, trunc.canonical_points
     inverse = elem.inverse()
     kept = trunc.sweeps.get(inverse)
@@ -301,8 +301,7 @@ def _sweep_table(trunc, elem):
                     zip(keys, component[a:b], component[a + offset:b + offset])]
         for root, k in dict(zip(keys, range(a, b))).items():
             if root not in relation:
-                rel = compare(trunc, points[k], elem.point(points[k]))
-                relation[root] = None if rel is Comparability.TRUNCATED else rel
+                relation[root] = compare(trunc, points[k], elem.point(points[k]))
         rels[a:b] = map(relation.__getitem__, keys)
     return tuple(rels), orbits
 

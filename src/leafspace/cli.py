@@ -58,7 +58,7 @@ def load_model(args):
                 text = fh.read()
         except OSError as exc:
             raise SystemExit2(str(exc)) from None
-        return parse(text), args.spec
+        return parse(text), os.path.basename(args.spec)
     raise SystemExit2("a model is required: --gallery NAME or --spec FILE")
 
 

@@ -623,13 +623,6 @@ class Truncation:
                     self._locus_group[m] = li
                     frontier.extend(mate for mate, _ in self._mates.get(m, ()))
 
-    def common_locus(self, m1, m2):
-        """Smallest locus index containing both vertices, else None."""
-        for mate, li in self._mates.get(m1, ()):
-            if mate == m2:
-                return li
-        return None
-
     # -- graph --------------------------------------------------------------
 
     def vertex_node(self, vcell):
@@ -918,17 +911,15 @@ def validate(trunc):
     n_nodes = len(trunc.adjacency)
     n_edges = len(trunc.graph_edges)
     components = trunc.components
-    if n_nodes:
-        for payload, lo, hi, _, _ in trunc.graph_edges:
-            if lo == hi:
-                bad("not-a-tree", f"edge {payload} closes a loop at {lo}")
-        if components > 1:
-            bad("disconnected",
-                f"window graph falls into {components} components")
-        if n_edges != n_nodes - components:
-            bad("not-a-tree",
-                f"window graph has {n_edges} edges on {n_nodes} nodes "
-                f"in {components} components")
+    for payload, lo, hi, _, _ in trunc.graph_edges:
+        if lo == hi:
+            bad("not-a-tree", f"edge {payload} closes a loop at {lo}")
+    if components > 1:
+        bad("disconnected", f"window graph falls into {components} components")
+    if n_edges != n_nodes - components:
+        bad("not-a-tree",
+            f"window graph has {n_edges} edges on {n_nodes} nodes "
+            f"in {components} components")
 
     for name, mark in sorted(spec.marks.items()):
         fam = spec.families.get(mark.cell[0])

@@ -186,54 +186,55 @@ def _jump_chain(trunc, entry, exit_):
     """Minimal chain of locus members c0..cj inside one collapsed node, from
     a member the entry anchor holds to one the exit anchor holds, where
     consecutive members share a locus; j is the number of jumps (0 means
-    the node is crossed through a single vertex).  Both anchors lie in the
-    node's locus group, which its mates connect, so the search finds one."""
+    the node is crossed through a single vertex).  Each member comes with
+    the index of the locus it was reached by, None for c0: the search
+    meets a mate first at its smallest shared locus, as each mate list is
+    sorted.  Both anchors lie in the node's locus group, which its mates
+    connect, so the search finds one."""
     shared = entry & exit_
     if shared:
-        return [min(shared)]
+        return [(min(shared), None)]
     frontier = sorted(entry)
-    parent = dict.fromkeys(frontier)
+    parent = dict.fromkeys(frontier)    # member -> (member before it, locus index)
     hit = None
     while frontier and hit is None:
         nxt = []
         for c in frontier:
-            for mate, _li in trunc._mates.get(c, ()):
+            for mate, li in trunc._mates.get(c, ()):
                 if mate not in parent:
-                    parent[mate] = c
+                    parent[mate] = c, li
                     if mate in exit_ and hit is None:
                         hit = mate
                     nxt.append(mate)
         frontier = nxt
-    chain = [hit]
-    while parent[chain[-1]] is not None:
-        chain.append(parent[chain[-1]])
+    chain = []
+    while parent[hit] is not None:
+        before, li = parent[hit]
+        chain.append((hit, li))
+        hit = before
+    chain.append((hit, None))
     chain.reverse()
     return chain
 
 
-def _lift_chain(trunc, chain):
-    """What crossing a collapsed node along a jump chain adds to a path:
+def _transit(trunc, entry, exit_):
+    """The lifted crossing of a collapsed node from the entry anchor to the
+    exit anchor along its jump chain, stored in ``Truncation.transits``:
     (first vertex step, first point, junctions, the degenerate intervals
     between them, last point, last vertex step).  A chain without a jump
     leaves only its vertex step: no points and empty tuples."""
-    step = ("vertex",) + chain[0]
+    chain = _jump_chain(trunc, entry, exit_)
+    step = ("vertex",) + chain[0][0]
     if len(chain) == 1:
-        return step, None, (), (), None, step
-    points = [Point(c) for c in chain]
-    junctions = tuple(PathJunction(a, b, trunc.loci[trunc.common_locus(a.cell, b.cell)])
-                      for a, b in zip(points, points[1:]))
-    between = tuple(Interval(b, b, ASC, (("vertex",) + b.cell,)) for b in points[1:-1])
-    return step, points[0], junctions, between, points[-1], ("vertex",) + chain[-1]
-
-
-def _transit(trunc, entry, exit_):
-    """The lifted crossing of a collapsed node from the entry anchor to the
-    exit anchor, computed once per window (``Truncation.transits``)."""
-    key = (entry, exit_)
-    hit = trunc.transits.get(key)
-    if hit is None:
-        hit = trunc.transits[key] = _lift_chain(trunc, _jump_chain(trunc, entry, exit_))
-    return hit
+        lifted = step, None, (), (), None, step
+    else:
+        points = [Point(c) for c, _ in chain]
+        junctions = tuple(PathJunction(a, b, trunc.loci[li])
+                          for a, b, (_, li) in zip(points, points[1:], chain[1:]))
+        between = tuple(Interval(b, b, ASC, (("vertex",) + b.cell,)) for b in points[1:-1])
+        lifted = step, points[0], junctions, between, points[-1], ("vertex",) + chain[-1][0]
+    trunc.transits[entry, exit_] = lifted
+    return lifted
 
 
 def path(trunc, x, y):

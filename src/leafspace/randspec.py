@@ -17,6 +17,7 @@ symmetry to act with).
 from __future__ import annotations
 
 import random
+from itertools import count
 from typing import NamedTuple
 
 from .core import (
@@ -43,50 +44,10 @@ class RandomParams(NamedTuple):
 UP, DOWN = "up", "down"
 
 
-class _Assembly:
-    """Accumulates unit families and per-end rules, then builds the spec."""
-
-    def __init__(self):
-        self.vertices = []
-        self.edge_rules = {}       # name -> {LOW: rule, HIGH: rule}
-        self.counter = {"v": 0, "e": 0}
-
-    def new_vertex(self):
-        name = f"v{self.counter['v']}"
-        self.counter["v"] += 1
-        self.vertices.append(name)
-        return name
-
-    def new_edge(self):
-        name = f"e{self.counter['e']}"
-        self.counter["e"] += 1
-        self.edge_rules[name] = {}
-        return name
-
-    def subdivide(self, rng, count):
-        for _ in range(count):
-            name = sorted(self.edge_rules)[rng.randrange(len(self.edge_rules))]
-            rules = self.edge_rules[name]
-            mid = self.new_vertex()
-            lower = self.new_edge()
-            upper = self.new_edge()
-            self.edge_rules[lower] = {LOW: rules[LOW], HIGH: to_vertex(mid)}
-            self.edge_rules[upper] = {LOW: to_vertex(mid), HIGH: rules[HIGH]}
-            del self.edge_rules[name]
-
-    def build(self):
-        spec = LeafSpaceSpec()
-        for v in self.vertices:
-            spec.add_vertex(v)
-        for name in sorted(self.edge_rules):
-            rules = self.edge_rules[name]
-            spec.add_edge(name, low=rules[LOW], high=rules[HIGH])
-        return spec
-
-
-def _locus_slots(asm, members, sign):
-    """Slot list for one locus: each slot is (direction, end rule factory)
-    where filling a slot with an edge end means giving that edge the rule.
+def _locus_slots(members, sign):
+    """Slot list for one locus: each slot is (direction, owner end, rule),
+    where filling a slot with an edge means giving that edge's owner end
+    the rule.
 
     The stem extends downward from a positive locus (the edge's high end
     limits onto the members); each member continuation extends upward
@@ -115,14 +76,16 @@ def random_spec(params):
     if params.symmetric:
         return _symmetric_spec(rng, params)
 
-    asm = _Assembly()
+    vertices, edge_rules = [], {}       # edge name -> {LOW: rule, HIGH: rule}
+    edge_ids = count()
     n_loci = rng.randint(*params.locus_count)
     slots = []            # (locus index, direction, owner end, rule)
     for li in range(n_loci):
         size = rng.randint(*params.locus_size)
         sign = POSITIVE if rng.random() < params.sign_mix else NEGATIVE
-        members = [asm.new_vertex() for _ in range(size)]
-        for direction, owner_end, rule in _locus_slots(asm, members, sign):
+        members = [f"v{len(vertices) + i}" for i in range(size)]
+        vertices += members
+        for direction, owner_end, rule in _locus_slots(members, sign):
             slots.append([li, direction, owner_end, rule, False])
 
     # join components with direction-opposite slot pairs until connected
@@ -148,10 +111,9 @@ def random_spec(params):
                 continue
             up = ups[rng.randrange(len(ups))]
             down[4] = up[4] = True
-            edge = asm.new_edge()
             # the edge runs upward from the "up" slot's locus into the
             # "down" slot's locus, so the up slot rules its low end
-            asm.edge_rules[edge] = {up[2]: up[3], down[2]: down[3]}
+            edge_rules[f"e{next(edge_ids)}"] = {up[2]: up[3], down[2]: down[3]}
             parent[find(up[0])] = find(down[0])
             components -= 1
             joined = True
@@ -162,12 +124,21 @@ def random_spec(params):
     for _li, direction, owner_end, rule, used in slots:
         if used:
             continue
-        edge = asm.new_edge()
         other = HIGH if owner_end == LOW else LOW
-        asm.edge_rules[edge] = {owner_end: rule, other: open_end()}
+        edge_rules[f"e{next(edge_ids)}"] = {owner_end: rule, other: open_end()}
 
-    asm.subdivide(rng, params.extra_edges)
-    return asm.build()
+    for _ in range(params.extra_edges):     # subdivide edges by regular vertices
+        rules = edge_rules.pop(sorted(edge_rules)[rng.randrange(len(edge_rules))])
+        mid = f"v{len(vertices)}"
+        vertices.append(mid)
+        edge_rules[f"e{next(edge_ids)}"] = {LOW: rules[LOW], HIGH: to_vertex(mid)}
+        edge_rules[f"e{next(edge_ids)}"] = {LOW: to_vertex(mid), HIGH: rules[HIGH]}
+    spec = LeafSpaceSpec()
+    for v in vertices:
+        spec.add_vertex(v)
+    for name in sorted(edge_rules):
+        spec.add_edge(name, low=edge_rules[name][LOW], high=edge_rules[name][HIGH])
+    return spec
 
 
 def _symmetric_spec(rng, params):

@@ -266,12 +266,20 @@ def _reference_jump_search(trunc, entry, exit_):
     return chain
 
 
+def _reference_common_locus(trunc, a, b):
+    """The smallest index of a locus holding both vertices, by a scan of
+    every locus."""
+    return min(li for li, locus in enumerate(trunc.loci)
+               if a in locus.members and b in locus.members)
+
+
 def _reference_transit(trunc, entry, exit_):
     """The pieces of one crossing, built from its jump chain: the first
     point, the junctions between consecutive members, a degenerate interval
     at each member strictly inside the chain, and the last point."""
     chain = _reference_jump_chain(trunc, entry, exit_)
-    junctions = tuple(PathJunction(Point(a), Point(b), trunc.loci[trunc.common_locus(a, b)])
+    junctions = tuple(PathJunction(Point(a), Point(b),
+                                   trunc.loci[_reference_common_locus(trunc, a, b)])
                       for a, b in zip(chain, chain[1:]))
     between = tuple(Interval(Point(b), Point(b), ASC, (("vertex",) + b,)) for b in chain[1:-1])
     return Point(chain[0]), junctions, between, Point(chain[-1])

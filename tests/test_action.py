@@ -35,6 +35,7 @@ def test_word_reduction_and_parse():
     assert w == Word.generator("g") and len(w) == 1
     assert Word.parse("g^2*h^-1").letters == (("g", 1), ("g", 1), ("h", -1))
     assert Word.parse("1").is_identity
+    assert Word.parse("") == Word.identity()
     assert (Word.generator("g") * Word.generator("g", -1)).is_identity
     w = Word.parse("g*h")
     assert (w * w.inverse()).is_identity
@@ -587,6 +588,21 @@ def test_sweep_matches_reference_on_gallery():
         _assert_sweeps_match_reference(name, spec, 256, 2)
     for depth in range(9):      # two commuting generators join the classes
         _assert_sweeps_match_reference("swap+k", build_swap_k(), depth, 3)
+
+
+def test_sweep_matches_reference_with_a_non_commuting_generator():
+    # SWAP plus an automorphism f that shifts one branch chain and so does
+    # not commute with g: a sweep joins cells only by the generators that
+    # commute with the swept element
+    from leafspace.gallery import gallery
+
+    for moved in ({"ra": ("ra", -1)}, {"rb": ("rb", -1)}):
+        spec = gallery("SWAP").spec
+        spec.add_generator("f", {fam: moved.get(fam, (fam, 0)) for fam in spec.families})
+        f, g = spec.generators["f"], spec.generators["g"]
+        assert f * g != g * f
+        for depth in range(7):
+            _assert_sweeps_match_reference(f"swap+f {moved}", spec, depth, 3)
 
 
 def test_sweep_matches_reference_on_random_specs():

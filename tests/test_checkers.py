@@ -6,8 +6,8 @@ from collections import Counter
 import pytest
 
 from leafspace.core import (
-    HIGH, Element, LeafSpaceSpec, PreconditionFailed, Tri, TruncatedError, expand, mid_point,
-    to_vertex, vertex_point)
+    HIGH, ChainEndRule, Element, LeafSpaceSpec, PreconditionFailed, Tri, TruncatedError, expand,
+    mid_point, to_vertex, vertex_point)
 from leafspace.core import branch_loci
 from leafspace.action import (
     Word, act, element_ball, fingerprint, in_comparable_set, word_map)
@@ -250,6 +250,29 @@ def test_invariant_stem_swap(swap):
         assert int(dict(rep.witness)["suffix_cells"]) == 9   # whole window stem
 
 
+def test_invariant_stem_at_a_pos_chain_end():
+    # SWAP reflected: the stem s ascends with n and its pos end limits onto
+    # {a, b}, so the stem cells run outward from s[depth] down
+    spec = LeafSpaceSpec()
+    spec.add_vertex("a")
+    spec.add_vertex("b")
+    spec.add_glued_chain("s", glue=1, neg=ChainEndRule("open"),
+                         pos=ChainEndRule("limit", ("a", "b")))
+    spec.add_glued_chain("ra", glue=-1, neg=ChainEndRule("open"),
+                         pos=ChainEndRule("limit", ("a",)))
+    spec.add_glued_chain("rb", glue=-1, neg=ChainEndRule("open"),
+                         pos=ChainEndRule("limit", ("b",)))
+    spec.add_generator("g", {"s": ("s", 1), "ra": ("rb", 0), "rb": ("ra", 1),
+                             "a": ("b", 0), "b": ("a", 0)})
+    for depth in (1, 4):
+        locus = branch_loci(expand(spec, depth))[0]
+        assert locus.stem == ("chain_end", "s", "pos")
+        for word in (Word.generator("g"), Word.generator("g") ** 2):
+            rep = check_invariant_locus_stem(spec, word, locus, depth)
+            assert rep.verdict == PASS
+            assert int(dict(rep.witness)["suffix_cells"]) == 2 * depth + 1   # whole window stem
+
+
 def test_invariant_stem_guard_moved_locus(zigzag):
     locus = branch_loci(expand(zigzag.spec, 3))[0]
     with pytest.raises(PreconditionFailed):
@@ -359,6 +382,21 @@ def test_intermediate_fixed_incomparable_pair(updown):
     assert rep.verdict == PASS
     witness = dict(rep.witness)
     assert witness["in_locus"] == "yes" and witness["witness"] == "a[0]"
+
+
+def test_intermediate_fixed_off_the_loci():
+    # a line through the unit vertex c: L ascends into c and R out of it;
+    # f moves L up and R down and fixes c, which lies in no locus
+    spec = LeafSpaceSpec()
+    spec.add_vertex("c")
+    spec.add_glued_chain("L", glue=1, neg=ChainEndRule("open"), pos=ChainEndRule("limit", ("c",)))
+    spec.add_glued_chain("R", glue=1, neg=ChainEndRule("limit", ("c",)), pos=ChainEndRule("open"))
+    spec.add_generator("f", {"c": ("c", 0), "L": ("L", 1), "R": ("R", -1)})
+    for depth in range(4):
+        rep = check_intermediate_fixed(spec, Word.generator("f"), mid_point("L", 0),
+                                       mid_point("R", 0), depth)
+        assert rep.verdict == PASS
+        assert dict(rep.witness) == {"word": "f", "witness": "c[0]", "in_locus": "no"}
 
 
 def test_intermediate_fixed_guard(line):

@@ -346,6 +346,26 @@ def test_validate_reports_a_rule_the_builders_cannot_write(name, write, violatio
     assert [(v.code, v.message) for v in report.violations] == [violation]
 
 
+def test_validate_reports_a_chain_end_limit_onto_a_vertex_chain():
+    spec = LeafSpaceSpec()
+    spec.add_vertex("v", chain=True)
+    spec.add_glued_chain("s", glue=1, neg=ChainEndRule("open"),
+                         pos=ChainEndRule("limit", ("v",)))
+    report = validate(expand(spec, 1))
+    assert ("limit-set", "s chain end pos must target unit vertex families, got v") in [
+        (v.code, v.message) for v in report.violations]
+
+
+def test_the_empty_model_is_a_valid_empty_window():
+    # no family: no cell, no node, no edge and no component
+    trunc = expand(LeafSpaceSpec(), 0)
+    assert (trunc.vertex_cells, trunc.edge_cells, trunc.components) == ([], [], 0)
+    report = validate(trunc)
+    assert report.violations == () and report.routing_error is None
+    tree = hausdorffify(trunc)
+    assert (tree.nodes, tree.edges, tree.vertex_projection, tree.edge_projection) == ((), (), {}, {})
+
+
 def test_malformed_glue_reported_not_crashed():
     from leafspace.core import Family, LeafSpaceSpec
 

@@ -78,6 +78,9 @@ end q high open
 def test_parse_errors_are_line_anchored():
     with pytest.raises(ParseError, match="line 1"):
         parse("not-a-header\n")
+    with pytest.raises(ParseError, match="^line 1: expected header") as caught:
+        parse("")
+    assert caught.value.line == 1
     with pytest.raises(ParseError, match="line 2"):
         parse("leafspace/1\nfamily x wobble unit\n")
     with pytest.raises(ParseError, match="line 3"):

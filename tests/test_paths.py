@@ -37,8 +37,8 @@ from leafspace.action import canonical_points
 
 from bruteforce import Oracle
 from reference import (
-    _reference_jump_chain, _reference_path, _reference_sample_points, reference_compare,
-    reference_route)
+    _reference_common_locus, _reference_jump_chain, _reference_path, _reference_sample_points,
+    reference_compare, reference_route)
 
 
 def test_compare_yplus_examples(yplus):
@@ -450,7 +450,8 @@ def test_route_matches_reference_off_the_canonical_points():
 def test_jump_chain_joins_every_anchor_pair():
     # the jump search crosses every locus node between any two of its
     # anchors, through members that pairwise share a locus, in as few
-    # jumps as the reference search
+    # jumps as the reference search, and names each junction's smallest
+    # shared locus
     windows = [expand(gallery(name).spec, depth) for name in GALLERY_NAMES for depth in range(5)]
     windows.append(expand(_two_loci_spec(), 0))
     windows += [expand(random_spec(RandomParams(seed=seed, symmetric=symmetric)), 0)
@@ -460,9 +461,11 @@ def test_jump_chain_joins_every_anchor_pair():
         for anchors in _locus_anchors(trunc).values():
             for entry, exit_ in itertools.product(anchors, anchors):
                 chain = paths_mod._jump_chain(trunc, entry, exit_)
-                assert chain[0] in entry and chain[-1] in exit_, (entry, exit_)
-                assert all(trunc.common_locus(a, b) is not None
-                           for a, b in zip(chain, chain[1:])), chain
+                members = [c for c, _ in chain]
+                assert members[0] in entry and members[-1] in exit_, (entry, exit_)
+                assert chain[0][1] is None, chain
+                assert all(li == _reference_common_locus(trunc, a, b)
+                           for a, (b, li) in zip(members, chain[1:])), chain
                 assert len(chain) == len(_reference_jump_chain(trunc, entry, exit_)), chain
                 crossings += len(chain) > 1
     assert crossings

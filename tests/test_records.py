@@ -119,6 +119,13 @@ def test_records_are_immutable_pickle_and_keep_their_repr():
             value.extra = None
 
 
+def test_answer_enums_print_as_their_value():
+    from leafspace.core import Tri
+    from leafspace.paths import Comparability
+
+    assert str(Tri.YES) == "yes" and str(Comparability.LESS) == "less"
+
+
 def test_records_check_and_sort_in_the_constructor():
     for t in (Fraction(3, 2), 1, 0, Fraction(-1, 2)):
         with pytest.raises(ValueError, match="interior coordinate"):
