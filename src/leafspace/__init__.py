@@ -11,6 +11,7 @@ from .core import (
     InvalidModel,
     LeafSpaceError,
     LeafSpaceSpec,
+    Model,
     Point,
     PreconditionFailed,
     PointOutOfRange,

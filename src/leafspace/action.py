@@ -289,9 +289,9 @@ def _sweep_table(trunc, elem):
         return tuple(rels), kept[1]
     if any(a < b for a, b, _ in runs):      # where an in-window image needs a compare
         require_routable(trunc)
-    unchecked = len(trunc.automorphisms) < len(spec.generators)
+    unchecked = len(spec.automorphisms) < len(spec.generators)
     orbits = _classes(cell_runs, [] if unchecked and automorphism_problems(spec, elem) else [elem] + [
-        c for c in trunc.automorphisms if c not in (elem, inverse) and c * elem == elem * c])
+        c for c in spec.automorphisms if c not in (elem, inverse) and c * elem == elem * c])
     relation = {None: None}     # class -> its relation; None keys a pair across components
     for a, b, offset in runs:
         keys = orbits[a:b]

@@ -258,140 +258,6 @@ def mid_point(family, index=0):
     return Point((family, index), _HALF)
 
 
-class LeafSpaceSpec:
-    """A finitely generated model.  ``add_*`` and ``add_mark`` drop the
-    cached windows, so a window is never older than the spec it came from.
-    Families come first: a generator is checked against the families when
-    it is added, so a family added after one raises UnresolvedName."""
-
-    def __init__(self):
-        self.families = {}
-        self.ends = {}          # (edge family, "low"/"high") -> EndRule
-        self.chain_ends = {}    # (edge family, "neg"/"pos") -> ChainEndRule
-        self.generators = {}
-        self.marks = {}
-        self._windows = {}
-
-    # -- construction helpers -------------------------------------------
-
-    def add_vertex(self, name, chain=False):
-        self._add_family(Family(name, "vertex", chain))
-
-    def add_edge(self, name, low, high, chain=False):
-        """Unit edge or unlinked chain edge with per-cell end rules."""
-        self._add_family(Family(name, "edge", chain))
-        self.ends[(name, LOW)] = low
-        self.ends[(name, HIGH)] = high
-
-    def add_glued_chain(self, name, glue, neg, pos):
-        """Edge chain whose cells concatenate; ``neg``/``pos`` rule the two
-        ends at infinity (index -> -inf / +inf)."""
-        if glue not in (1, -1):
-            raise BadOffset(f"glue direction must be +1 or -1, got {glue!r}")
-        self._add_family(Family(name, "edge", True, glue))
-        self.chain_ends[(name, NEG)] = neg
-        self.chain_ends[(name, POS)] = pos
-
-    def _add_family(self, fam):
-        if fam.name in self.families:
-            raise UnresolvedName(f"duplicate family {fam.name!r}")
-        if self.generators:     # each generator maps the families it was checked against
-            raise UnresolvedName(f"family {fam.name!r} added after a generator")
-        self.families[fam.name] = fam
-        self._windows.clear()
-
-    def add_generator(self, name, maps, check=True):
-        """Store a generator as the Element it is.  Whatever ``check`` says,
-        the map must be a kind-keeping bijection of the families with integer
-        shifts (else UnresolvedName, or BadOffset for a shift); ``check`` also
-        requires resolvable declarations and a map that preserves every
-        rule (``automorphism_problems``).  A rejected map changes nothing."""
-        if check:
-            self.check_wellformed()
-        fams = sorted(self.families)
-        if sorted(maps) != fams:
-            problems = ["cell map must cover every family exactly once"]
-        elif sorted(img for img, _ in maps.values()) != fams:
-            problems = ["family map is not a bijection"]
-        elif any(self.families[f].kind != self.families[g].kind for f, (g, _) in maps.items()):
-            problems = ["family map exchanges vertex and edge families"]
-        else:
-            for _, shift in maps.values():
-                if not isinstance(shift, int):
-                    raise BadOffset(f"generator {name!r} shift {shift!r} is not an integer")
-            gen = Element({fam: maps[fam] for fam in self.families})
-            problems = automorphism_problems(self, gen) if check else []
-        if problems:
-            raise UnresolvedName(
-                f"generator {name!r} is not an automorphism: " + "; ".join(problems))
-        self.generators[name] = gen
-        self._windows.clear()
-
-    def add_mark(self, name, point):
-        self.marks[name] = point
-        self._windows.clear()
-
-    # -- well-formedness -------------------------------------------------
-
-    def check_wellformed(self):
-        """Raise UnresolvedName/BadOffset for unresolvable end rules, whose
-        targets are (family, int) pairs, and chain-end rules, whose targets
-        are family names; generator maps are checked when added."""
-        for table, target_family in ((self.ends, _pair_family), (self.chain_ends, _name_family)):
-            for (fam, end), rule in table.items():
-                if fam not in self.families:
-                    raise UnresolvedName(f"end rule on unknown family {fam!r}")
-                if rule.kind != "open" and not rule.targets:
-                    raise UnresolvedName(f"{rule.kind} rule on {fam}.{end} names no target")
-                for tgt in rule.targets:
-                    vfam = target_family(tgt, fam, end)
-                    if vfam not in self.families:
-                        raise UnresolvedName(f"{fam}.{end} targets unknown family {vfam!r}")
-
-    def germ_sources(self):
-        """(vertex family, side) -> the rules that can supply that germ, in
-        rule order: ("end", edge family, offset) for a per-cell end rule,
-        ("chain", edge family, chain side) for a glued chain's limit."""
-        sources = {}
-        for (efam, end), rule in sorted(self.ends.items()):
-            if rule.kind == "open":
-                continue
-            side = LOW if end == HIGH else HIGH     # an edge's high end supplies a low germ
-            for tfam, off in rule.targets:
-                sources.setdefault((tfam, side), []).append(("end", efam, off))
-        for (efam, cside), rule in sorted(self.chain_ends.items()):
-            if rule.kind != "limit":
-                continue
-            side = LOW if chain_end_ascends(self.families[efam].glue, cside) else HIGH
-            for vfam in dict.fromkeys(rule.targets):
-                sources.setdefault((vfam, side), []).append(("chain", efam, cside))
-        return sources
-
-    def window(self, depth):
-        """Cached truncation at the given depth; the cache keeps every depth
-        it was asked for, and nothing for one that ``expand`` refuses (a
-        float or bool equal to a cached depth included)."""
-        if type(depth) is not int or depth not in self._windows:
-            self._windows[depth] = expand(self, depth)
-        return self._windows[depth]
-
-
-def _pair_family(tgt, fam, end):
-    """The family of an end-rule target, which must be a (family, int) pair."""
-    if not (isinstance(tgt, tuple) and len(tgt) == 2 and isinstance(tgt[0], str)):
-        raise UnresolvedName(f"{fam}.{end} target {tgt!r} is not a (family, offset) pair")
-    if not isinstance(tgt[1], int):
-        raise BadOffset(f"offset {tgt[1]!r} on {fam}.{end} is not an integer shift")
-    return tgt[0]
-
-
-def _name_family(tgt, fam, end):
-    """The family of a chain-end target, which must be a family name."""
-    if not isinstance(tgt, str):
-        raise UnresolvedName(f"{fam}.{end} target {tgt!r} is not a family name")
-    return tgt
-
-
 def automorphism_problems(spec, gen):
     """Check that a generator element, a bijection of the families,
     preserves the model's rules; returns a list of human-readable problems
@@ -405,18 +271,19 @@ def automorphism_problems(spec, gen):
             problems.append(f"{fam} -> {img} changes kind/indexing/glue")
         if not f.chain and shift != 0:
             problems.append(f"unit family {fam} mapped with nonzero shift")
+    # a rule equals the (kind, sorted targets) tuple it is, so none is built
     for (fam, end), rule in spec.ends.items():
         img, shift = gen.maps[fam]
         tgts = []
         for vfam, off in rule.targets:
             vimg, vshift = gen.maps[vfam]
             tgts.append((vimg, off + vshift - shift if spec.families[vfam].chain else off))
-        if spec.ends.get((img, end)) != EndRule(rule.kind, tuple(tgts)):
+        if spec.ends.get((img, end)) != (rule.kind, tuple(sorted(tgts))):
             problems.append(f"{fam}.{end} does not map onto {img}.{end}")
     for (fam, side), rule in spec.chain_ends.items():
         img, _ = gen.maps[fam]
         tgts = tuple(gen.maps[v][0] for v in rule.targets)
-        if spec.chain_ends.get((img, side)) != ChainEndRule(rule.kind, tgts):
+        if spec.chain_ends.get((img, side)) != (rule.kind, tuple(sorted(tgts))):
             problems.append(f"{fam} chain end {side} does not map onto {img}")
     return problems
 
@@ -473,13 +340,15 @@ class ValidationReport(NamedTuple):
 
 
 class Truncation:
-    """Depth-bounded window of a model: concrete cells plus an adjacency
-    graph whose nodes collapse branch loci (the Hausdorffification of the
-    window), with elided glued-chain tails kept as explicit edges.  Each
-    family's cells form one run of indices (``cell_runs``); the loci, graph
-    edges, germ table and truncated ends are built per run, each end rule
-    looked up once, and the germ-count faults that ``validate`` reports
-    are recorded as the germ table fills.
+    """Depth-bounded window of a model (``spec``: the frozen :class:`Model`
+    it was built from, whatever becomes of the builder): concrete cells
+    plus an adjacency graph whose nodes collapse branch loci (the
+    Hausdorffification of the window), with elided glued-chain tails kept
+    as explicit edges.  Each family's cells form one run of indices
+    (``cell_runs``); the loci, graph edges, germ table and truncated ends
+    are built per run, the germ table from the model's germ sources, and
+    the germ-count faults that ``validate`` reports are recorded as the
+    germ table fills.
 
     ``position`` is the window's one cell index (cell -> canonical position,
     the vertex cells below ``len(vertex_cells)``); the graph has one edge per
@@ -493,12 +362,11 @@ class Truncation:
     (``sweeps``: group element -> the image relation of every canonical
     point and, per cell, the class whose one ``compare`` answered it,
     filled by :func:`leafspace.action.sweep` from ``cell_runs`` and
-    ``cell_components``), the generators that are automorphisms and its
-    transit table (``transits``: (entry anchor, exit anchor) at a collapsed
-    locus node -> what a path gains crossing it, filled by
-    :func:`leafspace.paths.path` and the length count beside it).  An anchor
-    is the frozenset of vertex cells that arriving at a node through one
-    edge end can stand on, and ``rooting``
+    ``cell_components``) and its transit table (``transits``: (entry
+    anchor, exit anchor) at a collapsed locus node -> what a path gains
+    crossing it, filled by :func:`leafspace.paths.path` and the length
+    count beside it).  An anchor is the frozenset of vertex cells that
+    arriving at a node through one edge end can stand on, and ``rooting``
     stores each tree edge as the two hops a route reads.  ``ladder``,
     filled in the same pass, gives each node a jump pointer and its count
     of jumps up to the root, from which :func:`leafspace.paths.compare`
@@ -740,11 +608,6 @@ class Truncation:
         return ([component[self.vertex_node(c)] for c in self.vertex_cells]
                 + [component[edge[1]] for edge in self.graph_edges[:len(self.edge_cells)]])
 
-    @cached_property
-    def automorphisms(self):
-        """The generators that are automorphisms of the model, checked once per window."""
-        return [g for g in self.spec.generators.values() if not automorphism_problems(self.spec, g)]
-
     # -- germs and truncated ends --------------------------------------------
 
     def _fill_germs(self):
@@ -755,7 +618,7 @@ class Truncation:
         window or not, counts toward the germ-count faults, and each edge
         cell beyond the window is a truncated end."""
         families, at, nv = self.spec.families, self.position.get, len(self.vertex_cells)
-        d, sources, table = self.depth, self.spec.germ_sources(), {}
+        d, sources, table = self.depth, self.spec._sources, {}
         self._germs, self._germ_faults, ends, vfam = table, [], [], None
         for vcell in self.vertex_cells:
             if vcell[0] != vfam:        # the next family's run
@@ -826,18 +689,20 @@ class Truncation:
 
 
 def expand(spec, depth):
-    """Instantiate the depth-bounded window.  Monotone: every cell and
-    attachment present at depth d appears unchanged at depth d+1.  A depth
-    that is not an int in [0, ``DEPTH_LIMIT``] raises BadOffset before any
-    cell is built."""
+    """Instantiate the depth-bounded window of a model, or of a builder's
+    model as ``LeafSpaceSpec._frozen`` finds it (kept on the builder only by
+    ``freeze``).  Monotone: every cell and attachment present at depth d
+    appears unchanged at depth d+1.  A depth that is not an int in
+    [0, ``DEPTH_LIMIT``] raises BadOffset before any cell is built."""
     if type(depth) is not int:
         raise BadOffset(f"depth {depth!r} is not an integer")
     if depth < 0:
         raise BadOffset("depth must be non-negative")
     if depth > DEPTH_LIMIT:
         raise BadOffset(f"depth {depth} exceeds the limit of {DEPTH_LIMIT}")
-    spec.check_wellformed()
-    return Truncation(spec, depth)
+    model = spec._frozen()
+    model.check_wellformed()
+    return Truncation(model, depth)
 
 
 def _germ_fault(vcell, side, count, every):
@@ -857,52 +722,11 @@ def validate(trunc):
     rule shapes are orientation-consistent.
     """
     spec = trunc.spec
-    violations = []
+    violations, marks = spec._violations
+    violations = list(violations)       # (d) shapes, then (b) limit sets
 
     def bad(code, msg):
         violations.append(Violation(code, msg))
-
-    # (d) shape checks
-    for name in sorted(spec.families):
-        fam = spec.families[name]
-        if fam.kind == "vertex":
-            for end in (LOW, HIGH):
-                if (name, end) in spec.ends:
-                    bad("shape", f"vertex family {name} has an end rule")
-        elif fam.glue is not None:
-            if not fam.chain:
-                bad("shape", f"unit edge family {name} declares a glue direction")
-            for end in (LOW, HIGH):
-                if (name, end) in spec.ends:
-                    bad("shape", f"glued chain {name} has a per-cell end rule")
-            for side in (NEG, POS):
-                if (name, side) not in spec.chain_ends:
-                    bad("shape", f"glued chain {name} misses its {side} chain-end rule")
-        else:
-            for end in (LOW, HIGH):
-                if (name, end) not in spec.ends:
-                    bad("shape", f"edge family {name} misses its {end} rule")
-            for side in (NEG, POS):
-                if (name, side) in spec.chain_ends:
-                    bad("shape", f"unglued family {name} has a chain-end rule")
-
-    # (b) limit-set sanity
-    for (fam, end), rule in sorted(spec.ends.items()):
-        if rule.kind == "limit" and len(set(rule.targets)) != len(rule.targets):
-            bad("limit-set", f"{fam}.{end} limit set repeats a vertex")
-        for v, off in rule.targets:
-            if spec.families.get(v) and spec.families[v].kind != "vertex":
-                bad("limit-set", f"{fam}.{end} targets non-vertex family {v}")
-            if spec.families.get(v) and not spec.families[v].chain and off != 0:
-                bad("limit-set", f"{fam}.{end} uses nonzero offset into unit family {v}")
-    for (fam, side), rule in sorted(spec.chain_ends.items()):
-        if len(set(rule.targets)) != len(rule.targets):
-            bad("limit-set", f"{fam} chain end {side} repeats a vertex")
-        for v in rule.targets:
-            f = spec.families.get(v)
-            if f and (f.kind != "vertex" or f.chain):
-                bad("limit-set",
-                    f"{fam} chain end {side} must target unit vertex families, got {v}")
 
     # (a) germ counts, schematic over the window, recorded as its germ table filled
     violations += [Violation("germ-count", problem) for problem in trunc._germ_faults]
@@ -921,13 +745,7 @@ def validate(trunc):
             f"window graph has {n_edges} edges on {n_nodes} nodes "
             f"in {components} components")
 
-    for name, mark in sorted(spec.marks.items()):
-        fam = spec.families.get(mark.cell[0])
-        if fam is None:
-            bad("mark", f"mark {name} references unknown family {mark.cell[0]}")
-        elif (fam.kind == "vertex") != mark.is_vertex:
-            bad("mark", f"mark {name} kind does not match family {mark.cell[0]}")
-
+    violations += marks
     routing_error = "; ".join(v.message for v in violations if v.code != "disconnected")
     trunc._validation = ValidationReport(tuple(violations), routing_error or None)
     return trunc._validation
@@ -978,3 +796,9 @@ def hausdorffify(trunc):
         vertex_projection={v: trunc.vertex_node(v) for v in trunc.vertex_cells},
         edge_projection={cell: ("cell",) + cell for cell in trunc.edge_cells},
     )
+
+
+# The builder and the frozen model live in leafspace.model, which reads
+# this module's records and ``expand``; they are named here too, where the
+# package has always exported them.
+from .model import WINDOW_CACHE, LeafSpaceSpec, Model  # noqa: E402

@@ -988,9 +988,9 @@ def _assert_discovery_matches_reference(spec, depth, word_lens=(0, 6, 12)):
     from leafspace.checkers import discover_instances
 
     for word_len in word_lens:
-        spec._windows.clear()
+        spec.freeze()._windows.clear()
         want = _outcome(lambda: repr(reference_discover_instances(spec, depth, word_len)))
-        spec._windows.clear()
+        spec.freeze()._windows.clear()
         assert _outcome(lambda: repr(discover_instances(spec, depth, word_len))) == want, \
             (depth, word_len)
 

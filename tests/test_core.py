@@ -134,7 +134,7 @@ def test_expand_bad_offset(monkeypatch):
             expand(spec, depth)
         with pytest.raises(BadOffset, match="is not an integer"):
             spec.window(depth)
-        assert spec._windows == {1: cached}
+        assert spec.freeze()._windows == {1: cached}
     monkeypatch.undo()
     # a depth above the cap is refused before well-formedness, and no
     # window is built or cached
@@ -146,7 +146,7 @@ def test_expand_bad_offset(monkeypatch):
             expand(spec, depth)
         with pytest.raises(BadOffset, match="exceeds the limit"):
             spec.window(depth)
-        assert not spec._windows
+        assert not spec.freeze()._windows
     with pytest.raises(UnresolvedName):
         expand(spec, DEPTH_LIMIT)
 

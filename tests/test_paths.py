@@ -304,6 +304,31 @@ def test_point_in_two_loci():
     assert p.junctions[0].arrive == vertex_point("m")
 
 
+def _shared_pair_spec():
+    """{a, b} is the limit of the stem s's high end and of the cap c's low
+    end: a negative and a positive locus with the same two members."""
+    spec = LeafSpaceSpec()
+    spec.add_vertex("a")
+    spec.add_vertex("b")
+    spec.add_edge("s", low=open_end(), high=to_limit(("a", 0), ("b", 0)))
+    spec.add_edge("c", low=to_limit(("a", 0), ("b", 0)), high=open_end())
+    return spec
+
+
+def test_a_jump_names_the_smallest_shared_locus():
+    # a and b are mates in both loci, so the jump between them could name
+    # either; it names the one first in ``Truncation.loci``
+    trunc = expand(_shared_pair_spec(), 0)
+    assert validate(trunc).valid
+    assert [(locus.sign, locus.stem[1]) for locus in trunc.loci] == [
+        ("negative", "c"), ("positive", "s")]
+    a, b = vertex_point("a"), vertex_point("b")
+    for x, y in ((a, b), (b, a)):
+        p = path(trunc, x, y)
+        assert [(j.arrive, j.depart, j.locus) for j in p.junctions] == [(x, y, trunc.loci[0])]
+    assert compare(trunc, mid_point("s"), mid_point("c")) is Comparability.LESS
+
+
 def test_reversal_through_elided_tails(swap, zigzag):
     trunc = expand(swap.spec, 4)
     p = path(trunc, mid_point("ra", 0), mid_point("rb", 0))
