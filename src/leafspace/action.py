@@ -13,14 +13,17 @@ element, and every membership question reads them from there, for all
 points (``classify_element``, ``comparable_sample``) or one (``_relation``).
 An automorphism w preserves order, so p relates to w.p as c.p relates to
 w.c.p for each automorphism c that commutes with w.  A sweep of w costs
-one ``compare`` per class of cells that w and those generators join in
-the window, none when the window keeps the sweep of w^-1 (it is mirrored),
-and slice operations per family for the rest.  The window keeps each
-cell's class beside the relations, for callers that can likewise answer
-once per class (instance discovery lifts one path per class).  An
-element that is no automorphism (a generator added with ``check=False``)
-joins no cells: each is a class of its own, one ``compare`` per in-window
-image in its own component.  It too is mirrored from a kept sweep of its
+one ``compare`` per class of cells that the automorphism generators
+commuting with w join in the window (w alone joins them when none
+commutes), none when the window keeps the sweep of w^-1 (it is mirrored),
+and slice operations per family for the rest.  The window keeps one class
+table per tuple of joining moves (``Truncation.classes``), so g, g^2, ...
+share the table of g's commuting set, and each sweep keeps its cells'
+classes beside the relations, for callers that can likewise answer once
+per class (instance discovery lifts one path per class).  An element that
+is no automorphism (a generator added with ``check=False``) joins no
+cells: each is a class of its own, one ``compare`` per in-window image in
+its own component.  It too is mirrored from a kept sweep of its
 inverse, as rel(p, w.p) mirrors rel(w.p, p) under any family map.
 
 Window sweeps answer in Tri: a Yes always comes with a witness; a No is
@@ -269,11 +272,15 @@ _MIRROR = {None: None, **{rel: rel for rel in Comparability},    # rel(q, p) fro
 
 def _sweep_table(trunc, elem):
     """``_swept`` computed afresh: the kept sweep of w^-1, mirrored, is
-    looked up first; else one ``compare`` answers each class of
-    ``_classes`` (the cells w and its commuting automorphism generators
-    join; single cells if w is no automorphism, tested only when a
-    generator is none) at a pair in one component, where the window
-    forest always meets, so no answer is Truncated.  Images beyond the
+    looked up first; else one ``compare`` answers each class of the
+    window's class table for w's moves at a pair in one component, where
+    the window forest always meets, so no answer is Truncated.  The moves
+    are the automorphism generators that commute with w, or w alone if
+    none does, or none if w is no automorphism (tested only when a
+    generator is none); each keeps rel(p, w.p) = rel(c.p, w.c.p) for
+    in-window pairs, and leaving w out when a generator commutes gives the
+    same or a finer partition.  ``_classes`` builds each table once per
+    window and tuple of moves (``Truncation.classes``).  Images beyond the
     window get one ``_same_glued_chain_relation`` per family."""
     spec, points = trunc.spec, trunc.canonical_points
     inverse = elem.inverse()
@@ -289,9 +296,13 @@ def _sweep_table(trunc, elem):
         return tuple(rels), kept[1]
     if any(a < b for a, b, _ in runs):      # where an in-window image needs a compare
         require_routable(trunc)
-    unchecked = len(spec.automorphisms) < len(spec.generators)
-    orbits = _classes(cell_runs, [] if unchecked and automorphism_problems(spec, elem) else [elem] + [
-        c for c in spec.automorphisms if c not in (elem, inverse) and c * elem == elem * c])
+    if len(spec.automorphisms) < len(spec.generators) and automorphism_problems(spec, elem):
+        moves = ()
+    else:
+        moves = tuple(c for c in spec.automorphisms if c * elem == elem * c) or (elem,)
+    orbits = trunc.classes.get(moves)
+    if orbits is None:
+        orbits = trunc.classes[moves] = _classes(cell_runs, moves)
     relation = {None: None}     # class -> its relation; None keys a pair across components
     for a, b, offset in runs:
         keys = orbits[a:b]
@@ -308,7 +319,8 @@ def _sweep_table(trunc, elem):
 
 def _classes(cell_runs, moves):
     """Per canonical position, a position naming its class: the cells the
-    moves join, both ends in the window (``Truncation.cell_runs``).  A
+    moves join, both ends in the window (``Truncation.cell_runs``); the
+    window keeps it by the tuple of moves (``Truncation.classes``).  A
     move that maps a family onto itself with shift b joins its cells b
     apart, so the union-find runs over residues modulo the least such |b|."""
     node = []           # per position, the first position of its residue

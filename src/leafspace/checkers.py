@@ -46,7 +46,6 @@ from .action import (
     _relation,
     _swept,
     branching_type,
-    comparable_sample,
     element_ball,
     shortlex,
     sweep,
@@ -155,59 +154,61 @@ def check_path_in_comparable_set(spec, word, lam, mu, depth):
 
 def check_connected_open(spec, word, depth):
     """The comparable set of a word, sampled on window cells, induces a
-    connected subgraph and is open at the sampled resolution."""
+    connected subgraph and is open at the sampled resolution.  Reads the
+    window's kept sweep of the word (``sweep``) by canonical position and
+    walks its components over positions; each component is reported by
+    its least cell, in cell order."""
     name = "check_connected_open"
     trunc = spec.window(depth)
     require_valid(trunc)
-    sweep = comparable_sample(spec, word, depth)
-    status = {p.cell: a for p, a in sweep.answers}
-    yes_cells = sorted(c for c, a in status.items() if a is Tri.YES)
-    if not yes_cells:
-        note = "comparable set empty in window" if not sweep.touched_truncation \
+    rels = sweep(trunc, word_map(spec, word))
+    touched = None in rels
+    cells, position = trunc.vertex_cells + trunc.edge_cells, trunc.position
+    yes = [k for k, rel in enumerate(rels) if rel in COMPARABLE]
+    maybe = COMPARABLE + (None,)        # Yes, or undecided at a truncated end
+    if not yes:
+        note = "comparable set empty in window" if not touched \
             else "comparable set empty in window (sweep truncated)"
         return CheckReport.make(name, PASS, depth=depth,
                                 witness={"word": word}, notes=(note,))
 
-    def components(cells):
-        cells = set(cells)
-        comps = []
-        while cells:
-            seed = min(cells)
-            comp, stack = {seed}, [seed]
+    def components(members):
+        """The least cell of each component the members induce, in order."""
+        left, least = set(members), []
+        for seed in sorted(left, key=cells.__getitem__):
+            if seed not in left:
+                continue
+            left.remove(seed)
+            least.append(cells[seed])
+            stack = [seed]
             while stack:
-                for nbr in trunc.cell_neighbors(stack.pop()):
-                    if nbr in cells and nbr not in comp:
-                        comp.add(nbr)
-                        stack.append(nbr)
-            comps.append(comp)
-            cells -= comp
-        return comps
+                for nbr in trunc.cell_neighbors(cells[stack.pop()]):
+                    k = position[nbr]
+                    if k in left:
+                        left.remove(k)
+                        stack.append(k)
+        return least
 
-    comps = components(yes_cells)
+    comps = components(yes)
     if len(comps) > 1:
-        widened = components([c for c, a in status.items()
-                              if a in (Tri.YES, Tri.TRUNCATED)])
+        widened = components([k for k, rel in enumerate(rels) if rel in maybe])
         if len(widened) < len(comps):
             return CheckReport.make(name, TRUNCATED, depth=depth, witness={"word": word},
                                     notes=("components join only through undecided cells",))
         return CheckReport.make(name, VIOLATION, depth=depth, witness={
-            "word": word, "components": len(comps),
-            "cells": " | ".join(str(sorted(c)[0]) for c in comps)})
+            "word": word, "components": len(comps), "cells": " | ".join(map(str, comps))})
 
-    for cell in yes_cells:
-        if not trunc.has_vertex(cell):
-            continue        # an edge cell's interior is open by itself
+    # an edge cell's interior is open by itself; vertex positions follow cell order
+    for cell in (cells[k] for k in yes if k < len(trunc.vertex_cells)):
         for nbrs, cut in trunc.vertex_sides(cell):
-            if cut:
-                continue
-            if any(status.get(n) in (Tri.YES, Tri.TRUNCATED) for n in nbrs):
+            if cut or any(rels[position[n]] in maybe for n in nbrs):
                 continue
             return CheckReport.make(name, VIOLATION, depth=depth, witness={
                 "word": word, "cell": f"{cell[0]}[{cell[1]}]",
                 "reason": "closed side at a sampled vertex"})
-    notes = ("sweep touched truncated ends",) if sweep.touched_truncation else ()
+    notes = ("sweep touched truncated ends",) if touched else ()
     return CheckReport.make(name, PASS, depth=depth, notes=notes,
-                            witness={"word": word, "yes_cells": len(yes_cells)})
+                            witness={"word": word, "yes_cells": len(yes)})
 
 
 def check_odd_path(spec, word, lam, k_max, depth):
@@ -468,20 +469,27 @@ def screen_infinite_locus(spec, max_word_len, depth):
     """Consistency screen for models whose declared loci are all finite:
     every tangentiable word must also be transversable (else its loop is
     non-transversable and the model would need an infinite locus).  Also
-    reports neither-candidates against the two-sided-branching remark."""
+    reports neither-candidates against the two-sided-branching remark.
+    Classifies the first of w and w^-1 in shortlex order and gives the
+    other its facts: both fix the same cells, an in-window Less cell p of
+    w is the Greater cell w.p of w^-1, and a glued chain's order beyond
+    the window flips its sign with the shift."""
     name = "screen_infinite_locus"
     trunc = spec.window(depth)
     require_valid(trunc)
     bt = branching_type(spec, depth)
     neither = []
     tainted = False
+    facts = {}      # element -> (tangentiable, transversable), one per inverse pair
     for elem, word in element_ball(spec, max_word_len)[0].items():
         if word.is_identity:
             continue
-        profile = _classify(trunc, word, elem)
-        tangent = profile.tangentiable.value is Tri.YES
-        transversable = (profile.pos_transversable.value is Tri.YES
-                         or profile.neg_transversable.value is Tri.YES)
+        found = facts.get(elem.inverse())
+        if found is None:
+            profile = _classify(trunc, word, elem)
+            found = facts[elem] = (profile.tangentiable.value is Tri.YES, Tri.YES in (
+                profile.pos_transversable.value, profile.neg_transversable.value))
+        tangent, transversable = found
         if tangent and not transversable:
             if trunc.has_truncation:
                 tainted = True
@@ -489,7 +497,7 @@ def screen_infinite_locus(spec, max_word_len, depth):
                 return CheckReport.make(name, VIOLATION, depth=depth, word_bound=max_word_len,
                                         witness={"word": word,
                                                  "reason": "tangentiable, never transversable"})
-        if profile.neither_in_window:
+        if not (tangent or transversable):
             neither.append(word)
     notes = []
     if neither:

@@ -50,8 +50,10 @@ def parse_point(text):
 
 
 def load_model(args):
+    """The frozen model a command reads (so its checkers never re-freeze a
+    builder), and its name in the report."""
     if getattr(args, "gallery", None):
-        return gallery(args.gallery).spec, args.gallery
+        return gallery(args.gallery).spec.freeze(), args.gallery
     if getattr(args, "spec", None):
         try:
             with open(args.spec, encoding="utf-8") as fh:

@@ -362,10 +362,12 @@ class Truncation:
     (``sweeps``: group element -> the image relation of every canonical
     point and, per cell, the class whose one ``compare`` answered it,
     filled by :func:`leafspace.action.sweep` from ``cell_runs`` and
-    ``cell_components``) and its transit table (``transits``: (entry
-    anchor, exit anchor) at a collapsed locus node -> what a path gains
-    crossing it, filled by :func:`leafspace.paths.path` and the length
-    count beside it).  An anchor is the frozenset of vertex cells that
+    ``cell_components``), the class tables those sweeps share
+    (``classes``: tuple of automorphisms -> per cell, the class of the
+    cells they join, so the sweeps of g, g^2, ... build one) and its
+    transit table (``transits``: (entry anchor, exit anchor) at a
+    collapsed locus node -> what a path gains crossing it, filled by
+    :func:`leafspace.paths.path` and the length count beside it).  An anchor is the frozenset of vertex cells that
     arriving at a node through one edge end can stand on, and ``rooting``
     stores each tree edge as the two hops a route reads.  ``ladder``,
     filled in the same pass, gives each node a jump pointer and its count
@@ -379,7 +381,7 @@ class Truncation:
         self._collect_loci()
         self._build_graph()
         self._fill_germs()
-        self._validation, self.sweeps, self.transits = None, {}, {}
+        self._validation, self.sweeps, self.classes, self.transits = None, {}, {}, {}
 
     # -- cells -----------------------------------------------------------
 

@@ -453,6 +453,29 @@ def reference_cells(trunc):
 # -- window construction, as before the family runs ----------------------------
 
 
+def reference_germ_sources(spec):
+    """``Model.germ_sources`` found per vertex family side by scanning
+    every rule of the spec for those naming it: (vertex family, side) ->
+    ("end", edge family, offset) for each target of a vertex or limit end
+    rule on the opposite end, then ("chain", edge family, chain side) for
+    each limit at infinity listing the family whose tail arrives on that
+    side, each in sorted rule order."""
+    sources = {}
+    for vfam in sorted(spec.families):
+        for side in (LOW, HIGH):
+            found = [("end", efam, off) for (efam, end), rule in sorted(spec.ends.items())
+                     if end != side and rule.kind != "open"
+                     for tfam, off in rule.targets if tfam == vfam]
+            found += [("chain", efam, cside) for (efam, cside), rule
+                      in sorted(spec.chain_ends.items())
+                      if rule.kind == "limit" and vfam in rule.targets
+                      and side == (LOW if chain_end_ascends(spec.families[efam].glue, cside)
+                                   else HIGH)]
+            if found:
+                sources[vfam, side] = tuple(found)
+    return sources
+
+
 def _reference_spec_germ_providers(spec, sources, vcell, side, edges):
     """``LeafSpaceSpec.germ_providers`` as it was: (provider, in window)
     pairs for one side of a vertex cell."""
@@ -651,7 +674,7 @@ class _ReferenceWindow:
 
     def _scan_truncated_ends(self):
         spec = self.spec
-        sources = spec.germ_sources()
+        sources = reference_germ_sources(spec)
         self._germs = {(vcell, side): _reference_spec_germ_providers(
             spec, sources, vcell, side, self._edge_set)
                        for vcell in self.vertex_cells for side in (LOW, HIGH)}
@@ -1078,6 +1101,45 @@ def reference_check_odd_path(spec, word, lam, k_max, depth):
                     "word": word, "k": k, "point": x})
     return CheckReport.make(name, PASS, depth=depth, witness={
         "word": word, "path_length": gamma.length, "k_max": k_max})
+
+
+def reference_check_connected_open(spec, word, depth):
+    """check_connected_open as it was before it read the kept sweep: one
+    membership per cell by the per-point rule, components by
+    ``reference_components`` and the sides of each vertex from
+    ``reference_germ_providers``."""
+    name = "check_connected_open"
+    trunc = require_valid(spec.window(depth))
+    elem = word_map(spec, word)
+    status = {p.cell: _membership(reference_relation(trunc, elem, p))
+              for p in trunc.canonical_points}
+    touched = Tri.TRUNCATED in status.values()
+    yes_cells = sorted(c for c, a in status.items() if a is Tri.YES)
+    if not yes_cells:
+        note = "comparable set empty in window" if not touched \
+            else "comparable set empty in window (sweep truncated)"
+        return CheckReport.make(name, PASS, depth=depth, witness={"word": word}, notes=(note,))
+    comps = reference_components(trunc, yes_cells)
+    if len(comps) > 1:
+        widened = reference_components(trunc, [c for c, a in status.items() if a is not Tri.NO])
+        if len(widened) < len(comps):
+            return CheckReport.make(name, TRUNCATED, depth=depth, witness={"word": word},
+                                    notes=("components join only through undecided cells",))
+        return CheckReport.make(name, VIOLATION, depth=depth, witness={
+            "word": word, "components": len(comps),
+            "cells": " | ".join(str(comp[0]) for comp in comps)})
+    for cell in yes_cells:
+        if not trunc.has_vertex(cell):
+            continue
+        germs = {(cell, side): reference_germ_providers(trunc, cell, side) for side in (LOW, HIGH)}
+        for nbrs, cut in reference_vertex_sides(germs, cell, trunc.depth):
+            if not cut and all(status[n] is Tri.NO for n in nbrs):
+                return CheckReport.make(name, VIOLATION, depth=depth, witness={
+                    "word": word, "cell": f"{cell[0]}[{cell[1]}]",
+                    "reason": "closed side at a sampled vertex"})
+    notes = ("sweep touched truncated ends",) if touched else ()
+    return CheckReport.make(name, PASS, depth=depth, notes=notes,
+                            witness={"word": word, "yes_cells": len(yes_cells)})
 
 
 def _reference_find_comparable_pair(trunc, elem):

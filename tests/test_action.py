@@ -590,6 +590,52 @@ def test_sweep_matches_reference_on_gallery():
         _assert_sweeps_match_reference("swap+k", build_swap_k(), depth, 3)
 
 
+def _class_table_models():
+    from leafspace.gallery import GALLERY_NAMES, gallery
+
+    for name in GALLERY_NAMES:
+        for depth in list(range(9)) + [256]:
+            yield name, gallery(name).spec, depth
+    for depth in range(9):
+        yield "swap+k", build_swap_k(), depth
+    spec = gallery("SWAP").spec     # f shifts ra and so does not commute with g
+    spec.add_generator("f", {fam: (fam, -1 if fam == "ra" else 0) for fam in spec.families})
+    for depth in range(7):
+        yield "swap+f", spec, depth
+    for seed in range(100):
+        for symmetric in (False, True):
+            yield (f"seed {seed} {symmetric}",
+                   random_spec(RandomParams(seed=seed, symmetric=symmetric)), seed % 2)
+
+
+def test_each_kept_class_holds_one_relation():
+    """Every class of a window's kept class table holds one relation among
+    its cells whose image lies in the window and in their own component,
+    for each element of the radius-4 ball that reads the table; the
+    powers of one generator read one table."""
+    swept = shared = 0
+    for label, spec, depth in _class_table_models():
+        trunc = expand(spec, depth)
+        position, component = trunc.position, trunc.cell_components
+        cells = trunc.vertex_cells + trunc.edge_cells
+        for elem, word in element_ball(spec, 4)[0].items():
+            try:
+                sweep(trunc, elem)
+            except InvalidModel:
+                continue
+            orbits = trunc.sweeps[elem][1]
+            assert any(orbits is table for table in trunc.classes.values()), (label, str(word))
+            want, relations = reference_sweep(trunc, elem), {}
+            for k, cell in enumerate(cells):
+                image = position.get(elem.cell(cell))
+                if image is not None and component[k] == component[image]:
+                    relations.setdefault(orbits[k], set()).add(want[k])
+            assert all(len(found) == 1 for found in relations.values()), (label, depth, str(word))
+        swept += len(trunc.sweeps)
+        shared += len(trunc.sweeps) - len(trunc.classes)
+    assert shared > swept // 2
+
+
 def test_sweep_matches_reference_with_a_non_commuting_generator():
     # SWAP plus an automorphism f that shifts one branch chain and so does
     # not commute with g: a sweep joins cells only by the generators that

@@ -7,7 +7,7 @@ import pytest
 
 from leafspace.core import (
     HIGH, ChainEndRule, Element, LeafSpaceSpec, PreconditionFailed, Tri, TruncatedError, expand,
-    mid_point, to_vertex, vertex_point)
+    mid_point, open_end, to_limit, to_vertex, validate, vertex_point)
 from leafspace.core import branch_loci
 from leafspace.action import (
     Word, act, element_ball, fingerprint, in_comparable_set, word_map)
@@ -34,9 +34,9 @@ from leafspace.randspec import RandomParams, random_spec
 
 from conftest import act_cell, build_swap_k, build_tripod, build_updown
 from reference import (
-    _reference_path, _reference_sample_points, reduced_words, reference_check_faithfulness,
-    reference_check_odd_path, reference_components, reference_discover_instances,
-    reference_germ_providers, reference_relation, reference_route, reference_stabilizer_ball,
+    _reference_path, _reference_sample_points, reduced_words, reference_check_connected_open,
+    reference_check_faithfulness, reference_check_odd_path, reference_components,
+    reference_discover_instances, reference_germ_providers, reference_relation, reference_route, reference_stabilizer_ball,
     reference_sweep, reference_vertex_neighbors)
 
 
@@ -426,6 +426,51 @@ def test_screen_catches_tangentiable_never_transversable(tripod):
     assert dict(rep.witness)["word"] == "w"
 
 
+def _screen_facts(trunc, elem):
+    """(tangentiable, transversable) of an element on a window, by the
+    per-point rule: a window cell it fixes, and a point it moves up or down."""
+    rels = reference_sweep(trunc, elem)
+    return (any(elem.cell(cell) == cell for cell in trunc.vertex_cells + trunc.edge_cells),
+            Comparability.LESS in rels or Comparability.GREATER in rels)
+
+
+def _inverse_pair_models():
+    for name in GALLERY_NAMES:
+        for depth in (0, 1, 2, 4, 8):
+            yield name, gallery(name).spec, depth, 6
+    for depth in range(5):
+        yield "swap+k", build_swap_k(), depth, 4
+    for seed in range(200):
+        yield f"seed {seed}", random_spec(RandomParams(seed=seed, symmetric=True)), seed % 3, 4
+    for depth in range(3):
+        yield "tripod", build_tripod(), depth, 5
+        yield "updown", build_updown(), depth, 5
+        yield "odd involution", build_odd_involution(), depth, 5
+    for seed in range(300):
+        yield f"generators {seed}", _random_generator_set(seed), seed % 2, 3
+
+
+def test_an_element_and_its_inverse_share_the_screen_facts():
+    # screen_infinite_locus classifies one element of each inverse pair:
+    # w and w^-1 fix the same cells, an in-window Less cell p of w is the
+    # Greater cell w.p of w^-1, and a glued chain's order beyond the window
+    # flips its sign with the shift
+    found = Counter()       # facts -> inverse pairs
+    for label, spec, depth, radius in _inverse_pair_models():
+        trunc = expand(spec, depth)
+        if not validate(trunc).valid:
+            continue
+        seen = set()
+        for elem, word in element_ball(spec, radius)[0].items():
+            inverse = elem.inverse()
+            if inverse not in seen:
+                seen.add(elem)
+                facts = _screen_facts(trunc, elem)
+                assert _screen_facts(trunc, inverse) == facts, (label, depth, str(word))
+                found[facts] += 1
+    assert sum(found.values()) > 5000 and len(found) == 4
+
+
 # -- word enumeration ---------------------------------------------------------
 
 
@@ -666,9 +711,30 @@ def test_suite_sweeps_each_element_once_per_window(monkeypatch):
     windows = {id(trunc): trunc for trunc, _ in calls}
     assert len(windows) == 1
     (trunc,) = windows.values()
-    # each fill of the window's sweep table computes one element's sweep
+    # each fill of the window's sweep table computes one element's sweep:
+    # h, ..., h^6 and h^8 (check_odd_path's 4th power of h^2); the screen
+    # classifies one element of each inverse pair, so no h^-k is swept
     elements = [elem for _, elem in calls]
-    assert len(elements) == len(set(elements)) == len(trunc.sweeps) == 13
+    assert len(elements) == len(set(elements)) == len(trunc.sweeps) == 7
+    h = trunc.spec.generators["h"]
+    assert set(elements) == {h ** k for k in (1, 2, 3, 4, 5, 6, 8)}
+
+
+def test_a_suite_pass_builds_one_class_table_per_window_and_commuting_set(monkeypatch):
+    # every gallery model has one generator g, and each power of g reads
+    # the class table that g's commuting set builds
+    from leafspace import action, cli
+
+    counts = dict.fromkeys(("compare", "_classes"), 0)
+    for name in counts:
+        def counted(*args, _real=getattr(action, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(action, name, counted)
+    for name in GALLERY_NAMES:
+        for depth in ("4", "8"):
+            cli.main(["suite", "--gallery", name, "--depth", depth], stream=io.StringIO())
+    assert counts == {"compare": 219, "_classes": 8}     # the sweeps' compares, the tables
 
 
 # -- truncated verdicts ----------------------------------------------------------
@@ -809,6 +875,23 @@ def _long_edges():
     return spec
 
 
+def _late_vertices():
+    """The tripod with its vertices named after its edges: the stem s
+    limits on {x, y, z}, and the branches a, b, c hang from x, y, z.  f
+    (check=False) exchanges x and y and fixes the rest, so the comparable
+    set falls into {a}, {b} and {c, s, z}: in cell order, but not in the
+    order of their first canonical positions, which put z first."""
+    spec = LeafSpaceSpec()
+    for v in ("x", "y", "z"):
+        spec.add_vertex(v)
+    spec.add_edge("s", low=open_end(), high=to_limit(("x", 0), ("y", 0), ("z", 0)))
+    for edge, v in zip("abc", "xyz"):
+        spec.add_edge(edge, low=to_vertex(v), high=open_end())
+    maps = {fam: (fam, 0) for fam in "abcsz"}
+    spec.add_generator("f", dict(maps, x=("y", 0), y=("x", 0)), check=False)
+    return spec
+
+
 def test_connected_open_flags_split_components():
     # h exchanges a and b and fixes every chain: the three chains are
     # comparable with their images, a and b are not, and no undecided cell
@@ -825,6 +908,26 @@ def test_connected_open_flags_split_components():
         assert rep.verdict == VIOLATION
         assert dict(rep.witness) == {"word": "f", "components": "3",
                                      "cells": " | ".join(str(comp[0]) for comp in comps)}
+
+
+def test_connected_open_matches_reference(tripod, updown):
+    # the same verdict, components, witness cells and yes_cells count as the
+    # per-point rule, on every branch the models below reach
+    models = [(gallery(name).spec, depth) for name in GALLERY_NAMES for depth in (0, 1, 3, 8)]
+    models += [(build_swap_k(), depth) for depth in (0, 2)]
+    models += [(random_spec(RandomParams(seed=seed, symmetric=seed % 2 == 1)), seed % 3)
+               for seed in range(100)]
+    models += [(spec, depth) for depth in (1, 2, 4) for spec in (
+        tripod, updown, _stem_to_branch(), _swap_f(), _yplus_f(), _long_edges(), _late_vertices(),
+        _gallery_with("SWAP", {"a": "b", "b": "a", "s": "s", "ra": "ra", "rb": "rb"}))]
+    verdicts = Counter()
+    for spec, depth in models:
+        for word in reduced_words(spec.generators, 2, include_identity=False):
+            want = _outcome(reference_check_connected_open, spec, word, depth)
+            assert _outcome(check_connected_open, spec, word, depth) == want, (str(word), depth)
+            verdicts[(want.verdict, tuple(dict(want.witness))) if isinstance(want, CheckReport)
+                     else want[0]] += 1
+    assert len(verdicts) == 6       # both passes and both violations, truncated, invalid
 
 
 def test_connected_open_flags_a_closed_side():

@@ -114,3 +114,43 @@ def test_a_frozen_model_cannot_change():
     spec.add_mark("later", Point(("a", 0)))
     spec.ends[("s", "low")] = open_end()
     assert "later" not in model.marks and ("s", "low") not in model.ends
+
+
+def test_a_suite_run_freezes_its_builder_once(monkeypatch):
+    # the CLI hands the checkers the frozen model, so their window lookups
+    # never compare a builder's tables again
+    import io
+
+    from leafspace import cli
+
+    calls = []
+    real = model_mod.LeafSpaceSpec._frozen
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(model_mod.LeafSpaceSpec, "_frozen", counted)
+    for depth in ("4", "8"):
+        calls.clear()
+        assert cli.main(["suite", "--gallery", "ZIGZAG", "--depth", depth],
+                        stream=io.StringIO()) == 0
+        assert len(calls) <= 1
+
+
+def test_reference_germ_sources_match_the_model():
+    # the reference window counts its germ sources from the rule tables
+    # itself, so a source the model's rule pass drops shows on one side only
+    from conftest import build_swap_k
+    from leafspace.gallery import GALLERY_NAMES
+    from reference import reference_germ_sources
+
+    specs = [gallery(name).spec for name in GALLERY_NAMES] + [build_swap_k()]
+    specs += [random_spec(RandomParams(seed=seed, symmetric=seed % 2 == 1)) for seed in range(200)]
+    chain_sources = 0
+    for spec in specs:
+        model = spec.freeze()
+        assert reference_germ_sources(model) == dict(model.germ_sources())
+        chain_sources += sum(kind == "chain" for found in model.germ_sources().values()
+                             for kind, _, _ in found)
+    assert chain_sources       # the corpus holds limits at infinity
