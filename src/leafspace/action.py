@@ -15,16 +15,14 @@ An automorphism w preserves order, so p relates to w.p as c.p relates to
 w.c.p for each automorphism c that commutes with w.  A sweep of w costs
 one ``compare`` per class of cells that the automorphism generators
 commuting with w join in the window (w alone joins them when none
-commutes), none when the window keeps the sweep of w^-1 (it is mirrored),
-and slice operations per family for the rest.  The window keeps one class
-table per tuple of joining moves (``Truncation.classes``), so g, g^2, ...
-share the table of g's commuting set, and each sweep keeps its cells'
-classes beside the relations, for callers that can likewise answer once
-per class (instance discovery lifts one path per class).  An element that
-is no automorphism (a generator added with ``check=False``) joins no
-cells: each is a class of its own, one ``compare`` per in-window image in
-its own component.  It too is mirrored from a kept sweep of its
-inverse, as rel(p, w.p) mirrors rel(w.p, p) under any family map.
+commutes), and slice operations per family for the rest.  The window
+keeps one class table per tuple of joining moves (``Truncation.classes``),
+so g, g^2, ... share the table of g's commuting set, and each sweep keeps
+its cells' classes beside the relations, for callers that can likewise
+answer once per class (instance discovery lifts one path per class).  An
+element that is no automorphism (a generator added with ``check=False``)
+joins no cells: each is a class of its own, one ``compare`` per in-window
+image in its own component.
 
 Window sweeps answer in Tri: a Yes always comes with a witness; a No is
 certified only when the sweep closed without touching a truncated end,
@@ -170,9 +168,11 @@ def element_ball(spec, radius):
     edge: ``closings`` holds it as (u, x, v), the named words u and v of
     its two ends and the letter x; u*x*v^-1 is reduced and acts as the
     identity (``checkers.check_faithfulness`` builds it).  A negative
-    radius raises ValueError."""
+    radius, or one above ``WORD_LETTER_LIMIT``, raises ValueError before
+    any element is built."""
     if radius < 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
+    _require_letters(radius)
     alphabet = [(n, e) for n in sorted(spec.generators) for e in (1, -1)]
     steps = {let: _letter(spec, *let) for let in alphabet}
     ball = {word_map(spec, Word.identity()): Word.identity()}
@@ -266,14 +266,9 @@ def _runs(cell_runs, elem):
         yield start - lo + a, start - lo + max(a, b), to - tlo + shift - start + lo
 
 
-_MIRROR = {None: None, **{rel: rel for rel in Comparability},    # rel(q, p) from rel(p, q)
-           Comparability.LESS: Comparability.GREATER, Comparability.GREATER: Comparability.LESS}
-
-
 def _sweep_table(trunc, elem):
-    """``_swept`` computed afresh: the kept sweep of w^-1, mirrored, is
-    looked up first; else one ``compare`` answers each class of the
-    window's class table for w's moves at a pair in one component, where
+    """``_swept`` computed afresh: one ``compare`` answers each class of
+    the window's class table for w's moves at a pair in one component, where
     the window forest always meets, so no answer is Truncated.  The moves
     are the automorphism generators that commute with w, or w alone if
     none does, or none if w is no automorphism (tested only when a
@@ -283,17 +278,11 @@ def _sweep_table(trunc, elem):
     window and tuple of moves (``Truncation.classes``).  Images beyond the
     window get one ``_same_glued_chain_relation`` per family."""
     spec, points = trunc.spec, trunc.canonical_points
-    inverse = elem.inverse()
-    kept = trunc.sweeps.get(inverse)
     cell_runs = trunc.cell_runs
     runs, rels = list(_runs(cell_runs, elem)), []
     for start, lo, hi in cell_runs.values():    # one answer per family beyond the window
         p = points[start]
         rels += [_same_glued_chain_relation(spec, p, elem.point(p))] * (hi - lo + 1)
-    if kept is not None:
-        for a, b, offset in runs:
-            rels[a:b] = map(_MIRROR.__getitem__, kept[0][a + offset:b + offset])
-        return tuple(rels), kept[1]
     if any(a < b for a, b, _ in runs):      # where an in-window image needs a compare
         require_routable(trunc)
     if len(spec.automorphisms) < len(spec.generators) and automorphism_problems(spec, elem):

@@ -44,6 +44,7 @@ from .action import (
     _classify,
     _membership,
     _relation,
+    _require_letters,
     _swept,
     branching_type,
     element_ball,
@@ -411,6 +412,7 @@ def check_faithfulness(spec, max_word_len, depth):
     name = "check_faithfulness"
     if max_word_len < 0:
         raise ValueError(f"max_word_len must be non-negative, got {max_word_len}")
+    _require_letters(max_word_len)
     bt = branching_type(spec, depth)
     if bt.value == "none":
         raise PreconditionFailed(
@@ -594,7 +596,9 @@ def discover_instances(spec, depth, word_len):
     onto that of w.p to w^2.p, and each commuting automorphism c onto that
     of c.p to w.c.p.  The ``check_lower_bound`` pair search reads each
     point's up-cone (``paths._above``), walked once and shared across the
-    words."""
+    words.  A ``word_len`` above ``WORD_LETTER_LIMIT`` raises ValueError
+    before anything is swept."""
+    _require_letters(word_len)
     trunc = spec.window(depth)
     points = trunc.canonical_points
     loci = branch_loci(trunc)[:4]

@@ -367,12 +367,13 @@ class Truncation:
     cells they join, so the sweeps of g, g^2, ... build one) and its
     transit table (``transits``: (entry anchor, exit anchor) at a
     collapsed locus node -> what a path gains crossing it, filled by
-    :func:`leafspace.paths.path` and the length count beside it).  An anchor is the frozenset of vertex cells that
-    arriving at a node through one edge end can stand on, and ``rooting``
-    stores each tree edge as the two hops a route reads.  ``ladder``,
-    filled in the same pass, gives each node a jump pointer and its count
-    of jumps up to the root, from which :func:`leafspace.paths.compare`
-    answers in O(log depth) without walking the route."""
+    :func:`leafspace.paths.path` on its first crossing).  An anchor is the
+    frozenset of vertex cells that arriving at a node through one edge end
+    can stand on, and ``rooting`` stores each tree edge as the two hops a
+    route reads.  ``ladder``, filled in the same pass, gives each node a
+    jump pointer and its count of jumps up to the root, from which
+    :func:`leafspace.paths.compare` answers in O(log depth) without walking
+    the route."""
 
     def __init__(self, spec, depth):
         self.spec = spec

@@ -202,7 +202,7 @@ def parse(text):
     # each generator is checked against the model's rules before it joins
     # the generator table, which the model reads as it fills
     generators = {}
-    model = Model(families, ends, chain_ends, generators, marks, checked=generators)
+    model = Model(families, ends, chain_ends, generators, marks)
     for gname, maps in sorted(gen_maps.items()):
         try:
             generators[gname] = _generator(model, gname, maps, True)

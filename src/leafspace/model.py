@@ -38,7 +38,8 @@ class LeafSpaceSpec:
     freezes a new one; a window already held keeps the model it was built
     from.  Families come first: a generator is checked against the
     families when it is added, so a family added after one raises
-    UnresolvedName."""
+    UnresolvedName; each model tests its generators afresh
+    (``Model.automorphisms``)."""
 
     def __init__(self):
         self.families = {}
@@ -47,7 +48,6 @@ class LeafSpaceSpec:
         self.generators = {}
         self.marks = {}
         self._model = None
-        self._checked = {}      # generator name -> (its element, the rule tables it preserves)
 
     # -- construction helpers -------------------------------------------
 
@@ -81,13 +81,8 @@ class LeafSpaceSpec:
         the map must be a kind-keeping bijection of the families with integer
         shifts (else UnresolvedName, or BadOffset for a shift); ``check`` also
         requires resolvable declarations and a map that preserves every
-        rule (``automorphism_problems``), which later models take as read
-        while the rule tables stay as they were.  A rejected map changes
-        nothing."""
-        self.generators[name] = gen = _generator(self, name, maps, check)
-        if check:
-            rules = self.families, self.ends, self.chain_ends
-            self._checked[name] = gen, tuple(map(dict, rules))
+        rule (``automorphism_problems``).  A rejected map changes nothing."""
+        self.generators[name] = _generator(self, name, maps, check)
 
     def add_mark(self, name, point):
         self.marks[name] = point
@@ -110,9 +105,7 @@ class LeafSpaceSpec:
         tables = (self.families, self.ends, self.chain_ends, self.generators, self.marks)
         model = self._model
         if model is None or model._tables != tables:
-            checked = [name for name, (gen, rules) in self._checked.items()
-                       if tables[3].get(name) is gen and rules == tables[:3]]
-            model = Model(*map(dict, tables), checked)
+            model = Model(*map(dict, tables))
         return model
 
     def window(self, depth):
@@ -131,18 +124,18 @@ class Model:
     construction: the well-formedness error and, for well-formed tables,
     one sorted pass over the rules for the germ sources and the limit-set
     violations.  When first asked for: the first overfull vertex side, the
-    shape and mark violations, and the generators that are automorphisms
-    (those named in ``checked`` are taken as read).  ``window`` keeps the
-    windows of the ``WINDOW_CACHE`` depths asked for last."""
+    shape and mark violations, and the generators that are automorphisms.
+    ``window`` keeps the windows of the ``WINDOW_CACHE`` depths asked for
+    last."""
 
-    def __init__(self, families, ends, chain_ends, generators, marks, checked=()):
+    def __init__(self, families, ends, chain_ends, generators, marks):
         # the model owns the tables it is given; ``parse`` fills the
-        # generators and ``checked`` after construction, before it returns
+        # generators after construction, before it returns
         error = _malformation(families, ends, chain_ends)
         vars(self).update(
             families=MappingProxyType(families), ends=MappingProxyType(ends),
             chain_ends=MappingProxyType(chain_ends), generators=MappingProxyType(generators),
-            marks=MappingProxyType(marks), _checked=checked, _windows={}, _error=error,
+            marks=MappingProxyType(marks), _windows={}, _error=error,
             _tables=(families, ends, chain_ends, generators, marks))
         if error is None:
             vars(self).update(zip(("_sources", "_limit_sets"),
@@ -198,10 +191,9 @@ class Model:
 
     @cached_property
     def automorphisms(self):
-        """The generators that are automorphisms of the model: the checked
-        ones, and each other that ``automorphism_problems`` passes."""
-        return tuple(g for name, g in self.generators.items()
-                     if name in self._checked or not automorphism_problems(self, g))
+        """The generators that ``automorphism_problems`` passes, in
+        generator order."""
+        return tuple(g for g in self.generators.values() if not automorphism_problems(self, g))
 
     @cached_property
     def _violations(self):

@@ -113,6 +113,18 @@ def test_negative_bounds_are_refused(capsys):
     assert out.endswith("4 pass, 0 violations, 0 truncated, 6 skipped\n")
 
 
+def test_word_lengths_above_the_letter_limit_are_refused(capsys):
+    from leafspace.action import WORD_LETTER_LIMIT
+
+    over = str(WORD_LETTER_LIMIT + 1)
+    for argv in (("suite", "--gallery", "SWAP"), ("stab", "--gallery", "SWAP"),
+                 ("check", "check_faithfulness", "--gallery", "SWAP")):
+        code, out = run(*argv, "--word-len", over)
+        assert code == 2 and out == "", argv
+        assert capsys.readouterr().err == (
+            f"error: word of {over} letters exceeds the limit of {WORD_LETTER_LIMIT}\n")
+
+
 def test_check_precondition_warns_but_exits_zero():
     code, out = run("check", "check_faithfulness", "--gallery", "LINE")
     assert code == 0 and "PRECONDITION-FAILED" in out

@@ -84,6 +84,35 @@ def test_a_checked_generator_is_checked_again_after_a_rule_write():
     assert spec.window(1).spec.automorphisms == ()
 
 
+def test_a_round_trip_keeps_the_automorphisms():
+    # a model tests every generator itself: a parsed model, whose generators
+    # parse checked, and a frozen builder, checked or not, read the same ones
+    from pathlib import Path
+
+    from conftest import build_swap_k, build_tripod
+    from leafspace.core import automorphism_problems
+    from leafspace.gallery import GALLERY_NAMES
+
+    unchecked = gallery("SWAP").spec
+    unchecked.add_generator("k", K, check=False)
+    golden = Path(__file__).parent / "golden" / "nonrealizable" / "fix_propagation.leafspace"
+    specs = [gallery(name).spec for name in GALLERY_NAMES] + [build_swap_k(), unchecked]
+    specs += [random_spec(RandomParams(seed=seed, symmetric=True)) for seed in range(20)]
+    specs.append(parse(golden.read_text()))
+    passed = 0
+    for spec in specs:
+        # an element's key follows its model's family order: compare the maps
+        model = spec.freeze()
+        passing = [g.maps for g in model.generators.values() if not automorphism_problems(model, g)]
+        assert [g.maps for g in parse(emit(spec)).automorphisms] == passing
+        assert [g.maps for g in model.automorphisms] == passing
+        passed += len(passing)
+    assert passed and unchecked.freeze().automorphisms == tuple(unchecked.generators.values())
+    # f, added unchecked, is no automorphism: the model leaves it out
+    tripod = build_tripod(with_inconsistent_action=True).freeze()
+    assert "f" in tripod.generators and tripod.generators["f"] not in tripod.automorphisms
+
+
 def test_the_window_cache_keeps_the_depths_used_last():
     spec = gallery("LINE").spec
     model = spec.freeze()
